@@ -46,11 +46,11 @@ def _fmt(x: float) -> str:
 
 
 def _write_outputs(out_dir: Path, name: str, command: str, result: dict, rows, header):
+    text = json.dumps(result, indent=2, sort_keys=True, allow_nan=False)
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = f"{name}-{command}"
     with open(out_dir / f"{stem}.json", "w") as fh:
-        json.dump(result, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
     with open(out_dir / f"{stem}.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -226,18 +226,18 @@ def main(scenario_path, command, n, seed, out_dir, tolerance, eraser):
         else:
             result, rows, header, ok = _cmd_validate(scenario)
             exit_code = 0 if ok else 1
+        payload = {
+            "command": command,
+            "scenario": scenario.name,
+            "seed": seed,
+            "version": __version__,
+            "result": result,
+        }
+        # a non-finite result is refused here, before any file is opened
+        _write_outputs(out_dir, scenario.name, command, payload, rows, header)
     except (ContextError, SpaceConstructionError, ScenarioDomainError, ValueError) as e:
         click.echo(f"error: {e}", err=True)
         sys.exit(1)
-
-    payload = {
-        "command": command,
-        "scenario": scenario.name,
-        "seed": seed,
-        "version": __version__,
-        "result": result,
-    }
-    _write_outputs(out_dir, scenario.name, command, payload, rows, header)
     sys.exit(exit_code)
 
 

@@ -6,6 +6,11 @@ values of consecutive layers.  Crossing a decided (level-3) layer combines
 probabilities classically; crossing a never-knowable (level-1) layer combines
 amplitudes first and squares at the end, which is where interference enters.
 
+Propagation keeps a mixture of amplitude rows, each with a classical weight.
+A decided layer merges the mixture into one weight per value, because every
+run that took value j continues with the same matrix row j; the mixture is
+therefore never wider than the widest layer, and the cost is linear in depth.
+
 Amplitudes may be ordinary complex numbers or exact Q(sqrt2) values
 (`exactnum.ExactAmplitude`); a network whose amplitudes are all exact is
 propagated without any floating-point arithmetic.
@@ -13,11 +18,10 @@ propagated without any floating-point arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from .evolution import Knowability
-from .exactnum import ExactAmplitude, Sqrt2Scalar, abs2, to_float
+from .exactnum import ExactAmplitude, abs2
 
 NORM_TOL = 1e-12
 
@@ -88,20 +92,13 @@ class ContextualState:
             raise ContextError("state is either superposed or reduced")
         if self.amplitudes is not None:
             object.__setattr__(self, "amplitudes", tuple(self.amplitudes))
-            norm = _sum(abs2(a) for a in self.amplitudes)
-            if abs(to_float(norm) - 1.0) > NORM_TOL:
+            if not _normalized(self.amplitudes):
                 raise ContextError("superposed state is not normalized")
 
 
-def _zero(exact: bool):
-    return Sqrt2Scalar.of(0) if exact else 0.0
-
-
-def _sum(items):
-    total = None
-    for x in items:
-        total = x if total is None else total + x
-    return total
+def _normalized(amps) -> bool:
+    """Whether the squared moduli sum to 1; written so that NaN fails."""
+    return abs(float(sum(abs2(a) for a in amps)) - 1.0) <= NORM_TOL
 
 
 def born(a: Amplitude):
@@ -126,18 +123,15 @@ def validate_context(net: ContextNetwork) -> list:
         return errors
     if len(net.initial) != net.layers[0].size:
         errors.append("initial amplitude vector does not match first layer")
-    else:
-        norm = to_float(_sum(abs2(a) for a in net.initial))
-        if abs(norm - 1.0) > NORM_TOL:
-            errors.append("row not normalized: initial amplitudes")
+    elif not _normalized(net.initial):
+        errors.append("row not normalized: initial amplitudes")
     for i, m in enumerate(net.edges):
         rows, cols = net.layers[i].size, net.layers[i + 1].size
         if len(m) != rows or any(len(row) != cols for row in m):
             errors.append(f"matrix {i}: expected shape {rows}x{cols}")
             continue
         for j, row in enumerate(m):
-            norm = to_float(_sum(abs2(a) for a in row))
-            if abs(norm - 1.0) > NORM_TOL:
+            if not _normalized(row):
                 errors.append(f"row not normalized: matrix {i} row {j}")
     for i, layer in enumerate(net.layers[:-1]):
         if layer.level is Knowability.NEVER and net.layers[i + 1].size < layer.size:
@@ -165,70 +159,46 @@ class Distribution:
 def propagate(net: ContextNetwork, start: Optional[ContextualState] = None) -> Distribution:
     """Fold the network into the outcome distribution of its final property.
 
-    Maintains a mixture of amplitude-vector branches.  A level-3 layer splits
-    every branch classically over its values; a level-1 layer carries each
-    branch's amplitudes linearly through the matrix.  An unpromoted level-2
-    layer is an error: consistency reduction must resolve it first.
+    The mixture is a list of classical weights, one per amplitude row.  A
+    level-3 layer merges it into one weight per value, sum_b w_b |row_b[j]|^2,
+    and continues with that layer's matrix rows; a level-1 layer carries every
+    row's amplitudes linearly through the matrix.  An unpromoted level-2 layer
+    is an error: consistency reduction must resolve it first.
     """
     _require_valid(net)
-    exact = net.is_exact()
-
-    if start is None:
-        cursor = 0
-        branches = [(_one(exact),
-                     [a if exact else complex(a) for a in net.initial])]
-    elif start.reduced is not None:
+    cursor, rows = 0, [net.initial]
+    if start is not None:
         cursor = start.layer_cursor
-        if cursor >= len(net.layers) - 1:
+        if start.reduced is None:
+            rows = [start.amplitudes]
+        elif cursor >= len(net.layers) - 1:
             raise ContextError("nothing left to propagate")
-        row = net.matrix(cursor)[start.reduced]
-        return propagate(net, ContextualState(layer_cursor=cursor + 1, amplitudes=tuple(row)))
-    else:
-        cursor = start.layer_cursor
-        exact = exact and _amps_exact(start.amplitudes)
-        amps = list(start.amplitudes) if exact else [complex(a) for a in start.amplitudes]
-        branches = [(_one(exact), amps)]
+        else:
+            rows = [net.matrix(cursor)[start.reduced]]
+            cursor += 1
+    edges = net.edges
+    exact = net.is_exact() and all(isinstance(a, ExactAmplitude) for a in rows[0])
+    if not exact:
+        rows = [tuple(map(complex, row)) for row in rows]
+        edges = tuple(tuple(tuple(map(complex, row)) for row in m) for m in edges)
 
-    def coerce(a):
-        return a if exact else complex(a)
-
-    rules = []
-    crossed_level1 = False
+    weights, rules = [1], []
     for i in range(cursor, len(net.layers) - 1):
-        layer = net.layers[i]
-        matrix = tuple(tuple(coerce(a) for a in row) for row in net.matrix(i))
+        layer, matrix = net.layers[i], edges[i]
         if layer.level is Knowability.DECIDED:
             rules.append("classical")
-            new_branches = []
-            for weight, amps in branches:
-                for j, a in enumerate(amps):
-                    w = weight * abs2(a)
-                    if to_float(w) == 0.0:
-                        continue
-                    new_branches.append((w, list(matrix[j])))
-            branches = new_branches
+            weights, rows = _merge(weights, rows, layer.size), matrix
         elif layer.level is Knowability.NEVER:
             rules.append("amplitude")
-            crossed_level1 = True
-            new_branches = []
-            for weight, amps in branches:
-                out = []
-                for k in range(net.layers[i + 1].size):
-                    out.append(_sum(amps[j] * matrix[j][k] for j in range(len(amps))))
-                new_branches.append((weight, out))
-            branches = new_branches
+            rows = [[sum(a * m_row[k] for a, m_row in zip(row, matrix))
+                     for k in range(net.layers[i + 1].size)] for row in rows]
         else:
             raise ContextError("unresolved contingent knowability")
 
-    size = net.final_layer.size
-    totals = [_zero(exact) for _ in range(size)]
-    for weight, amps in branches:
-        for k in range(size):
-            totals[k] = totals[k] + weight * abs2(amps[k])
-
-    probs = tuple(to_float(t) for t in totals)
-    if abs(sum(probs) - 1.0) > NORM_TOL:
-        if crossed_level1:
+    totals = _merge(weights, rows, net.final_layer.size)
+    probs = tuple(float(t) for t in totals)
+    if not abs(sum(probs) - 1.0) <= NORM_TOL:
+        if "amplitude" in rules:
             raise ContextError("amplitude matrix violates unitarity conditions")
         raise ContextError("distribution does not normalize")
     return Distribution(
@@ -239,12 +209,9 @@ def propagate(net: ContextNetwork, start: Optional[ContextualState] = None) -> D
     )
 
 
-def _one(exact: bool):
-    return Sqrt2Scalar.of(1) if exact else 1.0
-
-
-def _amps_exact(amps) -> bool:
-    return all(isinstance(a, ExactAmplitude) for a in amps)
+def _merge(weights, rows, size) -> list:
+    """One classical weight per value j: sum_b w_b |row_b[j]|^2."""
+    return [sum(w * abs2(row[j]) for w, row in zip(weights, rows)) for j in range(size)]
 
 
 def reduce_by_observation(state: ContextualState, net: ContextNetwork,
@@ -257,7 +224,7 @@ def reduce_by_observation(state: ContextualState, net: ContextNetwork,
         raise ContextError("state is already reduced")
     if not 0 <= outcome < layer.size:
         raise ContextError(f"no value index {outcome} at layer {layer.property_id}")
-    if to_float(abs2(state.amplitudes[outcome])) == 0.0:
+    if float(abs2(state.amplitudes[outcome])) == 0.0:
         raise ContextError("impossible outcome")
     return ContextualState(layer_cursor=state.layer_cursor, reduced=outcome)
 
@@ -327,37 +294,3 @@ def pad_virtual_values(net: ContextNetwork, layer_index: int) -> PaddingResult:
                             edges=tuple(new_edges))
     return PaddingResult(network=padded, layer_index=layer_index,
                          virtual_value_indices=tuple(range(mp, m)))
-
-
-@dataclass(frozen=True)
-class DistributivityReport:
-    nested: tuple
-    flattened: tuple
-    max_deviation: float
-
-
-def distributivity_check(net: ContextNetwork) -> DistributivityReport:
-    """Compare nested and flattened evaluation of a decided/decided pair.
-
-    The nested form weights each first-layer branch and sums its row; the
-    flattened form enumerates (j, k) paths directly.  The two must induce the
-    same joint distribution.
-    """
-    _require_valid(net)
-    if len(net.layers) < 2:
-        raise ContextError("need two consecutive layers")
-    l0, l1 = net.layers[0], net.layers[1]
-    if l0.level is not Knowability.DECIDED or l1.level is not Knowability.DECIDED:
-        raise ContextError("distributivity check applies to two decided layers")
-    matrix = net.matrix(0)
-    nested = []
-    for j in range(l0.size):
-        w = to_float(abs2(net.initial[j]))
-        row = [to_float(abs2(a)) for a in matrix[j]]
-        nested.extend(w * r for r in row)
-    flattened = [
-        to_float(abs2(net.initial[j])) * to_float(abs2(matrix[j][k]))
-        for j in range(l0.size) for k in range(l1.size)]
-    dev = max(abs(a - b) for a, b in zip(nested, flattened))
-    return DistributivityReport(nested=tuple(nested), flattened=tuple(flattened),
-                                max_deviation=dev)

@@ -92,6 +92,8 @@ class ExactAmplitude:
         other = ExactAmplitude.of(other)
         return ExactAmplitude(self.re + other.re, self.im + other.im)
 
+    __radd__ = __add__
+
     def __sub__(self, other):
         other = ExactAmplitude.of(other)
         return ExactAmplitude(self.re - other.re, self.im - other.im)
@@ -136,9 +138,3 @@ def abs2(a):
         return a.abs2()
     a = complex(a)
     return a.real * a.real + a.imag * a.imag
-
-
-def to_float(x) -> float:
-    if isinstance(x, (Sqrt2Scalar, Fraction)):
-        return float(x)
-    return float(x)

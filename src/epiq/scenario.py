@@ -11,6 +11,7 @@ tokens "n", "n/m", "n/sqrt2" which are resolved without rounding.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
@@ -134,10 +135,17 @@ def load_scenario(doc: dict) -> Scenario:
     )
 
 
+def _finite(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        raise ScenarioSchemaError(f"non-finite number {token} is not allowed")
+    return value
+
+
 def load_scenario_file(path) -> Scenario:
     with open(path, "r") as fh:
         try:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_float=_finite, parse_constant=_finite)
         except json.JSONDecodeError as e:
             raise ScenarioSchemaError(f"not valid JSON: {e}") from e
     return load_scenario(doc)

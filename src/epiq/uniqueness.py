@@ -21,7 +21,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.optimize import least_squares
 
-from .context import ContextNetwork, Layer, pad_virtual_values
 from .evolution import Knowability
 
 RESIDUAL_TOL = 1e-10
@@ -369,17 +368,6 @@ def verify_multiplicativity(candidate: CandidateMap, trials: int = 1000,
         witness=None if max_dev < 1e-12 else (complex(a[worst]), complex(b[worst])))
 
 
-def _padded_width(m: int, mp: int) -> int:
-    """Width of the later layer after virtual-value padding, obtained from the
-    context module's padding rule on a template network."""
-    layers = (Layer("P", Knowability.NEVER, tuple(float(j + 1) for j in range(m))),
-              Layer("P'", Knowability.DECIDED, tuple(float(j + 1) for j in range(mp))))
-    initial = (1 + 0j,) + (0j,) * (m - 1)
-    rows = tuple(tuple(1 + 0j if k == j % mp else 0j for k in range(mp)) for j in range(m))
-    template = ContextNetwork(layers=layers, initial=initial, edges=(rows,))
-    return pad_virtual_values(template, 0).network.layers[1].size
-
-
 @dataclass(frozen=True)
 class UniquenessRow:
     candidate: str
@@ -416,12 +404,9 @@ def evaluate_candidate(candidate: CandidateMap, m: int, mp: int,
                        samples: int = 60, seed: int = 0,
                        pad: bool = True) -> UniquenessRow:
     """Full pipeline for one candidate and one context shape."""
-    padded = None
-    em, emp = m, mp
-    if pad and m > mp:
-        emp = _padded_width(m, mp)
-        padded = (em, emp)
-    system = build_constraints(em, emp, Knowability.NEVER, candidate)
+    # Virtual-value padding (context.pad_virtual_values) widens P' to m.
+    padded = (m, m) if pad and m > mp else None
+    system = build_constraints(m, m if padded else mp, Knowability.NEVER, candidate)
     system = property_independence_conditions(system)
     report = estimate_dof(system, samples=samples, seed=seed)
     mult = verify_multiplicativity(candidate, seed=seed).multiplicative

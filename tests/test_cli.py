@@ -204,3 +204,17 @@ class TestCli:
         bad.write_text("{nope")
         result = run_cli(tmp_path, str(bad))
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("command", ["validate", "propagate"])
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_non_finite_input_exit_code_2(self, tmp_path, command, constant):
+        text = json.dumps(minimal_doc()).replace(
+            '["1/sqrt2", "1/sqrt2"]', f'["1/sqrt2", {constant}]', 1)
+        assert constant in text
+        bad = tmp_path / "non-finite.json"
+        bad.write_text(text)
+        result = run_cli(tmp_path, str(bad), "--command", command)
+        assert result.exit_code == 2
+        assert "non-finite" in result.output
+        assert not list(tmp_path.glob("minimal-*"))
+

@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 
 from epiq.context import (ContextError, ContextNetwork, ContextualState, Layer, born,
-                          distributivity_check, pad_virtual_values, propagate,
-                          reduce_by_consistency, reduce_by_observation, validate_context)
+                          pad_virtual_values, propagate, reduce_by_consistency,
+                          reduce_by_observation, validate_context)
 from epiq.evolution import Knowability
 from epiq.exactnum import ExactAmplitude, Sqrt2Scalar, parse_exact
 
@@ -55,6 +55,17 @@ class TestValidation:
             initial=(H, H, ZERO),
             edges=(((H, H), (H, HN), (ONE, ZERO)),))
         assert any("padding" in msg for msg in validate_context(net))
+
+    def test_nan_amplitude_flagged(self):
+        nan = complex(float("nan"), 0.0)
+        net = ContextNetwork(
+            layers=(Layer("p", Knowability.NEVER, (1.0, 2.0)),
+                    Layer("q", Knowability.DECIDED, (1.0, 2.0))),
+            initial=(nan, 0j), edges=(((1 + 0j, 0j), (0j, nan)),))
+        assert validate_context(net) == ["row not normalized: initial amplitudes",
+                                         "row not normalized: matrix 0 row 1"]
+        with pytest.raises(ContextError, match="not normalized"):
+            propagate(net)
 
     def test_duplicate_labels(self):
         net = ContextNetwork(
@@ -111,6 +122,17 @@ class TestPropagate:
             edges=(((ONE, ZERO), (ZERO, ONE)), ((H, H), (H, HN))))
         dist = propagate(net)
         assert dist.rules == ("classical", "amplitude")
+        assert dist.probabilities == (0.5, 0.5)
+
+    def test_thirty_decided_layers_merge_exactly(self):
+        # A mixture of one branch per decided path would hold 2^29 branches.
+        net = ContextNetwork(
+            layers=tuple(Layer(f"L{i}", Knowability.DECIDED, (1.0, 2.0)) for i in range(30)),
+            initial=(H, H),
+            edges=(((H, H), (H, HN)),) * 29)
+        dist = propagate(net)
+        assert dist.rules == ("classical",) * 29
+        assert dist.exact == (Sqrt2Scalar.of(Fraction(1, 2)),) * 2
         assert dist.probabilities == (0.5, 0.5)
 
     def test_start_from_reduced_state(self):
@@ -194,13 +216,3 @@ class TestPadding:
         with pytest.raises(ContextError, match="level-1"):
             pad_virtual_values(net, 0)
 
-
-class TestDistributivity:
-    def test_nested_equals_flattened(self):
-        report = distributivity_check(mz(3))
-        assert report.max_deviation == 0.0
-        assert sum(report.flattened) == pytest.approx(1.0)
-
-    def test_requires_decided_pair(self):
-        with pytest.raises(ContextError, match="decided"):
-            distributivity_check(mz(1))

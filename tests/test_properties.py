@@ -1,11 +1,17 @@
-"""Property-based suites for the measure, combination, and evolution laws."""
+"""Property-based suites for the measure, combination, and evolution laws,
+and for context propagation against brute-force path enumeration."""
+import cmath
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from epiq.context import ContextNetwork, ContextualState, Layer, propagate
 from epiq.evolution import EvolutionRule, Knowability, make_alternatives, probability
+from epiq.exactnum import ExactAmplitude, Sqrt2Scalar, abs2, parse_exact
 from epiq.statespace import (AttributeDef, EpistemicState, ObjectRegistry, PropertySpec,
                              all_exact_states, combine, full_state, relative_volume,
                              state_slice, volume)
@@ -144,3 +150,115 @@ class TestKolmogorov:
         probs = [probability(alt, whole) for alt in alts.alternatives]
         assert all(0 < p <= 1 for p in probs)
         assert sum(probs) == 1
+
+
+# Exact (cos, sin) pairs: Pythagorean triples and the balanced beam splitter.
+EXACT_ROTATIONS = tuple(
+    (parse_exact(c), parse_exact(s))
+    for c, s in (("3/5", "4/5"), ("5/13", "12/13"), ("1/sqrt2", "1/sqrt2"),
+                 ("-4/5", "3/5"), ("0", "1")))
+I = ExactAmplitude(Sqrt2Scalar.of(0), Sqrt2Scalar.of(1))
+EXACT_PHASES = (parse_exact("1"), I, parse_exact("-1"), -I)
+
+
+@st.composite
+def unitaries(draw, n, exact):
+    """An n x n unitary: Givens rotations on random planes, then column phases.
+    Exact draws stay in Q(sqrt2)(i)."""
+    one, zero = (parse_exact("1"), parse_exact("0")) if exact else (1 + 0j, 0j)
+    u = [[one if r == c else zero for c in range(n)] for r in range(n)]
+    for _ in range(draw(st.integers(1, 3))):
+        p, q = draw(st.sampled_from(list(itertools.combinations(range(n), 2))))
+        if exact:
+            c, s = draw(st.sampled_from(EXACT_ROTATIONS))
+        else:
+            theta = draw(st.floats(0.0, 2 * math.pi))
+            c, s = complex(math.cos(theta)), complex(math.sin(theta))
+        for row in u:
+            row[p], row[q] = c * row[p] - s * row[q], s * row[p] + c * row[q]
+    if exact:
+        phases = [draw(st.sampled_from(EXACT_PHASES)) for _ in range(n)]
+    else:
+        phases = [cmath.exp(1j * draw(st.floats(0.0, 2 * math.pi))) for _ in range(n)]
+    return [tuple(a * ph for a, ph in zip(row, phases)) for row in u]
+
+
+@st.composite
+def mixed_networks(draw, exact):
+    """Depth 2-6, widths 2-3, levels 1 and 3.  A level-1 layer never feeds a
+    narrower one (that needs padding) and gets orthonormal rows; a decided
+    layer gets rows that are only normalized."""
+    depth = draw(st.integers(2, 6))
+    levels = [draw(st.sampled_from((Knowability.NEVER, Knowability.DECIDED)))
+              for _ in range(depth - 1)] + [Knowability.DECIDED]
+    sizes = [draw(st.integers(2, 3))]
+    for level in levels[:-1]:
+        low = sizes[-1] if level is Knowability.NEVER else 2
+        sizes.append(draw(st.integers(low, 3)))
+    edges = []
+    for i, level in enumerate(levels[:-1]):
+        if level is Knowability.NEVER:
+            rows = draw(unitaries(sizes[i + 1], exact))[:sizes[i]]
+        else:
+            rows = [draw(unitaries(sizes[i + 1], exact))[0] for _ in range(sizes[i])]
+        edges.append(tuple(rows))
+    layers = tuple(Layer(f"L{i}", level, tuple(float(k + 1) for k in range(m)))
+                   for i, (level, m) in enumerate(zip(levels, sizes)))
+    initial = draw(unitaries(sizes[0], exact))[0]
+    net = ContextNetwork(layers=layers, initial=initial, edges=tuple(edges))
+    cursor = draw(st.integers(0, depth - 2))
+    start = draw(st.sampled_from((None, "reduced", "superposed")))
+    if start == "reduced":
+        start = ContextualState(layer_cursor=cursor,
+                                reduced=draw(st.integers(0, sizes[cursor] - 1)))
+    elif start == "superposed":
+        start = ContextualState(layer_cursor=cursor,
+                                amplitudes=draw(unitaries(sizes[cursor], exact))[0])
+    return net, start
+
+
+def path_oracle(net, start=None):
+    """Final distribution by enumerating every path from the start layer.
+
+    For each choice of values at the decided layers, the path amplitudes are
+    summed over the values of the level-1 layers before squaring; the squared
+    sums are then added classically."""
+    cursor, initial = 0, net.initial
+    if start is not None:
+        cursor = start.layer_cursor
+        initial = start.amplitudes
+        if start.reduced is not None:
+            initial = [int(k == start.reduced) for k in range(net.layers[cursor].size)]
+    layers = net.layers[cursor:]
+    decided = [i for i, l in enumerate(layers) if l.level is Knowability.DECIDED]
+    never = [i for i, l in enumerate(layers) if l.level is Knowability.NEVER]
+    totals = [0] * net.final_layer.size
+    for dvals in itertools.product(*(range(layers[i].size) for i in decided)):
+        coherent = 0
+        for nvals in itertools.product(*(range(layers[i].size) for i in never)):
+            path = dict(zip(decided, dvals)) | dict(zip(never, nvals))
+            amp = initial[path[0]]
+            for i in range(len(layers) - 1):
+                amp = net.edges[cursor + i][path[i]][path[i + 1]] * amp
+            coherent = coherent + amp
+        totals[path[len(layers) - 1]] += abs2(coherent)
+    return totals
+
+
+class TestPropagationOracle:
+    @given(mixed_networks(exact=True))
+    @settings(max_examples=25, deadline=None)
+    def test_exact_fold_equals_path_enumeration(self, case):
+        net, start = case
+        dist = propagate(net, start=start)
+        assert dist.exact is not None
+        assert list(dist.exact) == path_oracle(net, start)
+
+    @given(mixed_networks(exact=False))
+    @settings(max_examples=25, deadline=None)
+    def test_float_fold_equals_path_enumeration(self, case):
+        net, start = case
+        dist = propagate(net, start=start)
+        assert dist.exact is None
+        for p, q in zip(dist.probabilities, path_oracle(net, start)):
+            assert abs(p - q) <= 1e-12
