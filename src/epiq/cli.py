@@ -1,7 +1,8 @@
 """Command-line front end: load a scenario, dispatch a command, emit results.
 
 Exit codes: 0 on success, 1 on a domain error (a module rejected the
-scenario's content), 2 on a schema error (the document itself is malformed).
+scenario's content), 2 on a schema error (the document itself is malformed)
+or an invalid command-line option.
 Outputs are written as JSON (full doubles) and CSV (12 significant digits)
 into the output directory; serialization is deterministic for a fixed
 scenario file and seed.
@@ -39,6 +40,13 @@ def _resolved_network(scenario: Scenario, eraser):
                 "contingent layers need the eraser flag to be resolved")
         net = reduce_by_consistency(net, path_knowledge_reachable=not eraser)
     return net, eraser
+
+
+def _positive_tolerance(ctx, param, value):
+    """The schema's run.tolerance rule (a number above 0), also finite."""
+    if value is not None and not (math.isfinite(value) and value > 0):
+        raise click.BadParameter("must be a finite number above 0")
+    return value
 
 
 def _fmt(x: float) -> str:
@@ -190,7 +198,7 @@ def _cmd_validate(scenario):
               help="Random seed for sampling and solver starts.")
 @click.option("--out-dir", type=click.Path(file_okay=False), default=None,
               envvar="EPIQ_OUT_DIR", help="Output directory for CSV/JSON results.")
-@click.option("--tolerance", type=float, default=None,
+@click.option("--tolerance", type=float, default=None, callback=_positive_tolerance,
               help="Numerical tolerance for result checks.")
 @click.option("--eraser/--no-eraser", "eraser", default=None,
               help="Resolve contingent layers as erased (interference) or recorded.")

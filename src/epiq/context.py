@@ -169,10 +169,17 @@ def propagate(net: ContextNetwork, start: Optional[ContextualState] = None) -> D
     cursor, rows = 0, [net.initial]
     if start is not None:
         cursor = start.layer_cursor
+        if not 0 <= cursor < len(net.layers):
+            raise ContextError(f"start layer {cursor} outside the network")
+        size = net.layers[cursor].size
         if start.reduced is None:
+            if len(start.amplitudes) != size:
+                raise ContextError(f"start state needs {size} amplitudes")
             rows = [start.amplitudes]
         elif cursor >= len(net.layers) - 1:
             raise ContextError("nothing left to propagate")
+        elif not 0 <= start.reduced < size:
+            raise ContextError(f"no value index {start.reduced} at start layer")
         else:
             rows = [net.matrix(cursor)[start.reduced]]
             cursor += 1

@@ -35,8 +35,10 @@ class Knowability(IntEnum):
     DECIDED = 3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EvolutionRule:
+    """Equality and hash are identity: the image map is a mutable mapping."""
+
     images: Mapping  # ExactState -> frozenset of ExactState
 
     def __post_init__(self):
@@ -49,9 +51,6 @@ class EvolutionRule:
             return self.images[z]
         except KeyError:
             raise ValueError("exact state outside the rule's domain") from None
-
-    def __hash__(self):
-        return hash(id(self.images))
 
 
 def evolve(s: EpistemicState, rule: EvolutionRule,

@@ -1,9 +1,9 @@
 """Scenario files: schema validation and loading into domain objects.
 
 A scenario is a JSON document describing an experimental context (layers,
-initial amplitudes, matrices, optional eraser flag), optionally a finite
-object registry with an evolution rule, optional joint volumes and a
-uniqueness-study request, plus run defaults.  Unknown fields are rejected.
+initial amplitudes, matrices, optional eraser flag), optional joint volumes
+and a uniqueness-study request, plus run defaults.  Unknown fields are
+rejected.
 
 Amplitudes may be written as plain numbers, [re, im] pairs, or the exact
 tokens "n", "n/m", "n/sqrt2" which are resolved without rounding.
@@ -19,9 +19,8 @@ from typing import Optional
 import jsonschema
 
 from .context import ContextNetwork, Layer
-from .evolution import EvolutionRule, Knowability
+from .evolution import Knowability
 from .exactnum import parse_exact
-from .statespace import AttributeDef, EpistemicState, ExactState, ObjectRegistry, all_exact_states
 
 
 class ScenarioSchemaError(ValueError):
@@ -53,8 +52,6 @@ class Scenario:
     description: str
     network: ContextNetwork
     eraser: Optional[bool]
-    registry: Optional[ObjectRegistry]
-    rule: Optional[EvolutionRule]
     joint_volumes: Optional[tuple]
     simultaneous: bool
     uniqueness: Optional[dict]
@@ -71,29 +68,6 @@ def validate_document(doc: dict) -> None:
             where = "/".join(str(p) for p in e.absolute_path) or "<root>"
             lines.append(f"{where}: {e.message}")
         raise ScenarioSchemaError("; ".join(lines))
-
-
-def _load_registry(section: dict) -> ObjectRegistry:
-    attrs = [AttributeDef(id=a["id"], kind=a["kind"], values=tuple(a["values"]))
-             for a in section["attributes"]]
-    try:
-        return ObjectRegistry.build(attrs, section["objects"])
-    except ValueError as e:
-        raise ScenarioDomainError(str(e)) from e
-
-
-def _load_rule(section: dict, registry: ObjectRegistry) -> EvolutionRule:
-    states = list(all_exact_states(registry))
-    images = {}
-    try:
-        for key, targets in section["images"].items():
-            src = states[int(key)]
-            images[src] = frozenset(states[t] for t in targets)
-    except IndexError:
-        raise ScenarioDomainError("evolution image index outside the state space") from None
-    if len(images) != len(states):
-        raise ScenarioDomainError("evolution rule must cover every exact state")
-    return EvolutionRule(images=images)
 
 
 def load_scenario(doc: dict) -> Scenario:
@@ -113,21 +87,12 @@ def load_scenario(doc: dict) -> Scenario:
     except ValueError as e:
         raise ScenarioDomainError(str(e)) from e
 
-    registry = _load_registry(doc["registry"]) if "registry" in doc else None
-    rule = None
-    if "evolution" in doc:
-        if registry is None:
-            raise ScenarioDomainError("an evolution rule needs a registry")
-        rule = _load_rule(doc["evolution"], registry)
-
     jv = doc.get("jointVolumes")
     return Scenario(
         name=doc["name"],
         description=doc.get("description", ""),
         network=network,
         eraser=ctx.get("eraser"),
-        registry=registry,
-        rule=rule,
         joint_volumes=tuple(tuple(row) for row in jv) if jv else None,
         simultaneous=bool(doc.get("simultaneous", False)),
         uniqueness=doc.get("uniqueness"),

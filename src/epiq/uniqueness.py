@@ -8,15 +8,21 @@ the property-independence rows that let the P-stage and P'-stage of the setup
 be tuned separately.  A candidate is acceptable when that system is feasible
 and its solution manifold leaves at least the experimental-freedom minimum of
 free real parameters: M-1 for the P block, M(M'-1) for the P' block, MM'-1 in
-total.  Feasibility is probed by randomized least-squares descent; the local
-manifold dimension is variables minus the numerical rank of the constraint
-Jacobian at the solutions found.
+total.
+
+The system is one array residual over (..., n_vars) parameter vectors, so
+the central-difference Jacobian is a single batched pair of residual calls.
+Feasibility is probed by randomized least-squares descent on that residual and
+Jacobian; the local manifold dimension is variables minus the numerical rank
+of the Jacobian at the solutions found, and each block's freedom is the rank
+of that block's rows against that block's variables, sliced from the same
+matrix.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.optimize import least_squares
@@ -25,6 +31,8 @@ from .evolution import Knowability
 
 RESIDUAL_TOL = 1e-10
 RANK_TOL = 1e-8
+# Central-difference step of the constraint Jacobian.
+JACOBIAN_STEP = 1e-6
 # A solution matrix with an (almost) vanishing entry makes some value
 # transition deterministic and would leak the never-knowable value, so the
 # feasibility search only accepts solutions clear of that boundary.
@@ -89,22 +97,22 @@ DEFAULT_CANDIDATES = (REAL_QUADRATIC, BORN, QUARTIC, SEXTIC)
 
 
 @dataclass(frozen=True)
-class Equation:
-    label: str
-    block: str  # "P" | "P'" | "joint"
-    func: Callable  # (a: (M,) complex, A: (M, M') complex) -> float
-    dependent: bool = False
-
-
-@dataclass(frozen=True)
 class ConstraintSystem:
-    """Polynomial equality system over the real parameters of (a_j, a_jj')."""
+    """Polynomial equality system over the real parameters of (a_j, a_jj').
+
+    ``equations`` labels the rows and ``blocks`` names each row's block ("P"
+    or "P'"); ``alpha`` and ``beta`` hold the exponent pairs of the
+    independence rows, empty until property_independence_conditions adds them.
+    """
 
     m: int
     mp: int
     level: Knowability
     candidate: CandidateMap
     equations: tuple
+    blocks: tuple
+    alpha: tuple = ()
+    beta: tuple = ()
 
     @property
     def reals_per_amplitude(self) -> int:
@@ -129,60 +137,61 @@ class ConstraintSystem:
                 "total": self.m * self.mp - 1}
 
     def unpack(self, x: np.ndarray):
-        """Split a real parameter vector into (a, A)."""
+        """Split real parameter vectors (..., n_vars) into (a, A)."""
         x = np.asarray(x, dtype=float)
+        lead, m, mp = x.shape[:-1], self.m, self.mp
         if self.candidate.real_only:
-            a = x[:self.m].astype(complex)
-            big = x[self.m:].reshape(self.m, self.mp).astype(complex)
-            return a, big
-        a = x[:self.m] + 1j * x[self.m:2 * self.m]
-        rest = x[2 * self.m:]
-        half = self.m * self.mp
-        big = (rest[:half] + 1j * rest[half:]).reshape(self.m, self.mp)
-        return a, big
+            return x[..., :m] + 0j, x[..., m:].reshape(*lead, m, mp) + 0j
+        a = x[..., :m] + 1j * x[..., m:2 * m]
+        rest = x[..., 2 * m:]
+        half = m * mp
+        return a, (rest[..., :half] + 1j * rest[..., half:]).reshape(*lead, m, mp)
 
     def residual(self, x: np.ndarray) -> np.ndarray:
+        """Every row at x, batched over leading axes: (..., n_vars) -> (..., rows)."""
         a, big = self.unpack(x)
-        return np.array([eq.func(a, big) for eq in self.equations], dtype=float)
+        f = self.candidate.apply
+        fa, fbig = f(a), f(big)
+        if self.level is Knowability.DECIDED:
+            closure = np.sum(fa[..., :, None] * fbig, axis=(-2, -1))
+        else:
+            closure = np.sum(f(np.einsum("...j,...jk->...k", a, big)), axis=-1)
+        rows = [np.sum(fa, axis=-1, keepdims=True) - 1.0,
+                np.sum(fbig, axis=-1) - 1.0,
+                closure[..., None] - 1.0]
+        if self.alpha:
+            # sum_k prod_j A_jk^alpha_j conj(A_jk)^beta_j, one term per pair
+            alpha = np.array(self.alpha)[:, :, None]
+            beta = np.array(self.beta)[:, :, None]
+            big = big[..., None, :, :]
+            terms = np.sum(np.prod(big ** alpha * np.conj(big) ** beta, axis=-2), axis=-1)
+            if self.candidate.real_only:
+                rows.append(terms.real)
+            else:
+                rows.append(np.stack([terms.real, terms.imag], axis=-1)
+                            .reshape(*terms.shape[:-1], -1))
+        return np.concatenate(rows, axis=-1)
 
-    def block_residual(self, block: str, x: np.ndarray) -> np.ndarray:
-        a, big = self.unpack(x)
-        return np.array([eq.func(a, big) for eq in self.equations if eq.block == block],
-                        dtype=float)
-
-    def augmented(self, extra: Sequence[Equation]) -> "ConstraintSystem":
-        return ConstraintSystem(m=self.m, mp=self.mp, level=self.level,
-                                candidate=self.candidate,
-                                equations=self.equations + tuple(extra))
+    def jacobian(self, x: np.ndarray) -> np.ndarray:
+        """Central differences of every row, all columns in one batched call."""
+        step = JACOBIAN_STEP * np.eye(self.n_vars)
+        x = np.asarray(x, dtype=float)
+        return (self.residual(x + step) - self.residual(x - step)).T / (2 * JACOBIAN_STEP)
 
 
 def build_constraints(m: int, mp: int, level_of_p: Knowability,
                       candidate: CandidateMap) -> ConstraintSystem:
     """Normalization rows plus the closure row of the two-stage composition.
 
-    With P decided (level 3) the closure row follows classically from the
-    normalization rows and is marked dependent; with P never knowable
-    (level 1) it is an independent restriction on the candidate map.
+    With P decided (level 3) the closure row sums f(a_j) f(a_jk), which the
+    normalization rows already force to 1; with P never knowable (level 1) it
+    sums f((aA)_k), an independent restriction on the candidate map.
     """
     if m < 2 or mp < 2:
         raise ValueError("both properties need at least two values")
-    level = Knowability(level_of_p)
-    f = candidate.apply
-
-    eqs = [Equation("initial norm", "P",
-                    lambda a, big: float(np.sum(f(a)) - 1.0))]
-    for j in range(m):
-        eqs.append(Equation(f"row norm {j}", "P'",
-                            lambda a, big, j=j: float(np.sum(f(big[j])) - 1.0)))
-    if level is Knowability.DECIDED:
-        eqs.append(Equation("closure", "P",
-                            lambda a, big: float(np.sum(f(a)[:, None] * f(big)) - 1.0),
-                            dependent=True))
-    else:
-        eqs.append(Equation("closure", "P",
-                            lambda a, big: float(np.sum(f(a @ big)) - 1.0)))
-    return ConstraintSystem(m=m, mp=mp, level=level, candidate=candidate,
-                            equations=tuple(eqs))
+    labels = ("initial norm",) + tuple(f"row norm {j}" for j in range(m)) + ("closure",)
+    return ConstraintSystem(m=m, mp=mp, level=Knowability(level_of_p), candidate=candidate,
+                            equations=labels, blocks=("P",) + ("P'",) * m + ("P",))
 
 
 def _multi_indices(gamma: int, m: int):
@@ -207,53 +216,34 @@ def _independence_pairs(gamma: int, m: int):
             yield alpha, beta
 
 
-def _pair_term(big: np.ndarray, alpha, beta) -> complex:
-    cols = big.shape[1]
-    total = 0j
-    conj = np.conj(big)
-    for k in range(cols):
-        term = 1 + 0j
-        for j, e in enumerate(alpha):
-            if e:
-                term *= big[j, k] ** e
-        for j, e in enumerate(beta):
-            if e:
-                term *= conj[j, k] ** e
-        total += term
-    return total
-
-
 def property_independence_conditions(system: ConstraintSystem) -> ConstraintSystem:
     """Augment the system with the rows that decouple the P' stage.
 
     These make the closure row hold however the initial amplitudes are tuned:
     the cross terms the closure expansion produces must vanish separately.
     For f = |a|^2 they are the pairwise row orthogonality relations; higher
-    powers generate one row per pair of exponent patterns of weight gamma.
+    powers generate one complex row per pair of exponent patterns of weight
+    gamma.
     """
     if system.level is not Knowability.NEVER:
         raise ValueError("property independence rows apply when P is never knowable")
     cand = system.candidate
-    extra = []
     if cand.real_only:
         # closure cross terms 2 a_j a_k * sum_k' a_jk' a_kk'
-        for j, k in itertools.combinations(range(system.m), 2):
-            extra.append(Equation(
-                f"orthogonality {j}{k}", "P'",
-                lambda a, big, j=j, k=k: float(np.real(np.sum(big[j] * big[k])))))
+        combos = list(itertools.combinations(range(system.m), 2))
+        unit = np.eye(system.m, dtype=int).tolist()
+        pairs = [(tuple(unit[j]), tuple(unit[k])) for j, k in combos]
+        labels = tuple(f"orthogonality {j}{k}" for j, k in combos)
     elif cand.kind == "modulus-power":
-        for alpha, beta in _independence_pairs(cand.gamma, system.m):
-            tag = "".join(map(str, alpha)) + "|" + "".join(map(str, beta))
-            extra.append(Equation(
-                f"independence re {tag}", "P'",
-                lambda a, big, al=alpha, be=beta: float(np.real(_pair_term(big, al, be)))))
-            extra.append(Equation(
-                f"independence im {tag}", "P'",
-                lambda a, big, al=alpha, be=beta: float(np.imag(_pair_term(big, al, be)))))
+        pairs = list(_independence_pairs(cand.gamma, system.m))
+        tags = ["".join(map(str, al)) + "|" + "".join(map(str, be)) for al, be in pairs]
+        labels = tuple(f"independence {part} {tag}" for tag in tags for part in ("re", "im"))
     else:
         raise ValueError(
             "property independence rows are defined for real and modulus-power candidates")
-    return system.augmented(extra)
+    return replace(system, equations=system.equations + labels,
+                   blocks=system.blocks + ("P'",) * len(labels),
+                   alpha=tuple(al for al, _ in pairs), beta=tuple(be for _, be in pairs))
 
 
 @dataclass(frozen=True)
@@ -269,16 +259,6 @@ class DofReport:
             return "infeasible"
         parts = [f"{k}={self.dof[k]}/{self.required[k]}" for k in ("P", "P'", "total")]
         return ("pass " if self.verdict else "fail ") + " ".join(parts)
-
-
-def _numeric_jacobian(func: Callable, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
-    rows = len(func(x))
-    jac = np.zeros((rows, len(x)))
-    for i in range(len(x)):
-        step = np.zeros_like(x)
-        step[i] = h
-        jac[:, i] = (func(x + step) - func(x - step)) / (2 * h)
-    return jac
 
 
 def _rank(jac: np.ndarray) -> int:
@@ -309,7 +289,8 @@ def estimate_dof(system: ConstraintSystem, samples: int = 60,
     solutions = []
     for _ in range(samples):
         x0 = rng.normal(scale=0.7, size=system.n_vars)
-        result = least_squares(system.residual, x0, xtol=1e-15, ftol=1e-15, gtol=1e-15)
+        result = least_squares(system.residual, x0, jac=system.jacobian,
+                               xtol=1e-15, ftol=1e-15, gtol=1e-15)
         x = result.x
         if np.max(np.abs(system.residual(x))) < RESIDUAL_TOL and _nondegenerate(system, x):
             solutions.append(x)
@@ -319,15 +300,14 @@ def estimate_dof(system: ConstraintSystem, samples: int = 60,
         return DofReport(feasible=False, sample_solutions=(),
                          dof={}, required=system.required_dof, verdict=False)
 
-    np_vars, npp_vars = system.n_p_vars, system.n_pp_vars
+    n_p = system.n_p_vars
+    p_rows = np.array(system.blocks) == "P"
     dof_votes = {"P": [], "P'": [], "total": []}
     for x in solutions:
-        jac = _numeric_jacobian(system.residual, x)
+        jac = system.jacobian(x)
         dof_votes["total"].append(system.n_vars - _rank(jac))
-        jac_p = _numeric_jacobian(lambda v: system.block_residual("P", v), x)
-        dof_votes["P"].append(np_vars - _rank(jac_p[:, :np_vars]))
-        jac_pp = _numeric_jacobian(lambda v: system.block_residual("P'", v), x)
-        dof_votes["P'"].append(npp_vars - _rank(jac_pp[:, np_vars:]))
+        dof_votes["P"].append(n_p - _rank(jac[p_rows, :n_p]))
+        dof_votes["P'"].append(system.n_pp_vars - _rank(jac[~p_rows, n_p:]))
     # the estimate must be stable across solutions; report the typical value
     dof = {k: int(np.median(v)) for k, v in dof_votes.items()}
     req = system.required_dof

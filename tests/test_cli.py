@@ -5,7 +5,7 @@ from click.testing import CliRunner
 
 from epiq.cli import main
 from epiq.exactnum import ExactAmplitude
-from epiq.scenario import (ScenarioDomainError, ScenarioSchemaError, bundled_scenario_path,
+from epiq.scenario import (ScenarioSchemaError, bundled_scenario_path,
                            load_scenario, load_scenario_file, parse_amplitude,
                            validate_document)
 
@@ -86,32 +86,12 @@ class TestLoading:
         assert any("one amplitude matrix" in msg
                    for msg in validate_context(scenario.network))
 
-    def test_registry_and_evolution_load(self):
-        doc = minimal_doc(
-            registry={
-                "attributes": [{"id": "cell", "kind": "ordered", "values": [1, 2, 3, 4]}],
-                "objects": {"mote": ["cell"]},
-            },
-            evolution={"images": {str(i): [(i + 2) % 4] for i in range(4)}},
-        )
-        scenario = load_scenario(doc)
-        assert scenario.registry is not None
-        assert len(scenario.rule.images) == 4
-
-    def test_evolution_without_registry_rejected(self):
-        doc = minimal_doc(evolution={"images": {"0": [0]}})
-        with pytest.raises(ScenarioDomainError, match="registry"):
-            load_scenario(doc)
-
-    def test_evolution_index_out_of_range(self):
-        doc = minimal_doc(
-            registry={
-                "attributes": [{"id": "cell", "kind": "ordered", "values": [1, 2]}],
-                "objects": {"mote": ["cell"]},
-            },
-            evolution={"images": {"0": [5], "1": [0]}},
-        )
-        with pytest.raises(ScenarioDomainError, match="outside"):
+    def test_registry_section_is_a_schema_error(self):
+        doc = minimal_doc(registry={
+            "attributes": [{"id": "cell", "kind": "ordered", "values": [1, 2]}],
+            "objects": {"mote": ["cell"]},
+        })
+        with pytest.raises(ScenarioSchemaError, match="registry"):
             load_scenario(doc)
 
 
@@ -198,6 +178,14 @@ class TestCli:
         result = run_cli(tmp_path, str(path))
         assert result.exit_code == 1
         assert "eraser" in result.output
+
+    @pytest.mark.parametrize("tolerance", ["nan", "-1", "inf"])
+    def test_tolerance_must_be_finite_and_positive(self, tmp_path, tolerance):
+        result = run_cli(tmp_path, str(bundled_scenario_path("mach-zehnder-open")),
+                         "--command", "montecarlo", "--tolerance", tolerance)
+        assert result.exit_code == 2
+        assert "--tolerance" in result.output
+        assert not list(tmp_path.iterdir())
 
     def test_malformed_json_exit_code_2(self, tmp_path):
         bad = tmp_path / "broken.json"

@@ -139,6 +139,16 @@ class TestPropagate:
         dist = propagate(mz(1), start=ContextualState(layer_cursor=0, reduced=1))
         assert dist.probabilities == (0.5, 0.5)
 
+    @pytest.mark.parametrize("start, match", [
+        (ContextualState(layer_cursor=0, amplitudes=(ONE, ZERO, ZERO)), "2 amplitudes"),
+        (ContextualState(layer_cursor=7, amplitudes=(H, H)), "outside"),
+        (ContextualState(layer_cursor=-1, amplitudes=(H, H)), "outside"),
+        (ContextualState(layer_cursor=0, reduced=-1), "value index"),
+    ])
+    def test_start_out_of_range_rejected(self, start, match):
+        with pytest.raises(ContextError, match=match):
+            propagate(mz(1), start=start)
+
     def test_born_map(self):
         assert born(H) == Sqrt2Scalar.of(Fraction(1, 2))
         assert born(0.6 + 0.8j) == pytest.approx(1.0)

@@ -56,6 +56,12 @@ class TestEvolve:
         with pytest.raises(ValueError, match="domain"):
             evolve(whole, rule)
 
+    def test_rule_equality_and_hash_are_identity(self, registry):
+        rule, twin = shift_rule(registry), shift_rule(registry)
+        assert rule == rule and hash(rule) == hash(rule)
+        assert rule != twin
+        assert len({rule, twin}) == 2
+
 
 @pytest.fixture
 def spin_property():

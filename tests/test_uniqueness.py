@@ -38,15 +38,20 @@ class TestBuildConstraints:
         assert system.n_vars == 6
         assert len(system.equations) == 4
 
-    def test_closure_dependent_at_level_three(self):
-        system = build_constraints(2, 2, Knowability.DECIDED, BORN)
-        closure = [eq for eq in system.equations if eq.label == "closure"]
-        assert closure and closure[0].dependent
-
-    def test_closure_independent_at_level_one(self):
-        system = build_constraints(2, 2, Knowability.NEVER, BORN)
-        closure = [eq for eq in system.equations if eq.label == "closure"]
-        assert closure and not closure[0].dependent
+    @pytest.mark.parametrize("gamma", [1, 2])
+    def test_closure_follows_from_norms_only_at_level_three(self, gamma):
+        rng = np.random.default_rng(5)
+        candidate = CandidateMap(name="g", kind="modulus-power", gamma=gamma)
+        a = rng.normal(size=3) + 1j * rng.normal(size=3)
+        big = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        a = a / np.sum(candidate.apply(a)) ** (1 / (2 * gamma))
+        big = big / np.sum(candidate.apply(big), axis=1, keepdims=True) ** (1 / (2 * gamma))
+        x = pack(a, big)
+        for level, closure_vanishes in ((Knowability.DECIDED, True), (Knowability.NEVER, False)):
+            system = build_constraints(3, 3, level, candidate)
+            res = dict(zip(system.equations, system.residual(x)))
+            assert max(abs(v) for k, v in res.items() if k != "closure") < 1e-12
+            assert (abs(res["closure"]) < 1e-12) == closure_vanishes
 
     def test_residual_vanishes_on_unitary_solution(self):
         system = build_constraints(2, 2, Knowability.NEVER, BORN)
@@ -59,6 +64,73 @@ class TestBuildConstraints:
     def test_too_small_shapes_rejected(self):
         with pytest.raises(ValueError, match="two values"):
             build_constraints(1, 2, Knowability.NEVER, BORN)
+
+
+def pack(a, big):
+    """Real parameter vector of a complex system: Re a, Im a, Re A, Im A."""
+    return np.concatenate([a.real, a.imag, big.real.ravel(), big.imag.ravel()])
+
+
+def full_system(candidate, m, mp):
+    return property_independence_conditions(
+        build_constraints(m, mp, Knowability.NEVER, candidate))
+
+
+SHAPES = [(2, 2), (3, 3), (2, 3)]
+
+
+class TestArrayResidual:
+    @pytest.mark.parametrize("gamma", [1, 2, 3])
+    @pytest.mark.parametrize("m, mp", SHAPES)
+    def test_jacobian_is_columnwise_central_difference(self, gamma, m, mp):
+        system = full_system(CandidateMap(name="g", kind="modulus-power", gamma=gamma), m, mp)
+        x = np.random.default_rng(gamma).normal(scale=0.7, size=system.n_vars)
+        h = 1e-6
+        ref = np.empty((len(system.equations), system.n_vars))
+        for i in range(system.n_vars):
+            step = np.zeros(system.n_vars)
+            step[i] = h
+            ref[:, i] = (system.residual(x + step) - system.residual(x - step)) / (2 * h)
+        assert np.allclose(system.jacobian(x), ref, rtol=0, atol=1e-9 * np.max(np.abs(ref)))
+
+    @pytest.mark.parametrize("gamma", [1, 2, 3])
+    @pytest.mark.parametrize("m, mp", SHAPES)
+    def test_independence_rows_match_their_labels(self, gamma, m, mp):
+        system = full_system(CandidateMap(name="g", kind="modulus-power", gamma=gamma), m, mp)
+        x = np.random.default_rng(gamma).normal(scale=0.7, size=system.n_vars)
+        _, big = system.unpack(x)
+        rows = dict(zip(system.equations, system.residual(x)))
+        labels = [label for label in system.equations if label.startswith("independence")]
+        assert labels
+        for label in labels:
+            _, part, tag = label.split()
+            alpha, beta = ([int(e) for e in half] for half in tag.split("|"))
+            term = 0j
+            for k in range(mp):
+                factor = 1 + 0j
+                for j in range(m):
+                    factor *= big[j, k] ** alpha[j] * np.conj(big[j, k]) ** beta[j]
+                term += factor
+            want = term.real if part == "re" else term.imag
+            assert rows[label] == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("candidate", DEFAULT_CANDIDATES)
+    @pytest.mark.parametrize("m, mp", SHAPES)
+    def test_batched_residual_stacks_single_calls(self, candidate, m, mp):
+        system = full_system(candidate, m, mp)
+        xs = np.random.default_rng(0).normal(size=(2, 3, system.n_vars))
+        batched = system.residual(xs)
+        assert batched.shape == (2, 3, len(system.equations))
+        singles = np.array([[system.residual(x) for x in row] for row in xs])
+        assert np.allclose(batched, singles, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_born_rows_vanish_on_random_unitary(self, m):
+        rng = np.random.default_rng(m)
+        a = rng.normal(size=m) + 1j * rng.normal(size=m)
+        big, _ = np.linalg.qr(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))
+        residual = full_system(BORN, m, m).residual(pack(a / np.linalg.norm(a), big))
+        assert np.max(np.abs(residual)) < 1e-12
 
 
 class TestIndependenceConditions:
@@ -89,9 +161,7 @@ class TestIndependenceConditions:
 
 
 def dof_for(candidate, samples=40, seed=0):
-    system = property_independence_conditions(
-        build_constraints(2, 2, Knowability.NEVER, candidate))
-    return estimate_dof(system, samples=samples, seed=seed)
+    return estimate_dof(full_system(candidate, 2, 2), samples=samples, seed=seed)
 
 
 class TestEstimateDof:
@@ -103,8 +173,7 @@ class TestEstimateDof:
 
     def test_born_solutions_are_row_orthonormal(self):
         report = dof_for(BORN)
-        system = property_independence_conditions(
-            build_constraints(2, 2, Knowability.NEVER, BORN))
+        system = full_system(BORN, 2, 2)
         for x in report.sample_solutions:
             _, big = system.unpack(x)
             gram = big @ np.conj(big).T
