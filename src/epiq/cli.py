@@ -5,7 +5,8 @@ scenario's content), 2 on a schema error (the document itself is malformed)
 or an invalid command-line option.
 Outputs are written as JSON (full doubles) and CSV (12 significant digits)
 into the output directory; serialization is deterministic for a fixed
-scenario file and seed.
+scenario file and seed.  numpy, scipy and the modules that need them are
+imported inside the command that uses them, so a run loads only its own.
 """
 from __future__ import annotations
 
@@ -16,16 +17,12 @@ import sys
 from pathlib import Path
 
 import click
-import numpy as np
 
 from . import __version__
 from .context import (ContextError, Distribution, propagate, reduce_by_consistency,
                       validate_context)
 from .evolution import Knowability, borel_trial
-from .hilbert import (JointVolumeTable, SpaceConstructionError, build_space, commutator,
-                      make_operator, principle4_probabilities)
 from .scenario import Scenario, ScenarioDomainError, ScenarioSchemaError, load_scenario_file
-from .uniqueness import uniqueness_report
 
 DEFAULT_TOLERANCE = 1e-9
 
@@ -109,6 +106,9 @@ def _cmd_montecarlo(scenario, eraser, n, seed, tolerance):
 
 
 def _cmd_hilbert(scenario, eraser, tolerance):
+    import numpy as np
+    from .hilbert import (JointVolumeTable, SpaceConstructionError, build_space,
+                          commutator, make_operator, principle4_probabilities)
     net, eraser = _resolved_network(scenario, eraser)
     jv = JointVolumeTable(v=scenario.joint_volumes) if scenario.joint_volumes else None
     space = build_space(net, joint_volumes=jv, simultaneous=scenario.simultaneous)
@@ -148,6 +148,7 @@ def _cmd_hilbert(scenario, eraser, tolerance):
 
 
 def _cmd_uniqueness(scenario, seed):
+    from .uniqueness import uniqueness_report
     section = scenario.uniqueness or {}
     shapes = [tuple(s) for s in section.get("shapes", [[2, 2]])]
     samples = section.get("samples", 60)
@@ -243,7 +244,7 @@ def main(scenario_path, command, n, seed, out_dir, tolerance, eraser):
         }
         # a non-finite result is refused here, before any file is opened
         _write_outputs(out_dir, scenario.name, command, payload, rows, header)
-    except (ContextError, SpaceConstructionError, ScenarioDomainError, ValueError) as e:
+    except ValueError as e:
         click.echo(f"error: {e}", err=True)
         sys.exit(1)
     sys.exit(exit_code)

@@ -224,6 +224,8 @@ def _merge(weights, rows, size) -> list:
 def reduce_by_observation(state: ContextualState, net: ContextNetwork,
                           outcome: int) -> ContextualState:
     """Collapse a superposed state at a decided layer onto one observed value."""
+    if not 0 <= state.layer_cursor < len(net.layers):
+        raise ContextError(f"state layer {state.layer_cursor} outside the network")
     layer = net.layers[state.layer_cursor]
     if layer.level is not Knowability.DECIDED:
         raise ContextError("reduction forbidden at unknowable property")

@@ -13,8 +13,6 @@ from enum import IntEnum
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .statespace import EpistemicState, ExactState, PropertySpec, relative_volume
 
 
@@ -172,9 +170,10 @@ def borel_trial(probabilities: Sequence[float], n: int, seed: int,
     """Empirical outcome frequencies of n seeded draws.
 
     Uses the counter-based Philox generator; parallel sub-streams are derived
-    by index and merged deterministically, so the result depends only on
-    (probabilities, n, seed, streams).
+    by index, each draws its share as one multinomial sample, and their counts
+    are merged, so the result depends only on (probabilities, n, seed, streams).
     """
+    import numpy as np
     p = np.asarray([float(x) for x in probabilities], dtype=float)
     if abs(p.sum() - 1.0) > 1e-12:
         raise ValueError("probabilities must sum to one")
@@ -183,9 +182,6 @@ def borel_trial(probabilities: Sequence[float], n: int, seed: int,
     counts = np.zeros(len(p), dtype=np.int64)
     sizes = [n // streams + (1 if i < n % streams else 0) for i in range(streams)]
     for i, size in enumerate(sizes):
-        if size == 0:
-            continue
         rng = np.random.Generator(np.random.Philox(key=seed, counter=[i, 0, 0, 0]))
-        draws = rng.choice(len(p), size=size, p=p)
-        counts += np.bincount(draws, minlength=len(p))
+        counts += rng.multinomial(size, p)
     return counts / n

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import null_space
 
 from .context import ContextError, ContextNetwork, Layer
 from .evolution import Knowability
@@ -154,6 +153,7 @@ def _build_interference(net: ContextNetwork, m: int, mp: int) -> ContextSpace:
     # remaining coordinates are an orthonormal completion.
     w = np.conj(a)
     if m < mp:
+        from scipy.linalg import null_space
         w = np.vstack([w, null_space(np.conj(a)).T.conj()])
     _check_unitary(w, "derived second basis is not orthonormal")
     return ContextSpace(

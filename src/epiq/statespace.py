@@ -241,7 +241,7 @@ def collective_state(subject_states: Sequence[EpistemicState]) -> EpistemicState
     return EpistemicState(registry, members)
 
 
-def knowledge_dimension(state: EpistemicState, distinct_attributes: Sequence[int]) -> int:
+def knowledge_dimension(distinct_attributes: Sequence[int]) -> int:
     """Product over objects of the number of distinct attributes each carries."""
     if not distinct_attributes:
         raise ValueError("no objects: knowledge dimension undefined")

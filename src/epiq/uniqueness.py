@@ -25,7 +25,6 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .evolution import Knowability
 
@@ -285,6 +284,7 @@ def estimate_dof(system: ConstraintSystem, samples: int = 60,
     """
     if samples < 1:
         raise ValueError("need at least one start")
+    from scipy.optimize import least_squares
     rng = np.random.default_rng(seed)
     solutions = []
     for _ in range(samples):

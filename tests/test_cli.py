@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import epiq
 from epiq.cli import main
 from epiq.exactnum import ExactAmplitude
 from epiq.scenario import (ScenarioSchemaError, bundled_scenario_path,
@@ -206,3 +212,47 @@ class TestCli:
         assert "non-finite" in result.output
         assert not list(tmp_path.glob("minimal-*"))
 
+
+def _modules_after(tmp_path, statement):
+    """Module names a fresh interpreter holds after importing epiq.cli and
+    running ``statement`` (which must finish or exit with code 0)."""
+    out = tmp_path / "modules.json"
+    script = textwrap.dedent(f"""
+        import json, sys
+        from epiq.cli import main
+        try:
+            {statement}
+        except SystemExit as e:
+            assert e.code == 0, e.code
+        with open({str(out)!r}, "w") as fh:
+            json.dump(sorted(sys.modules), fh)
+        """)
+    src = str(Path(epiq.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
+                   check=True, capture_output=True, timeout=120)
+    return json.loads(out.read_text())
+
+
+def _cli_call(name, command):
+    argv = [str(bundled_scenario_path(name)), "--command", command, "--out-dir", "."]
+    return f"main({argv!r}, standalone_mode=False)"
+
+
+class TestImportCost:
+    """A module-level import on the CLI path is only for what every command
+    uses; numpy and scipy are imported by the commands that need them."""
+
+    @pytest.mark.parametrize("statement, forbidden", [
+        ("pass", ("numpy", "scipy")),
+        (_cli_call("mach-zehnder-open", "propagate"), ("numpy", "scipy")),
+        (_cli_call("branching", "validate"), ("numpy", "scipy")),
+        # M < M': the orthonormal completion needs scipy.linalg, not scipy.optimize
+        (_cli_call("branching", "hilbert"), ("scipy.optimize",)),
+        ("import epiq.hilbert, epiq.uniqueness", ("scipy",)),
+    ], ids=["import", "propagate", "validate", "hilbert", "modules"])
+    def test_heavy_modules_not_loaded(self, tmp_path, statement, forbidden):
+        loaded = _modules_after(tmp_path, statement)
+        assert [m for m in loaded
+                if any(m == f or m.startswith(f + ".") for f in forbidden)] == []

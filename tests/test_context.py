@@ -170,6 +170,13 @@ class TestReduction:
         with pytest.raises(ContextError, match="impossible"):
             reduce_by_observation(state, mz(3), outcome=1)
 
+    @pytest.mark.parametrize("cursor", [-1, 2])
+    def test_cursor_outside_network_rejected(self, cursor):
+        # -1 would index the decided detector layer, 2 is one past the end
+        state = ContextualState(layer_cursor=cursor, amplitudes=(H, H))
+        with pytest.raises(ContextError, match="outside"):
+            reduce_by_observation(state, mz(1), outcome=0)
+
     def test_state_is_superposed_xor_reduced(self):
         with pytest.raises(ContextError):
             ContextualState(layer_cursor=0, amplitudes=(H, H), reduced=0)

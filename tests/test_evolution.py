@@ -152,6 +152,21 @@ class TestBorelTrial:
         b = borel_trial([0.3, 0.7], n=9_999, seed=5, streams=4)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("streams", [1, 4])
+    @pytest.mark.parametrize("n", [1, 9_999, 100_000])
+    def test_counts_are_whole_and_sum_to_n(self, n, streams):
+        freqs = borel_trial([0.2, 0.3, 0.5], n=n, seed=7, streams=streams)
+        counts = np.rint(freqs * n)
+        assert np.array_equal(counts / n, freqs)
+        assert counts.sum() == n
+
+    def test_memory_does_not_grow_with_n(self):
+        # one multinomial per stream; materializing 10**9 draws would need ~8 GB
+        n = 10**9
+        freqs = borel_trial([0.5, 0.5], n=n, seed=0)
+        assert np.rint(freqs * n).sum() == n
+        assert abs(freqs[0] - 0.5) <= 3 * (0.25 / n) ** 0.5
+
     def test_degenerate_distribution_exact(self):
         freqs = borel_trial([1.0, 0.0], n=50_000, seed=0)
         assert freqs.tolist() == [1.0, 0.0]

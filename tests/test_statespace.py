@@ -134,12 +134,12 @@ class TestCombination:
 
 
 class TestKnowledgeDimension:
-    def test_product_over_objects(self, whole):
-        assert knowledge_dimension(whole, [2, 3]) == 6
+    def test_product_over_objects(self):
+        assert knowledge_dimension([2, 3]) == 6
 
-    def test_empty_rejected(self, whole):
+    def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            knowledge_dimension(whole, [])
+            knowledge_dimension([])
 
 
 class TestPropertySpec:
