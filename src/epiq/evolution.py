@@ -179,6 +179,8 @@ def borel_trial(probabilities: Sequence[float], n: int, seed: int,
         raise ValueError("probabilities must sum to one")
     if n < 1:
         raise ValueError("need at least one draw")
+    if streams < 1:
+        raise ValueError("need at least one stream")
     counts = np.zeros(len(p), dtype=np.int64)
     sizes = [n // streams + (1 if i < n % streams else 0) for i in range(streams)]
     for i, size in enumerate(sizes):

@@ -5,13 +5,19 @@ registry.  Knowledge is represented by the set of exact states it does not
 exclude; the measure on such sets is plain cardinality, which satisfies the
 required axioms (nonnegative, additive over disjoint unions, 1 on singletons)
 at the finite scale this library targets.
+
+Each exact state carries a mixed-radix integer ``code``: its position in the
+``itertools.product`` order of the registry's slot values.  States hash by
+that code, so set operations on members never rehash the registry.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 
@@ -21,6 +27,13 @@ class ContradictionError(ValueError):
 
 class VoidStateError(ValueError):
     """Raised when an operation is applied to an empty state set."""
+
+
+class StateSpaceSizeError(ValueError):
+    """Raised when a full state space has more than ``MAX_STATES`` members."""
+
+
+MAX_STATES = 10**6
 
 
 class AttributeKind(str, Enum):
@@ -114,31 +127,74 @@ class ObjectRegistry:
     def attribute_table(self) -> dict:
         return {a.id: a for a in self.attributes}
 
-    def slots(self) -> tuple:
+    # Computed once per instance; cached_property writes the instance
+    # ``__dict__`` directly, so it works on a frozen dataclass and leaves the
+    # structural equality and hash over (attributes, objects) untouched.
+    @cached_property
+    def _slots(self) -> tuple:
         return tuple((oid, aid) for oid, attr_ids in self.objects for aid in attr_ids)
 
-    def slot_values(self) -> tuple:
+    @cached_property
+    def _slot_values(self) -> tuple:
         table = self.attribute_table
-        return tuple(table[aid].values for _, aid in self.slots())
+        return tuple(table[aid].values for _, aid in self._slots)
+
+    @cached_property
+    def _slot_index(self) -> dict:
+        return {slot: i for i, slot in enumerate(self._slots)}
+
+    @cached_property
+    def _digits(self) -> tuple:
+        """Per slot, the map from each legal value to its digit."""
+        return tuple({v: d for d, v in enumerate(values)} for values in self._slot_values)
+
+    def slots(self) -> tuple:
+        return self._slots
+
+    def slot_values(self) -> tuple:
+        return self._slot_values
+
+    def _position(self, object_id: str, attribute_id: str) -> int:
+        try:
+            return self._slot_index[(object_id, attribute_id)]
+        except KeyError:
+            raise ValueError(f"no slot ({object_id}, {attribute_id})") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExactState:
-    """One complete value assignment over a registry (a point of state space)."""
+    """One complete value assignment over a registry (a point of state space).
+
+    ``code`` is the mixed-radix index of ``values`` over the slot digits, i.e.
+    the state's position in ``all_exact_states`` order.  It is the hash;
+    equality still compares (registry, values).
+    """
 
     registry: ObjectRegistry
     values: tuple
+    code: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        slots = self.registry.slots()
-        if len(self.values) != len(slots):
+        reg = self.registry
+        digits = reg._digits
+        if len(self.values) != len(digits):
             raise ValueError("assignment is not total")
-        for (oid, aid), v, legal in zip(slots, self.values, self.registry.slot_values()):
-            if v not in legal:
-                raise ValueError(f"illegal value {v!r} for ({oid}, {aid})")
+        code = 0
+        try:
+            for table, v in zip(digits, self.values):
+                code = code * len(table) + table[v]
+        except (KeyError, TypeError):  # TypeError: an unhashable value
+            for (oid, aid), v, legal in zip(reg._slots, self.values, reg._slot_values):
+                if v not in legal:
+                    raise ValueError(f"illegal value {v!r} for ({oid}, {aid})") from None
+            raise
+        object.__setattr__(self, "code", code)
+
+    def __hash__(self):
+        return self.code
 
     def value(self, object_id: str, attribute_id: str):
-        return self.values[self.registry.slots().index((object_id, attribute_id))]
+        return self.values[self.registry._position(object_id, attribute_id)]
 
     def assignment(self) -> dict:
         return dict(zip(self.registry.slots(), self.values))
@@ -163,8 +219,9 @@ class EpistemicState:
             raise VoidStateError("void state has no volume meaning")
         if self.physical and len(self.members) < 2:
             raise ValueError("a physical state must leave at least two exact states open")
+        reg = self.registry
         for z in self.members:
-            if z.registry != self.registry:
+            if z.registry is not reg and z.registry != reg:
                 raise ValueError("member from a different registry")
 
     def __len__(self):
@@ -184,12 +241,17 @@ def all_exact_states(registry: ObjectRegistry) -> Iterator[ExactState]:
 
 
 def full_state(registry: ObjectRegistry) -> EpistemicState:
+    """Every exact state of a registry, refused above ``MAX_STATES`` members."""
+    count = math.prod(len(table) for table in registry._digits)
+    if count > MAX_STATES:
+        raise StateSpaceSizeError(
+            f"full state space has {count} exact states, above the limit of {MAX_STATES}")
     return EpistemicState(registry, frozenset(all_exact_states(registry)), physical=True)
 
 
 def state_slice(state: EpistemicState, object_id: str, attribute_id: str, value) -> EpistemicState:
     """The members of ``state`` whose (object, attribute) slot has ``value``."""
-    idx = state.registry.slots().index((object_id, attribute_id))
+    idx = state.registry._position(object_id, attribute_id)
     members = frozenset(z for z in state.members if z.values[idx] == value)
     if not members:
         raise VoidStateError(f"no member has {object_id}.{attribute_id} = {value!r}")

@@ -174,3 +174,8 @@ class TestBorelTrial:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="sum to one"):
             borel_trial([0.5, 0.6], n=10, seed=0)
+
+    @pytest.mark.parametrize("streams", [0, -1])
+    def test_rejects_fewer_than_one_stream(self, streams):
+        with pytest.raises(ValueError, match="stream"):
+            borel_trial([0.5, 0.5], n=10, seed=0, streams=streams)

@@ -45,6 +45,41 @@ def registry_and_subsets(draw):
     return registry, a, b
 
 
+@st.composite
+def mixed_registries(draw):
+    """1-3 attributes of 2-3 values, each of 1-3 objects carrying 1-2 of them."""
+    sizes = draw(st.lists(st.integers(2, 3), min_size=1, max_size=3))
+    attrs = [AttributeDef(id=f"a{k}", kind="ordered", values=tuple(f"v{j}" for j in range(n)))
+             for k, n in enumerate(sizes)]
+    ids = [a.id for a in attrs]
+    carried = draw(st.lists(st.lists(st.sampled_from(ids), min_size=1, max_size=2, unique=True),
+                            min_size=1, max_size=3))
+    return ObjectRegistry.build(attrs, {f"o{k}": c for k, c in enumerate(carried)})
+
+
+class TestStateCodes:
+    @given(mixed_registries())
+    @settings(max_examples=40, deadline=None)
+    def test_code_is_a_bijection_onto_the_volume(self, registry):
+        whole = full_state(registry)
+        codes = sorted(z.code for z in whole.members)
+        assert codes == list(range(volume(whole)))
+        assert [z.code for z in all_exact_states(registry)] == codes
+
+    @given(mixed_registries(), st.randoms(use_true_random=False))
+    @settings(max_examples=40, deadline=None)
+    def test_set_operations_match_code_sets(self, registry, rnd):
+        states = list(all_exact_states(registry))
+        a = EpistemicState(registry, frozenset(rnd.sample(states, rnd.randint(1, len(states)))))
+        b = EpistemicState(registry, frozenset(rnd.sample(states, rnd.randint(1, len(states)))))
+        ca, cb = {z.code for z in a.members}, {z.code for z in b.members}
+        for connective, expected in (("OR", ca | cb), ("AND", ca & cb), ("NOT", ca - cb)):
+            if expected:
+                combined = combine(a, b, connective)
+                assert volume(combined) == len(expected)
+                assert {z.code for z in combined.members} == expected
+
+
 class TestMeasureAxioms:
     @given(registry_and_subsets())
     @settings(max_examples=60, deadline=None)

@@ -1,11 +1,13 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
 
 from epiq.statespace import (AttributeDef, ContradictionError, EpistemicState, ExactState,
-                             ObjectRegistry, PropertySpec, VoidStateError, all_exact_states,
-                             collective_state, combine, full_state, knowledge_dimension,
-                             relative_volume, state_slice, volume)
+                             ObjectRegistry, PropertySpec, StateSpaceSizeError, VoidStateError,
+                             all_exact_states, collective_state, combine, full_state,
+                             knowledge_dimension, relative_volume, state_slice, volume)
 
 
 class TestAttributeDef:
@@ -74,6 +76,56 @@ class TestRegistryAndStates:
         z = next(all_exact_states(registry))
         with pytest.raises(ValueError, match="at least two"):
             EpistemicState(registry, frozenset([z]), physical=True)
+
+
+class TestExactStateCode:
+    def test_equal_registries_give_equal_states(self, registry):
+        r1, r2 = registry, ObjectRegistry(registry.attributes, registry.objects)
+        assert r1 is not r2 and r1 == r2
+        z1, z2 = ExactState(r1, (3, "down")), ExactState(r2, (3, "down"))
+        assert z1 == z2 and hash(z1) == hash(z2)
+        assert frozenset(all_exact_states(r1)) == frozenset(all_exact_states(r2))
+        assert EpistemicState(r1, frozenset([z2])).members == {z1}
+
+    def test_registries_differing_in_objects_give_unequal_states(self, registry):
+        r1 = registry
+        r2 = ObjectRegistry(registry.attributes, (("atom", ("position", "spin")),))
+        assert r1 != r2
+        assert ExactState(r1, (3, "down")) != ExactState(r2, (3, "down"))
+        with pytest.raises(ValueError, match="different registry"):
+            EpistemicState(r1, frozenset([ExactState(r2, (3, "down"))]))
+
+    def test_codes_follow_enumeration_order(self, registry):
+        states = list(all_exact_states(registry))
+        assert [z.code for z in states] == list(range(len(states)))
+        assert [hash(z) for z in states] == list(range(len(states)))
+
+    def test_unhashable_value_is_illegal(self, registry):
+        with pytest.raises(ValueError, match="illegal value"):
+            ExactState(registry, ([1], "up"))
+
+    def test_unknown_slot_rejected(self, registry, whole):
+        z = next(all_exact_states(registry))
+        with pytest.raises(ValueError, match="no slot"):
+            z.value("particle", "mass")
+        with pytest.raises(ValueError, match="no slot"):
+            state_slice(whole, "ghost", "spin", "up")
+
+    @pytest.mark.parametrize("clone", [lambda z: pickle.loads(pickle.dumps(z)),
+                                       copy.deepcopy], ids=["pickle", "deepcopy"])
+    def test_state_survives_copying(self, registry, clone):
+        z = ExactState(registry, (2, "down"))
+        w = clone(z)
+        assert w == z and hash(w) == hash(z) and w.code == z.code
+        assert w.value("particle", "spin") == "down"
+
+    def test_full_state_refuses_oversized_space(self):
+        wide = AttributeDef(id="wide", kind="ordered", values=tuple(range(2**10)))
+        big = ObjectRegistry.build([wide], {f"o{k}": ["wide"] for k in range(4)})
+        with pytest.raises(StateSpaceSizeError, match=str(2**40)):
+            full_state(big)
+        first = next(all_exact_states(big))
+        assert first.code == 0 and first.values == (0, 0, 0, 0)
 
 
 class TestVolume:
