@@ -5,8 +5,9 @@ scenario's content), 2 on a schema error (the document itself is malformed)
 or an invalid command-line option.
 Outputs are written as JSON (full doubles) and CSV (12 significant digits)
 into the output directory; serialization is deterministic for a fixed
-scenario file and seed.  numpy, scipy and the modules that need them are
-imported inside the command that uses them, so a run loads only its own.
+scenario file and seed.  numpy and the modules that need it are imported
+inside the command that uses them, so a run loads only its own; scipy is
+loaded only by ``uniqueness``.
 """
 from __future__ import annotations
 

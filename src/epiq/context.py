@@ -74,9 +74,6 @@ class ContextNetwork:
                 amps.extend(row)
         return all(isinstance(a, ExactAmplitude) for a in amps)
 
-    def matrix(self, i: int):
-        return self.edges[i]
-
 
 @dataclass(frozen=True)
 class ContextualState:
@@ -181,7 +178,7 @@ def propagate(net: ContextNetwork, start: Optional[ContextualState] = None) -> D
         elif not 0 <= start.reduced < size:
             raise ContextError(f"no value index {start.reduced} at start layer")
         else:
-            rows = [net.matrix(cursor)[start.reduced]]
+            rows = [net.edges[cursor][start.reduced]]
             cursor += 1
     edges = net.edges
     exact = net.is_exact() and all(isinstance(a, ExactAmplitude) for a in rows[0])
@@ -256,19 +253,12 @@ def reduce_by_consistency(net: ContextNetwork,
     return replace(net, layers=new_layers)
 
 
-@dataclass(frozen=True)
-class PaddingResult:
-    network: ContextNetwork
-    layer_index: int
-    virtual_value_indices: tuple  # indices in the padded later layer
-
-
-def pad_virtual_values(net: ContextNetwork, layer_index: int) -> PaddingResult:
+def pad_virtual_values(net: ContextNetwork, layer_index: int) -> ContextNetwork:
     """Extend the layer after a wider level-1 layer with virtual values.
 
-    The later layer gains M - M' fresh labels whose amplitude columns are
-    zero, so their final probability is pinned to zero and every row keeps
-    its normalization.
+    The later layer gains M - M' fresh labels, appended after its own, whose
+    amplitude columns are zero, so their final probability is pinned to zero
+    and every row keeps its normalization.
     """
     if not 0 <= layer_index < len(net.layers) - 1:
         raise ContextError("layer index must name a non-final layer")
@@ -283,12 +273,10 @@ def pad_virtual_values(net: ContextNetwork, layer_index: int) -> PaddingResult:
     zero = ExactAmplitude.of(0) if exact else 0j
     fresh = max(nxt.labels) + 1.0
     new_labels = nxt.labels + tuple(fresh + k for k in range(extra))
-    matrix = net.matrix(layer_index)
-    new_matrix = tuple(row + (zero,) * extra for row in matrix)
     new_layers = list(net.layers)
     new_layers[layer_index + 1] = replace(nxt, labels=new_labels)
     new_edges = list(net.edges)
-    new_edges[layer_index] = new_matrix
+    new_edges[layer_index] = tuple(row + (zero,) * extra for row in net.edges[layer_index])
     if layer_index + 1 < len(net.layers) - 1:
         # rows for the virtual values of the following matrix: put all weight
         # on the first downstream value so row normalization holds; the rows
@@ -299,7 +287,5 @@ def pad_virtual_values(net: ContextNetwork, layer_index: int) -> PaddingResult:
         for _ in range(extra):
             follow.append((one,) + (zero,) * (width - 1))
         new_edges[layer_index + 1] = tuple(follow)
-    padded = ContextNetwork(layers=tuple(new_layers), initial=net.initial,
-                            edges=tuple(new_edges))
-    return PaddingResult(network=padded, layer_index=layer_index,
-                         virtual_value_indices=tuple(range(mp, m)))
+    return ContextNetwork(layers=tuple(new_layers), initial=net.initial,
+                          edges=tuple(new_edges))

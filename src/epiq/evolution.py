@@ -8,7 +8,7 @@ states a scenario actually exercises.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -50,6 +50,10 @@ class EvolutionRule:
         except KeyError:
             raise ValueError("exact state outside the rule's domain") from None
 
+    def apply(self, s: EpistemicState) -> EpistemicState:
+        """The union of the member images, over the same registry."""
+        return EpistemicState(s.registry, frozenset().union(*map(self.image_of, s.members)))
+
 
 def evolve(s: EpistemicState, rule: EvolutionRule,
            tracked_pairs: Sequence[EpistemicState] = ()) -> EpistemicState:
@@ -58,15 +62,11 @@ def evolve(s: EpistemicState, rule: EvolutionRule,
     Raises if the result overlaps ``s`` itself (a physical state must change),
     or if overlap with any tracked companion state is created or destroyed.
     """
-    members = frozenset().union(*(rule.image_of(z) for z in s.members))
-    out = EpistemicState(s.registry, members)
-    if s.physical and (s.members & members):
+    out = rule.apply(s)
+    if s.physical and (s.members & out.members):
         raise EvolutionContractError("state overlaps its own future")
     for other in tracked_pairs:
-        before = bool(s.members & other.members)
-        other_out = frozenset().union(*(rule.image_of(z) for z in other.members))
-        after = bool(members & other_out)
-        if before != after:
+        if bool(s.members & other.members) != bool(out.members & rule.apply(other).members):
             raise EvolutionContractError("evolution not subjectively invertible")
     return out
 
@@ -137,7 +137,7 @@ def probability(alt: FutureAlternative, parent: EpistemicState) -> Fraction:
 class InvarianceReport:
     steps: int
     ratios: tuple  # per-alternative relative volumes, constant across steps
-    max_deviation: Fraction
+    max_deviation = Fraction(0)  # not a field: check_invariance raises on any deviation
 
 
 def check_invariance(parent: EpistemicState, altset: CompleteAlternativeSet,
@@ -148,30 +148,20 @@ def check_invariance(parent: EpistemicState, altset: CompleteAlternativeSet,
     initial = tuple(relative_volume(a.region, parent) for a in altset.alternatives)
     cur_parent = parent
     cur_regions = [a.region for a in altset.alternatives]
-    max_dev = Fraction(0)
     for _ in range(steps):
-        cur_parent = EpistemicState(
-            cur_parent.registry,
-            frozenset().union(*(rule.image_of(z) for z in cur_parent.members)))
-        cur_regions = [
-            EpistemicState(r.registry,
-                           frozenset().union(*(rule.image_of(z) for z in r.members)))
-            for r in cur_regions]
-        for r0, region in zip(initial, cur_regions):
-            dev = abs(relative_volume(region, cur_parent) - r0)
-            max_dev = max(max_dev, dev)
-    if max_dev != 0:
-        raise EvolutionContractError("evolution rule breaks volume invariance")
-    return InvarianceReport(steps=steps, ratios=initial, max_deviation=max_dev)
+        cur_parent = rule.apply(cur_parent)
+        cur_regions = [rule.apply(r) for r in cur_regions]
+        if tuple(relative_volume(r, cur_parent) for r in cur_regions) != initial:
+            raise EvolutionContractError("evolution rule breaks volume invariance")
+    return InvarianceReport(steps=steps, ratios=initial)
 
 
-def borel_trial(probabilities: Sequence[float], n: int, seed: int,
-                streams: int = 1) -> np.ndarray:
+def borel_trial(probabilities: Sequence[float], n: int, seed: int) -> np.ndarray:
     """Empirical outcome frequencies of n seeded draws.
 
-    Uses the counter-based Philox generator; parallel sub-streams are derived
-    by index, each draws its share as one multinomial sample, and their counts
-    are merged, so the result depends only on (probabilities, n, seed, streams).
+    One multinomial sample from the counter-based Philox generator keyed by
+    the seed, so memory does not grow with n and the result depends only on
+    (probabilities, n, seed).
     """
     import numpy as np
     p = np.asarray([float(x) for x in probabilities], dtype=float)
@@ -179,11 +169,5 @@ def borel_trial(probabilities: Sequence[float], n: int, seed: int,
         raise ValueError("probabilities must sum to one")
     if n < 1:
         raise ValueError("need at least one draw")
-    if streams < 1:
-        raise ValueError("need at least one stream")
-    counts = np.zeros(len(p), dtype=np.int64)
-    sizes = [n // streams + (1 if i < n % streams else 0) for i in range(streams)]
-    for i, size in enumerate(sizes):
-        rng = np.random.Generator(np.random.Philox(key=seed, counter=[i, 0, 0, 0]))
-        counts += rng.multinomial(size, p)
-    return counts / n
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    return rng.multinomial(n, p) / n

@@ -108,9 +108,6 @@ class ExactAmplitude:
             self.re * other.im + self.im * other.re,
         )
 
-    def conjugate(self) -> "ExactAmplitude":
-        return ExactAmplitude(self.re, -self.im)
-
     def abs2(self) -> Sqrt2Scalar:
         return self.re * self.re + self.im * self.im
 

@@ -112,7 +112,7 @@ def _check_unitary(a: np.ndarray, what: str):
 
 
 def _amp_matrix(net: ContextNetwork, i: int = 0) -> np.ndarray:
-    return np.array([[complex(a) for a in row] for row in net.matrix(i)], dtype=complex)
+    return np.array([[complex(a) for a in row] for row in net.edges[i]], dtype=complex)
 
 
 def build_space(net: ContextNetwork,
@@ -153,8 +153,8 @@ def _build_interference(net: ContextNetwork, m: int, mp: int) -> ContextSpace:
     # remaining coordinates are an orthonormal completion.
     w = np.conj(a)
     if m < mp:
-        from scipy.linalg import null_space
-        w = np.vstack([w, null_space(np.conj(a)).T.conj()])
+        # the trailing right-singular vectors span the null space of w
+        w = np.vstack([w, np.linalg.svd(w)[2][m:]])
     _check_unitary(w, "derived second basis is not orthonormal")
     return ContextSpace(
         dimension=dim, kind="interference",
@@ -223,13 +223,6 @@ def _build_sequential(net: ContextNetwork, joint_volumes: Optional[JointVolumeTa
         property_order=(first.property_id, second.property_id),
         value_spaces={first.property_id: [eye[:, [j]] for j in range(m)],
                       second.property_id: [w[:, [k]] for k in range(m)]})
-
-
-def state_space_angle_map(phi: float) -> float:
-    """Basis rotation induced by rotating a joint-region boundary by phi."""
-    if not 0 <= phi <= math.pi:
-        raise ValueError("boundary angle must lie in [0, pi]")
-    return phi / 2
 
 
 def reciprocal(net: ContextNetwork) -> ContextNetwork:

@@ -59,8 +59,11 @@ class AttributeDef:
     def __post_init__(self):
         object.__setattr__(self, "kind", AttributeKind(self.kind))
         object.__setattr__(self, "values", tuple(self.values))
-        if len(set(self.values)) != len(self.values):
-            raise ValueError(f"attribute {self.id}: duplicate values")
+        try:
+            if len(set(self.values)) != len(self.values):
+                raise ValueError(f"attribute {self.id}: duplicate values")
+        except TypeError:
+            raise ValueError(f"attribute {self.id}: values must be hashable") from None
         if self.kind is AttributeKind.BINARY and len(self.values) != 2:
             raise ValueError(f"attribute {self.id}: binary kind needs exactly 2 values")
         if self.kind is AttributeKind.CIRCULAR and len(self.values) < 3:
@@ -195,9 +198,6 @@ class ExactState:
 
     def value(self, object_id: str, attribute_id: str):
         return self.values[self.registry._position(object_id, attribute_id)]
-
-    def assignment(self) -> dict:
-        return dict(zip(self.registry.slots(), self.values))
 
 
 @dataclass(frozen=True)

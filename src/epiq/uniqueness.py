@@ -36,6 +36,8 @@ JACOBIAN_STEP = 1e-6
 # transition deterministic and would leak the never-knowable value, so the
 # feasibility search only accepts solutions clear of that boundary.
 DEGENERACY_FLOOR = 1e-3
+# Accepted solutions that the DoF vote uses; the search stops at this many.
+MAX_SOLUTIONS = 10
 
 MAX_BIVARIATE_DEGREE = 6
 
@@ -194,20 +196,15 @@ def build_constraints(m: int, mp: int, level_of_p: Knowability,
 
 
 def _multi_indices(gamma: int, m: int):
-    """All exponent tuples over m slots with entries summing to gamma."""
-    if m == 1:
-        yield (gamma,)
-        return
-    for first in range(gamma + 1):
-        for rest in _multi_indices(gamma - first, m - 1):
-            yield (first,) + rest
+    """Exponent tuples over m slots summing to gamma, in lexicographic order."""
+    return [t for t in itertools.product(range(gamma + 1), repeat=m) if sum(t) == gamma]
 
 
 def _independence_pairs(gamma: int, m: int):
     """Unordered exponent pairs (alpha, beta) indexing the cross terms that
     the closure row produces; alpha = beta = gamma*e_j is a row norm and is
     excluded."""
-    idx = list(_multi_indices(gamma, m))
+    idx = _multi_indices(gamma, m)
     for i, alpha in enumerate(idx):
         for beta in idx[i:]:
             if alpha == beta and max(alpha) == gamma:
@@ -272,8 +269,7 @@ def _nondegenerate(system: ConstraintSystem, x: np.ndarray) -> bool:
     return float(np.min(np.abs(big))) >= DEGENERACY_FLOOR
 
 
-def estimate_dof(system: ConstraintSystem, samples: int = 60,
-                 seed: int = 0, max_solutions: int = 10) -> DofReport:
+def estimate_dof(system: ConstraintSystem, samples: int = 60, seed: int = 0) -> DofReport:
     """Search for solutions and measure the freedom they leave.
 
     Each random start descends the squared residual; a start counts as a
@@ -292,9 +288,9 @@ def estimate_dof(system: ConstraintSystem, samples: int = 60,
         result = least_squares(system.residual, x0, jac=system.jacobian,
                                xtol=1e-15, ftol=1e-15, gtol=1e-15)
         x = result.x
-        if np.max(np.abs(system.residual(x))) < RESIDUAL_TOL and _nondegenerate(system, x):
+        if np.max(np.abs(result.fun)) < RESIDUAL_TOL and _nondegenerate(system, x):
             solutions.append(x)
-            if len(solutions) >= max_solutions:
+            if len(solutions) >= MAX_SOLUTIONS:
                 break
     if not solutions:
         return DofReport(feasible=False, sample_solutions=(),
@@ -381,12 +377,11 @@ class UniquenessReport:
 
 
 def evaluate_candidate(candidate: CandidateMap, m: int, mp: int,
-                       samples: int = 60, seed: int = 0,
-                       pad: bool = True) -> UniquenessRow:
+                       samples: int = 60, seed: int = 0) -> UniquenessRow:
     """Full pipeline for one candidate and one context shape."""
     # Virtual-value padding (context.pad_virtual_values) widens P' to m.
-    padded = (m, m) if pad and m > mp else None
-    system = build_constraints(m, m if padded else mp, Knowability.NEVER, candidate)
+    padded = (m, m) if m > mp else None
+    system = build_constraints(m, max(m, mp), Knowability.NEVER, candidate)
     system = property_independence_conditions(system)
     report = estimate_dof(system, samples=samples, seed=seed)
     mult = verify_multiplicativity(candidate, seed=seed).multiplicative
@@ -396,12 +391,10 @@ def evaluate_candidate(candidate: CandidateMap, m: int, mp: int,
 
 def uniqueness_report(mlist: Sequence[int], mplist: Sequence[int],
                       candidates: Sequence[CandidateMap] = DEFAULT_CANDIDATES,
-                      samples: int = 60, seed: int = 0,
-                      pad: bool = True) -> UniquenessReport:
+                      samples: int = 60, seed: int = 0) -> UniquenessReport:
     """Candidate-by-shape verdict table; only |a|^2 is expected to pass."""
     rows = []
     for candidate in candidates:
         for m, mp in zip(mlist, mplist):
-            rows.append(evaluate_candidate(candidate, m, mp,
-                                           samples=samples, seed=seed, pad=pad))
+            rows.append(evaluate_candidate(candidate, m, mp, samples=samples, seed=seed))
     return UniquenessReport(rows=tuple(rows))

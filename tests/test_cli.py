@@ -242,14 +242,15 @@ def _cli_call(name, command):
 
 class TestImportCost:
     """A module-level import on the CLI path is only for what every command
-    uses; numpy and scipy are imported by the commands that need them."""
+    uses; numpy is imported by the commands that need it, and scipy only by
+    uniqueness."""
 
     @pytest.mark.parametrize("statement, forbidden", [
         ("pass", ("numpy", "scipy")),
         (_cli_call("mach-zehnder-open", "propagate"), ("numpy", "scipy")),
         (_cli_call("branching", "validate"), ("numpy", "scipy")),
-        # M < M': the orthonormal completion needs scipy.linalg, not scipy.optimize
-        (_cli_call("branching", "hilbert"), ("scipy.optimize",)),
+        # M < M': the orthonormal completion comes from numpy's SVD
+        (_cli_call("branching", "hilbert"), ("scipy",)),
         ("import epiq.hilbert, epiq.uniqueness", ("scipy",)),
     ], ids=["import", "propagate", "validate", "hilbert", "modules"])
     def test_heavy_modules_not_loaded(self, tmp_path, statement, forbidden):

@@ -211,13 +211,13 @@ class TestPadding:
             edges=(((H, H), (H, HN), (ONE, ZERO)),))
 
     def test_padding_restores_validity(self):
-        result = pad_virtual_values(self.wide(), 0)
-        assert validate_context(result.network) == []
-        assert result.virtual_value_indices == (2,)
+        padded = pad_virtual_values(self.wide(), 0)
+        assert validate_context(padded) == []
+        assert padded.layers[1].size == 3
 
     def test_virtual_values_carry_zero_probability(self):
-        result = pad_virtual_values(self.wide(), 0)
-        dist = propagate(result.network)
+        dist = propagate(pad_virtual_values(self.wide(), 0))
+        assert len(dist.labels) == 3
         assert dist.probabilities[2] == 0.0
 
     def test_padding_unnecessary(self):

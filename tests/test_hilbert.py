@@ -8,7 +8,7 @@ from epiq.evolution import Knowability
 from epiq.exactnum import parse_exact
 from epiq.hilbert import (ContextSpace, JointVolumeTable, SpaceConstructionError, build_space,
                           commutator, inner, make_operator, operator_to_property,
-                          principle4_probabilities, reciprocal, state_space_angle_map)
+                          principle4_probabilities, reciprocal)
 
 H = 1 / math.sqrt(2)
 
@@ -214,13 +214,6 @@ class TestSequentialSpace:
         with pytest.raises(SpaceConstructionError, match="unsupported pair class"):
             build_space(net, joint_volumes=JointVolumeTable(
                 v=tuple(tuple(r) for r in lopsided)))
-
-    def test_angle_map(self):
-        assert state_space_angle_map(math.pi / 2) == pytest.approx(math.pi / 4)
-        assert state_space_angle_map(0.0) == 0.0
-        assert state_space_angle_map(math.pi / 3) == pytest.approx(math.pi / 6)
-        with pytest.raises(ValueError):
-            state_space_angle_map(4.0)
 
 
 class TestOperators:

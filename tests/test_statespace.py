@@ -23,6 +23,10 @@ class TestAttributeDef:
         with pytest.raises(ValueError, match="duplicate"):
             AttributeDef(id="o", kind="ordered", values=(1, 1, 2))
 
+    def test_unhashable_values_rejected(self):
+        with pytest.raises(ValueError, match="attribute a: values must be hashable"):
+            AttributeDef(id="a", kind="ordered", values=([1], [2]))
+
     def test_betweenness_ordered(self):
         a = AttributeDef(id="o", kind="ordered", values=(1, 2, 3, 4))
         assert a.between(1, 2, 3)

@@ -218,9 +218,11 @@ class TestReport:
         assert row.verdict
 
     def test_unpadded_wide_shape_fails(self):
-        row = evaluate_candidate(BORN, 3, 2, samples=40, seed=3, pad=False)
-        assert not row.report.feasible
-        assert not row.verdict
+        system = property_independence_conditions(
+            build_constraints(3, 2, Knowability.NEVER, BORN))
+        report = estimate_dof(system, samples=40, seed=3)
+        assert not report.feasible
+        assert not report.verdict
 
     def test_only_born_map_passes(self):
         report = uniqueness_report([2], [2], samples=40, seed=4)
