@@ -6,8 +6,7 @@ or an invalid command-line option.
 Outputs are written as JSON (full doubles) and CSV (12 significant digits)
 into the output directory; serialization is deterministic for a fixed
 scenario file and seed.  numpy and the modules that need it are imported
-inside the command that uses them, so a run loads only its own; scipy is
-loaded only by ``uniqueness``.
+inside the command that uses them, so a run loads only its own.
 """
 from __future__ import annotations
 

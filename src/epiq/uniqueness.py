@@ -10,13 +10,14 @@ and its solution manifold leaves at least the experimental-freedom minimum of
 free real parameters: M-1 for the P block, M(M'-1) for the P' block, MM'-1 in
 total.
 
-The system is one array residual over (..., n_vars) parameter vectors, so
-the central-difference Jacobian is a single batched pair of residual calls.
-Feasibility is probed by randomized least-squares descent on that residual and
-Jacobian; the local manifold dimension is variables minus the numerical rank
-of the Jacobian at the solutions found, and each block's freedom is the rank
-of that block's rows against that block's variables, sliced from the same
-matrix.
+The system is one array residual over (..., n_vars) parameter vectors, and
+its Jacobian is analytic and batched the same way: each row is differentiated
+with respect to the amplitudes and their conjugates (Wirtinger derivatives).
+Feasibility is probed from random starts that one Levenberg-Marquardt loop
+drives down together; the local manifold dimension is variables minus the
+numerical rank of the Jacobian at the solutions found, and each block's
+freedom is the rank of that block's rows against that block's variables,
+sliced from the same matrix.
 """
 from __future__ import annotations
 
@@ -30,14 +31,23 @@ from .evolution import Knowability
 
 RESIDUAL_TOL = 1e-10
 RANK_TOL = 1e-8
-# Central-difference step of the constraint Jacobian.
-JACOBIAN_STEP = 1e-6
 # A solution matrix with an (almost) vanishing entry makes some value
 # transition deterministic and would leak the never-knowable value, so the
 # feasibility search only accepts solutions clear of that boundary.
 DEGENERACY_FLOOR = 1e-3
-# Accepted solutions that the DoF vote uses; the search stops at this many.
+# Accepted solutions that the DoF vote uses, the first ones in start order.
 MAX_SOLUTIONS = 10
+# Levenberg-Marquardt: initial damping; a start stops when its largest
+# residual falls below LM_RESIDUAL_STOP, when the step, the actual and
+# predicted reductions or the gradient fall below LM_TOL (relative as in
+# MINPACK), when the damping exceeds LM_DAMPING_MAX, when its cost has not
+# halved in LM_STALL_ITER iterations, or after LM_MAX_ITER iterations.
+LM_DAMPING_START = 1e-3
+LM_RESIDUAL_STOP = 1e-14
+LM_TOL = 1e-15
+LM_DAMPING_MAX = 1e16
+LM_STALL_ITER = 20
+LM_MAX_ITER = 200
 
 MAX_BIVARIATE_DEGREE = 6
 
@@ -86,6 +96,23 @@ class CandidateMap:
         out = np.zeros_like(x, dtype=float)
         for m, n, d in self.coefficients:
             out = out + d * x ** m * y ** n
+        return out
+
+    def wirtinger(self, z):
+        """df/dz elementwise; f is real, so df/dconj(z) is its conjugate."""
+        z = np.asarray(z)
+        if self.kind == "real":
+            return np.real(z)
+        if self.kind == "modulus-power":
+            return self.gamma * (np.real(z) ** 2 + np.imag(z) ** 2) ** (self.gamma - 1) * np.conj(z)
+        # df/dz = (df/dx - i df/dy) / 2, skipping terms whose power drops below 0
+        x, y = np.real(z), np.imag(z)
+        out = np.zeros_like(z, dtype=complex)
+        for m, n, d in self.coefficients:
+            if m:
+                out = out + 0.5 * d * m * x ** (m - 1) * y ** n
+            if n:
+                out = out - 0.5j * d * n * x ** m * y ** (n - 1)
         return out
 
 
@@ -162,22 +189,86 @@ class ConstraintSystem:
                 closure[..., None] - 1.0]
         if self.alpha:
             # sum_k prod_j A_jk^alpha_j conj(A_jk)^beta_j, one term per pair
-            alpha = np.array(self.alpha)[:, :, None]
-            beta = np.array(self.beta)[:, :, None]
-            big = big[..., None, :, :]
-            terms = np.sum(np.prod(big ** alpha * np.conj(big) ** beta, axis=-2), axis=-1)
-            if self.candidate.real_only:
-                rows.append(terms.real)
-            else:
-                rows.append(np.stack([terms.real, terms.imag], axis=-1)
-                            .reshape(*terms.shape[:-1], -1))
+            factors = self._factors(big)[0]
+            rows.append(self._real_rows(np.sum(np.prod(factors, axis=-2), axis=-1)))
         return np.concatenate(rows, axis=-1)
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
-        """Central differences of every row, all columns in one batched call."""
-        step = JACOBIAN_STEP * np.eye(self.n_vars)
-        x = np.asarray(x, dtype=float)
-        return (self.residual(x + step) - self.residual(x - step)).T / (2 * JACOBIAN_STEP)
+        """Analytic derivative of every row: (..., n_vars) -> (..., rows, n_vars).
+
+        Each row is differentiated with respect to a_j, A_jk and their
+        conjugates (Wirtinger derivatives d and dbar); _columns turns those
+        into the real and imaginary parameter columns.
+        """
+        a, big = self.unpack(x)
+        lead, m, mp = a.shape[:-1], self.m, self.mp
+        f, df = self.candidate.apply, self.candidate.wirtinger
+        # d of the real f rows over (a, A); their dbar is the conjugate
+        d_a = np.zeros(lead + (m + 2, m), dtype=complex)
+        d_big = np.zeros(lead + (m + 2, m, mp), dtype=complex)
+        dfa, dfbig = df(a), df(big)
+        d_a[..., 0, :] = dfa
+        d_big[..., 1 + np.arange(m), np.arange(m), :] = dfbig
+        if self.level is Knowability.DECIDED:
+            d_a[..., -1, :] = dfa * np.sum(f(big), axis=-1)
+            d_big[..., -1, :, :] = f(a)[..., :, None] * dfbig
+        else:
+            dw = df(np.einsum("...j,...jk->...k", a, big))
+            d_a[..., -1, :] = np.einsum("...jk,...k->...j", big, dw)
+            d_big[..., -1, :, :] = a[..., :, None] * dw[..., None, :]
+        d = _over_vars(d_a, d_big)
+        rows = [self._columns(d, np.conj(d)).real]
+        if self.alpha:
+            factors, pw, cpw = self._factors(big)
+            alpha, beta, jj = np.array(self.alpha), np.array(self.beta), np.arange(m)
+            # product of the other rows' factors, without dividing by A_jk
+            others = np.prod(np.where(np.eye(m, dtype=bool)[:, :, None], 1,
+                                      factors[..., :, None, :, :]), axis=-2)
+            # exponents lowered by one; a zero exponent's term has coefficient 0
+            d_term = alpha[:, :, None] * pw[..., np.maximum(alpha - 1, 0), jj, :] \
+                * cpw[..., beta, jj, :] * others
+            dbar_term = beta[:, :, None] * pw[..., alpha, jj, :] \
+                * cpw[..., np.maximum(beta - 1, 0), jj, :] * others
+            d_a = np.zeros(d_term.shape[:-1], dtype=complex)  # rows without a_j
+            cols = self._columns(_over_vars(d_a, d_term), _over_vars(d_a, dbar_term))
+            rows.append(self._real_rows(cols, axis=-2))
+        return np.concatenate(rows, axis=-2)
+
+    def _factors(self, big):
+        """A_jk^alpha_j conj(A_jk)^beta_j of every independence pair, shape
+        (..., pairs, m, mp), and the tables of A^n and conj(A)^n (n on axis
+        -3) it is gathered from."""
+        alpha, beta = np.array(self.alpha), np.array(self.beta)
+        pw = [np.ones_like(big)]
+        for _ in range(max(alpha.max(), beta.max())):
+            pw.append(pw[-1] * big)
+        pw = np.stack(pw, axis=-3)
+        cpw, jj = np.conj(pw), np.arange(self.m)
+        return pw[..., alpha, jj, :] * cpw[..., beta, jj, :], pw, cpw
+
+    def _columns(self, d, dbar):
+        """Parameter columns (..., n_vars) from the Wirtinger derivatives over
+        (a, A): a real part's column is d + dbar, an imaginary part's i(d - dbar)."""
+        re = d + dbar
+        if self.candidate.real_only:
+            return re
+        im, m = 1j * (d - dbar), self.m
+        return np.concatenate([re[..., :m], im[..., :m], re[..., m:], im[..., m:]], axis=-1)
+
+    def _real_rows(self, values, axis=-1):
+        """Complex independence rows as real rows: the real part alone for a
+        real candidate, else real and imaginary parts interleaved."""
+        if self.candidate.real_only:
+            return values.real
+        both = np.stack([values.real, values.imag], axis=axis)
+        shape = list(values.shape)
+        shape[axis] *= 2
+        return both.reshape(shape)
+
+
+def _over_vars(d_a, d_big):
+    """Join derivatives over a (..., m) and over A (..., m, mp) into one axis."""
+    return np.concatenate([d_a, d_big.reshape(d_big.shape[:-2] + (-1,))], axis=-1)
 
 
 def build_constraints(m: int, mp: int, level_of_p: Knowability,
@@ -257,53 +348,101 @@ class DofReport:
         return ("pass " if self.verdict else "fail ") + " ".join(parts)
 
 
-def _rank(jac: np.ndarray) -> int:
-    if jac.size == 0:
-        return 0
+def _ranks(jac: np.ndarray) -> np.ndarray:
+    """Numerical rank of each matrix in a (k, rows, cols) stack."""
     s = np.linalg.svd(jac, compute_uv=False)
-    return int(np.sum(s > RANK_TOL))
+    return np.sum(s > RANK_TOL, axis=-1)
 
 
-def _nondegenerate(system: ConstraintSystem, x: np.ndarray) -> bool:
-    _, big = system.unpack(x)
-    return float(np.min(np.abs(big))) >= DEGENERACY_FLOOR
+def _levenberg_marquardt(system: ConstraintSystem, x: np.ndarray):
+    """Minimize the squared residual from every start (rows of x) at once.
+
+    Each iteration solves the damped normal equations (J^T J + lam D^2) step
+    = -J^T r of every active start in one batched call, with More's scaling D
+    (running maximum of the column norms of J) and Nielsen's damping update.
+    A start leaves the active set once it has converged or stalled.  Returns
+    the final points and their residuals.
+    """
+    x = np.array(x, dtype=float)
+    r = system.residual(x)
+    jac = system.jacobian(x)
+    cost = 0.5 * np.sum(r ** 2, axis=-1)
+    lam = np.full(len(x), LM_DAMPING_START)
+    nu = np.full(len(x), 2.0)
+    scale = np.zeros_like(x)
+    ref_cost, ref_iter = cost.copy(), np.zeros(len(x), dtype=int)
+    active = np.max(np.abs(r), axis=-1) >= LM_RESIDUAL_STOP
+    for it in range(1, LM_MAX_ITER + 1):
+        idx = np.flatnonzero(active)
+        if idx.size == 0:
+            break
+        J, res, lam_i = jac[idx], r[idx], lam[idx]
+        Jt = np.swapaxes(J, -1, -2)
+        g = (Jt @ res[..., None])[..., 0]
+        hess = Jt @ J
+        scale[idx] = np.maximum(scale[idx], np.sqrt(np.diagonal(hess, axis1=-2, axis2=-1)))
+        d2 = np.where(scale[idx] > 0, scale[idx], 1.0) ** 2
+        damped = hess + lam_i[:, None, None] * (d2[:, :, None] * np.eye(system.n_vars))
+        step = np.linalg.solve(damped, -g[..., None])[..., 0]
+        x_new = x[idx] + step
+        # a step that overflows the residual gives rho = nan and is rejected
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            r_new = system.residual(x_new)
+            cost_new = 0.5 * np.sum(r_new ** 2, axis=-1)
+            actual = cost[idx] - cost_new
+            # the linear model's reduction, simplified with the normal equations
+            predicted = 0.5 * (lam_i * np.sum(d2 * step ** 2, axis=-1) - np.sum(g * step, axis=-1))
+            rho = actual / predicted
+            ok = rho > 0
+            shrink = np.maximum(1 / 3, 1 - (2 * rho - 1) ** 3)
+        lam[idx] = np.where(ok, lam_i * shrink, lam_i * nu[idx])
+        nu[idx] = np.where(ok, 2.0, 2 * nu[idx])
+        done = ((np.abs(actual) <= LM_TOL * cost[idx]) & (predicted <= LM_TOL * cost[idx])
+                | (np.linalg.norm(step, axis=-1)
+                   <= LM_TOL * (LM_TOL + np.linalg.norm(x[idx], axis=-1)))
+                | (np.max(np.abs(g), axis=-1) < LM_TOL))
+        moved = idx[ok]
+        if moved.size:
+            x[moved], r[moved], cost[moved] = x_new[ok], r_new[ok], cost_new[ok]
+            jac[moved] = system.jacobian(x[moved])
+        halved = cost[idx] <= 0.5 * ref_cost[idx]
+        ref_cost[idx] = np.where(halved, cost[idx], ref_cost[idx])
+        ref_iter[idx] = np.where(halved, it, ref_iter[idx])
+        done |= ((np.max(np.abs(r[idx]), axis=-1) < LM_RESIDUAL_STOP)
+                 | (lam[idx] > LM_DAMPING_MAX) | (it - ref_iter[idx] >= LM_STALL_ITER))
+        active[idx[done]] = False
+    return x, r
 
 
 def estimate_dof(system: ConstraintSystem, samples: int = 60, seed: int = 0) -> DofReport:
     """Search for solutions and measure the freedom they leave.
 
-    Each random start descends the squared residual; a start counts as a
-    solution when every residual is below RESIDUAL_TOL and the amplitude
-    matrix stays clear of the degeneracy floor.  Per-block freedom is the
-    block's variable count minus the rank of the block's constraint rows
-    with respect to the block's variables, evaluated at the solutions found.
+    All random starts descend the squared residual together
+    (_levenberg_marquardt); a start counts as a solution when every residual
+    is below RESIDUAL_TOL and the amplitude matrix stays clear of the
+    degeneracy floor, and the first MAX_SOLUTIONS in start order are kept.
+    Per-block freedom is the block's variable count minus the rank of the
+    block's constraint rows with respect to the block's variables, evaluated
+    at the solutions found.
     """
     if samples < 1:
         raise ValueError("need at least one start")
-    from scipy.optimize import least_squares
     rng = np.random.default_rng(seed)
-    solutions = []
-    for _ in range(samples):
-        x0 = rng.normal(scale=0.7, size=system.n_vars)
-        result = least_squares(system.residual, x0, jac=system.jacobian,
-                               xtol=1e-15, ftol=1e-15, gtol=1e-15)
-        x = result.x
-        if np.max(np.abs(result.fun)) < RESIDUAL_TOL and _nondegenerate(system, x):
-            solutions.append(x)
-            if len(solutions) >= MAX_SOLUTIONS:
-                break
-    if not solutions:
+    x, r = _levenberg_marquardt(system, rng.normal(scale=0.7, size=(samples, system.n_vars)))
+    _, big = system.unpack(x)
+    accepted = ((np.max(np.abs(r), axis=-1) < RESIDUAL_TOL)
+                & (np.min(np.abs(big), axis=(-2, -1)) >= DEGENERACY_FLOOR))
+    solutions = x[accepted][:MAX_SOLUTIONS]
+    if not len(solutions):
         return DofReport(feasible=False, sample_solutions=(),
                          dof={}, required=system.required_dof, verdict=False)
 
     n_p = system.n_p_vars
     p_rows = np.array(system.blocks) == "P"
-    dof_votes = {"P": [], "P'": [], "total": []}
-    for x in solutions:
-        jac = system.jacobian(x)
-        dof_votes["total"].append(system.n_vars - _rank(jac))
-        dof_votes["P"].append(n_p - _rank(jac[p_rows, :n_p]))
-        dof_votes["P'"].append(system.n_pp_vars - _rank(jac[~p_rows, n_p:]))
+    jac = system.jacobian(solutions)
+    dof_votes = {"total": system.n_vars - _ranks(jac),
+                 "P": n_p - _ranks(jac[:, p_rows, :n_p]),
+                 "P'": system.n_pp_vars - _ranks(jac[:, ~p_rows, n_p:])}
     # the estimate must be stable across solutions; report the typical value
     dof = {k: int(np.median(v)) for k, v in dof_votes.items()}
     req = system.required_dof

@@ -162,6 +162,19 @@ class TestCli:
         assert payload["result"]["unique_born_rule"]
         assert payload["result"]["passing"] == ["|a|^2"]
 
+    @pytest.mark.parametrize("section", [
+        {"samples": 1001},
+        {"shapes": [[2, 2]] * 17},
+        {"shapes": [[2, 5]]},
+    ], ids=["samples", "shape-count", "dimension"])
+    def test_oversized_uniqueness_exit_code_2(self, tmp_path, section):
+        bad = tmp_path / "oversized.json"
+        bad.write_text(json.dumps(minimal_doc(uniqueness=section)))
+        result = run_cli(tmp_path, str(bad), "--command", "uniqueness")
+        assert result.exit_code == 2
+        assert "schema error" in result.output
+        assert not list(tmp_path.glob("minimal-*"))
+
     def test_validate_command(self, tmp_path):
         result = run_cli(tmp_path, str(bundled_scenario_path("branching")),
                          "--command", "validate")
@@ -242,8 +255,8 @@ def _cli_call(name, command):
 
 class TestImportCost:
     """A module-level import on the CLI path is only for what every command
-    uses; numpy is imported by the commands that need it, and scipy only by
-    uniqueness."""
+    uses; numpy is imported by the commands that need it, and no command
+    loads scipy."""
 
     @pytest.mark.parametrize("statement, forbidden", [
         ("pass", ("numpy", "scipy")),
@@ -252,7 +265,8 @@ class TestImportCost:
         # M < M': the orthonormal completion comes from numpy's SVD
         (_cli_call("branching", "hilbert"), ("scipy",)),
         ("import epiq.hilbert, epiq.uniqueness", ("scipy",)),
-    ], ids=["import", "propagate", "validate", "hilbert", "modules"])
+        (_cli_call("born-uniqueness", "uniqueness"), ("scipy",)),
+    ], ids=["import", "propagate", "validate", "hilbert", "modules", "uniqueness"])
     def test_heavy_modules_not_loaded(self, tmp_path, statement, forbidden):
         loaded = _modules_after(tmp_path, statement)
         assert [m for m in loaded

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from epiq.evolution import Knowability
-from epiq.uniqueness import (BORN, DEFAULT_CANDIDATES, QUARTIC, REAL_QUADRATIC, SEXTIC,
-                             CandidateMap, build_constraints, estimate_dof,
+from epiq.uniqueness import (BORN, DEFAULT_CANDIDATES, MAX_SOLUTIONS, QUARTIC,
+                             REAL_QUADRATIC, SEXTIC, CandidateMap, build_constraints, estimate_dof,
                              evaluate_candidate, property_independence_conditions,
                              uniqueness_report, verify_multiplicativity)
 
@@ -79,19 +79,76 @@ def full_system(candidate, m, mp):
 SHAPES = [(2, 2), (3, 3), (2, 3)]
 
 
+BIVARIATE = CandidateMap(name="g", kind="bivariate",
+                         coefficients=((2, 0, 1.0), (1, 1, 0.5), (0, 3, 2.0)))
+
+
+def leveled_system(candidate, m, mp, level):
+    """Level 1 with the independence rows, level 3 without them; a bivariate
+    candidate has no independence rows."""
+    system = build_constraints(m, mp, level, candidate)
+    if level is Knowability.NEVER and candidate.kind != "bivariate":
+        system = property_independence_conditions(system)
+    return system
+
+
+def central_difference(system, x, h=1e-6):
+    ref = np.empty((len(system.equations), system.n_vars))
+    for i in range(system.n_vars):
+        step = np.zeros(system.n_vars)
+        step[i] = h
+        ref[:, i] = (system.residual(x + step) - system.residual(x - step)) / (2 * h)
+    return ref
+
+
+LEVELS = [Knowability.NEVER, Knowability.DECIDED]
+
+
+def jacobian_case(candidate, level, m, mp):
+    """Case id m-mp-gamma, the kind for other candidates, "-decided" at level 3."""
+    tag = str(candidate.gamma) if candidate.kind == "modulus-power" else candidate.kind
+    suffix = "-decided" if level is Knowability.DECIDED else ""
+    return pytest.param(candidate, level, m, mp, id=f"{m}-{mp}-{tag}{suffix}")
+
+
 class TestArrayResidual:
-    @pytest.mark.parametrize("gamma", [1, 2, 3])
-    @pytest.mark.parametrize("m, mp", SHAPES)
-    def test_jacobian_is_columnwise_central_difference(self, gamma, m, mp):
-        system = full_system(CandidateMap(name="g", kind="modulus-power", gamma=gamma), m, mp)
-        x = np.random.default_rng(gamma).normal(scale=0.7, size=system.n_vars)
-        h = 1e-6
-        ref = np.empty((len(system.equations), system.n_vars))
-        for i in range(system.n_vars):
-            step = np.zeros(system.n_vars)
-            step[i] = h
-            ref[:, i] = (system.residual(x + step) - system.residual(x - step)) / (2 * h)
+    @pytest.mark.parametrize("candidate, level, m, mp", [
+        jacobian_case(candidate, level, m, mp)
+        for level in LEVELS for candidate in DEFAULT_CANDIDATES + (BIVARIATE,)
+        for m, mp in SHAPES + [(4, 4)]])
+    def test_jacobian_is_columnwise_central_difference(self, candidate, level, m, mp):
+        system = leveled_system(candidate, m, mp, level)
+        seed = m * mp
+        x = np.random.default_rng(seed).normal(scale=0.7, size=system.n_vars)
+        ref = central_difference(system, x)
         assert np.allclose(system.jacobian(x), ref, rtol=0, atol=1e-9 * np.max(np.abs(ref)))
+
+    @pytest.mark.parametrize("candidate", DEFAULT_CANDIDATES, ids=lambda c: c.name)
+    def test_jacobian_finite_at_vanishing_entry(self, candidate):
+        # solver starts on infeasible candidates run into A_jk -> 0
+        system = full_system(candidate, 3, 3)
+        x = np.random.default_rng(7).normal(scale=0.7, size=system.n_vars)
+        n = system.m * system.mp
+        entry = system.n_p_vars + 4  # A_11
+        x[entry] = 0.0
+        if not candidate.real_only:
+            x[entry + n] = 0.0
+        _, big = system.unpack(x)
+        assert big[1, 1] == 0
+        jac = system.jacobian(x)
+        assert np.all(np.isfinite(jac))
+        ref = central_difference(system, x)
+        assert np.allclose(jac, ref, rtol=0, atol=1e-9 * np.max(np.abs(ref)))
+
+    @pytest.mark.parametrize("candidate", DEFAULT_CANDIDATES, ids=lambda c: c.name)
+    @pytest.mark.parametrize("m, mp", SHAPES)
+    def test_batched_jacobian_stacks_single_calls(self, candidate, m, mp):
+        system = full_system(candidate, m, mp)
+        xs = np.random.default_rng(0).normal(size=(2, 3, system.n_vars))
+        batched = system.jacobian(xs)
+        assert batched.shape == (2, 3, len(system.equations), system.n_vars)
+        singles = np.array([[system.jacobian(x) for x in row] for row in xs])
+        assert np.allclose(batched, singles, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("gamma", [1, 2, 3])
     @pytest.mark.parametrize("m, mp", SHAPES)
@@ -194,6 +251,17 @@ class TestEstimateDof:
     def test_dof_stable_across_seeds(self):
         assert dof_for(BORN, seed=1).dof == dof_for(BORN, seed=2).dof
 
+    def test_same_seed_same_solutions(self):
+        first, second = dof_for(BORN, seed=3), dof_for(BORN, seed=3)
+        assert len(first.sample_solutions) == len(second.sample_solutions) > 0
+        for x, y in zip(first.sample_solutions, second.sample_solutions):
+            assert x.tobytes() == y.tobytes()
+
+    @pytest.mark.parametrize("candidate", [BORN, REAL_QUADRATIC], ids=lambda c: c.name)
+    def test_keeps_at_most_max_solutions(self, candidate):
+        report = dof_for(candidate, samples=3 * MAX_SOLUTIONS)
+        assert len(report.sample_solutions) == MAX_SOLUTIONS
+
 
 class TestMultiplicativity:
     def test_modulus_powers_multiplicative(self):
@@ -226,6 +294,10 @@ class TestReport:
 
     def test_only_born_map_passes(self):
         report = uniqueness_report([2], [2], samples=40, seed=4)
+        assert report.passing_candidates() == ("|a|^2",)
+
+    def test_only_born_map_passes_at_three_by_three(self):
+        report = uniqueness_report([3], [3], samples=60, seed=1)
         assert report.passing_candidates() == ("|a|^2",)
 
     def test_table_rows_cover_grid(self):
