@@ -5,8 +5,12 @@ scenario's content), 2 on a schema error (the document itself is malformed)
 or an invalid command-line option.
 Outputs are written as JSON (full doubles) and CSV (12 significant digits)
 into the output directory; serialization is deterministic for a fixed
-scenario file and seed.  numpy and the modules that need it are imported
-inside the command that uses them, so a run loads only its own.
+scenario file and seed.  Scenario files are checked against the bundled
+schema by ``epiq.scenario``'s own interpreter, so no JSON Schema library is
+loaded.  numpy and the modules that need it (``evolution`` and the state
+space it builds on, ``hilbert``, ``uniqueness``) are imported inside the
+command that uses them, so ``propagate`` and ``validate`` load neither numpy
+nor ``epiq.statespace``.
 """
 from __future__ import annotations
 
@@ -18,13 +22,13 @@ from pathlib import Path
 
 import click
 
-from . import __version__
+from . import Knowability, __version__
 from .context import (ContextError, Distribution, propagate, reduce_by_consistency,
                       validate_context)
-from .evolution import Knowability, borel_trial
 from .scenario import Scenario, ScenarioDomainError, ScenarioSchemaError, load_scenario_file
 
 DEFAULT_TOLERANCE = 1e-9
+MAX_SAMPLES = 2**63 - 1  # numpy's multinomial takes an int64 count; the schema's run.n maximum
 
 
 def _resolved_network(scenario: Scenario, eraser):
@@ -84,6 +88,7 @@ def _cmd_propagate(scenario, eraser, tolerance):
 
 
 def _cmd_montecarlo(scenario, eraser, n, seed, tolerance):
+    from .evolution import borel_trial
     net, eraser = _resolved_network(scenario, eraser)
     dist = propagate(net)
     freqs = borel_trial(dist.probabilities, n=n, seed=seed)
@@ -193,7 +198,7 @@ def _cmd_validate(scenario):
               type=click.Choice(["propagate", "montecarlo", "hilbert",
                                  "uniqueness", "validate"]),
               help="Override the scenario's run command.")
-@click.option("--n", "n", type=click.IntRange(min=1), default=None,
+@click.option("--n", "n", type=click.IntRange(min=1, max=MAX_SAMPLES), default=None,
               help="Monte Carlo sample count.")
 @click.option("--seed", type=click.IntRange(min=0), default=None,
               help="Random seed for sampling and solver starts.")

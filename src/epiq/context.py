@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional, Union
 
-from .evolution import Knowability
+from . import Knowability  # re-exported: epiq.context.Knowability
 from .exactnum import ExactAmplitude, abs2
 
 NORM_TOL = 1e-12

@@ -9,28 +9,15 @@ states a scenario actually exercises.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import IntEnum
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+from . import Knowability  # re-exported: epiq.evolution.Knowability
 from .statespace import EpistemicState, ExactState, PropertySpec, relative_volume
 
 
 class EvolutionContractError(ValueError):
     """Raised when a rule violates a checked evolution contract."""
-
-
-class Knowability(IntEnum):
-    """How the truth of an alternative relates to future knowledge.
-
-    NEVER: it will never become known which alternative is true.
-    CONTINGENT: it may become known, depending on later events.
-    DECIDED: it will become known at a predefined moment of decision.
-    """
-
-    NEVER = 1
-    CONTINGENT = 2
-    DECIDED = 3
 
 
 @dataclass(frozen=True, eq=False)

@@ -23,8 +23,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import Knowability
 from .context import ContextError, ContextNetwork, Layer
-from .evolution import Knowability
 
 ORTHO_TOL = 1e-12
 NEUTRAL_TOL = 1e-9

@@ -5,6 +5,12 @@ initial amplitudes, matrices, optional eraser flag), optional joint volumes
 and a uniqueness-study request, plus run defaults.  Unknown fields are
 rejected.
 
+The bundled ``schema/scenario.schema.json`` is the single source of truth for
+a document's shape.  It is interpreted here, not by a JSON Schema library:
+``_errors`` implements the keywords the schema uses, with the rules and the
+message text of jsonschema's Draft 2020-12 validator, and ``check_schema``
+refuses any other keyword, so no check is ever skipped silently.
+
 Amplitudes may be written as plain numbers, [re, im] pairs, or the exact
 tokens "n", "n/m", "n/sqrt2" which are resolved without rounding.
 """
@@ -12,14 +18,15 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
+from numbers import Number
 from typing import Optional
 
-import jsonschema
-
+from . import Knowability
 from .context import ContextNetwork, Layer
-from .evolution import Knowability
 from .exactnum import parse_exact
 
 
@@ -31,9 +38,120 @@ class ScenarioDomainError(ValueError):
     """The document is well-formed but semantically unusable."""
 
 
+# JSON types as jsonschema's Draft 2020-12 checker sees them: a bool is not a
+# number, and an integral float is an integer.
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "number": lambda v: isinstance(v, Number) and not isinstance(v, bool),
+    "integer": lambda v: not isinstance(v, bool) and (
+        isinstance(v, int) or isinstance(v, float) and v.is_integer()),
+}
+# the keywords _errors checks, then those that assert nothing
+_KEYWORDS = {"type", "enum", "required", "properties", "additionalProperties", "items",
+             "minItems", "maxItems", "minLength", "pattern", "minimum", "maximum",
+             "exclusiveMinimum", "oneOf", "$ref", "$schema", "$id", "title", "description",
+             "$defs"}
+
+
+def _resolve(root: dict, ref: str) -> dict:
+    node = root
+    for part in ref.removeprefix("#/").split("/"):
+        node = node[part]
+    return node
+
+
+def check_schema(schema: dict, root: Optional[dict] = None) -> dict:
+    """Return ``schema`` once every keyword in it is one ``_errors`` interprets.
+
+    Raises ``ValueError`` naming the first keyword (or keyword value) that is
+    not, such as ``uniqueItems`` or ``additionalProperties`` given a schema.
+    """
+    root = schema if root is None else root
+    if not isinstance(schema, dict):
+        raise ValueError(f"unsupported subschema {schema!r}")
+    for key, value in schema.items():
+        if (key not in _KEYWORDS
+                or key == "type" and not (isinstance(value, str) and value in _TYPES)
+                or key == "additionalProperties" and value is not False
+                or key == "enum" and not all(isinstance(v, (str, int, float)) for v in value)
+                or key == "$ref" and not value.startswith("#/")):
+            raise ValueError(f"unsupported schema keyword {key!r}: {value!r}")
+        if key == "$ref":
+            _resolve(root, value)  # must resolve; the walk reaches and checks its target
+        for sub in (value.values() if key in ("properties", "$defs")
+                    else value if key == "oneOf" else [value] if key == "items" else ()):
+            check_schema(sub, root)
+    return schema
+
+
+def _errors(instance, schema: dict, root: dict, path: tuple = ()):
+    """Yield ``(path, message)`` for each check ``instance`` fails, in schema
+    keyword order, with jsonschema's message text."""
+    for key, value in schema.items():
+        if key == "type":
+            if not _TYPES[value](instance):
+                yield path, f"{instance!r} is not of type {value!r}"
+        elif key == "enum":
+            # True and 1 are different JSON values, though equal in Python
+            if not any(v == instance and isinstance(v, bool) == isinstance(instance, bool)
+                       for v in value):
+                yield path, f"{instance!r} is not one of {value!r}"
+        elif key == "$ref":
+            yield from _errors(instance, _resolve(root, value), root, path)
+        elif key == "oneOf":
+            valid = [sub for sub in value if next(_errors(instance, sub, root, path), None) is None]
+            if not valid:
+                yield path, f"{instance!r} is not valid under any of the given schemas"
+            elif len(valid) > 1:
+                reprs = ", ".join(map(repr, valid[1:] + valid[:1]))
+                yield path, f"{instance!r} is valid under each of {reprs}"
+        elif isinstance(instance, dict):
+            if key == "required":
+                yield from ((path, f"{name!r} is a required property")
+                            for name in value if name not in instance)
+            elif key == "properties":
+                for name, sub in value.items():
+                    if name in instance:
+                        yield from _errors(instance[name], sub, root, path + (name,))
+            elif key == "additionalProperties":
+                extras = sorted((k for k in instance if k not in schema.get("properties", {})),
+                                key=str)
+                if extras:
+                    yield path, (f"Additional properties are not allowed "
+                                 f"({', '.join(map(repr, extras))} "
+                                 f"{'was' if len(extras) == 1 else 'were'} unexpected)")
+        elif isinstance(instance, list):
+            if key == "items":
+                for index, item in enumerate(instance):
+                    yield from _errors(item, value, root, path + (index,))
+            elif key == "minItems" and len(instance) < value:
+                yield path, (f"{instance!r} "
+                             f"{'should be non-empty' if value == 1 else 'is too short'}")
+            elif key == "maxItems" and len(instance) > value:
+                yield path, (f"{instance!r} "
+                             f"{'is expected to be empty' if value == 0 else 'is too long'}")
+        elif isinstance(instance, str):
+            if key == "minLength" and len(instance) < value:
+                yield path, (f"{instance!r} "
+                             f"{'should be non-empty' if value == 1 else 'is too short'}")
+            elif key == "pattern" and not re.search(value, instance):
+                yield path, f"{instance!r} does not match {value!r}"
+        elif _TYPES["number"](instance):
+            if key == "minimum" and instance < value:
+                yield path, f"{instance!r} is less than the minimum of {value!r}"
+            elif key == "maximum" and instance > value:
+                yield path, f"{instance!r} is greater than the maximum of {value!r}"
+            elif key == "exclusiveMinimum" and instance <= value:
+                yield path, f"{instance!r} is less than or equal to the minimum of {value!r}"
+
+
+@cache
 def _schema() -> dict:
     text = resources.files("epiq").joinpath("schema/scenario.schema.json").read_text()
-    return json.loads(text)
+    return check_schema(json.loads(text))
 
 
 def parse_amplitude(value):
@@ -41,8 +159,8 @@ def parse_amplitude(value):
     if isinstance(value, str):
         return parse_exact(value)
     if isinstance(value, (list, tuple)):
-        re, im = value
-        return complex(float(re), float(im))
+        real, imag = value
+        return complex(float(real), float(imag))
     return complex(float(value), 0.0)
 
 
@@ -60,14 +178,11 @@ class Scenario:
 
 def validate_document(doc: dict) -> None:
     """Schema-validate a raw document; raises with field-level messages."""
-    validator = jsonschema.Draft202012Validator(_schema())
-    errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
+    schema = _schema()
+    errors = sorted(_errors(doc, schema, schema), key=lambda e: list(e[0]))
     if errors:
-        lines = []
-        for e in errors:
-            where = "/".join(str(p) for p in e.absolute_path) or "<root>"
-            lines.append(f"{where}: {e.message}")
-        raise ScenarioSchemaError("; ".join(lines))
+        raise ScenarioSchemaError("; ".join(
+            f"{'/'.join(map(str, path)) or '<root>'}: {message}" for path, message in errors))
 
 
 def load_scenario(doc: dict) -> Scenario:

@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .evolution import Knowability
+from . import Knowability
 
 RESIDUAL_TOL = 1e-10
 RANK_TOL = 1e-8

@@ -1,17 +1,22 @@
+import copy
 import json
 import os
+import random
 import subprocess
 import sys
 import textwrap
+from importlib import resources
 from pathlib import Path
 
+import jsonschema
 import pytest
 from click.testing import CliRunner
 
 import epiq
+import epiq.scenario
 from epiq.cli import main
 from epiq.exactnum import ExactAmplitude
-from epiq.scenario import (ScenarioSchemaError, bundled_scenario_path,
+from epiq.scenario import (ScenarioSchemaError, bundled_scenario_path, check_schema,
                            load_scenario, load_scenario_file, parse_amplitude,
                            validate_document)
 
@@ -74,6 +79,137 @@ class TestSchema:
         doc["context"]["initial"] = ["nonsense", "1/sqrt2"]
         with pytest.raises(ScenarioSchemaError, match="context/initial/0"):
             validate_document(doc)
+
+
+# jsonschema's Draft 2020-12 validator is the oracle for epiq.scenario's own
+# interpreter of the bundled schema: messages must match it exactly, on
+# targeted documents and on a fixed-seed sample of mutated bundled scenarios.
+SCHEMA = json.loads(resources.files("epiq").joinpath("schema/scenario.schema.json").read_text())
+ORACLE = jsonschema.Draft202012Validator(SCHEMA)
+
+
+def oracle_message(doc, oracle=ORACLE):
+    """The ScenarioSchemaError text that jsonschema's errors would give."""
+    errors = sorted(oracle.iter_errors(doc), key=lambda e: list(e.absolute_path))
+    return "; ".join(f"{'/'.join(str(p) for p in e.absolute_path) or '<root>'}: {e.message}"
+                     for e in errors) or None
+
+
+def interpreter_message(doc):
+    try:
+        validate_document(doc)
+    except ScenarioSchemaError as e:
+        return str(e)
+    return None
+
+
+def _with(path, value):
+    doc = minimal_doc(run={"command": "montecarlo", "n": 10, "seed": 1})
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize("doc", [
+    _with(("context", "layers", 0, "level"), True),  # True is not 1 in an enum
+    _with(("context", "layers", 0, "level"), 1.0),  # but 1.0 is
+    _with(("context", "layers", 0, "labels"), [1, True]),  # a bool is not a number
+    _with(("run", "n"), 5.0),  # an integral float is an integer
+    _with(("run", "n"), 5.5),
+    _with(("run", "n"), False),
+    _with(("run", "n"), 10**25),
+    _with(("run", "tolerance"), 0),
+    _with(("context", "zeta"), 1) | {"alpha": 2, "beta": 3},  # extras sorted, per object
+    _with(("context", "initial"), [[1, 2, 3], "1/sqrtx", None]),
+    _with(("name",), ""),
+    _with(("uniqueness",), {"shapes": [[2, 5], [1]], "samples": 0}),
+], ids=["enum-true", "enum-float", "bool-not-number", "integral-float", "fraction",
+        "bool-not-integer", "n-too-large", "exclusive-minimum", "extras", "one-of",
+        "min-length", "uniqueness"])
+def test_targeted_messages_match_jsonschema(doc):
+    assert interpreter_message(doc) == oracle_message(doc)
+
+
+@pytest.mark.parametrize("doc", [1, 1.5, True, "x", None])
+def test_one_of_needs_exactly_one_valid_branch(monkeypatch, doc):
+    # integer and number overlap, which the bundled schema's branches never do
+    schema = {"oneOf": [{"type": "number"}, {"type": "string"}, {"type": "integer"}]}
+    monkeypatch.setattr(epiq.scenario, "_schema", lambda: check_schema(schema))
+    oracle = jsonschema.Draft202012Validator(schema)
+    assert interpreter_message(doc) == oracle_message(doc, oracle)
+
+
+# Replacement values: every JSON type, values at and past the schema's bounds,
+# and lists longer than its caps.
+VALUES = (None, True, False, 0, 1, 2, 3, 4, 5, -1, 1.0, 2.5, -0.5, 1e300, 1001,
+          10**25, 2**63, "", "x", "1/sqrt2", "-3/5", "1/0", "sqrt2", "propagate",
+          [], [1], [1, 2], [1.0, "a"], [2, 2], [[1, 2], [3, 4]], ["1/sqrt2"] * 65,
+          list(range(65)), {}, {"x": 1}, {"command": "hilbert"})
+KEYS = ("name", "description", "context", "layers", "initial", "matrices", "eraser",
+        "run", "n", "seed", "shapes", "samples", "level", "labels", "property",
+        "jointVolumes", "uniqueness", "extra", "z")
+
+
+def _containers(node):
+    if isinstance(node, (dict, list)):
+        yield node
+        for child in (node.values() if isinstance(node, dict) else node):
+            yield from _containers(child)
+
+
+def mutate(doc, rng):
+    """Replace a value, delete a key or item, or add an unknown key or item."""
+    node = rng.choice(list(_containers(doc)))
+    op = rng.choice(("replace", "delete", "add")) if node else "add"
+    value = copy.deepcopy(rng.choice(VALUES))
+    if op == "add":
+        if isinstance(node, dict):
+            node[rng.choice(KEYS)] = value
+        else:
+            node.append(value)
+        return
+    key = rng.choice(list(node) if isinstance(node, dict) else range(len(node)))
+    if op == "replace":
+        node[key] = value
+    else:
+        del node[key]
+
+
+def test_mutated_scenarios_match_jsonschema():
+    rng = random.Random(20171)
+    docs = [json.loads(bundled_scenario_path(name).read_text()) for name in BUNDLED]
+    rejected = 0
+    for case in range(2000):
+        doc = copy.deepcopy(docs[case % len(docs)])
+        for _ in range(rng.randint(1, 3)):
+            mutate(doc, rng)
+        want = oracle_message(doc)
+        assert interpreter_message(doc) == want, (case, doc)
+        rejected += want is not None
+    # the mutations must mostly break the documents to test the messages
+    assert rejected > 1200
+
+
+@pytest.mark.parametrize("schema", [
+    {"type": "array", "uniqueItems": True},
+    {"type": "object", "properties": {"a": {"type": "array", "uniqueItems": True}}},
+    {"items": {"oneOf": [{"type": "string"}, {"format": "email"}]}},
+    {"$ref": "#/$defs/x", "$defs": {"x": {"maxLength": 3}}},
+    {"type": "object", "additionalProperties": {"type": "string"}},
+    {"type": ["string", "null"]},
+    {"enum": [[1, 2]]},
+    {"$ref": "other.json#/x"},
+], ids=["uniqueItems", "nested", "in-oneOf", "in-defs", "additional-schema",
+        "type-list", "enum-of-lists", "remote-ref"])
+def test_uninterpreted_keyword_is_refused(schema):
+    with pytest.raises(ValueError, match="unsupported"):
+        check_schema(schema)
+
+
+def test_bundled_schema_is_interpreted_whole():
+    assert check_schema(SCHEMA) is SCHEMA
 
 
 class TestLoading:
@@ -175,6 +311,43 @@ class TestCli:
         assert "schema error" in result.output
         assert not list(tmp_path.glob("minimal-*"))
 
+    @pytest.mark.parametrize("path, size", [
+        (("layers",), 65), (("layers", 0, "labels"), 65), (("initial",), 65),
+        (("matrices",), 65), (("matrices", 0), 65), (("matrices", 0, 0), 65),
+    ], ids=["layers", "labels", "initial", "matrices", "matrix-rows", "row-entries"])
+    def test_oversized_context_exit_code_2(self, tmp_path, path, size):
+        doc = minimal_doc()
+        parent = doc["context"]
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = [parent[path[-1]][0]] * size
+        bad = tmp_path / "oversized.json"
+        bad.write_text(json.dumps(doc))
+        result = run_cli(tmp_path, str(bad))
+        assert result.exit_code == 2
+        assert "schema error" in result.output and "is too long" in result.output
+        assert not list(tmp_path.glob("minimal-*"))
+
+    def test_oversized_sample_count_option_exit_code_2(self, tmp_path):
+        result = run_cli(tmp_path, str(bundled_scenario_path("mach-zehnder-open")),
+                         "--command", "montecarlo", "--n", str(10**23))
+        assert result.exit_code == 2
+        assert "'--n'" in result.output
+        assert not list(tmp_path.iterdir())
+
+    def test_oversized_sample_count_in_scenario_exit_code_2(self, tmp_path):
+        bad = tmp_path / "oversized.json"
+        bad.write_text(json.dumps(minimal_doc(run={"command": "montecarlo", "n": 10**25})))
+        result = run_cli(tmp_path, str(bad))
+        assert result.exit_code == 2
+        assert "schema error: run/n: " in result.output
+        assert not list(tmp_path.glob("minimal-*"))
+
+    def test_largest_sample_count_runs(self, tmp_path):
+        result = run_cli(tmp_path, str(bundled_scenario_path("mach-zehnder-open")),
+                         "--command", "montecarlo", "--n", str(2**63 - 1))
+        assert result.exit_code == 0, result.output
+
     def test_validate_command(self, tmp_path):
         result = run_cli(tmp_path, str(bundled_scenario_path("branching")),
                          "--command", "validate")
@@ -253,20 +426,29 @@ def _cli_call(name, command):
     return f"main({argv!r}, standalone_mode=False)"
 
 
+# loaded by no command: the schema is interpreted in epiq.scenario
+NO_LIBRARY = ("scipy", "jsonschema")
+# only the montecarlo command (borel_trial) loads the state-space modules
+LIGHT = ("numpy", *NO_LIBRARY, "epiq.statespace", "epiq.evolution")
+
+
 class TestImportCost:
     """A module-level import on the CLI path is only for what every command
-    uses; numpy is imported by the commands that need it, and no command
-    loads scipy."""
+    uses; numpy and epiq.evolution (with the state space under it) are
+    imported by the commands that need them, and no command loads scipy or
+    jsonschema."""
 
     @pytest.mark.parametrize("statement, forbidden", [
-        ("pass", ("numpy", "scipy")),
-        (_cli_call("mach-zehnder-open", "propagate"), ("numpy", "scipy")),
-        (_cli_call("branching", "validate"), ("numpy", "scipy")),
+        ("pass", LIGHT),
+        (_cli_call("mach-zehnder-open", "propagate"), LIGHT),
+        (_cli_call("branching", "validate"), LIGHT),
         # M < M': the orthonormal completion comes from numpy's SVD
-        (_cli_call("branching", "hilbert"), ("scipy",)),
+        (_cli_call("branching", "hilbert"), LIGHT[1:]),
         ("import epiq.hilbert, epiq.uniqueness", ("scipy",)),
-        (_cli_call("born-uniqueness", "uniqueness"), ("scipy",)),
-    ], ids=["import", "propagate", "validate", "hilbert", "modules", "uniqueness"])
+        (_cli_call("born-uniqueness", "uniqueness"), NO_LIBRARY),
+        (_cli_call("mach-zehnder-detected", "montecarlo"), NO_LIBRARY),
+    ], ids=["import", "propagate", "validate", "hilbert", "modules", "uniqueness",
+            "montecarlo"])
     def test_heavy_modules_not_loaded(self, tmp_path, statement, forbidden):
         loaded = _modules_after(tmp_path, statement)
         assert [m for m in loaded

@@ -23,6 +23,12 @@ def mz(level: int) -> ContextNetwork:
         edges=(((H, H), (H, HN)),))
 
 
+def test_knowability_is_one_object_in_every_module():
+    import epiq
+    import epiq.context
+    assert Knowability is epiq.Knowability is epiq.context.Knowability
+
+
 class TestValidation:
     def test_valid_network(self):
         assert validate_context(mz(1)) == []
