@@ -2,6 +2,8 @@
 
 The evolution rule is stored per exact state; the action on a set is the
 union of member images, so set-theoretic linearity holds by construction.
+A rule turns its images into a table from each code to its image codes once
+per registry, so applying it reads the state's mask and builds one mask.
 The contracts the rule must honour (a state never overlaps its own future,
 overlaps are preserved both ways) are checked at application time on the
 states a scenario actually exercises.
@@ -10,10 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from . import Knowability  # re-exported: epiq.evolution.Knowability
-from .statespace import EpistemicState, ExactState, PropertySpec, relative_volume
+from .statespace import EpistemicState, ExactState, ObjectRegistry, PropertySpec, relative_volume
 
 
 class EvolutionContractError(ValueError):
@@ -22,7 +25,9 @@ class EvolutionContractError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class EvolutionRule:
-    """Equality and hash are identity: the image map is a mutable mapping."""
+    """Equality and hash are identity: the image map is a mutable mapping.
+    Each registry's code table is built on the first ``apply`` over it, so
+    later changes to ``images`` do not reach it."""
 
     images: Mapping  # ExactState -> frozenset of ExactState
 
@@ -37,9 +42,31 @@ class EvolutionRule:
         except KeyError:
             raise ValueError("exact state outside the rule's domain") from None
 
+    @cached_property
+    def _tables(self) -> dict:
+        return {}
+
+    def _table(self, registry: ObjectRegistry) -> dict:
+        """Each code of ``registry`` in the domain, mapped to its image codes."""
+        if registry not in self._tables:
+            table = {}
+            for z, img in self.images.items():
+                if z.registry is registry or z.registry == registry:
+                    codes = []
+                    for w in img:
+                        if w.registry is not registry and w.registry != registry:
+                            raise ValueError("image from a different registry")
+                        codes.append(w.code)
+                    table[z.code] = codes
+            self._tables[registry] = table
+        return self._tables[registry]
+
     def apply(self, s: EpistemicState) -> EpistemicState:
         """The union of the member images, over the same registry."""
-        return EpistemicState(s.registry, frozenset().union(*map(self.image_of, s.members)))
+        try:
+            return s._map(self._table(s.registry))
+        except KeyError:
+            raise ValueError("exact state outside the rule's domain") from None
 
 
 def evolve(s: EpistemicState, rule: EvolutionRule,
@@ -50,10 +77,10 @@ def evolve(s: EpistemicState, rule: EvolutionRule,
     or if overlap with any tracked companion state is created or destroyed.
     """
     out = rule.apply(s)
-    if s.physical and (s.members & out.members):
+    if s.physical and s._meet(out):
         raise EvolutionContractError("state overlaps its own future")
     for other in tracked_pairs:
-        if bool(s.members & other.members) != bool(out.members & rule.apply(other).members):
+        if bool(s._meet(other)) != bool(out._meet(rule.apply(other))):
             raise EvolutionContractError("evolution not subjectively invertible")
     return out
 
@@ -81,17 +108,17 @@ class CompleteAlternativeSet:
         object.__setattr__(self, "alternatives", alts)
         if len(alts) < 2:
             raise ValueError("no genuine alternatives")
-        covered = set()
+        covered = 0
         for alt in alts:
             if not alt.region.issubset(self.parent):
                 raise ValueError("alternative region outside parent state")
-            if covered & alt.region.members:
+            if covered & alt.region.mask:
                 raise ValueError("alternatives not mutually exclusive")
-            covered |= alt.region.members
-        if covered != self.parent.members:
+            covered |= alt.region.mask
+        if covered != self.parent.mask:
             raise ValueError("alternative set incomplete")
         for alt in alts:
-            if alt.region.members == self.parent.members:
+            if alt.region.mask == self.parent.mask:
                 raise ValueError("alternative must be a strict subset of its parent")
 
 
@@ -101,11 +128,11 @@ def make_alternatives(parent: EpistemicState, p: PropertySpec,
     """Cut the parent state along caller-supplied future value regions."""
     alts = []
     for j, region in sorted(future_preimages.items()):
-        cut = parent.members & region.members
+        cut = parent._meet(region)
         if not cut:
             continue
         alts.append(FutureAlternative(
-            region=EpistemicState(parent.registry, cut),
+            region=EpistemicState._of(parent.registry, cut),
             property_id=p.id,
             value_index=j,
             level=Knowability(levels[j]),

@@ -202,6 +202,12 @@ def load_scenario(doc: dict) -> Scenario:
     except ValueError as e:
         raise ScenarioDomainError(str(e)) from e
 
+    # an integral float passes the schema's "integer" type, as in JSON Schema
+    uniqueness = doc.get("uniqueness")
+    if uniqueness is not None:
+        uniqueness = {k: [[int(m), int(mp)] for m, mp in v] if k == "shapes" else int(v)
+                      for k, v in uniqueness.items()}
+    run = {k: int(v) if k in ("n", "seed") else v for k, v in doc.get("run", {}).items()}
     jv = doc.get("jointVolumes")
     return Scenario(
         name=doc["name"],
@@ -210,8 +216,8 @@ def load_scenario(doc: dict) -> Scenario:
         eraser=ctx.get("eraser"),
         joint_volumes=tuple(tuple(row) for row in jv) if jv else None,
         simultaneous=bool(doc.get("simultaneous", False)),
-        uniqueness=doc.get("uniqueness"),
-        run=dict(doc.get("run", {})),
+        uniqueness=uniqueness,
+        run=run,
     )
 
 

@@ -7,8 +7,11 @@ required axioms (nonnegative, additive over disjoint unions, 1 on singletons)
 at the finite scale this library targets.
 
 Each exact state carries a mixed-radix integer ``code``: its position in the
-``itertools.product`` order of the registry's slot values.  States hash by
-that code, so set operations on members never rehash the registry.
+``itertools.product`` order of the registry's slot values.  An epistemic
+state is the pair (registry, mask), an integer whose bit ``code`` is set for
+each member, so AND, OR, NOT, slices and volumes are integer operations that
+build no exact state.  ``members`` decodes the mask into exact states on first
+use and caches them.
 """
 from __future__ import annotations
 
@@ -18,7 +21,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 
 class ContradictionError(ValueError):
@@ -151,6 +154,37 @@ class ObjectRegistry:
         """Per slot, the map from each legal value to its digit."""
         return tuple({v: d for d, v in enumerate(values)} for values in self._slot_values)
 
+    @cached_property
+    def _size(self) -> int:
+        """The number of exact states, refused above ``MAX_STATES``: a mask spans them all."""
+        size = math.prod(map(len, self._slot_values))
+        if size > MAX_STATES:
+            raise StateSpaceSizeError(
+                f"full state space has {size} exact states, above the limit of {MAX_STATES}")
+        return size
+
+    @cached_property
+    def _zero_runs(self) -> tuple:
+        """Per slot, its stride and the mask of the codes whose digit there is 0.
+
+        In product order those codes are a run of ``stride`` ones every
+        ``radix * stride`` codes, so the mask is one run doubled until it spans
+        the space; digit ``d`` is the same mask shifted by ``d * stride``.
+        """
+        runs, stride = [], 1
+        for legal in reversed(self._slot_values):
+            mask, width = (1 << stride) - 1, stride * len(legal)
+            while width < self._size:
+                mask |= mask << width
+                width *= 2
+            runs.append((stride, mask & ((1 << self._size) - 1)))
+            stride *= len(legal)
+        return tuple(reversed(runs))
+
+    def _value_mask(self, idx: int, digit: int) -> int:
+        stride, zero = self._zero_runs[idx]
+        return zero << (digit * stride)
+
     def slots(self) -> tuple:
         return self._slots
 
@@ -193,6 +227,15 @@ class ExactState:
             raise
         object.__setattr__(self, "code", code)
 
+    @classmethod
+    def _coded(cls, registry: ObjectRegistry, values: tuple, code: int) -> "ExactState":
+        """A state whose values are legal and whose code is known; skips the checks."""
+        z = object.__new__(cls)
+        object.__setattr__(z, "registry", registry)
+        object.__setattr__(z, "values", values)
+        object.__setattr__(z, "code", code)
+        return z
+
     def __hash__(self):
         return self.code
 
@@ -200,67 +243,121 @@ class ExactState:
         return self.values[self.registry._position(object_id, attribute_id)]
 
 
-@dataclass(frozen=True)
+# Masks convert to and from their binary digits in linear time.
+_TO_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _flags(mask: int) -> bytes:
+    """One byte per code, lowest first: 1 for a member, else 0."""
+    return bin(mask)[:1:-1].encode().translate(_TO_FLAGS)
+
+
+def _mask_of(codes: Iterable[int], size: int) -> int:
+    """The mask with bit ``c`` set for each code ``c`` below ``size``."""
+    digits = bytearray(b"0" * size)  # lowest code first
+    for c in codes:
+        digits[c] = 49  # ord("1")
+    return int(digits[::-1], 2)
+
+
+def _codes(mask: int) -> Iterator[int]:
+    """The set bits of ``mask``, lowest first."""
+    return itertools.compress(itertools.count(), _flags(mask))
+
+
+@dataclass(frozen=True, init=False)
 class EpistemicState:
     """A nonempty finite set of exact states over one registry.
 
+    The set is ``mask``, with bit ``z.code`` set for each member ``z``.
     ``physical`` marks states meant to model actual incomplete knowledge,
     which always leaves more than one exact state open.  Scratch values
     produced by intersections may legitimately be singletons.
     """
 
     registry: ObjectRegistry
-    members: frozenset
+    mask: int
     physical: bool = False
 
-    def __post_init__(self):
-        object.__setattr__(self, "members", frozenset(self.members))
-        if not self.members:
-            raise VoidStateError("void state has no volume meaning")
-        if self.physical and len(self.members) < 2:
-            raise ValueError("a physical state must leave at least two exact states open")
-        reg = self.registry
-        for z in self.members:
-            if z.registry is not reg and z.registry != reg:
+    def __init__(self, registry: ObjectRegistry, members: Iterable[ExactState],
+                 physical: bool = False):
+        codes = []
+        for z in members:
+            if z.registry is not registry and z.registry != registry:
                 raise ValueError("member from a different registry")
+            codes.append(z.code)
+        self._fill(registry, _mask_of(codes, registry._size), physical)
+
+    @classmethod
+    def _of(cls, registry: ObjectRegistry, mask: int, physical: bool = False) -> "EpistemicState":
+        s = object.__new__(cls)
+        s._fill(registry, mask, physical)
+        return s
+
+    def _fill(self, registry, mask, physical):
+        if not mask:
+            raise VoidStateError("void state has no volume meaning")
+        if physical and not mask & (mask - 1):
+            raise ValueError("a physical state must leave at least two exact states open")
+        object.__setattr__(self, "registry", registry)
+        object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "physical", physical)
+
+    @cached_property
+    def members(self) -> frozenset:
+        """The exact states of the mask; only members are built."""
+        reg = self.registry
+        picked = itertools.compress(enumerate(itertools.product(*reg.slot_values())),
+                                    _flags(self.mask))
+        return frozenset(ExactState._coded(reg, values, code) for code, values in picked)
 
     def __len__(self):
-        return len(self.members)
+        return self.mask.bit_count()
 
     def __contains__(self, z: ExactState):
-        return z in self.members
+        return z.registry == self.registry and bool(self.mask >> z.code & 1)
+
+    def _meet(self, other: "EpistemicState") -> int:
+        """The mask of the common members; 0 across different registries."""
+        return self.mask & other.mask if other.registry == self.registry else 0
 
     def issubset(self, other: "EpistemicState") -> bool:
-        return self.members <= other.members
+        return self._meet(other) == self.mask
+
+    def _map(self, images: Mapping[int, Iterable[int]]) -> "EpistemicState":
+        """The union of ``images[c]`` over the member codes ``c``; raises
+        ``KeyError`` for a member code without images."""
+        codes = itertools.chain.from_iterable(map(images.__getitem__, _codes(self.mask)))
+        return EpistemicState._of(self.registry, _mask_of(codes, self.registry._size))
 
 
 def all_exact_states(registry: ObjectRegistry) -> Iterator[ExactState]:
-    """Enumerate the full state space of a registry."""
-    for combo in itertools.product(*registry.slot_values()):
-        yield ExactState(registry, combo)
+    """Enumerate the full state space of a registry; the enumeration index is the code."""
+    for code, combo in enumerate(itertools.product(*registry.slot_values())):
+        yield ExactState._coded(registry, combo, code)
 
 
 def full_state(registry: ObjectRegistry) -> EpistemicState:
     """Every exact state of a registry, refused above ``MAX_STATES`` members."""
-    count = math.prod(len(table) for table in registry._digits)
-    if count > MAX_STATES:
-        raise StateSpaceSizeError(
-            f"full state space has {count} exact states, above the limit of {MAX_STATES}")
-    return EpistemicState(registry, frozenset(all_exact_states(registry)), physical=True)
+    return EpistemicState._of(registry, (1 << registry._size) - 1, physical=True)
 
 
 def state_slice(state: EpistemicState, object_id: str, attribute_id: str, value) -> EpistemicState:
     """The members of ``state`` whose (object, attribute) slot has ``value``."""
-    idx = state.registry._position(object_id, attribute_id)
-    members = frozenset(z for z in state.members if z.values[idx] == value)
-    if not members:
+    reg = state.registry
+    idx = reg._position(object_id, attribute_id)
+    try:
+        mask = state.mask & reg._value_mask(idx, reg._digits[idx][value])
+    except (KeyError, TypeError):  # TypeError: an unhashable value
+        mask = 0
+    if not mask:
         raise VoidStateError(f"no member has {object_id}.{attribute_id} = {value!r}")
-    return EpistemicState(state.registry, members)
+    return EpistemicState._of(reg, mask)
 
 
 def volume(s: EpistemicState) -> int:
     """Cardinality measure; 1 on singletons, additive over disjoint unions."""
-    return len(s.members)
+    return len(s)
 
 
 def relative_volume(part: EpistemicState, whole: EpistemicState) -> Fraction:
@@ -274,18 +371,18 @@ def combine(a: EpistemicState, b: EpistemicState, connective: str) -> EpistemicS
     if a.registry != b.registry:
         raise ValueError("states are over different registries")
     if connective == "AND":
-        members = a.members & b.members
-        if not members:
+        mask = a.mask & b.mask
+        if not mask:
             raise ContradictionError("contradictory knowledge")
     elif connective == "OR":
-        members = a.members | b.members
+        mask = a.mask | b.mask
     elif connective == "NOT":
-        members = a.members - b.members
-        if not members:
+        mask = a.mask & ~b.mask
+        if not mask:
             raise VoidStateError("difference removed every exact state")
     else:
         raise ValueError(f"unknown connective {connective!r}")
-    return EpistemicState(a.registry, members)
+    return EpistemicState._of(a.registry, mask)
 
 
 def collective_state(subject_states: Sequence[EpistemicState]) -> EpistemicState:
@@ -293,14 +390,14 @@ def collective_state(subject_states: Sequence[EpistemicState]) -> EpistemicState
     if not subject_states:
         raise ValueError("need at least one subject state")
     registry = subject_states[0].registry
-    members = frozenset(subject_states[0].members)
+    mask = subject_states[0].mask
     for s in subject_states[1:]:
         if s.registry != registry:
             raise ValueError("states are over different registries")
-        members &= s.members
-    if not members:
+        mask &= s.mask
+    if not mask:
         raise ContradictionError("subjects' knowledge contradicts")
-    return EpistemicState(registry, members)
+    return EpistemicState._of(registry, mask)
 
 
 def knowledge_dimension(distinct_attributes: Sequence[int]) -> int:
@@ -337,13 +434,9 @@ class PropertySpec:
         """The members of ``within`` where the property has value index j."""
         if not 0 <= j < len(self.labels):
             raise ValueError(f"property {self.id}: no value index {j}")
-        members = frozenset(z for z in within.members if self.valuation(z) == j)
-        if not members:
-            return None
-        return EpistemicState(within.registry, members)
+        members = [z for z in within.members if self.valuation(z) == j]
+        return EpistemicState(within.registry, members) if members else None
 
     def defined_region(self, within: EpistemicState) -> Optional[EpistemicState]:
-        members = frozenset(z for z in within.members if self.valuation(z) is not None)
-        if not members:
-            return None
-        return EpistemicState(within.registry, members)
+        members = [z for z in within.members if self.valuation(z) is not None]
+        return EpistemicState(within.registry, members) if members else None

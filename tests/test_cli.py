@@ -311,6 +311,25 @@ class TestCli:
         assert "schema error" in result.output
         assert not list(tmp_path.glob("minimal-*"))
 
+    def test_integral_float_uniqueness_fields(self, tmp_path):
+        doc = tmp_path / "floats.json"
+        doc.write_text(json.dumps(minimal_doc(
+            uniqueness={"shapes": [[2.0, 2]], "samples": 2.0, "seed": 1.0})))
+        result = run_cli(tmp_path, str(doc), "--command", "uniqueness")
+        assert result.exit_code == 0, result.output
+        payload = json.loads((tmp_path / "minimal-uniqueness.json").read_text())
+        assert payload["result"]["rows"][0]["shape"] == [2, 2]
+
+    def test_integral_float_run_fields(self, tmp_path):
+        doc = tmp_path / "floats.json"
+        doc.write_text(json.dumps(minimal_doc(
+            run={"command": "montecarlo", "n": 1000.0, "seed": 3.0})))
+        result = run_cli(tmp_path, str(doc))
+        assert result.exit_code == 0, result.output
+        text = (tmp_path / "minimal-montecarlo.json").read_text()
+        assert '"n": 1000,' in text and '"n": 1000.0' not in text
+        assert json.loads(text)["seed"] == 3 and '"seed": 3.0' not in text
+
     @pytest.mark.parametrize("path, size", [
         (("layers",), 65), (("layers", 0, "labels"), 65), (("initial",), 65),
         (("matrices",), 65), (("matrices", 0), 65), (("matrices", 0, 0), 65),

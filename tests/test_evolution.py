@@ -6,7 +6,8 @@ import pytest
 from epiq.evolution import (CompleteAlternativeSet, EvolutionContractError, EvolutionRule,
                             FutureAlternative, Knowability, borel_trial, check_invariance,
                             evolve, make_alternatives, probability)
-from epiq.statespace import EpistemicState, PropertySpec, all_exact_states, full_state, state_slice
+from epiq.statespace import (EpistemicState, ObjectRegistry, PropertySpec, all_exact_states,
+                             full_state, state_slice)
 
 
 def shift_rule(registry, step=1):
@@ -64,6 +65,21 @@ class TestEvolve:
         with pytest.raises(ValueError, match="domain"):
             evolve(whole, rule)
 
+    def test_partial_domain_rejected(self, registry, whole):
+        up = state_slice(whole, "particle", "spin", "up")
+        rule = EvolutionRule(images={z: frozenset([z]) for z in up.members})
+        assert rule.apply(up) == up
+        with pytest.raises(ValueError, match="outside the rule's domain"):
+            rule.apply(whole)
+
+    def test_images_in_a_different_registry_rejected(self, registry, whole):
+        other = ObjectRegistry(registry.attributes, (("atom", ("position", "spin")),))
+        targets = {z.values: z for z in all_exact_states(other)}
+        rule = EvolutionRule(images={z: frozenset([targets[z.values]])
+                                     for z in all_exact_states(registry)})
+        with pytest.raises(ValueError, match="different registry"):
+            rule.apply(whole)
+
     def test_rule_equality_and_hash_are_identity(self, registry):
         rule, twin = shift_rule(registry), shift_rule(registry)
         assert rule == rule and hash(rule) == hash(rule)
@@ -116,6 +132,13 @@ class TestAlternatives:
             property_id="spin", value_index=1, level=Knowability.DECIDED)
         with pytest.raises(ValueError, match="incomplete"):
             CompleteAlternativeSet(parent=whole, alternatives=(half, quarter))
+
+    def test_regions_from_members_equal_regions_from_masks(self, registry, spin_alternatives):
+        for alt in spin_alternatives.alternatives:
+            rebuilt = FutureAlternative(
+                region=EpistemicState(registry, alt.region.members),
+                property_id=alt.property_id, value_index=alt.value_index, level=alt.level)
+            assert rebuilt == alt and hash(rebuilt) == hash(alt)
 
     def test_overlapping_alternatives_rejected(self, whole, spin_alternatives):
         a = spin_alternatives.alternatives[0]

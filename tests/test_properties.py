@@ -13,8 +13,8 @@ from epiq.context import ContextNetwork, ContextualState, Layer, propagate
 from epiq.evolution import EvolutionRule, Knowability, make_alternatives, probability
 from epiq.exactnum import ExactAmplitude, Sqrt2Scalar, abs2, parse_exact
 from epiq.statespace import (AttributeDef, EpistemicState, ObjectRegistry, PropertySpec,
-                             all_exact_states, combine, full_state, relative_volume,
-                             state_slice, volume)
+                             VoidStateError, all_exact_states, combine, full_state,
+                             relative_volume, state_slice, volume)
 
 
 def small_registry(n_positions: int, n_marks: int) -> ObjectRegistry:
@@ -78,6 +78,40 @@ class TestStateCodes:
                 combined = combine(a, b, connective)
                 assert volume(combined) == len(expected)
                 assert {z.code for z in combined.members} == expected
+
+
+class TestMaskOracles:
+    """Mask operations against brute-force work on decoded members."""
+
+    @given(mixed_registries(), st.randoms(use_true_random=False))
+    @settings(max_examples=40, deadline=None)
+    def test_slice_equals_member_filter(self, registry, rnd):
+        states = list(all_exact_states(registry))
+        for whole in (full_state(registry),
+                      EpistemicState(registry, rnd.sample(states, rnd.randint(1, len(states))))):
+            for idx, (oid, aid) in enumerate(registry.slots()):
+                for v in registry.slot_values()[idx]:
+                    expected = {z for z in whole.members if z.values[idx] == v}
+                    if expected:
+                        assert state_slice(whole, oid, aid, v).members == expected
+                    else:
+                        with pytest.raises(VoidStateError):
+                            state_slice(whole, oid, aid, v)
+
+    @given(mixed_registries(), st.booleans(), st.randoms(use_true_random=False))
+    @settings(max_examples=40, deadline=None)
+    def test_apply_equals_union_of_images(self, registry, twin, rnd):
+        # the rule may be keyed by an equal registry that is another object
+        rule_registry = ObjectRegistry(registry.attributes, registry.objects) if twin else registry
+        targets = list(all_exact_states(rule_registry))
+        rule = EvolutionRule(images={
+            z: frozenset(rnd.sample(targets, rnd.randint(1, min(3, len(targets)))))
+            for z in all_exact_states(rule_registry)})
+        states = list(all_exact_states(registry))
+        s = EpistemicState(registry, rnd.sample(states, rnd.randint(1, len(states))))
+        expected = frozenset().union(*(rule.image_of(z) for z in s.members))
+        assert rule.apply(s).members == expected
+        assert rule.apply(s).registry is registry
 
 
 class TestMeasureAxioms:

@@ -4,10 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from epiq.statespace import (AttributeDef, ContradictionError, EpistemicState, ExactState,
-                             ObjectRegistry, PropertySpec, StateSpaceSizeError, VoidStateError,
-                             all_exact_states, collective_state, combine, full_state,
-                             knowledge_dimension, relative_volume, state_slice, volume)
+from epiq import statespace
+from epiq.statespace import (MAX_STATES, AttributeDef, ContradictionError, EpistemicState,
+                             ExactState, ObjectRegistry, PropertySpec, StateSpaceSizeError,
+                             VoidStateError, all_exact_states, collective_state, combine,
+                             full_state, knowledge_dimension, relative_volume, state_slice,
+                             volume)
 
 
 class TestAttributeDef:
@@ -108,6 +110,18 @@ class TestExactStateCode:
         with pytest.raises(ValueError, match="illegal value"):
             ExactState(registry, ([1], "up"))
 
+    @pytest.mark.parametrize("value", [9, "sideways", [1]], ids=["illegal", "other", "unhashable"])
+    def test_slice_on_an_impossible_value_is_void(self, whole, value):
+        with pytest.raises(VoidStateError, match="no member has particle.position"):
+            state_slice(whole, "particle", "position", value)
+
+    def test_state_from_members_equals_state_from_mask(self, registry, whole):
+        up = state_slice(whole, "particle", "spin", "up")
+        rebuilt = EpistemicState(registry, up.members)
+        assert rebuilt == up and hash(rebuilt) == hash(up) and rebuilt.mask == up.mask
+        assert EpistemicState(registry, whole.members, physical=True) == whole
+        assert up in {rebuilt}
+
     def test_unknown_slot_rejected(self, registry, whole):
         z = next(all_exact_states(registry))
         with pytest.raises(ValueError, match="no slot"):
@@ -130,6 +144,15 @@ class TestExactStateCode:
             full_state(big)
         first = next(all_exact_states(big))
         assert first.code == 0 and first.values == (0, 0, 0, 0)
+
+
+    def test_full_state_builds_no_exact_state(self, monkeypatch):
+        ten = AttributeDef(id="ten", kind="ordered", values=tuple(range(10)))
+        big = ObjectRegistry.build([ten], {f"o{k}": ["ten"] for k in range(6)})
+        monkeypatch.setattr(statespace, "ExactState", None)
+        whole = full_state(big)
+        assert volume(whole) == MAX_STATES
+        assert volume(state_slice(whole, "o2", "ten", 7)) == MAX_STATES // 10
 
 
 class TestVolume:
