@@ -164,6 +164,15 @@ def parse_amplitude(value):
     return complex(float(value), 0.0)
 
 
+def _amplitude_at(value, *path):
+    """`parse_amplitude` of the field at `path`; a token the schema admits but
+    the parser refuses ("1/0", too many digits) is a schema error there."""
+    try:
+        return parse_amplitude(value)
+    except ValueError as e:
+        raise ScenarioSchemaError(f"{'/'.join(map(str, path))}: {e}") from e
+
+
 @dataclass(frozen=True)
 class Scenario:
     name: str
@@ -193,10 +202,12 @@ def load_scenario(doc: dict) -> Scenario:
         Layer(property_id=l["property"], level=Knowability(l["level"]),
               labels=tuple(l["labels"]))
         for l in ctx["layers"])
-    initial = tuple(parse_amplitude(a) for a in ctx["initial"])
+    initial = tuple(_amplitude_at(a, "context", "initial", j)
+                    for j, a in enumerate(ctx["initial"]))
     matrices = tuple(
-        tuple(tuple(parse_amplitude(a) for a in row) for row in m)
-        for m in ctx["matrices"])
+        tuple(tuple(_amplitude_at(a, "context", "matrices", i, r, k)
+                    for k, a in enumerate(row)) for r, row in enumerate(m))
+        for i, m in enumerate(ctx["matrices"]))
     try:
         network = ContextNetwork(layers=layers, initial=initial, edges=matrices)
     except ValueError as e:

@@ -417,6 +417,23 @@ class TestCli:
         assert "non-finite" in result.output
         assert not list(tmp_path.glob("minimal-*"))
 
+    @pytest.mark.parametrize("token, reason", [("1/0", "zero denominator"),
+                                               ("1" * 5000, "Exceeds the limit")])
+    @pytest.mark.parametrize("field, path", [
+        (lambda ctx: ctx["initial"], "context/initial/0"),
+        (lambda ctx: ctx["matrices"][0][1], "context/matrices/0/1/0"),
+    ])
+    def test_unreadable_exact_token_exit_code_2(self, tmp_path, token, reason, field, path):
+        doc = minimal_doc()
+        field(doc["context"])[0] = token
+        bad = tmp_path / "unreadable.json"
+        bad.write_text(json.dumps(doc))
+        result = run_cli(tmp_path, str(bad), "--command", "propagate")
+        assert result.exit_code == 2
+        assert f"schema error: {path}: " in result.output
+        assert reason in result.output
+        assert not list(tmp_path.glob("minimal-*"))
+
 
 def _modules_after(tmp_path, statement):
     """Module names a fresh interpreter holds after importing epiq.cli and

@@ -1,0 +1,186 @@
+"""Q(sqrt2) arithmetic against a plain (Fraction, Fraction) pair oracle, and
+the value-object contract of Sqrt2Scalar and ExactAmplitude."""
+import copy
+import pickle
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from epiq.exactnum import ONE, ZERO, ExactAmplitude, Sqrt2Scalar, parse_exact
+
+ROOT2 = 2 ** 0.5
+
+# Large numerators and denominators, plus small ones that share denominators
+# and cancel to zero.
+fractions = st.one_of(
+    st.builds(F, st.integers(-10**40, 10**40), st.integers(1, 10**40)),
+    st.builds(F, st.integers(-4, 4), st.integers(1, 4)),
+)
+pairs = st.tuples(fractions, fractions)
+rationals = st.one_of(st.integers(-10**20, 10**20), fractions)
+
+
+def scalar(pair):
+    return Sqrt2Scalar(*pair)
+
+
+def amplitude(re, im):
+    return ExactAmplitude(scalar(re), scalar(im))
+
+
+def coords(x):
+    assert type(x) is Sqrt2Scalar
+    return x.p, x.q
+
+
+def o_add(x, y):
+    return x[0] + y[0], x[1] + y[1]
+
+
+def o_sub(x, y):
+    return x[0] - y[0], x[1] - y[1]
+
+
+def o_mul(x, y):
+    return x[0] * y[0] + 2 * x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def o_cmul(z, w):
+    return o_sub(o_mul(z[0], w[0]), o_mul(z[1], w[1])), o_add(o_mul(z[0], w[1]), o_mul(z[1], w[0]))
+
+
+@given(pairs, pairs)
+@settings(max_examples=300, deadline=None)
+def test_scalar_arithmetic_matches_pair_oracle(x, y):
+    a, b = scalar(x), scalar(y)
+    assert coords(a + b) == o_add(x, y)
+    assert coords(a - b) == o_sub(x, y)
+    assert coords(a * b) == o_mul(x, y)
+    assert coords(-a) == (-x[0], -x[1])
+    assert coords(a - a) == (0, 0)
+
+
+@given(pairs, rationals)
+@settings(max_examples=300, deadline=None)
+def test_mixed_int_and_fraction_operands(x, r):
+    a, o = scalar(x), (F(r), F(0))
+    assert coords(r + a) == coords(a + r) == o_add(x, o)
+    assert coords(r * a) == coords(a * r) == o_mul(x, o)
+    assert coords(a - r) == o_sub(x, o)
+    assert Sqrt2Scalar.of(r) == Sqrt2Scalar(F(r))
+
+
+@given(pairs, pairs, pairs, pairs)
+@settings(max_examples=200, deadline=None)
+def test_amplitude_arithmetic_matches_pair_oracle(zr, zi, wr, wi):
+    z, w = amplitude(zr, zi), amplitude(wr, wi)
+    for got, want in ((z + w, (o_add(zr, wr), o_add(zi, wi))),
+                      (z - w, (o_sub(zr, wr), o_sub(zi, wi))),
+                      (-z, ((-zr[0], -zr[1]), (-zi[0], -zi[1]))),
+                      (z * w, o_cmul((zr, zi), (wr, wi)))):
+        assert type(got) is ExactAmplitude
+        assert (coords(got.re), coords(got.im)) == want
+    assert coords(z.abs2()) == o_add(o_mul(zr, zr), o_mul(zi, zi))
+    assert 0 + z == z + 0 == z
+
+
+@given(pairs, st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_rationality_and_float_match_pair_oracle(x, rational):
+    if rational:
+        x = (x[0], F(0))
+    a = scalar(x)
+    assert a.is_rational() is (x[1] == 0)
+    if x[1] == 0:
+        assert a.as_fraction() == x[0]
+        assert type(a.as_fraction()) is F
+    else:
+        with pytest.raises(ValueError, match="not rational"):
+            a.as_fraction()
+    assert float(a) == float(x[0]) + float(x[1]) * ROOT2
+
+
+@given(pairs, pairs, st.integers(1, 10**12))
+@settings(max_examples=300, deadline=None)
+def test_equal_values_by_different_routes(x, y, k):
+    a, b = scalar(x), scalar(y)
+    routes = [
+        a,
+        Sqrt2Scalar.of(x[0]) + Sqrt2Scalar(0, x[1]),
+        (a + b) - b,
+        a * ONE + ZERO,
+        (a * k) * Sqrt2Scalar(F(1, k)),
+        -(-a),
+        pickle.loads(pickle.dumps(a)),
+    ]
+    for route in routes:
+        assert route == a
+        assert hash(route) == hash(a)
+        assert repr(route) == repr(a)
+    z, w = amplitude(x, y), ExactAmplitude(scalar(x)) + ExactAmplitude(ZERO, scalar(y))
+    assert z == w and hash(z) == hash(w)
+    assert a * b == b * a and hash(a * b) == hash(b * a)
+
+
+def test_equal_fractions_build_equal_scalars():
+    assert Sqrt2Scalar(F(1, 2)) == Sqrt2Scalar(F(2, 4))
+    assert hash(Sqrt2Scalar(F(1, 2))) == hash(Sqrt2Scalar(F(2, 4)))
+    assert Sqrt2Scalar(F(0), F(1, 2)) == parse_exact("1/sqrt2").re
+    assert Sqrt2Scalar(0) == ZERO and Sqrt2Scalar(1) == ONE == Sqrt2Scalar.of(1)
+
+
+class TestValueObject:
+    SCALAR = Sqrt2Scalar(F(1, 3), F(-2, 5))
+    AMPLITUDE = ExactAmplitude(SCALAR, Sqrt2Scalar(7, F(1, 2)))
+
+    @pytest.mark.parametrize("name", ["p", "q", "_k", "other"])
+    def test_scalar_is_frozen(self, name):
+        with pytest.raises(AttributeError):
+            setattr(self.SCALAR, name, F(1))
+        with pytest.raises(AttributeError):
+            delattr(self.SCALAR, name)
+        assert self.SCALAR == Sqrt2Scalar(F(1, 3), F(-2, 5))
+
+    @pytest.mark.parametrize("name", ["re", "im", "_k", "other"])
+    def test_amplitude_is_frozen(self, name):
+        with pytest.raises(AttributeError):
+            setattr(self.AMPLITUDE, name, ONE)
+        with pytest.raises(AttributeError):
+            delattr(self.AMPLITUDE, name)
+        assert self.AMPLITUDE.re == self.SCALAR
+
+    @pytest.mark.parametrize("roundtrip", [
+        lambda x: pickle.loads(pickle.dumps(x)),
+        lambda x: pickle.loads(pickle.dumps(x, protocol=0)),
+        copy.copy,
+        copy.deepcopy,
+    ])
+    def test_pickle_and_copy_roundtrip(self, roundtrip):
+        for value in (self.SCALAR, self.AMPLITUDE, ZERO, parse_exact("-3/7")):
+            back = roundtrip(value)
+            assert type(back) is type(value)
+            assert back == value and hash(back) == hash(value)
+            assert repr(back) == repr(value)
+
+    def test_repr_is_unchanged(self):
+        assert repr(self.AMPLITUDE) == \
+            "ExactAmplitude(re=(1/3 + -2/5*sqrt2), im=(7 + 1/2*sqrt2))"
+        assert repr(Sqrt2Scalar(F(-1, 2))) == "-1/2"
+        assert repr(ZERO) == "0"
+        assert repr(parse_exact("1/sqrt2")) == "ExactAmplitude(re=(0 + 1/2*sqrt2), im=0)"
+        assert repr(Sqrt2Scalar(F(3, 4)).p) == "Fraction(3, 4)"
+
+    def test_equality_is_same_type_only(self):
+        assert (Sqrt2Scalar(F(1, 2)) == F(1, 2)) is False
+        assert (F(1, 2) == Sqrt2Scalar(F(1, 2))) is False
+        assert Sqrt2Scalar(F(1, 2)) != F(1, 2)
+        assert (ONE == 1) is False
+        assert (ExactAmplitude(ONE) == ONE) is False
+
+
+@pytest.mark.parametrize("token", ["1/0", "-3/0/sqrt2", "1" * 5000, "1/2/3", "sqrt2"])
+def test_unreadable_token_is_value_error(token):
+    with pytest.raises(ValueError):
+        parse_exact(token)
