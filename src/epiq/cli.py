@@ -94,7 +94,7 @@ def _cmd_montecarlo(scenario, eraser, n, seed, tolerance):
     freqs = borel_trial(dist.probabilities, n=n, seed=seed)
     rows, out_rows, all_ok = [], [], True
     for label, p, freq in zip(dist.labels, dist.probabilities, freqs):
-        sigma = math.sqrt(p * (1 - p) / n)
+        sigma = math.sqrt(max(p * (1 - p), 0.0) / n)
         lo, hi = p - 3 * sigma, p + 3 * sigma
         ok = bool(lo - tolerance <= freq <= hi + tolerance)
         all_ok = all_ok and ok
@@ -127,10 +127,8 @@ def _cmd_hilbert(scenario, eraser, tolerance):
     rows = [(space.kind, str(space.dimension), "", "")]
     if len(space.property_order) == 2:
         first, second = space.property_order
-        op_a = make_operator(space, first, labels=net.layers[0].labels
-                             if space.kind != "joint" else None)
-        op_b = make_operator(space, second, labels=net.layers[1].labels
-                             if space.kind != "joint" else None)
+        op_a = make_operator(space, first, labels=net.layers[0].labels)
+        op_b = make_operator(space, second, labels=net.layers[1].labels)
         comm = commutator(op_a, op_b)
         result["commutator_norm"] = comm.norm
         result["commuting"] = comm.commuting
@@ -157,7 +155,6 @@ def _cmd_uniqueness(scenario, seed):
     section = scenario.uniqueness or {}
     shapes = [tuple(s) for s in section.get("shapes", [[2, 2]])]
     samples = section.get("samples", 60)
-    seed = section.get("seed", seed)
     report = uniqueness_report([s[0] for s in shapes], [s[1] for s in shapes],
                                samples=samples, seed=seed)
     rows, json_rows = [], []
@@ -222,7 +219,11 @@ def main(scenario_path, command, n, seed, out_dir, tolerance, eraser):
     run = scenario.run
     command = command or run.get("command", "propagate")
     n = n if n is not None else run.get("n", 100_000)
-    seed = seed if seed is not None else run.get("seed", 0)
+    if seed is None:
+        # the study's own seed comes before the run default; --seed beats both
+        seed = run.get("seed", 0)
+        if command == "uniqueness":
+            seed = (scenario.uniqueness or {}).get("seed", seed)
     tolerance = tolerance if tolerance is not None else run.get("tolerance", DEFAULT_TOLERANCE)
     out_dir = Path(out_dir) if out_dir else Path(".")
 

@@ -117,9 +117,6 @@ class CompleteAlternativeSet:
             covered |= alt.region.mask
         if covered != self.parent.mask:
             raise ValueError("alternative set incomplete")
-        for alt in alts:
-            if alt.region.mask == self.parent.mask:
-                raise ValueError("alternative must be a strict subset of its parent")
 
 
 def make_alternatives(parent: EpistemicState, p: PropertySpec,
@@ -181,6 +178,8 @@ def borel_trial(probabilities: Sequence[float], n: int, seed: int) -> np.ndarray
     p = np.asarray([float(x) for x in probabilities], dtype=float)
     if abs(p.sum() - 1.0) > 1e-12:
         raise ValueError("probabilities must sum to one")
+    # float propagation can land an ulp outside [0, 1], which multinomial refuses
+    p = np.clip(p, 0.0, 1.0)
     if n < 1:
         raise ValueError("need at least one draw")
     rng = np.random.Generator(np.random.Philox(key=seed))

@@ -111,8 +111,8 @@ def _check_unitary(a: np.ndarray, what: str):
         raise SpaceConstructionError(what)
 
 
-def _amp_matrix(net: ContextNetwork, i: int = 0) -> np.ndarray:
-    return np.array([[complex(a) for a in row] for row in net.edges[i]], dtype=complex)
+def _amp_matrix(net: ContextNetwork) -> np.ndarray:
+    return np.array([[complex(a) for a in row] for row in net.edges[0]], dtype=complex)
 
 
 def build_space(net: ContextNetwork,
@@ -217,7 +217,6 @@ def _build_sequential(net: ContextNetwork, joint_volumes: Optional[JointVolumeTa
         # Fourier matrix (every squared inner product equals 1/M).
         w = np.array([[cmath.exp(2j * math.pi * j * k / m) / math.sqrt(m)
                        for k in range(m)] for j in range(m)], dtype=complex)
-    _check_unitary(w, "no orthonormal second basis exists")
     return ContextSpace(
         dimension=m, kind="sequential",
         property_order=(first.property_id, second.property_id),

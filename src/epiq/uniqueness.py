@@ -38,14 +38,10 @@ DEGENERACY_FLOOR = 1e-3
 # Accepted solutions that the DoF vote uses, the first ones in start order.
 MAX_SOLUTIONS = 10
 # Levenberg-Marquardt: initial damping; a start stops when its largest
-# residual falls below LM_RESIDUAL_STOP, when the step, the actual and
-# predicted reductions or the gradient fall below LM_TOL (relative as in
-# MINPACK), when the damping exceeds LM_DAMPING_MAX, when its cost has not
-# halved in LM_STALL_ITER iterations, or after LM_MAX_ITER iterations.
+# residual falls below LM_RESIDUAL_STOP, when its cost has not halved in
+# LM_STALL_ITER iterations, or after LM_MAX_ITER iterations.
 LM_DAMPING_START = 1e-3
 LM_RESIDUAL_STOP = 1e-14
-LM_TOL = 1e-15
-LM_DAMPING_MAX = 1e16
 LM_STALL_ITER = 20
 LM_MAX_ITER = 200
 
@@ -397,10 +393,6 @@ def _levenberg_marquardt(system: ConstraintSystem, x: np.ndarray):
             shrink = np.maximum(1 / 3, 1 - (2 * rho - 1) ** 3)
         lam[idx] = np.where(ok, lam_i * shrink, lam_i * nu[idx])
         nu[idx] = np.where(ok, 2.0, 2 * nu[idx])
-        done = ((np.abs(actual) <= LM_TOL * cost[idx]) & (predicted <= LM_TOL * cost[idx])
-                | (np.linalg.norm(step, axis=-1)
-                   <= LM_TOL * (LM_TOL + np.linalg.norm(x[idx], axis=-1)))
-                | (np.max(np.abs(g), axis=-1) < LM_TOL))
         moved = idx[ok]
         if moved.size:
             x[moved], r[moved], cost[moved] = x_new[ok], r_new[ok], cost_new[ok]
@@ -408,8 +400,8 @@ def _levenberg_marquardt(system: ConstraintSystem, x: np.ndarray):
         halved = cost[idx] <= 0.5 * ref_cost[idx]
         ref_cost[idx] = np.where(halved, cost[idx], ref_cost[idx])
         ref_iter[idx] = np.where(halved, it, ref_iter[idx])
-        done |= ((np.max(np.abs(r[idx]), axis=-1) < LM_RESIDUAL_STOP)
-                 | (lam[idx] > LM_DAMPING_MAX) | (it - ref_iter[idx] >= LM_STALL_ITER))
+        done = ((np.max(np.abs(r[idx]), axis=-1) < LM_RESIDUAL_STOP)
+                | (it - ref_iter[idx] >= LM_STALL_ITER))
         active[idx[done]] = False
     return x, r
 
@@ -488,7 +480,6 @@ class UniquenessRow:
     candidate: str
     shape: tuple
     padded_shape: Optional[tuple]
-    multiplicative: bool
     report: DofReport
 
     @property
@@ -523,9 +514,8 @@ def evaluate_candidate(candidate: CandidateMap, m: int, mp: int,
     system = build_constraints(m, max(m, mp), Knowability.NEVER, candidate)
     system = property_independence_conditions(system)
     report = estimate_dof(system, samples=samples, seed=seed)
-    mult = verify_multiplicativity(candidate, seed=seed).multiplicative
     return UniquenessRow(candidate=candidate.name, shape=(m, mp),
-                         padded_shape=padded, multiplicative=mult, report=report)
+                         padded_shape=padded, report=report)
 
 
 def uniqueness_report(mlist: Sequence[int], mplist: Sequence[int],

@@ -14,6 +14,7 @@ from click.testing import CliRunner
 
 import epiq
 import epiq.scenario
+import epiq.uniqueness
 from epiq.cli import main
 from epiq.exactnum import ExactAmplitude
 from epiq.scenario import (ScenarioSchemaError, bundled_scenario_path, check_schema,
@@ -273,6 +274,19 @@ class TestCli:
             (tmp_path / "mach-zehnder-detected-montecarlo.json").read_text())
         assert payload["result"]["all_pass"]
 
+    def test_montecarlo_float_network_rounding_above_one(self, tmp_path):
+        h = 0.7071067811865476
+        doc = minimal_doc()
+        doc["context"]["initial"] = [h, h]
+        doc["context"]["matrices"] = [[[h, h], [h, -h]]]
+        path = tmp_path / "float.json"
+        path.write_text(json.dumps(doc))
+        result = run_cli(tmp_path, str(path), "--command", "montecarlo", "--n", "1000")
+        assert result.exit_code == 0, result.output
+        payload = json.loads((tmp_path / "minimal-montecarlo.json").read_text())["result"]
+        assert payload["outcomes"][0]["probability"] > 1.0
+        assert payload["all_pass"]
+
     def test_repeated_runs_byte_identical(self, tmp_path):
         path = str(bundled_scenario_path("mach-zehnder-detected"))
         run_cli(tmp_path, path, "--command", "montecarlo", "--seed", "5")
@@ -291,12 +305,47 @@ class TestCli:
         assert payload["result"]["kind"] == "interference"
         assert payload["result"]["principle4_max_deviation"] < 1e-12
 
+    def test_hilbert_command_simultaneous_pair(self, tmp_path):
+        doc = minimal_doc(simultaneous=True)
+        doc["context"] = {
+            "layers": [{"property": "a", "level": 3, "labels": [0.5, -2, 7]},
+                       {"property": "b", "level": 3, "labels": [3, 1.25]}],
+            "initial": ["1", "0", "0"],
+            "matrices": [[["1", "0"], ["0", "1"], ["1", "0"]]],
+        }
+        path = tmp_path / "joint.json"
+        path.write_text(json.dumps(doc))
+        result = run_cli(tmp_path, str(path), "--command", "hilbert")
+        assert result.exit_code == 0, result.output
+        payload = json.loads((tmp_path / "minimal-hilbert.json").read_text())["result"]
+        assert payload["kind"] == "joint" and payload["dimension"] == 6
+        assert payload["properties"] == {"a": [2, 2, 2], "b": [3, 3]}
+        assert payload["commutator_norm"] == 0.0 and payload["commuting"] is True
+
     def test_uniqueness_command_guard(self, tmp_path):
         result = run_cli(tmp_path, str(bundled_scenario_path("born-uniqueness")))
         assert result.exit_code == 0, result.output
         payload = json.loads((tmp_path / "born-uniqueness-uniqueness.json").read_text())
         assert payload["result"]["unique_born_rule"]
         assert payload["result"]["passing"] == ["|a|^2"]
+
+    @pytest.mark.parametrize("flag, expected", [((), 3), (("--seed", "7"), 7)])
+    def test_uniqueness_seed_option_wins(self, tmp_path, monkeypatch, flag, expected):
+        used = []
+        real = epiq.uniqueness.uniqueness_report
+
+        def spy(*args, seed, **kwargs):
+            used.append(seed)
+            return real(*args, seed=seed, **kwargs)
+
+        monkeypatch.setattr(epiq.uniqueness, "uniqueness_report", spy)
+        path = tmp_path / "seeded.json"
+        path.write_text(json.dumps(minimal_doc(uniqueness={"seed": 3},
+                                               run={"command": "uniqueness", "seed": 5})))
+        result = run_cli(tmp_path, str(path), *flag)
+        assert result.exit_code == 0, result.output
+        payload = json.loads((tmp_path / "minimal-uniqueness.json").read_text())
+        assert used == [expected] and payload["seed"] == expected
 
     @pytest.mark.parametrize("section", [
         {"samples": 1001},
