@@ -5,26 +5,26 @@ scenario's content), 2 on a schema error (the document itself is malformed)
 or an invalid command-line option.
 Outputs are written as JSON (full doubles) and CSV (12 significant digits)
 into the output directory; serialization is deterministic for a fixed
-scenario file and seed.  Scenario files are checked against the bundled
-schema by ``epiq.scenario``'s own interpreter, so no JSON Schema library is
-loaded.  numpy and the modules that need it (``evolution`` and the state
-space it builds on, ``hilbert``, ``uniqueness``) are imported inside the
-command that uses them, so ``propagate`` and ``validate`` load neither numpy
-nor ``epiq.statespace``.
+scenario file and seed.  Options are parsed with the standard library's
+``argparse``, and scenario files are checked against the bundled schema by
+``epiq.scenario``'s own interpreter, so no third-party library is loaded
+until a command needs numpy.  ``borel_trial`` lives in the package root and
+imports numpy when called; ``hilbert`` and ``uniqueness`` are imported inside
+the command that uses them.  So ``propagate`` and ``validate`` load no numpy,
+and no command loads ``epiq.evolution`` or ``epiq.statespace``.
 """
 from __future__ import annotations
 
+import argparse
 import csv
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
-import click
-
-from . import Knowability, __version__
-from .context import (ContextError, Distribution, propagate, reduce_by_consistency,
-                      validate_context)
+from . import Knowability, __version__, borel_trial
+from .context import ContextError, propagate, reduce_by_consistency, validate_context
 from .scenario import Scenario, ScenarioDomainError, ScenarioSchemaError, load_scenario_file
 
 DEFAULT_TOLERANCE = 1e-9
@@ -37,17 +37,58 @@ def _resolved_network(scenario: Scenario, eraser):
         eraser = scenario.eraser
     if any(l.level is Knowability.CONTINGENT for l in net.layers):
         if eraser is None:
-            raise ContextError(
-                "contingent layers need the eraser flag to be resolved")
+            raise ContextError("contingent layers need the eraser flag to be resolved")
         net = reduce_by_consistency(net, path_knowledge_reachable=not eraser)
     return net, eraser
 
 
-def _positive_tolerance(ctx, param, value):
-    """The schema's run.tolerance rule (a number above 0), also finite."""
-    if value is not None and not (math.isfinite(value) and value > 0):
-        raise click.BadParameter("must be a finite number above 0")
-    return value
+def _checked(kind, problem):
+    """An argparse type: ``kind`` of the text, refused by a message from ``problem``."""
+    def convert(text):
+        value = kind(text)
+        if message := problem(value):
+            raise argparse.ArgumentTypeError(message)
+        return value
+    convert.__name__ = kind.__name__  # argparse's "invalid int value: ..." names it
+    return convert
+
+
+def _readable_file(path):
+    try:  # refuses a missing, unreadable or directory path, as argparse.FileType does
+        open(path, "rb").close()
+    except OSError as e:
+        raise argparse.ArgumentTypeError(f"can't open {path!r}: {e.strerror}") from None
+    return path
+
+
+def _range_problem(lo, hi=math.inf):
+    bounds = f"x>={lo}" if hi == math.inf else f"{lo}<=x<={hi}"
+    return lambda v: None if lo <= v <= hi else f"{v} is not in the range {bounds}"
+
+
+def _parser(prog):
+    parser = argparse.ArgumentParser(prog=prog, allow_abbrev=False, add_help=False,
+                                     description=main.__doc__)
+    add = parser.add_argument
+    add("scenario_path", type=_readable_file)
+    add("--command", choices=COMMANDS, help="Override the scenario's run command.")
+    add("--n", type=_checked(int, _range_problem(1, MAX_SAMPLES)), help="Monte Carlo sample count.")
+    add("--seed", type=_checked(int, _range_problem(0)),
+        help="Random seed for sampling and solver starts.")
+    # read per call, not at import; a string default is checked by its type too
+    add("--out-dir", default=os.environ.get("EPIQ_OUT_DIR"), type=_checked(
+        str, lambda v: f"directory {v!r} is a file" if os.path.isfile(v) else None),
+        help="Output directory for CSV/JSON results (default: $EPIQ_OUT_DIR).")
+    # the schema's run.tolerance rule (a number above 0), also finite
+    add("--tolerance", type=_checked(float, lambda v: None if math.isfinite(v) and v > 0
+                                     else "must be a finite number above 0"),
+        help="Numerical tolerance for result checks.")
+    add("--eraser", action=argparse.BooleanOptionalAction,
+        help="Resolve contingent layers as erased (interference) or recorded.")
+    add("--help", action="help", help="Show this message and exit.")
+    add("--version", action="version", version=f"%(prog)s, version {__version__}",
+        help="Show the version and exit.")
+    return parser
 
 
 def _fmt(x: float) -> str:
@@ -58,43 +99,34 @@ def _write_outputs(out_dir: Path, name: str, command: str, result: dict, rows, h
     text = json.dumps(result, indent=2, sort_keys=True, allow_nan=False)
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = f"{name}-{command}"
-    with open(out_dir / f"{stem}.json", "w") as fh:
-        fh.write(text + "\n")
+    (out_dir / f"{stem}.json").write_text(text + "\n")
     with open(out_dir / f"{stem}.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
 
 
-def _distribution_rows(dist: Distribution):
-    return [( _fmt(label), _fmt(p)) for label, p in zip(dist.labels, dist.probabilities)]
-
-
-def _cmd_propagate(scenario, eraser, tolerance):
+# Each command takes (scenario, eraser, n, seed, tolerance) and returns the
+# result, the CSV rows and header, and whether the run exits 0.
+def _cmd_propagate(scenario, eraser, n, seed, tolerance):
     net, eraser = _resolved_network(scenario, eraser)
     dist = propagate(net)
-    result = {
-        "labels": list(dist.labels),
-        "probabilities": list(dist.probabilities),
-        "rules": list(dist.rules),
-        "exact": dist.exact is not None,
-        "eraser": eraser,
-    }
-    rows = _distribution_rows(dist)
-    click.echo("value  probability")
+    result = {"labels": list(dist.labels), "probabilities": list(dist.probabilities),
+              "rules": list(dist.rules), "exact": dist.exact is not None, "eraser": eraser}
+    rows = [(_fmt(label), _fmt(p)) for label, p in zip(dist.labels, dist.probabilities)]
+    print("value  probability")
     for label, p in rows:
-        click.echo(f"{label:>5}  {p}")
-    return result, rows, ("value", "probability")
+        print(f"{label:>5}  {p}")
+    return result, rows, ("value", "probability"), True
 
 
 def _cmd_montecarlo(scenario, eraser, n, seed, tolerance):
-    from .evolution import borel_trial
     net, eraser = _resolved_network(scenario, eraser)
     dist = propagate(net)
     freqs = borel_trial(dist.probabilities, n=n, seed=seed)
     rows, out_rows, all_ok = [], [], True
     for label, p, freq in zip(dist.labels, dist.probabilities, freqs):
-        sigma = math.sqrt(max(p * (1 - p), 0.0) / n)
+        sigma = math.sqrt(p * (1 - p) / n)
         lo, hi = p - 3 * sigma, p + 3 * sigma
         ok = bool(lo - tolerance <= freq <= hi + tolerance)
         all_ok = all_ok and ok
@@ -102,36 +134,30 @@ def _cmd_montecarlo(scenario, eraser, n, seed, tolerance):
                      "band": [lo, hi], "pass": ok})
         out_rows.append((_fmt(label), _fmt(p), _fmt(freq), _fmt(lo), _fmt(hi),
                          "pass" if ok else "fail"))
-    click.echo("value  probability  frequency  band_low  band_high  check")
+    print("value  probability  frequency  band_low  band_high  check")
     for r in out_rows:
-        click.echo("  ".join(r))
+        print("  ".join(r))
     result = {"n": n, "seed": seed, "outcomes": rows, "all_pass": all_ok}
     return result, out_rows, ("value", "probability", "frequency",
-                              "band_low", "band_high", "check")
+                              "band_low", "band_high", "check"), True
 
 
-def _cmd_hilbert(scenario, eraser, tolerance):
+def _cmd_hilbert(scenario, eraser, n, seed, tolerance):
     import numpy as np
     from .hilbert import (JointVolumeTable, SpaceConstructionError, build_space,
                           commutator, make_operator, principle4_probabilities)
     net, eraser = _resolved_network(scenario, eraser)
     jv = JointVolumeTable(v=scenario.joint_volumes) if scenario.joint_volumes else None
     space = build_space(net, joint_volumes=jv, simultaneous=scenario.simultaneous)
-    result = {
-        "dimension": space.dimension,
-        "kind": space.kind,
-        "properties": {
-            pid: list(space.subspace_dimensions(pid)) for pid in space.property_order
-        },
-    }
+    result = {"dimension": space.dimension, "kind": space.kind, "properties": {
+        pid: list(space.subspace_dimensions(pid)) for pid in space.property_order}}
     rows = [(space.kind, str(space.dimension), "", "")]
     if len(space.property_order) == 2:
         first, second = space.property_order
         op_a = make_operator(space, first, labels=net.layers[0].labels)
         op_b = make_operator(space, second, labels=net.layers[1].labels)
         comm = commutator(op_a, op_b)
-        result["commutator_norm"] = comm.norm
-        result["commuting"] = comm.commuting
+        result.update(commutator_norm=comm.norm, commuting=comm.commuting)
         rows = [(space.kind, str(space.dimension), _fmt(comm.norm),
                  "commuting" if comm.commuting else "non-commuting")]
         if space.kind in ("interference", "sequential"):
@@ -143,14 +169,14 @@ def _cmd_hilbert(scenario, eraser, tolerance):
             if dev > max(tolerance, 1e-12):
                 raise SpaceConstructionError(
                     "vector representation disagrees with network propagation")
-    click.echo(f"kind={space.kind} D_H={space.dimension}")
+    print(f"kind={space.kind} D_H={space.dimension}")
     if "commutator_norm" in result:
-        click.echo(f"commutator norm {_fmt(result['commutator_norm'])} "
-                   f"({'commuting' if result['commuting'] else 'non-commuting'})")
-    return result, rows, ("kind", "dimension", "commutator_norm", "classification")
+        print(f"commutator norm {_fmt(result['commutator_norm'])} "
+              f"({'commuting' if result['commuting'] else 'non-commuting'})")
+    return result, rows, ("kind", "dimension", "commutator_norm", "classification"), True
 
 
-def _cmd_uniqueness(scenario, seed):
+def _cmd_uniqueness(scenario, eraser, n, seed, tolerance):
     from .uniqueness import uniqueness_report
     section = scenario.uniqueness or {}
     shapes = [tuple(s) for s in section.get("shapes", [[2, 2]])]
@@ -170,50 +196,41 @@ def _cmd_uniqueness(scenario, seed):
                           "feasible": rep.feasible, "dof": rep.dof,
                           "required": rep.required, "verdict": row.verdict})
     passing = report.passing_candidates()
-    click.echo("candidate  shape  feasible  dof_P  dof_P'  dof_total  verdict")
+    print("candidate  shape  feasible  dof_P  dof_P'  dof_total  verdict")
     for r in rows:
-        click.echo("  ".join(r))
-    click.echo(f"passing candidates: {', '.join(passing) if passing else 'none'}")
+        print("  ".join(r))
+    print(f"passing candidates: {', '.join(passing) if passing else 'none'}")
     ok = passing == ("|a|^2",)
     result = {"rows": json_rows, "passing": list(passing), "unique_born_rule": ok}
     return result, rows, ("candidate", "shape", "feasible", "dof_P", "dof_Pprime",
                           "dof_total", "verdict"), ok
 
 
-def _cmd_validate(scenario):
+def _cmd_validate(scenario, eraser, n, seed, tolerance):
     errors = validate_context(scenario.network)
     rows = [(msg,) for msg in errors] or [("ok",)]
     for (msg,) in rows:
-        click.echo(msg)
+        print(msg)
     return {"errors": errors, "valid": not errors}, rows, ("message",), not errors
 
 
-@click.command()
-@click.version_option(__version__)
-@click.argument("scenario_path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--command", "command", default=None,
-              type=click.Choice(["propagate", "montecarlo", "hilbert",
-                                 "uniqueness", "validate"]),
-              help="Override the scenario's run command.")
-@click.option("--n", "n", type=click.IntRange(min=1, max=MAX_SAMPLES), default=None,
-              help="Monte Carlo sample count.")
-@click.option("--seed", type=click.IntRange(min=0), default=None,
-              help="Random seed for sampling and solver starts.")
-@click.option("--out-dir", type=click.Path(file_okay=False), default=None,
-              envvar="EPIQ_OUT_DIR", help="Output directory for CSV/JSON results.")
-@click.option("--tolerance", type=float, default=None, callback=_positive_tolerance,
-              help="Numerical tolerance for result checks.")
-@click.option("--eraser/--no-eraser", "eraser", default=None,
-              help="Resolve contingent layers as erased (interference) or recorded.")
-def main(scenario_path, command, n, seed, out_dir, tolerance, eraser):
+COMMANDS = {"propagate": _cmd_propagate, "montecarlo": _cmd_montecarlo, "hilbert": _cmd_hilbert,
+            "uniqueness": _cmd_uniqueness, "validate": _cmd_validate}
+
+
+def main(args=None, prog_name="epiq", standalone_mode=True):
     """Run a scenario file through the epistemic-context engine."""
+    # standalone_mode stays for callers of the click-era signature; every run
+    # ends in sys.exit, so it has nothing to change
+    opts = _parser(prog_name).parse_args(args)
+    command, n, seed, tolerance = opts.command, opts.n, opts.seed, opts.tolerance
     try:
-        scenario = load_scenario_file(scenario_path)
+        scenario = load_scenario_file(opts.scenario_path)
     except ScenarioSchemaError as e:
-        click.echo(f"schema error: {e}", err=True)
+        print(f"schema error: {e}", file=sys.stderr)
         sys.exit(2)
     except ScenarioDomainError as e:
-        click.echo(f"error: {e}", err=True)
+        print(f"error: {e}", file=sys.stderr)
         sys.exit(1)
 
     run = scenario.run
@@ -225,35 +242,18 @@ def main(scenario_path, command, n, seed, out_dir, tolerance, eraser):
         if command == "uniqueness":
             seed = (scenario.uniqueness or {}).get("seed", seed)
     tolerance = tolerance if tolerance is not None else run.get("tolerance", DEFAULT_TOLERANCE)
-    out_dir = Path(out_dir) if out_dir else Path(".")
+    out_dir = Path(opts.out_dir) if opts.out_dir else Path(".")
 
-    exit_code = 0
     try:
-        if command == "propagate":
-            result, rows, header = _cmd_propagate(scenario, eraser, tolerance)
-        elif command == "montecarlo":
-            result, rows, header = _cmd_montecarlo(scenario, eraser, n, seed, tolerance)
-        elif command == "hilbert":
-            result, rows, header = _cmd_hilbert(scenario, eraser, tolerance)
-        elif command == "uniqueness":
-            result, rows, header, ok = _cmd_uniqueness(scenario, seed)
-            exit_code = 0 if ok else 1
-        else:
-            result, rows, header, ok = _cmd_validate(scenario)
-            exit_code = 0 if ok else 1
-        payload = {
-            "command": command,
-            "scenario": scenario.name,
-            "seed": seed,
-            "version": __version__,
-            "result": result,
-        }
+        result, rows, header, ok = COMMANDS[command](scenario, opts.eraser, n, seed, tolerance)
+        payload = {"command": command, "scenario": scenario.name, "seed": seed,
+                   "version": __version__, "result": result}
         # a non-finite result is refused here, before any file is opened
         _write_outputs(out_dir, scenario.name, command, payload, rows, header)
     except ValueError as e:
-        click.echo(f"error: {e}", err=True)
+        print(f"error: {e}", file=sys.stderr)
         sys.exit(1)
-    sys.exit(exit_code)
+    sys.exit(0 if ok else 1)
 
 
 if __name__ == "__main__":

@@ -207,7 +207,8 @@ def propagate(net: ContextNetwork, start: Optional[ContextualState] = None) -> D
         raise ContextError("distribution does not normalize")
     return Distribution(
         labels=net.final_layer.labels,
-        probabilities=probs,
+        # float rounding can land an ulp above 1; float() of an exact total cannot
+        probabilities=tuple(min(p, 1.0) for p in probs),
         exact=tuple(totals) if exact else None,
         rules=tuple(rules),
     )

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Sequence
 
-from . import Knowability  # re-exported: epiq.evolution.Knowability
+from . import Knowability, borel_trial  # re-exported: epiq.evolution.<name>
 from .statespace import EpistemicState, ExactState, ObjectRegistry, PropertySpec, relative_volume
 
 
@@ -165,22 +165,3 @@ def check_invariance(parent: EpistemicState, altset: CompleteAlternativeSet,
         if tuple(relative_volume(r, cur_parent) for r in cur_regions) != initial:
             raise EvolutionContractError("evolution rule breaks volume invariance")
     return InvarianceReport(steps=steps, ratios=initial)
-
-
-def borel_trial(probabilities: Sequence[float], n: int, seed: int) -> np.ndarray:
-    """Empirical outcome frequencies of n seeded draws.
-
-    One multinomial sample from the counter-based Philox generator keyed by
-    the seed, so memory does not grow with n and the result depends only on
-    (probabilities, n, seed).
-    """
-    import numpy as np
-    p = np.asarray([float(x) for x in probabilities], dtype=float)
-    if abs(p.sum() - 1.0) > 1e-12:
-        raise ValueError("probabilities must sum to one")
-    # float propagation can land an ulp outside [0, 1], which multinomial refuses
-    p = np.clip(p, 0.0, 1.0)
-    if n < 1:
-        raise ValueError("need at least one draw")
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    return rng.multinomial(n, p) / n

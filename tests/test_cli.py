@@ -1,4 +1,6 @@
+import contextlib
 import copy
+import io
 import json
 import os
 import random
@@ -7,10 +9,10 @@ import sys
 import textwrap
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 import jsonschema
 import pytest
-from click.testing import CliRunner
 
 import epiq
 import epiq.scenario
@@ -238,9 +240,74 @@ class TestLoading:
             load_scenario(doc)
 
 
+class CliResult(NamedTuple):
+    exit_code: int
+    output: str  # stdout and stderr together
+
+
+def invoke(argv):
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        try:
+            main(argv)
+        except SystemExit as e:
+            return CliResult(e.code, sink.getvalue())
+    raise AssertionError("main returned without sys.exit")
+
+
 def run_cli(tmp_path, *args):
-    runner = CliRunner()
-    return runner.invoke(main, [*args, "--out-dir", str(tmp_path)])
+    return invoke([*args, "--out-dir", str(tmp_path)])
+
+
+def error_line(output):
+    """The usage error's own line, without the usage text around it."""
+    return [line for line in output.splitlines() if "error" in line.lower()][-1]
+
+
+class TestOptions:
+    """Every usage error exits 2, names the offending option or argument and
+    writes no file."""
+
+    @pytest.mark.parametrize("args, name", [
+        (("missing.json",), "scenario_path"),
+        ((".",), "scenario_path"),
+        (("{scenario}", "--command", "bogus"), "--command"),
+        (("{scenario}", "--n", "0"), "--n"),
+        (("{scenario}", "--n", str(2**63)), "--n"),
+        (("{scenario}", "--seed", "-1"), "--seed"),
+        (("{scenario}", "--out-dir", "taken"), "--out-dir"),
+        (("{scenario}", "--bogus"), "--bogus"),
+        (("{scenario}", "--tol", "1e-3"), "--tol"),
+    ], ids=["missing-path", "directory-path", "command", "n-zero", "n-too-large",
+            "negative-seed", "out-dir-is-file", "unknown-option", "option-prefix"])
+    def test_usage_error_exit_code_2(self, tmp_path, monkeypatch, args, name):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("EPIQ_OUT_DIR", raising=False)
+        (tmp_path / "taken").write_text("")
+        scenario = str(bundled_scenario_path("mach-zehnder-open"))
+        result = invoke([a.format(scenario=scenario) for a in args])
+        assert result.exit_code == 2, result.output
+        assert name in error_line(result.output).lower()
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
+    def test_version(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        result = invoke(["--version"])
+        assert result.exit_code == 0
+        assert f"version {epiq.__version__}" in result.output
+        assert not list(tmp_path.iterdir())
+
+    def test_out_dir_environment_variable(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("EPIQ_OUT_DIR", str(tmp_path / "env"))
+        path = str(bundled_scenario_path("mach-zehnder-open"))
+        assert invoke([path, "--command", "propagate"]).exit_code == 0
+        assert (tmp_path / "env" / "mach-zehnder-open-propagate.json").is_file()
+        assert invoke([path, "--command", "validate",
+                       "--out-dir", str(tmp_path / "flag")]).exit_code == 0
+        assert (tmp_path / "flag" / "mach-zehnder-open-validate.json").is_file()
+        assert not (tmp_path / "env" / "mach-zehnder-open-validate.json").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["env", "flag"]
 
 
 class TestCli:
@@ -274,18 +341,32 @@ class TestCli:
             (tmp_path / "mach-zehnder-detected-montecarlo.json").read_text())
         assert payload["result"]["all_pass"]
 
-    def test_montecarlo_float_network_rounding_above_one(self, tmp_path):
+    @staticmethod
+    def float_rounding_doc(tmp_path):
+        """Mach-Zehnder in floats, which propagates to 1.0000000000000004 unclipped."""
         h = 0.7071067811865476
         doc = minimal_doc()
         doc["context"]["initial"] = [h, h]
         doc["context"]["matrices"] = [[[h, h], [h, -h]]]
         path = tmp_path / "float.json"
         path.write_text(json.dumps(doc))
-        result = run_cli(tmp_path, str(path), "--command", "montecarlo", "--n", "1000")
+        return str(path)
+
+    def test_montecarlo_float_network_rounding_above_one(self, tmp_path):
+        path = self.float_rounding_doc(tmp_path)
+        result = run_cli(tmp_path, path, "--command", "montecarlo", "--n", "1000")
         assert result.exit_code == 0, result.output
         payload = json.loads((tmp_path / "minimal-montecarlo.json").read_text())["result"]
-        assert payload["outcomes"][0]["probability"] > 1.0
+        assert payload["outcomes"][0]["probability"] == 1.0
+        assert payload["outcomes"][0]["band"] == [1.0, 1.0]
         assert payload["all_pass"]
+
+    def test_propagate_float_network_rounding_above_one(self, tmp_path):
+        path = self.float_rounding_doc(tmp_path)
+        result = run_cli(tmp_path, path, "--command", "propagate")
+        assert result.exit_code == 0, result.output
+        payload = json.loads((tmp_path / "minimal-propagate.json").read_text())["result"]
+        assert payload["probabilities"] == [1.0, 0.0]
 
     def test_repeated_runs_byte_identical(self, tmp_path):
         path = str(bundled_scenario_path("mach-zehnder-detected"))
@@ -400,7 +481,7 @@ class TestCli:
         result = run_cli(tmp_path, str(bundled_scenario_path("mach-zehnder-open")),
                          "--command", "montecarlo", "--n", str(10**23))
         assert result.exit_code == 2
-        assert "'--n'" in result.output
+        assert "argument --n" in result.output
         assert not list(tmp_path.iterdir())
 
     def test_oversized_sample_count_in_scenario_exit_code_2(self, tmp_path):
@@ -508,20 +589,21 @@ def _modules_after(tmp_path, statement):
 
 def _cli_call(name, command):
     argv = [str(bundled_scenario_path(name)), "--command", command, "--out-dir", "."]
-    return f"main({argv!r}, standalone_mode=False)"
+    return f"main({argv!r})"
 
 
-# loaded by no command: the schema is interpreted in epiq.scenario
-NO_LIBRARY = ("scipy", "jsonschema")
-# only the montecarlo command (borel_trial) loads the state-space modules
+# loaded by no command: the schema is interpreted in epiq.scenario, options
+# are parsed by argparse
+NO_LIBRARY = ("scipy", "jsonschema", "click")
+# no command loads the state-space modules; borel_trial is in the package root
 LIGHT = ("numpy", *NO_LIBRARY, "epiq.statespace", "epiq.evolution")
 
 
 class TestImportCost:
     """A module-level import on the CLI path is only for what every command
-    uses; numpy and epiq.evolution (with the state space under it) are
-    imported by the commands that need them, and no command loads scipy or
-    jsonschema."""
+    uses; numpy is imported by the commands that need it, and no command
+    loads epiq.evolution, the state space under it, scipy, jsonschema or
+    click."""
 
     @pytest.mark.parametrize("statement, forbidden", [
         ("pass", LIGHT),
@@ -530,8 +612,8 @@ class TestImportCost:
         # M < M': the orthonormal completion comes from numpy's SVD
         (_cli_call("branching", "hilbert"), LIGHT[1:]),
         ("import epiq.hilbert, epiq.uniqueness", ("scipy",)),
-        (_cli_call("born-uniqueness", "uniqueness"), NO_LIBRARY),
-        (_cli_call("mach-zehnder-detected", "montecarlo"), NO_LIBRARY),
+        (_cli_call("born-uniqueness", "uniqueness"), LIGHT[1:]),
+        (_cli_call("mach-zehnder-detected", "montecarlo"), LIGHT[1:]),
     ], ids=["import", "propagate", "validate", "hilbert", "modules", "uniqueness",
             "montecarlo"])
     def test_heavy_modules_not_loaded(self, tmp_path, statement, forbidden):

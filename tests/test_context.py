@@ -119,6 +119,26 @@ class TestPropagate:
         with pytest.raises(ContextError, match="unitarity"):
             propagate(net)
 
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+    def test_non_unitary_mass_on_one_outcome_rejected(self, exact):
+        # totals (2, 0): the sum check must see them before any clip to 1
+        h = H if exact else complex(H)
+        one, zero = (parse_exact("1"), parse_exact("0")) if exact else (1.0, 0.0)
+        net = ContextNetwork(
+            layers=(Layer("p", Knowability.NEVER, (1.0, 2.0)),
+                    Layer("q", Knowability.DECIDED, (1.0, 2.0))),
+            initial=(h, h), edges=(((one, zero), (one, zero)),))
+        with pytest.raises(ContextError, match="unitarity"):
+            propagate(net)
+
+    def test_float_rounding_above_one_is_clipped(self):
+        h = 0.7071067811865476
+        net = ContextNetwork(
+            layers=(Layer("p", Knowability.NEVER, (1.0, 2.0)),
+                    Layer("q", Knowability.DECIDED, (1.0, 2.0))),
+            initial=(h, h), edges=(((h, h), (h, -h)),))
+        assert propagate(net).probabilities == (1.0, 0.0)
+
     def test_three_layer_mixed_rules(self):
         net = ContextNetwork(
             layers=(Layer("which", Knowability.DECIDED, (1.0, 2.0)),

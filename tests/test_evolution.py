@@ -164,6 +164,11 @@ class TestInvariance:
 
 
 class TestBorelTrial:
+    def test_one_object_in_root_evolution_and_cli(self):
+        import epiq
+        import epiq.cli
+        assert borel_trial is epiq.borel_trial is epiq.cli.borel_trial
+
     def test_frequencies_sum_to_one(self):
         freqs = borel_trial([0.25, 0.75], n=1000, seed=3)
         assert freqs.sum() == pytest.approx(1.0)
