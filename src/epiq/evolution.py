@@ -2,8 +2,9 @@
 
 The evolution rule is stored per exact state; the action on a set is the
 union of member images, so set-theoretic linearity holds by construction.
-A rule turns its images into a table from each code to its image codes once
-per registry, so applying it reads the state's mask and builds one mask.
+A rule turns its images into index arrays once per registry (each image code
+beside its owner's code, and a flag per code that has images), so applying
+it is one numpy gather and scatter from the state's mask to a new mask.
 The contracts the rule must honour (a state never overlaps its own future,
 overlaps are preserved both ways) are checked at application time on the
 states a scenario actually exercises.
@@ -14,6 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from . import Knowability, borel_trial  # re-exported: epiq.evolution.<name>
 from .statespace import EpistemicState, ExactState, ObjectRegistry, PropertySpec, relative_volume
@@ -26,8 +29,8 @@ class EvolutionContractError(ValueError):
 @dataclass(frozen=True, eq=False)
 class EvolutionRule:
     """Equality and hash are identity: the image map is a mutable mapping.
-    Each registry's code table is built on the first ``apply`` over it, so
-    later changes to ``images`` do not reach it."""
+    Each registry's index arrays are built on the first ``apply`` over it, so
+    later changes to ``images`` do not reach them."""
 
     images: Mapping  # ExactState -> frozenset of ExactState
 
@@ -46,27 +49,27 @@ class EvolutionRule:
     def _tables(self) -> dict:
         return {}
 
-    def _table(self, registry: ObjectRegistry) -> dict:
-        """Each code of ``registry`` in the domain, mapped to its image codes."""
+    def _table(self, registry: ObjectRegistry) -> tuple:
+        """``(owners, targets, domain)`` over ``registry``: code ``owners[k]`` has
+        image code ``targets[k]``, and ``domain`` flags the codes with images."""
         if registry not in self._tables:
-            table = {}
+            owners, targets = [], []
             for z, img in self.images.items():
                 if z.registry is registry or z.registry == registry:
-                    codes = []
                     for w in img:
                         if w.registry is not registry and w.registry != registry:
                             raise ValueError("image from a different registry")
-                        codes.append(w.code)
-                    table[z.code] = codes
-            self._tables[registry] = table
+                        owners.append(z.code)
+                        targets.append(w.code)
+            owners = np.array(owners, np.intp)
+            domain = np.zeros(registry._size, bool)
+            domain[owners] = True
+            self._tables[registry] = owners, np.array(targets, np.intp), domain
         return self._tables[registry]
 
     def apply(self, s: EpistemicState) -> EpistemicState:
         """The union of the member images, over the same registry."""
-        try:
-            return s._map(self._table(s.registry))
-        except KeyError:
-            raise ValueError("exact state outside the rule's domain") from None
+        return s._map(*self._table(s.registry))
 
 
 def evolve(s: EpistemicState, rule: EvolutionRule,

@@ -10,18 +10,22 @@ Each exact state carries a mixed-radix integer ``code``: its position in the
 ``itertools.product`` order of the registry's slot values.  An epistemic
 state is the pair (registry, mask), an integer whose bit ``code`` is set for
 each member, so AND, OR, NOT, slices and volumes are integer operations that
-build no exact state.  ``members`` decodes the mask into exact states on first
-use and caches them.
+build no exact state.  A mask converts to and from one numpy flag per code,
+which is how rules are applied and members found.  ``members`` decodes the
+mask into exact states on first use and caches them.
 """
 from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
+
+import numpy as np
 
 
 class ContradictionError(ValueError):
@@ -227,15 +231,6 @@ class ExactState:
             raise
         object.__setattr__(self, "code", code)
 
-    @classmethod
-    def _coded(cls, registry: ObjectRegistry, values: tuple, code: int) -> "ExactState":
-        """A state whose values are legal and whose code is known; skips the checks."""
-        z = object.__new__(cls)
-        object.__setattr__(z, "registry", registry)
-        object.__setattr__(z, "values", values)
-        object.__setattr__(z, "code", code)
-        return z
-
     def __hash__(self):
         return self.code
 
@@ -243,26 +238,33 @@ class ExactState:
         return self.values[self.registry._position(object_id, attribute_id)]
 
 
-# Masks convert to and from their binary digits in linear time.
-_TO_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+_BATCH = 4096  # exact states built per step of ``_exact_states``
 
 
-def _flags(mask: int) -> bytes:
-    """One byte per code, lowest first: 1 for a member, else 0."""
-    return bin(mask)[:1:-1].encode().translate(_TO_FLAGS)
+def _exact_states(registry: ObjectRegistry, codes: Iterable[int],
+                  values: Iterable[tuple]) -> Iterator[ExactState]:
+    """Exact states of legal ``values`` with known ``codes``, built unchecked a
+    batch at a time; ``map`` stops at ``states``, so a batch takes its own codes."""
+    codes, values = iter(codes), iter(values)
+    while batch := list(itertools.islice(values, _BATCH)):
+        states = list(map(object.__new__, itertools.repeat(ExactState, len(batch))))
+        for slot, filled in ((ExactState.registry, itertools.repeat(registry)),
+                             (ExactState.values, batch), (ExactState.code, codes)):
+            deque(map(slot.__set__, states, filled), 0)
+        yield from states
 
 
-def _mask_of(codes: Iterable[int], size: int) -> int:
-    """The mask with bit ``c`` set for each code ``c`` below ``size``."""
-    digits = bytearray(b"0" * size)  # lowest code first
-    for c in codes:
-        digits[c] = 49  # ord("1")
-    return int(digits[::-1], 2)
+def _flags(mask: int, size: int) -> np.ndarray:
+    """One bool per code below ``size``, lowest first: True for a member."""
+    raw = np.frombuffer(mask.to_bytes(-(-size // 8), "little"), np.uint8)
+    return np.unpackbits(raw, count=size, bitorder="little").view(bool)
 
 
-def _codes(mask: int) -> Iterator[int]:
-    """The set bits of ``mask``, lowest first."""
-    return itertools.compress(itertools.count(), _flags(mask))
+def _mask_of(codes: np.ndarray, size: int) -> int:
+    """The mask with bit ``c`` set for each code ``c`` of an index array, below ``size``."""
+    flags = np.zeros(size, bool)
+    flags[codes] = True
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
 
 
 @dataclass(frozen=True, init=False)
@@ -286,7 +288,7 @@ class EpistemicState:
             if z.registry is not registry and z.registry != registry:
                 raise ValueError("member from a different registry")
             codes.append(z.code)
-        self._fill(registry, _mask_of(codes, registry._size), physical)
+        self._fill(registry, _mask_of(np.array(codes, np.intp), registry._size), physical)
 
     @classmethod
     def _of(cls, registry: ObjectRegistry, mask: int, physical: bool = False) -> "EpistemicState":
@@ -307,9 +309,9 @@ class EpistemicState:
     def members(self) -> frozenset:
         """The exact states of the mask; only members are built."""
         reg = self.registry
-        picked = itertools.compress(enumerate(itertools.product(*reg.slot_values())),
-                                    _flags(self.mask))
-        return frozenset(ExactState._coded(reg, values, code) for code, values in picked)
+        flags = _flags(self.mask, reg._size)
+        values = itertools.compress(itertools.product(*reg.slot_values()), flags.tobytes())
+        return frozenset(_exact_states(reg, np.flatnonzero(flags).tolist(), values))
 
     def __len__(self):
         return self.mask.bit_count()
@@ -324,17 +326,20 @@ class EpistemicState:
     def issubset(self, other: "EpistemicState") -> bool:
         return self._meet(other) == self.mask
 
-    def _map(self, images: Mapping[int, Iterable[int]]) -> "EpistemicState":
-        """The union of ``images[c]`` over the member codes ``c``; raises
-        ``KeyError`` for a member code without images."""
-        codes = itertools.chain.from_iterable(map(images.__getitem__, _codes(self.mask)))
-        return EpistemicState._of(self.registry, _mask_of(codes, self.registry._size))
+    def _map(self, owners: np.ndarray, targets: np.ndarray,
+             domain: np.ndarray) -> "EpistemicState":
+        """The union of the images ``targets[k]`` of the members ``owners[k]``;
+        raises for a member outside ``domain``, the codes that have images."""
+        size = self.registry._size
+        flags = _flags(self.mask, size)
+        if (flags & ~domain).any():
+            raise ValueError("exact state outside the rule's domain")
+        return EpistemicState._of(self.registry, _mask_of(targets[flags[owners]], size))
 
 
 def all_exact_states(registry: ObjectRegistry) -> Iterator[ExactState]:
     """Enumerate the full state space of a registry; the enumeration index is the code."""
-    for code, combo in enumerate(itertools.product(*registry.slot_values())):
-        yield ExactState._coded(registry, combo, code)
+    return _exact_states(registry, itertools.count(), itertools.product(*registry.slot_values()))
 
 
 def full_state(registry: ObjectRegistry) -> EpistemicState:

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -6,8 +7,8 @@ import pytest
 from epiq.evolution import (CompleteAlternativeSet, EvolutionContractError, EvolutionRule,
                             FutureAlternative, Knowability, borel_trial, check_invariance,
                             evolve, make_alternatives, probability)
-from epiq.statespace import (EpistemicState, ObjectRegistry, PropertySpec, all_exact_states,
-                             full_state, state_slice)
+from epiq.statespace import (AttributeDef, EpistemicState, ObjectRegistry, PropertySpec,
+                             all_exact_states, full_state, state_slice)
 
 
 def shift_rule(registry, step=1):
@@ -85,6 +86,50 @@ class TestEvolve:
         assert rule == rule and hash(rule) == hash(rule)
         assert rule != twin
         assert len({rule, twin}) == 2
+
+
+class TestIndexArrayApply:
+    """A 9-state space (not a whole number of bytes) and a rule without an image
+    for the top code, against the union of ``image_of`` over the members."""
+
+    @pytest.fixture
+    def nine(self):
+        return ObjectRegistry.build(
+            [AttributeDef(id="x", kind="ordered", values=(0, 1, 2)),
+             AttributeDef(id="c", kind="circular", values=("a", "b", "c"))],
+            {"dot": ["x", "c"]})
+
+    @pytest.fixture
+    def rule(self, nine):
+        states = list(all_exact_states(nine))
+        return EvolutionRule(images={z: frozenset([states[(2 * k) % 9], states[(k + 4) % 9]])
+                                     for k, z in enumerate(states[:-1])})
+
+    def test_member_outside_the_domain_raises(self, nine, rule):
+        top = list(all_exact_states(nine))[-1]
+        with pytest.raises(ValueError, match="outside the rule's domain"):
+            rule.apply(EpistemicState(nine, [top]))
+        with pytest.raises(ValueError, match="outside the rule's domain"):
+            rule.apply(full_state(nine))
+
+    def test_states_inside_the_domain_map_to_the_union_of_images(self, nine, rule):
+        states = list(all_exact_states(nine))
+        for picks in itertools.product((False, True), repeat=8):
+            members = list(itertools.compress(states, picks))
+            if members:
+                s = EpistemicState(nine, members)
+                expected = frozenset().union(*map(rule.image_of, members))
+                assert rule.apply(s).members == expected
+
+    def test_equal_registry_gives_the_same_mask(self, nine, rule):
+        twin = ObjectRegistry(nine.attributes, nine.objects)
+        assert twin is not nine and twin == nine
+        s = state_slice(full_state(nine), "dot", "c", "b")
+        s_twin = state_slice(full_state(twin), "dot", "c", "b")
+        out_twin = rule.apply(s_twin)  # the table is built over the twin first
+        assert out_twin.registry is twin
+        assert out_twin.mask == rule.apply(s).mask
+        assert out_twin.members == frozenset().union(*map(rule.image_of, s.members))
 
 
 @pytest.fixture

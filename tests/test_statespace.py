@@ -1,7 +1,9 @@
 import copy
+import itertools
 import pickle
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from epiq import statespace
@@ -77,6 +79,8 @@ class TestRegistryAndStates:
     def test_void_state_rejected(self, registry):
         with pytest.raises(VoidStateError):
             EpistemicState(registry, frozenset())
+        with pytest.raises(VoidStateError):  # not an IndexError from a float index array
+            EpistemicState(registry, [])
 
     def test_physical_state_needs_two_members(self, registry):
         z = next(all_exact_states(registry))
@@ -144,6 +148,10 @@ class TestExactStateCode:
             full_state(big)
         first = next(all_exact_states(big))
         assert first.code == 0 and first.values == (0, 0, 0, 0)
+        # enumeration stays lazy past the first batch
+        head = list(itertools.islice(all_exact_states(big), statespace._BATCH + 1))
+        assert head[-1].code == statespace._BATCH
+        assert head[-1] == ExactState(big, head[-1].values)
 
 
     def test_full_state_builds_no_exact_state(self, monkeypatch):
@@ -153,6 +161,42 @@ class TestExactStateCode:
         whole = full_state(big)
         assert volume(whole) == MAX_STATES
         assert volume(state_slice(whole, "o2", "ten", 7)) == MAX_STATES // 10
+
+
+class TestMaskPacking:
+    @pytest.mark.parametrize("size", [1, 7, 8, 9, 4097])
+    def test_codes_to_mask_and_back_at_awkward_sizes(self, size):
+        codes = sorted({0, size // 2, size - 1})  # the top code is always set
+        expected = sum(1 << c for c in codes)
+        assert statespace._mask_of(np.array(codes, np.intp), size) == expected
+        flags = statespace._flags(expected, size)
+        assert flags.dtype == bool and flags.shape == (size,)
+        assert sum(1 << int(c) for c in np.flatnonzero(flags)) == expected
+
+
+class TestBulkEnumeration:
+    @pytest.fixture
+    def wide(self):
+        attrs = [AttributeDef(id=f"a{n}", kind="ordered", values=tuple(range(n)))
+                 for n in (5, 7, 11, 4, 6)]
+        return ObjectRegistry.build(attrs, {"o": [a.id for a in attrs[:3]],
+                                            "p": [a.id for a in attrs[3:]]})
+
+    def test_codes_cross_batch_boundaries_in_product_order(self, wide):
+        states = list(all_exact_states(wide))
+        assert len(states) == 5 * 7 * 11 * 4 * 6 > 2 * statespace._BATCH
+        assert [z.code for z in states] == list(range(len(states)))
+        for z, values in zip(states, itertools.product(*wide.slot_values())):
+            checked = ExactState(wide, values)
+            assert z.values == values and z == checked and hash(z) == hash(checked)
+
+    def test_members_across_batch_boundaries(self, wide):
+        states = list(all_exact_states(wide))
+        picked = states[statespace._BATCH - 3::997] + [states[-1]]
+        s = EpistemicState(wide, picked)
+        assert s.members == frozenset(picked)
+        assert {z.code for z in s.members} == {z.code for z in picked}
+        assert full_state(wide).members == frozenset(states)
 
 
 class TestVolume:
