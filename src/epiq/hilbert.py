@@ -350,7 +350,8 @@ def operator_to_property(op: PropertyOperator, space: ContextSpace,
 
 def principle4_probabilities(space: ContextSpace, net: ContextNetwork) -> np.ndarray:
     """Final-property probabilities via squared inner products with the
-    evolved contextual state; must agree with network propagation."""
+    evolved contextual state, each clipped at 1 as propagation clips them;
+    must agree with network propagation."""
     first, second = space.property_order[0], space.property_order[-1]
     init = np.array([complex(x) for x in net.initial], dtype=complex)
     v = space.basis(first)
@@ -358,9 +359,9 @@ def principle4_probabilities(space: ContextSpace, net: ContextNetwork) -> np.nda
     if net.layers[0].level == Knowability.DECIDED:
         # The first property is observed, so the contextual state reduces to
         # one first-basis vector per branch; the outcomes mix classically.
-        return np.array([
+        return np.minimum(1.0, [
             sum(abs(init[j]) ** 2 * abs(inner(v[:, j], w[:, k])) ** 2
                 for j in range(v.shape[1]))
             for k in range(w.shape[1])])
     evolved = v @ init
-    return np.array([abs(inner(evolved, w[:, k])) ** 2 for k in range(w.shape[1])])
+    return np.minimum(1.0, [abs(inner(evolved, w[:, k])) ** 2 for k in range(w.shape[1])])

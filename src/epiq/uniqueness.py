@@ -13,16 +13,18 @@ total.
 The system is one array residual over (..., n_vars) parameter vectors, and
 its Jacobian is analytic and batched the same way: each row is differentiated
 with respect to the amplitudes and their conjugates (Wirtinger derivatives).
-Feasibility is probed from random starts that one Levenberg-Marquardt loop
-drives down together; the local manifold dimension is variables minus the
-numerical rank of the Jacobian at the solutions found, and each block's
-freedom is the rank of that block's rows against that block's variables,
-sliced from the same matrix.
+One fused evaluation returns both, sharing the amplitude powers.  Feasibility
+is probed from random starts that one Levenberg-Marquardt loop drives down
+together, with one evaluation per iteration; the local manifold dimension is
+variables minus the numerical rank of the Jacobian at the solutions found,
+and each block's freedom is the rank of that block's rows against that
+block's variables, sliced from the same matrix.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -171,100 +173,96 @@ class ConstraintSystem:
         half = m * mp
         return a, (rest[..., :half] + 1j * rest[..., half:]).reshape(*lead, m, mp)
 
-    def residual(self, x: np.ndarray) -> np.ndarray:
-        """Every row at x, batched over leading axes: (..., n_vars) -> (..., rows)."""
+    @cached_property
+    def _layout(self):
+        """Index arrays built once per system.  An f row's Jacobian column c
+        is entry perm[c] of its d over (a, A) seen as float pairs, times
+        sign[c]; norm places d/dA_jk in row norm j; others[j] lists the rows
+        other than j; then the independence exponents, also lowered by one
+        (a zero exponent's term has coefficient 0 either way)."""
+        m, n = self.m, self.m * self.mp
+        groups = (np.arange(m), m + np.arange(n))
+        parts = ((0, 2.0),) if self.candidate.real_only else ((0, 2.0), (1, -2.0))
+        perm = np.concatenate([2 * g + part for g in groups for part, _ in parts])
+        sign = np.concatenate([np.full(g.size, s) for g in groups for _, s in parts])
+        norm = (np.arange(1, m + 1)[:, None], groups[1].reshape(m, self.mp))
+        others = np.array([[i for i in range(m) if i != j] for j in range(m)])
+        alpha, beta = np.array(self.alpha, dtype=int), np.array(self.beta, dtype=int)
+        return (perm, sign, norm, others, alpha, beta,
+                np.maximum(alpha - 1, 0), np.maximum(beta - 1, 0))
+
+    def evaluate(self, x: np.ndarray, jacobian: bool = True):
+        """Every row at x and its analytic derivative, batched over leading
+        axes: (..., n_vars) -> (..., rows), and (..., rows, n_vars) or None
+        when jacobian is False.  Rows are differentiated with respect to a_j,
+        A_jk and their conjugates (Wirtinger d and dbar): a real part's column
+        is d + dbar, an imaginary part's i(d - dbar), so 2 Re d and -2 Im d
+        for the real f rows, whose dbar is conj(d)."""
         a, big = self.unpack(x)
-        f = self.candidate.apply
+        lead, m, real = a.shape[:-1], self.m, self.candidate.real_only
+        f, df = self.candidate.apply, self.candidate.wirtinger
         fa, fbig = f(a), f(big)
         if self.level is Knowability.DECIDED:
             closure = np.sum(fa[..., :, None] * fbig, axis=(-2, -1))
         else:
-            closure = np.sum(f(np.einsum("...j,...jk->...k", a, big)), axis=-1)
-        rows = [np.sum(fa, axis=-1, keepdims=True) - 1.0,
-                np.sum(fbig, axis=-1) - 1.0,
-                closure[..., None] - 1.0]
+            w = np.einsum("...j,...jk->...k", a, big)
+            closure = np.sum(f(w), axis=-1)
+        r = np.empty(lead + (len(self.equations),))
+        r[..., 0] = np.sum(fa, axis=-1) - 1.0
+        r[..., 1:m + 1] = np.sum(fbig, axis=-1) - 1.0
+        r[..., m + 1] = closure - 1.0
+        perm, sign, norm, others, alpha, beta, alpha_lo, beta_lo = self._layout
         if self.alpha:
-            # sum_k prod_j A_jk^alpha_j conj(A_jk)^beta_j, one term per pair
-            factors = self._factors(big)[0]
-            rows.append(self._real_rows(np.sum(np.prod(factors, axis=-2), axis=-1)))
-        return np.concatenate(rows, axis=-1)
+            # sum_k prod_j A_jk^alpha_j conj(A_jk)^beta_j, one term per pair,
+            # gathered from the tables of A^n and conj(A)^n (n on axis -3)
+            pw = [np.ones_like(big)]
+            for _ in range(max(alpha.max(), beta.max())):
+                pw.append(pw[-1] * big)
+            pw = np.stack(pw, axis=-3)
+            cpw, jj = np.conj(pw), np.arange(m)
+            pw_alpha, cpw_beta = pw[..., alpha, jj, :], cpw[..., beta, jj, :]
+            factors = pw_alpha * cpw_beta
+            terms = np.sum(np.prod(factors, axis=-2), axis=-1)
+            # the real part alone for a real candidate, else real and
+            # imaginary parts interleaved
+            r[..., m + 2:] = terms.real if real else np.ascontiguousarray(terms).view(float)
+        if not jacobian:
+            return r, None
+
+        # d of the f rows over (a, A)
+        d_f = np.zeros(lead + (m + 2, m + norm[1].size), dtype=complex)
+        dfa, dfbig = df(a), df(big)
+        d_f[..., 0, :m] = dfa
+        d_f[..., norm[0], norm[1]] = dfbig
+        if self.level is Knowability.DECIDED:
+            d_f[..., -1, :m] = dfa * np.sum(fbig, axis=-1)
+            d_f[..., -1, norm[1]] = fa[..., :, None] * dfbig
+        else:
+            dw = df(w)
+            d_f[..., -1, :m] = np.einsum("...jk,...k->...j", big, dw)
+            d_f[..., -1, norm[1]] = a[..., :, None] * dw[..., None, :]
+        jac = np.zeros(r.shape + (self.n_vars,))
+        jac[..., :m + 2, :] = d_f.view(float)[..., perm] * sign
+        if self.alpha:
+            # product of the other rows' factors, without dividing by A_jk
+            rest = np.prod(factors[..., others, :], axis=-2)
+            d = alpha[:, :, None] * pw[..., alpha_lo, jj, :] * cpw_beta * rest
+            dbar = beta[:, :, None] * pw_alpha * cpw[..., beta_lo, jj, :] * rest
+            # columns of Re A then Im A; the a columns stay 0
+            cols = np.stack([d + dbar, 1j * (d - dbar)], axis=-3).reshape(lead + (len(alpha), -1))
+            if real:
+                jac[..., m + 2:, m:] = cols[..., :norm[1].size].real
+            else:
+                jac[..., m + 2::2, 2 * m:], jac[..., m + 3::2, 2 * m:] = cols.real, cols.imag
+        return r, jac
+
+    def residual(self, x: np.ndarray) -> np.ndarray:
+        """Every row at x: (..., n_vars) -> (..., rows)."""
+        return self.evaluate(x, jacobian=False)[0]
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
-        """Analytic derivative of every row: (..., n_vars) -> (..., rows, n_vars).
-
-        Each row is differentiated with respect to a_j, A_jk and their
-        conjugates (Wirtinger derivatives d and dbar); _columns turns those
-        into the real and imaginary parameter columns.
-        """
-        a, big = self.unpack(x)
-        lead, m, mp = a.shape[:-1], self.m, self.mp
-        f, df = self.candidate.apply, self.candidate.wirtinger
-        # d of the real f rows over (a, A); their dbar is the conjugate
-        d_a = np.zeros(lead + (m + 2, m), dtype=complex)
-        d_big = np.zeros(lead + (m + 2, m, mp), dtype=complex)
-        dfa, dfbig = df(a), df(big)
-        d_a[..., 0, :] = dfa
-        d_big[..., 1 + np.arange(m), np.arange(m), :] = dfbig
-        if self.level is Knowability.DECIDED:
-            d_a[..., -1, :] = dfa * np.sum(f(big), axis=-1)
-            d_big[..., -1, :, :] = f(a)[..., :, None] * dfbig
-        else:
-            dw = df(np.einsum("...j,...jk->...k", a, big))
-            d_a[..., -1, :] = np.einsum("...jk,...k->...j", big, dw)
-            d_big[..., -1, :, :] = a[..., :, None] * dw[..., None, :]
-        d = _over_vars(d_a, d_big)
-        rows = [self._columns(d, np.conj(d)).real]
-        if self.alpha:
-            factors, pw, cpw = self._factors(big)
-            alpha, beta, jj = np.array(self.alpha), np.array(self.beta), np.arange(m)
-            # product of the other rows' factors, without dividing by A_jk
-            others = np.prod(np.where(np.eye(m, dtype=bool)[:, :, None], 1,
-                                      factors[..., :, None, :, :]), axis=-2)
-            # exponents lowered by one; a zero exponent's term has coefficient 0
-            d_term = alpha[:, :, None] * pw[..., np.maximum(alpha - 1, 0), jj, :] \
-                * cpw[..., beta, jj, :] * others
-            dbar_term = beta[:, :, None] * pw[..., alpha, jj, :] \
-                * cpw[..., np.maximum(beta - 1, 0), jj, :] * others
-            d_a = np.zeros(d_term.shape[:-1], dtype=complex)  # rows without a_j
-            cols = self._columns(_over_vars(d_a, d_term), _over_vars(d_a, dbar_term))
-            rows.append(self._real_rows(cols, axis=-2))
-        return np.concatenate(rows, axis=-2)
-
-    def _factors(self, big):
-        """A_jk^alpha_j conj(A_jk)^beta_j of every independence pair, shape
-        (..., pairs, m, mp), and the tables of A^n and conj(A)^n (n on axis
-        -3) it is gathered from."""
-        alpha, beta = np.array(self.alpha), np.array(self.beta)
-        pw = [np.ones_like(big)]
-        for _ in range(max(alpha.max(), beta.max())):
-            pw.append(pw[-1] * big)
-        pw = np.stack(pw, axis=-3)
-        cpw, jj = np.conj(pw), np.arange(self.m)
-        return pw[..., alpha, jj, :] * cpw[..., beta, jj, :], pw, cpw
-
-    def _columns(self, d, dbar):
-        """Parameter columns (..., n_vars) from the Wirtinger derivatives over
-        (a, A): a real part's column is d + dbar, an imaginary part's i(d - dbar)."""
-        re = d + dbar
-        if self.candidate.real_only:
-            return re
-        im, m = 1j * (d - dbar), self.m
-        return np.concatenate([re[..., :m], im[..., :m], re[..., m:], im[..., m:]], axis=-1)
-
-    def _real_rows(self, values, axis=-1):
-        """Complex independence rows as real rows: the real part alone for a
-        real candidate, else real and imaginary parts interleaved."""
-        if self.candidate.real_only:
-            return values.real
-        both = np.stack([values.real, values.imag], axis=axis)
-        shape = list(values.shape)
-        shape[axis] *= 2
-        return both.reshape(shape)
-
-
-def _over_vars(d_a, d_big):
-    """Join derivatives over a (..., m) and over A (..., m, mp) into one axis."""
-    return np.concatenate([d_a, d_big.reshape(d_big.shape[:-2] + (-1,))], axis=-1)
+        """Analytic derivative of every row: (..., n_vars) -> (..., rows, n_vars)."""
+        return self.evaluate(x)[1]
 
 
 def build_constraints(m: int, mp: int, level_of_p: Knowability,
@@ -356,12 +354,13 @@ def _levenberg_marquardt(system: ConstraintSystem, x: np.ndarray):
     Each iteration solves the damped normal equations (J^T J + lam D^2) step
     = -J^T r of every active start in one batched call, with More's scaling D
     (running maximum of the column norms of J) and Nielsen's damping update.
+    The residual and Jacobian at the trial points come from one fused
+    evaluation; an accepted start keeps both, a rejected one discards them.
     A start leaves the active set once it has converged or stalled.  Returns
-    the final points and their residuals.
+    the final points, their residuals and their Jacobians.
     """
     x = np.array(x, dtype=float)
-    r = system.residual(x)
-    jac = system.jacobian(x)
+    r, jac = system.evaluate(x)
     cost = 0.5 * np.sum(r ** 2, axis=-1)
     lam = np.full(len(x), LM_DAMPING_START)
     nu = np.full(len(x), 2.0)
@@ -372,38 +371,39 @@ def _levenberg_marquardt(system: ConstraintSystem, x: np.ndarray):
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
-        J, res, lam_i = jac[idx], r[idx], lam[idx]
+        # while every start is active, read through views instead of copies
+        sel = slice(None) if idx.size == len(x) else idx
+        J, res, lam_i = jac[sel], r[sel], lam[sel]
         Jt = np.swapaxes(J, -1, -2)
         g = (Jt @ res[..., None])[..., 0]
         hess = Jt @ J
-        scale[idx] = np.maximum(scale[idx], np.sqrt(np.diagonal(hess, axis1=-2, axis2=-1)))
-        d2 = np.where(scale[idx] > 0, scale[idx], 1.0) ** 2
-        damped = hess + lam_i[:, None, None] * (d2[:, :, None] * np.eye(system.n_vars))
-        step = np.linalg.solve(damped, -g[..., None])[..., 0]
-        x_new = x[idx] + step
+        diag = hess.reshape(idx.size, -1)[:, ::system.n_vars + 1]
+        scale[sel] = np.maximum(scale[sel], np.sqrt(diag))
+        d2 = np.where(scale[sel] > 0, scale[sel], 1.0) ** 2
+        diag += lam_i[:, None] * d2  # hess becomes the damped matrix
+        step = np.linalg.solve(hess, -g[..., None])[..., 0]
+        x_new = x[sel] + step
         # a step that overflows the residual gives rho = nan and is rejected
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            r_new = system.residual(x_new)
+            r_new, jac_new = system.evaluate(x_new)
             cost_new = 0.5 * np.sum(r_new ** 2, axis=-1)
-            actual = cost[idx] - cost_new
+            actual = cost[sel] - cost_new
             # the linear model's reduction, simplified with the normal equations
             predicted = 0.5 * (lam_i * np.sum(d2 * step ** 2, axis=-1) - np.sum(g * step, axis=-1))
             rho = actual / predicted
             ok = rho > 0
             shrink = np.maximum(1 / 3, 1 - (2 * rho - 1) ** 3)
-        lam[idx] = np.where(ok, lam_i * shrink, lam_i * nu[idx])
-        nu[idx] = np.where(ok, 2.0, 2 * nu[idx])
+        lam[sel] = np.where(ok, lam_i * shrink, lam_i * nu[sel])
+        nu[sel] = np.where(ok, 2.0, 2 * nu[sel])
         moved = idx[ok]
-        if moved.size:
-            x[moved], r[moved], cost[moved] = x_new[ok], r_new[ok], cost_new[ok]
-            jac[moved] = system.jacobian(x[moved])
-        halved = cost[idx] <= 0.5 * ref_cost[idx]
-        ref_cost[idx] = np.where(halved, cost[idx], ref_cost[idx])
-        ref_iter[idx] = np.where(halved, it, ref_iter[idx])
-        done = ((np.max(np.abs(r[idx]), axis=-1) < LM_RESIDUAL_STOP)
-                | (it - ref_iter[idx] >= LM_STALL_ITER))
+        x[moved], r[moved], cost[moved], jac[moved] = x_new[ok], r_new[ok], cost_new[ok], jac_new[ok]
+        halved = cost[sel] <= 0.5 * ref_cost[sel]
+        ref_cost[sel] = np.where(halved, cost[sel], ref_cost[sel])
+        ref_iter[sel] = np.where(halved, it, ref_iter[sel])
+        done = ((np.max(np.abs(r[sel]), axis=-1) < LM_RESIDUAL_STOP)
+                | (it - ref_iter[sel] >= LM_STALL_ITER))
         active[idx[done]] = False
-    return x, r
+    return x, r, jac
 
 
 def estimate_dof(system: ConstraintSystem, samples: int = 60, seed: int = 0) -> DofReport:
@@ -420,18 +420,17 @@ def estimate_dof(system: ConstraintSystem, samples: int = 60, seed: int = 0) -> 
     if samples < 1:
         raise ValueError("need at least one start")
     rng = np.random.default_rng(seed)
-    x, r = _levenberg_marquardt(system, rng.normal(scale=0.7, size=(samples, system.n_vars)))
+    x, r, jac = _levenberg_marquardt(system, rng.normal(scale=0.7, size=(samples, system.n_vars)))
     _, big = system.unpack(x)
     accepted = ((np.max(np.abs(r), axis=-1) < RESIDUAL_TOL)
                 & (np.min(np.abs(big), axis=(-2, -1)) >= DEGENERACY_FLOOR))
-    solutions = x[accepted][:MAX_SOLUTIONS]
+    solutions, jac = x[accepted][:MAX_SOLUTIONS], jac[accepted][:MAX_SOLUTIONS]
     if not len(solutions):
         return DofReport(feasible=False, sample_solutions=(),
                          dof={}, required=system.required_dof, verdict=False)
 
     n_p = system.n_p_vars
     p_rows = np.array(system.blocks) == "P"
-    jac = system.jacobian(solutions)
     dof_votes = {"total": system.n_vars - _ranks(jac),
                  "P": n_p - _ranks(jac[:, p_rows, :n_p]),
                  "P'": system.n_pp_vars - _ranks(jac[:, ~p_rows, n_p:])}

@@ -368,6 +368,14 @@ class TestCli:
         payload = json.loads((tmp_path / "minimal-propagate.json").read_text())["result"]
         assert payload["probabilities"] == [1.0, 0.0]
 
+    def test_hilbert_float_network_rounding_above_one(self, tmp_path):
+        path = self.float_rounding_doc(tmp_path)
+        result = run_cli(tmp_path, path, "--command", "hilbert")
+        assert result.exit_code == 0, result.output
+        payload = json.loads((tmp_path / "minimal-hilbert.json").read_text())["result"]
+        assert payload["principle4_probabilities"] == [1.0, 0.0]
+        assert payload["principle4_max_deviation"] == 0.0
+
     def test_repeated_runs_byte_identical(self, tmp_path):
         path = str(bundled_scenario_path("mach-zehnder-detected"))
         run_cli(tmp_path, path, "--command", "montecarlo", "--seed", "5")

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from epiq.evolution import Knowability
-from epiq.uniqueness import (BORN, DEFAULT_CANDIDATES, MAX_SOLUTIONS, QUARTIC,
-                             REAL_QUADRATIC, SEXTIC, CandidateMap, build_constraints, estimate_dof,
-                             evaluate_candidate, property_independence_conditions,
-                             uniqueness_report, verify_multiplicativity)
+from epiq.uniqueness import (BORN, DEFAULT_CANDIDATES, LM_MAX_ITER, MAX_SOLUTIONS, QUARTIC,
+                             REAL_QUADRATIC, SEXTIC, CandidateMap, ConstraintSystem,
+                             build_constraints, estimate_dof, evaluate_candidate,
+                             property_independence_conditions, uniqueness_report,
+                             verify_multiplicativity)
 
 
 class TestCandidateMap:
@@ -181,6 +182,22 @@ class TestArrayResidual:
         singles = np.array([[system.residual(x) for x in row] for row in xs])
         assert np.allclose(batched, singles, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("candidate, level, m, mp", [
+        jacobian_case(candidate, level, m, mp)
+        for level in LEVELS for candidate in DEFAULT_CANDIDATES + (BIVARIATE,)
+        for m, mp in SHAPES])
+    def test_fused_evaluation_matches_its_wrappers(self, candidate, level, m, mp):
+        system = leveled_system(candidate, m, mp, level)
+        xs = np.random.default_rng(m + mp).normal(scale=0.7, size=(2, 3, system.n_vars))
+        r, jac = system.evaluate(xs)
+        r_only, no_jac = system.evaluate(xs, jacobian=False)
+        assert no_jac is None
+        assert r.tobytes() == r_only.tobytes() == system.residual(xs).tobytes()
+        assert jac.tobytes() == system.jacobian(xs).tobytes()
+        assert jac.shape == (2, 3, len(system.equations), system.n_vars)
+        f_rows = len(build_constraints(m, mp, level, candidate).equations)
+        assert np.all(jac[..., f_rows:, :system.n_p_vars] == 0)  # independence rows hold no a_j
+
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_born_rows_vanish_on_random_unitary(self, m):
         rng = np.random.default_rng(m)
@@ -256,6 +273,23 @@ class TestEstimateDof:
         assert len(first.sample_solutions) == len(second.sample_solutions) > 0
         for x, y in zip(first.sample_solutions, second.sample_solutions):
             assert x.tobytes() == y.tobytes()
+
+    def test_one_evaluation_per_iteration(self, monkeypatch):
+        calls = {"evaluate": 0, "residual": 0, "jacobian": 0}
+
+        def spy(name):
+            original = getattr(ConstraintSystem, name)
+
+            def counted(self, *args, **kwargs):
+                calls[name] += 1
+                return original(self, *args, **kwargs)
+            monkeypatch.setattr(ConstraintSystem, name, counted)
+
+        for name in calls:
+            spy(name)
+        estimate_dof(full_system(QUARTIC, 2, 2), samples=8)
+        assert calls["residual"] == calls["jacobian"] == 0
+        assert 1 <= calls["evaluate"] <= LM_MAX_ITER + 1
 
     @pytest.mark.parametrize("candidate", [BORN, REAL_QUADRATIC], ids=lambda c: c.name)
     def test_keeps_at_most_max_solutions(self, candidate):
