@@ -50,9 +50,9 @@ class JointVolumeTable:
         rows = tuple(tuple(float(x) for x in row) for row in self.v)
         object.__setattr__(self, "v", rows)
         flat = [x for row in rows for x in row]
-        if any(x < 0 for x in flat):
+        if not all(x >= 0 for x in flat):  # both checks are written so that NaN fails
             raise ValueError("joint volumes must be nonnegative")
-        if abs(sum(flat) - 1.0) > 1e-9:
+        if not abs(sum(flat) - 1.0) <= 1e-9:
             raise ValueError("joint volumes must sum to one")
 
     @property
@@ -314,14 +314,13 @@ class OperatorPropertyReport:
     notes: tuple
 
 
-def operator_to_property(op: PropertyOperator, space: ContextSpace,
-                         reference_property: Optional[str] = None) -> OperatorPropertyReport:
+def operator_to_property(op: PropertyOperator, space: ContextSpace) -> OperatorPropertyReport:
     """Read a contextual property off a self-adjoint operator.
 
     The operator's eigenbasis fixes the new property's value vectors; the
-    joint volume table against the reference basis follows from the inner
-    products.  The state-space regions behind those volumes are not pinned
-    down by the operator, which the report always records.
+    joint volume table against the first property's basis follows from the
+    inner products.  The state-space regions behind those volumes are not
+    pinned down by the operator, which the report always records.
     """
     vals = list(op.eigenvalues)
     for i, x in enumerate(vals):
@@ -330,7 +329,7 @@ def operator_to_property(op: PropertyOperator, space: ContextSpace,
                 raise ValueError("cannot define distinct property values")
     if any(b.shape[1] != 1 for b in op.eigenspaces):
         raise ValueError("cannot define distinct property values")
-    ref = reference_property or space.property_order[0]
+    ref = space.property_order[0]
     basis = space.basis(ref)
     m = basis.shape[1]
     amp = [[inner(basis[:, j], op.eigenspaces[k][:, 0]) for k in range(len(vals))]

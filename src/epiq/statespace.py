@@ -6,13 +6,13 @@ exclude; the measure on such sets is plain cardinality, which satisfies the
 required axioms (nonnegative, additive over disjoint unions, 1 on singletons)
 at the finite scale this library targets.
 
-Each exact state carries a mixed-radix integer ``code``: its position in the
-``itertools.product`` order of the registry's slot values.  An epistemic
-state is the pair (registry, mask), an integer whose bit ``code`` is set for
-each member, so AND, OR, NOT, slices and volumes are integer operations that
-build no exact state.  A mask converts to and from one numpy flag per code,
-which is how rules are applied and members found.  ``members`` decodes the
-mask into exact states on first use and caches them.
+An exact state is its ``code``: the mixed-radix number whose digit at a slot
+is the index of its value there, with place values ``ObjectRegistry._strides``,
+so codes run in ``itertools.product`` order.  An epistemic state is the pair
+(registry, mask), an integer whose bit ``code`` is set for each member, so AND,
+OR, NOT, slices and volumes are integer operations that build no exact state.
+A mask converts to and from one numpy flag per code, which is how rules are
+applied, slices cut and members found.
 """
 from __future__ import annotations
 
@@ -168,26 +168,17 @@ class ObjectRegistry:
         return size
 
     @cached_property
-    def _zero_runs(self) -> tuple:
-        """Per slot, its stride and the mask of the codes whose digit there is 0.
-
-        In product order those codes are a run of ``stride`` ones every
-        ``radix * stride`` codes, so the mask is one run doubled until it spans
-        the space; digit ``d`` is the same mask shifted by ``d * stride``.
-        """
-        runs, stride = [], 1
-        for legal in reversed(self._slot_values):
-            mask, width = (1 << stride) - 1, stride * len(legal)
-            while width < self._size:
-                mask |= mask << width
-                width *= 2
-            runs.append((stride, mask & ((1 << self._size) - 1)))
-            stride *= len(legal)
-        return tuple(reversed(runs))
+    def _strides(self) -> tuple:
+        """Per slot, the product of the later slots' radices: its digit's place value."""
+        radices = [len(legal) for legal in self._slot_values]
+        return tuple(math.prod(radices[i + 1:]) for i in range(len(radices)))
 
     def _value_mask(self, idx: int, digit: int) -> int:
-        stride, zero = self._zero_runs[idx]
-        return zero << (digit * stride)
+        """The mask of the codes whose digit at slot ``idx`` is ``digit``."""
+        stride, radix = self._strides[idx], len(self._slot_values[idx])
+        flags = np.zeros((self._size // (radix * stride), radix, stride), bool)
+        flags[:, digit] = True
+        return _mask(flags)
 
     def slots(self) -> tuple:
         return self._slots
@@ -202,37 +193,38 @@ class ObjectRegistry:
             raise ValueError(f"no slot ({object_id}, {attribute_id})") from None
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ExactState:
     """One complete value assignment over a registry (a point of state space).
 
-    ``code`` is the mixed-radix index of ``values`` over the slot digits, i.e.
-    the state's position in ``all_exact_states`` order.  It is the hash;
-    equality still compares (registry, values).
+    It is held as its ``code``, the state's position in ``all_exact_states``
+    order; ``values`` decodes it.  The code is the hash.
     """
 
     registry: ObjectRegistry
-    values: tuple
-    code: int = field(init=False, compare=False, repr=False)
+    code: int
 
-    def __post_init__(self):
-        reg = self.registry
-        digits = reg._digits
-        if len(self.values) != len(digits):
+    def __init__(self, registry: ObjectRegistry, values: Sequence):
+        if len(values) != len(registry._digits):
             raise ValueError("assignment is not total")
-        code = 0
         try:
-            for table, v in zip(digits, self.values):
-                code = code * len(table) + table[v]
+            code = sum(table[v] * stride
+                       for table, v, stride in zip(registry._digits, values, registry._strides))
         except (KeyError, TypeError):  # TypeError: an unhashable value
-            for (oid, aid), v, legal in zip(reg._slots, self.values, reg._slot_values):
+            for (oid, aid), v, legal in zip(registry._slots, values, registry._slot_values):
                 if v not in legal:
                     raise ValueError(f"illegal value {v!r} for ({oid}, {aid})") from None
             raise
+        object.__setattr__(self, "registry", registry)
         object.__setattr__(self, "code", code)
 
     def __hash__(self):
         return self.code
+
+    @property
+    def values(self) -> tuple:
+        return tuple(legal[self.code // stride % len(legal)] for legal, stride
+                     in zip(self.registry._slot_values, self.registry._strides))
 
     def value(self, object_id: str, attribute_id: str):
         return self.values[self.registry._position(object_id, attribute_id)]
@@ -241,16 +233,13 @@ class ExactState:
 _BATCH = 4096  # exact states built per step of ``_exact_states``
 
 
-def _exact_states(registry: ObjectRegistry, codes: Iterable[int],
-                  values: Iterable[tuple]) -> Iterator[ExactState]:
-    """Exact states of legal ``values`` with known ``codes``, built unchecked a
-    batch at a time; ``map`` stops at ``states``, so a batch takes its own codes."""
-    codes, values = iter(codes), iter(values)
-    while batch := list(itertools.islice(values, _BATCH)):
+def _exact_states(registry: ObjectRegistry, codes: Iterable[int]) -> Iterator[ExactState]:
+    """The exact states of ``codes``, built unchecked a batch at a time."""
+    codes = iter(codes)
+    while batch := list(itertools.islice(codes, _BATCH)):
         states = list(map(object.__new__, itertools.repeat(ExactState, len(batch))))
-        for slot, filled in ((ExactState.registry, itertools.repeat(registry)),
-                             (ExactState.values, batch), (ExactState.code, codes)):
-            deque(map(slot.__set__, states, filled), 0)
+        deque(map(ExactState.registry.__set__, states, itertools.repeat(registry)), 0)
+        deque(map(ExactState.code.__set__, states, batch), 0)
         yield from states
 
 
@@ -260,11 +249,16 @@ def _flags(mask: int, size: int) -> np.ndarray:
     return np.unpackbits(raw, count=size, bitorder="little").view(bool)
 
 
+def _mask(flags: np.ndarray) -> int:
+    """The mask with bit ``c`` set where ``flags.flat[c]``: the inverse of ``_flags``."""
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+
+
 def _mask_of(codes: np.ndarray, size: int) -> int:
     """The mask with bit ``c`` set for each code ``c`` of an index array, below ``size``."""
     flags = np.zeros(size, bool)
     flags[codes] = True
-    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+    return _mask(flags)
 
 
 @dataclass(frozen=True, init=False)
@@ -308,10 +302,8 @@ class EpistemicState:
     @cached_property
     def members(self) -> frozenset:
         """The exact states of the mask; only members are built."""
-        reg = self.registry
-        flags = _flags(self.mask, reg._size)
-        values = itertools.compress(itertools.product(*reg.slot_values()), flags.tobytes())
-        return frozenset(_exact_states(reg, np.flatnonzero(flags).tolist(), values))
+        codes = np.flatnonzero(_flags(self.mask, self.registry._size))
+        return frozenset(_exact_states(self.registry, codes.tolist()))
 
     def __len__(self):
         return self.mask.bit_count()
@@ -339,7 +331,7 @@ class EpistemicState:
 
 def all_exact_states(registry: ObjectRegistry) -> Iterator[ExactState]:
     """Enumerate the full state space of a registry; the enumeration index is the code."""
-    return _exact_states(registry, itertools.count(), itertools.product(*registry.slot_values()))
+    return _exact_states(registry, range(math.prod(map(len, registry.slot_values()))))
 
 
 def full_state(registry: ObjectRegistry) -> EpistemicState:

@@ -48,6 +48,7 @@ LM_STALL_ITER = 20
 LM_MAX_ITER = 200
 
 MAX_BIVARIATE_DEGREE = 6
+MULTIPLICATIVITY_TRIALS = 1000  # random pairs per check, drawn from a fixed seed
 
 
 @dataclass(frozen=True)
@@ -450,18 +451,17 @@ class MultiplicativityReport:
     witness: Optional[tuple] = None
 
 
-def verify_multiplicativity(candidate: CandidateMap, trials: int = 1000,
-                            seed: int = 0) -> MultiplicativityReport:
+def verify_multiplicativity(candidate: CandidateMap) -> MultiplicativityReport:
     """Check f(ab) = f(a) f(b) on random complex pairs.
 
     Sequential observation of two never-knowable properties multiplies
     amplitudes, so an acceptable map must be multiplicative; this filters the
     general polynomial candidates without solving their constraint systems.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     # amplitudes carry relative volumes, so their modulus never exceeds one
-    radius = np.sqrt(rng.uniform(size=(2, trials)))
-    phase = np.exp(2j * np.pi * rng.uniform(size=(2, trials)))
+    radius = np.sqrt(rng.uniform(size=(2, MULTIPLICATIVITY_TRIALS)))
+    phase = np.exp(2j * np.pi * rng.uniform(size=(2, MULTIPLICATIVITY_TRIALS)))
     a, b = radius * phase
     if candidate.real_only:
         a, b = np.real(a) + 0j, np.real(b) + 0j
@@ -523,6 +523,6 @@ def uniqueness_report(mlist: Sequence[int], mplist: Sequence[int],
     """Candidate-by-shape verdict table; only |a|^2 is expected to pass."""
     rows = []
     for candidate in candidates:
-        for m, mp in zip(mlist, mplist):
+        for m, mp in zip(mlist, mplist, strict=True):
             rows.append(evaluate_candidate(candidate, m, mp, samples=samples, seed=seed))
     return UniquenessReport(rows=tuple(rows))

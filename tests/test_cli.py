@@ -411,6 +411,28 @@ class TestCli:
         assert payload["properties"] == {"a": [2, 2, 2], "b": [3, 3]}
         assert payload["commutator_norm"] == 0.0 and payload["commuting"] is True
 
+    def test_hilbert_command_single_property(self, tmp_path):
+        doc = minimal_doc()
+        doc["context"] = {"layers": [{"property": "a", "level": 3, "labels": [1, 2]}],
+                          "initial": ["1/sqrt2", "1/sqrt2"], "matrices": []}
+        path = tmp_path / "single.json"
+        path.write_text(json.dumps(doc))
+        result = run_cli(tmp_path, str(path), "--command", "hilbert")
+        assert result.exit_code == 0, result.output
+        payload = json.loads((tmp_path / "minimal-hilbert.json").read_text())["result"]
+        assert payload == {"dimension": 2, "kind": "single", "properties": {"a": [1, 1]}}
+
+    def test_hilbert_command_refuses_three_properties(self, tmp_path):
+        doc = minimal_doc()
+        doc["context"]["layers"].append({"property": "screen", "level": 3, "labels": [1, 2]})
+        doc["context"]["matrices"].append([["1", "0"], ["0", "1"]])
+        path = tmp_path / "three.json"
+        path.write_text(json.dumps(doc))
+        result = run_cli(tmp_path, str(path), "--command", "hilbert")
+        assert result.exit_code == 1
+        assert "one- and two-property contexts" in result.output
+        assert not list(tmp_path.glob("minimal-hilbert.*"))
+
     def test_uniqueness_command_guard(self, tmp_path):
         result = run_cli(tmp_path, str(bundled_scenario_path("born-uniqueness")))
         assert result.exit_code == 0, result.output

@@ -42,6 +42,14 @@ class TestJointVolumeTable:
         with pytest.raises(ValueError, match="nonnegative"):
             JointVolumeTable(v=((0.75, -0.25), (0.25, 0.25)))
 
+    @pytest.mark.parametrize("v, message", [
+        (((float("nan"), 0.5), (0.25, 0.25)), "nonnegative"),
+        (((float("inf"), 0.5), (0.25, 0.25)), "sum to one"),
+    ], ids=["nan", "inf"])
+    def test_non_finite_volumes_rejected(self, v, message):
+        with pytest.raises(ValueError, match=message):
+            JointVolumeTable(v=v)
+
     def test_symmetric_pair_conditions(self):
         assert quarter_volumes().symmetric_pair_conditions_hold()
         assert not JointVolumeTable(v=((0.4, 0.1), (0.1, 0.4))).symmetric_pair_conditions_hold() \

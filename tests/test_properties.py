@@ -9,12 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epiq.context import ContextNetwork, ContextualState, Layer, propagate
+from epiq.context import (ContextNetwork, ContextualState, Layer, pad_virtual_values, propagate,
+                          validate_context)
 from epiq.evolution import EvolutionRule, Knowability, make_alternatives, probability
 from epiq.exactnum import ExactAmplitude, Sqrt2Scalar, abs2, parse_exact
-from epiq.statespace import (AttributeDef, EpistemicState, ObjectRegistry, PropertySpec,
-                             VoidStateError, all_exact_states, combine, full_state,
-                             relative_volume, state_slice, volume)
+from epiq.statespace import (AttributeDef, EpistemicState, ExactState, ObjectRegistry,
+                             PropertySpec, VoidStateError, all_exact_states, combine,
+                             full_state, relative_volume, state_slice, volume)
 
 
 def small_registry(n_positions: int, n_marks: int) -> ObjectRegistry:
@@ -65,6 +66,14 @@ class TestStateCodes:
         codes = sorted(z.code for z in whole.members)
         assert codes == list(range(volume(whole)))
         assert [z.code for z in all_exact_states(registry)] == codes
+
+    @given(mixed_registries())
+    @settings(max_examples=40, deadline=None)
+    def test_values_decode_the_code_in_product_order(self, registry):
+        product = itertools.product(*registry.slot_values())
+        for z, values in zip(all_exact_states(registry), product, strict=True):
+            assert z.values == values and ExactState(registry, values) == z
+            assert tuple(z.value(*slot) for slot in registry.slots()) == values
 
     @given(mixed_registries(), st.randoms(use_true_random=False))
     @settings(max_examples=40, deadline=None)
@@ -285,6 +294,24 @@ def mixed_networks(draw, exact):
     return net, start
 
 
+@st.composite
+def padded_networks(draw, exact):
+    """Three layers of 3, 2 and 2-3 values, the first at level 1, padded at the
+    first boundary, so the middle matrix gains rows for the virtual values.
+    Three rows cannot be orthonormal over two values, so the first layer's
+    third value gets no initial amplitude."""
+    middle = draw(st.sampled_from((Knowability.NEVER, Knowability.DECIDED)))
+    # a padded level-1 middle layer has 3 values and must not feed a narrower one
+    sizes = (3, 2, 3 if middle is Knowability.NEVER else draw(st.integers(2, 3)))
+    initial = draw(unitaries(2, exact))[0] + ((parse_exact("0") if exact else 0j),)
+    edges = (tuple(draw(unitaries(2, exact)) + [draw(unitaries(2, exact))[0]]),
+             tuple(draw(unitaries(sizes[2], exact))[:2]))
+    layers = tuple(Layer(f"L{i}", level, tuple(float(k + 1) for k in range(m)))
+                   for i, (level, m) in enumerate(zip(
+                       (Knowability.NEVER, middle, Knowability.DECIDED), sizes)))
+    return pad_virtual_values(ContextNetwork(layers=layers, initial=initial, edges=edges), 0)
+
+
 def path_oracle(net, start=None):
     """Final distribution by enumerating every path from the start layer.
 
@@ -329,4 +356,19 @@ class TestPropagationOracle:
         dist = propagate(net, start=start)
         assert dist.exact is None
         for p, q in zip(dist.probabilities, path_oracle(net, start)):
+            assert abs(p - q) <= 1e-12
+
+    @given(padded_networks(exact=True))
+    @settings(max_examples=25, deadline=None)
+    def test_exact_padding_before_a_middle_layer_equals_path_enumeration(self, net):
+        assert validate_context(net) == []
+        assert net.layers[1].size == len(net.edges[1]) == 3
+        assert list(propagate(net).exact) == path_oracle(net)
+
+    @given(padded_networks(exact=False))
+    @settings(max_examples=25, deadline=None)
+    def test_float_padding_before_a_middle_layer_equals_path_enumeration(self, net):
+        assert validate_context(net) == []
+        assert net.layers[1].size == len(net.edges[1]) == 3
+        for p, q in zip(propagate(net).probabilities, path_oracle(net)):
             assert abs(p - q) <= 1e-12

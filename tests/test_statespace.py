@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import itertools
 import pickle
 from fractions import Fraction
@@ -104,6 +105,11 @@ class TestExactStateCode:
         assert ExactState(r1, (3, "down")) != ExactState(r2, (3, "down"))
         with pytest.raises(ValueError, match="different registry"):
             EpistemicState(r1, frozenset([ExactState(r2, (3, "down"))]))
+
+    def test_state_is_its_registry_and_code(self, registry):
+        assert [f.name for f in dataclasses.fields(ExactState)] == ["registry", "code"]
+        z = ExactState(registry, (2, "down"))
+        assert repr(z) == f"ExactState(registry={registry!r}, code={z.code})"
 
     def test_codes_follow_enumeration_order(self, registry):
         states = list(all_exact_states(registry))

@@ -334,6 +334,10 @@ class TestReport:
         report = uniqueness_report([3], [3], samples=60, seed=1)
         assert report.passing_candidates() == ("|a|^2",)
 
+    def test_unpaired_shape_lists_are_refused(self):
+        with pytest.raises(ValueError, match="shorter"):
+            uniqueness_report([2, 3], [2], samples=2)
+
     def test_table_rows_cover_grid(self):
         report = uniqueness_report([2], [2], candidates=(BORN,), samples=30, seed=0)
         assert len(report.rows) == 1
