@@ -227,7 +227,9 @@ class ExactState:
                      in zip(self.registry._slot_values, self.registry._strides))
 
     def value(self, object_id: str, attribute_id: str):
-        return self.values[self.registry._position(object_id, attribute_id)]
+        idx = self.registry._position(object_id, attribute_id)
+        legal = self.registry._slot_values[idx]
+        return legal[self.code // self.registry._strides[idx] % len(legal)]
 
 
 _BATCH = 4096  # exact states built per step of ``_exact_states``

@@ -1,6 +1,7 @@
 """Born-rule uniqueness as numerical feasibility and freedom checks.
 
-A candidate probability map f turns amplitudes into relative volumes.  For a
+A candidate probability map f turns amplitudes into relative volumes; it is
+either a**2 on real amplitudes or |a|**(2*gamma) on complex ones.  For a
 never-knowable property P observed before a decided property P', the map must
 satisfy the normalization system (initial amplitudes, each amplitude-matrix
 row, and the closure row obtained by composing the two stages) together with
@@ -47,38 +48,25 @@ LM_RESIDUAL_STOP = 1e-14
 LM_STALL_ITER = 20
 LM_MAX_ITER = 200
 
-MAX_BIVARIATE_DEGREE = 6
-MULTIPLICATIVITY_TRIALS = 1000  # random pairs per check, drawn from a fixed seed
-
 
 @dataclass(frozen=True)
 class CandidateMap:
-    """A map from amplitudes to relative volumes.
+    """A map from amplitudes to relative volumes, of one of two kinds.
 
     kind "real": real amplitudes with f(a) = a**2, the minimal power map on
     the reals compatible with f(a) != a.
     kind "modulus-power": complex amplitudes with f(a) = |a|**(2*gamma).
-    kind "bivariate": complex a = x + i*y with f(a) = sum of d_mn x^m y^n;
-    coefficients are (m, n, d_mn) triples, total degree at most 6.
     """
 
     name: str
     kind: str
     gamma: int = 1
-    coefficients: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in ("real", "modulus-power", "bivariate"):
+        if self.kind not in ("real", "modulus-power"):
             raise ValueError(f"unknown candidate kind {self.kind!r}")
         if self.kind == "modulus-power" and self.gamma < 1:
             raise ValueError("modulus-power exponent gamma must be a positive integer")
-        if self.kind == "bivariate":
-            coeffs = tuple((int(m), int(n), float(d)) for m, n, d in self.coefficients)
-            object.__setattr__(self, "coefficients", coeffs)
-            if not coeffs:
-                raise ValueError("bivariate candidate needs coefficients")
-            if any(m + n > MAX_BIVARIATE_DEGREE or m < 0 or n < 0 for m, n, _ in coeffs):
-                raise ValueError(f"bivariate total degree is capped at {MAX_BIVARIATE_DEGREE}")
 
     @property
     def real_only(self) -> bool:
@@ -89,30 +77,14 @@ class CandidateMap:
         z = np.asarray(z)
         if self.kind == "real":
             return np.real(z) ** 2
-        if self.kind == "modulus-power":
-            return (np.real(z) ** 2 + np.imag(z) ** 2) ** self.gamma
-        x, y = np.real(z), np.imag(z)
-        out = np.zeros_like(x, dtype=float)
-        for m, n, d in self.coefficients:
-            out = out + d * x ** m * y ** n
-        return out
+        return (np.real(z) ** 2 + np.imag(z) ** 2) ** self.gamma
 
     def wirtinger(self, z):
         """df/dz elementwise; f is real, so df/dconj(z) is its conjugate."""
         z = np.asarray(z)
         if self.kind == "real":
             return np.real(z)
-        if self.kind == "modulus-power":
-            return self.gamma * (np.real(z) ** 2 + np.imag(z) ** 2) ** (self.gamma - 1) * np.conj(z)
-        # df/dz = (df/dx - i df/dy) / 2, skipping terms whose power drops below 0
-        x, y = np.real(z), np.imag(z)
-        out = np.zeros_like(z, dtype=complex)
-        for m, n, d in self.coefficients:
-            if m:
-                out = out + 0.5 * d * m * x ** (m - 1) * y ** n
-            if n:
-                out = out - 0.5j * d * n * x ** m * y ** (n - 1)
-        return out
+        return self.gamma * (np.real(z) ** 2 + np.imag(z) ** 2) ** (self.gamma - 1) * np.conj(z)
 
 
 REAL_QUADRATIC = CandidateMap(name="real", kind="real")
@@ -192,10 +164,10 @@ class ConstraintSystem:
         return (perm, sign, norm, others, alpha, beta,
                 np.maximum(alpha - 1, 0), np.maximum(beta - 1, 0))
 
-    def evaluate(self, x: np.ndarray, jacobian: bool = True):
+    def evaluate(self, x: np.ndarray):
         """Every row at x and its analytic derivative, batched over leading
-        axes: (..., n_vars) -> (..., rows), and (..., rows, n_vars) or None
-        when jacobian is False.  Rows are differentiated with respect to a_j,
+        axes: (..., n_vars) -> (..., rows) and (..., rows, n_vars).  Rows are
+        differentiated with respect to a_j,
         A_jk and their conjugates (Wirtinger d and dbar): a real part's column
         is d + dbar, an imaginary part's i(d - dbar), so 2 Re d and -2 Im d
         for the real f rows, whose dbar is conj(d)."""
@@ -227,8 +199,6 @@ class ConstraintSystem:
             # the real part alone for a real candidate, else real and
             # imaginary parts interleaved
             r[..., m + 2:] = terms.real if real else np.ascontiguousarray(terms).view(float)
-        if not jacobian:
-            return r, None
 
         # d of the f rows over (a, A)
         d_f = np.zeros(lead + (m + 2, m + norm[1].size), dtype=complex)
@@ -256,14 +226,6 @@ class ConstraintSystem:
             else:
                 jac[..., m + 2::2, 2 * m:], jac[..., m + 3::2, 2 * m:] = cols.real, cols.imag
         return r, jac
-
-    def residual(self, x: np.ndarray) -> np.ndarray:
-        """Every row at x: (..., n_vars) -> (..., rows)."""
-        return self.evaluate(x, jacobian=False)[0]
-
-    def jacobian(self, x: np.ndarray) -> np.ndarray:
-        """Analytic derivative of every row: (..., n_vars) -> (..., rows, n_vars)."""
-        return self.evaluate(x)[1]
 
 
 def build_constraints(m: int, mp: int, level_of_p: Knowability,
@@ -316,13 +278,10 @@ def property_independence_conditions(system: ConstraintSystem) -> ConstraintSyst
         unit = np.eye(system.m, dtype=int).tolist()
         pairs = [(tuple(unit[j]), tuple(unit[k])) for j, k in combos]
         labels = tuple(f"orthogonality {j}{k}" for j, k in combos)
-    elif cand.kind == "modulus-power":
+    else:
         pairs = list(_independence_pairs(cand.gamma, system.m))
         tags = ["".join(map(str, al)) + "|" + "".join(map(str, be)) for al, be in pairs]
         labels = tuple(f"independence {part} {tag}" for tag in tags for part in ("re", "im"))
-    else:
-        raise ValueError(
-            "property independence rows are defined for real and modulus-power candidates")
     return replace(system, equations=system.equations + labels,
                    blocks=system.blocks + ("P'",) * len(labels),
                    alpha=tuple(al for al, _ in pairs), beta=tuple(be for _, be in pairs))
@@ -335,12 +294,6 @@ class DofReport:
     dof: dict  # block -> estimated manifold dimension
     required: dict
     verdict: bool
-
-    def summary(self) -> str:
-        if not self.feasible:
-            return "infeasible"
-        parts = [f"{k}={self.dof[k]}/{self.required[k]}" for k in ("P", "P'", "total")]
-        return ("pass " if self.verdict else "fail ") + " ".join(parts)
 
 
 def _ranks(jac: np.ndarray) -> np.ndarray:
@@ -445,36 +398,6 @@ def estimate_dof(system: ConstraintSystem, samples: int = 60, seed: int = 0) -> 
 
 
 @dataclass(frozen=True)
-class MultiplicativityReport:
-    max_deviation: float
-    multiplicative: bool
-    witness: Optional[tuple] = None
-
-
-def verify_multiplicativity(candidate: CandidateMap) -> MultiplicativityReport:
-    """Check f(ab) = f(a) f(b) on random complex pairs.
-
-    Sequential observation of two never-knowable properties multiplies
-    amplitudes, so an acceptable map must be multiplicative; this filters the
-    general polynomial candidates without solving their constraint systems.
-    """
-    rng = np.random.default_rng(0)
-    # amplitudes carry relative volumes, so their modulus never exceeds one
-    radius = np.sqrt(rng.uniform(size=(2, MULTIPLICATIVITY_TRIALS)))
-    phase = np.exp(2j * np.pi * rng.uniform(size=(2, MULTIPLICATIVITY_TRIALS)))
-    a, b = radius * phase
-    if candidate.real_only:
-        a, b = np.real(a) + 0j, np.real(b) + 0j
-    dev = np.abs(candidate.apply(a * b) - candidate.apply(a) * candidate.apply(b))
-    worst = int(np.argmax(dev))
-    max_dev = float(dev[worst])
-    return MultiplicativityReport(
-        max_deviation=max_dev,
-        multiplicative=max_dev < 1e-12,
-        witness=None if max_dev < 1e-12 else (complex(a[worst]), complex(b[worst])))
-
-
-@dataclass(frozen=True)
 class UniquenessRow:
     candidate: str
     shape: tuple
@@ -494,15 +417,6 @@ class UniquenessReport:
         names = sorted({r.candidate for r in self.rows})
         return tuple(n for n in names
                      if all(r.verdict for r in self.rows if r.candidate == n))
-
-    def table(self) -> list:
-        out = []
-        for r in self.rows:
-            shape = f"{r.shape[0]}x{r.shape[1]}"
-            if r.padded_shape:
-                shape += f" (padded to {r.padded_shape[0]}x{r.padded_shape[1]})"
-            out.append((r.candidate, shape, r.report.summary()))
-        return out
 
 
 def evaluate_candidate(candidate: CandidateMap, m: int, mp: int,

@@ -1,26 +1,24 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from epiq.evolution import Knowability
 from epiq.uniqueness import (BORN, DEFAULT_CANDIDATES, LM_MAX_ITER, MAX_SOLUTIONS, QUARTIC,
-                             REAL_QUADRATIC, SEXTIC, CandidateMap, ConstraintSystem,
-                             build_constraints, estimate_dof, evaluate_candidate,
-                             property_independence_conditions, uniqueness_report,
-                             verify_multiplicativity)
+                             REAL_QUADRATIC, CandidateMap, ConstraintSystem, build_constraints,
+                             estimate_dof, evaluate_candidate, property_independence_conditions,
+                             uniqueness_report)
 
 
 class TestCandidateMap:
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="kind"):
-            CandidateMap(name="x", kind="cubic")
+        for kind in ("cubic", "bivariate"):
+            with pytest.raises(ValueError, match="kind"):
+                CandidateMap(name="x", kind=kind)
 
     def test_gamma_must_be_positive(self):
         with pytest.raises(ValueError, match="gamma"):
             CandidateMap(name="x", kind="modulus-power", gamma=0)
-
-    def test_bivariate_degree_cap(self):
-        with pytest.raises(ValueError, match="degree"):
-            CandidateMap(name="x", kind="bivariate", coefficients=((7, 0, 1.0),))
 
     def test_born_map_values(self):
         assert BORN.apply(np.array([0.6 + 0.8j]))[0] == pytest.approx(1.0)
@@ -50,7 +48,7 @@ class TestBuildConstraints:
         x = pack(a, big)
         for level, closure_vanishes in ((Knowability.DECIDED, True), (Knowability.NEVER, False)):
             system = build_constraints(3, 3, level, candidate)
-            res = dict(zip(system.equations, system.residual(x)))
+            res = dict(zip(system.equations, system.evaluate(x)[0]))
             assert max(abs(v) for k, v in res.items() if k != "closure") < 1e-12
             assert (abs(res["closure"]) < 1e-12) == closure_vanishes
 
@@ -60,7 +58,7 @@ class TestBuildConstraints:
         h = 1 / np.sqrt(2)
         x = np.array([h, h, 0, 0,  # a real parts, imaginary parts
                       h, h, h, -h, 0, 0, 0, 0])
-        assert np.max(np.abs(system.residual(x))) < 1e-12
+        assert np.max(np.abs(system.evaluate(x)[0])) < 1e-12
 
     def test_too_small_shapes_rejected(self):
         with pytest.raises(ValueError, match="two values"):
@@ -80,33 +78,27 @@ def full_system(candidate, m, mp):
 SHAPES = [(2, 2), (3, 3), (2, 3)]
 
 
-BIVARIATE = CandidateMap(name="g", kind="bivariate",
-                         coefficients=((2, 0, 1.0), (1, 1, 0.5), (0, 3, 2.0)))
-
-
 def leveled_system(candidate, m, mp, level):
-    """Level 1 with the independence rows, level 3 without them; a bivariate
-    candidate has no independence rows."""
+    """Level 1 with the independence rows, level 3 without them."""
     system = build_constraints(m, mp, level, candidate)
-    if level is Knowability.NEVER and candidate.kind != "bivariate":
+    if level is Knowability.NEVER:
         system = property_independence_conditions(system)
     return system
 
 
 def central_difference(system, x, h=1e-6):
-    ref = np.empty((len(system.equations), system.n_vars))
-    for i in range(system.n_vars):
-        step = np.zeros(system.n_vars)
-        step[i] = h
-        ref[:, i] = (system.residual(x + step) - system.residual(x - step)) / (2 * h)
-    return ref
+    """The residual's central difference, column by column, from one
+    evaluation of the whole (2 n_vars, n_vars) stencil."""
+    steps = h * np.eye(system.n_vars)
+    r = system.evaluate(x + np.concatenate([steps, -steps]))[0]
+    return ((r[:system.n_vars] - r[system.n_vars:]) / (2 * h)).T
 
 
 LEVELS = [Knowability.NEVER, Knowability.DECIDED]
 
 
 def jacobian_case(candidate, level, m, mp):
-    """Case id m-mp-gamma, the kind for other candidates, "-decided" at level 3."""
+    """Case id m-mp-gamma, "real" for the real candidate, "-decided" at level 3."""
     tag = str(candidate.gamma) if candidate.kind == "modulus-power" else candidate.kind
     suffix = "-decided" if level is Knowability.DECIDED else ""
     return pytest.param(candidate, level, m, mp, id=f"{m}-{mp}-{tag}{suffix}")
@@ -115,14 +107,14 @@ def jacobian_case(candidate, level, m, mp):
 class TestArrayResidual:
     @pytest.mark.parametrize("candidate, level, m, mp", [
         jacobian_case(candidate, level, m, mp)
-        for level in LEVELS for candidate in DEFAULT_CANDIDATES + (BIVARIATE,)
+        for level in LEVELS for candidate in DEFAULT_CANDIDATES
         for m, mp in SHAPES + [(4, 4)]])
     def test_jacobian_is_columnwise_central_difference(self, candidate, level, m, mp):
         system = leveled_system(candidate, m, mp, level)
         seed = m * mp
         x = np.random.default_rng(seed).normal(scale=0.7, size=system.n_vars)
         ref = central_difference(system, x)
-        assert np.allclose(system.jacobian(x), ref, rtol=0, atol=1e-9 * np.max(np.abs(ref)))
+        assert np.allclose(system.evaluate(x)[1], ref, rtol=0, atol=1e-9 * np.max(np.abs(ref)))
 
     @pytest.mark.parametrize("candidate", DEFAULT_CANDIDATES, ids=lambda c: c.name)
     def test_jacobian_finite_at_vanishing_entry(self, candidate):
@@ -136,20 +128,23 @@ class TestArrayResidual:
             x[entry + n] = 0.0
         _, big = system.unpack(x)
         assert big[1, 1] == 0
-        jac = system.jacobian(x)
+        jac = system.evaluate(x)[1]
         assert np.all(np.isfinite(jac))
         ref = central_difference(system, x)
         assert np.allclose(jac, ref, rtol=0, atol=1e-9 * np.max(np.abs(ref)))
 
     @pytest.mark.parametrize("candidate", DEFAULT_CANDIDATES, ids=lambda c: c.name)
     @pytest.mark.parametrize("m, mp", SHAPES)
-    def test_batched_jacobian_stacks_single_calls(self, candidate, m, mp):
+    def test_batched_evaluation_stacks_single_calls(self, candidate, m, mp):
         system = full_system(candidate, m, mp)
         xs = np.random.default_rng(0).normal(size=(2, 3, system.n_vars))
-        batched = system.jacobian(xs)
-        assert batched.shape == (2, 3, len(system.equations), system.n_vars)
-        singles = np.array([[system.jacobian(x) for x in row] for row in xs])
-        assert np.allclose(batched, singles, rtol=0, atol=1e-12)
+        r, jac = system.evaluate(xs)
+        assert r.shape == (2, 3, len(system.equations))
+        assert jac.shape == r.shape + (system.n_vars,)
+        singles = [[system.evaluate(x) for x in row] for row in xs]
+        for batched, part in ((r, 0), (jac, 1)):
+            stacked = np.array([[single[part] for single in row] for row in singles])
+            assert np.allclose(batched, stacked, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("gamma", [1, 2, 3])
     @pytest.mark.parametrize("m, mp", SHAPES)
@@ -157,7 +152,7 @@ class TestArrayResidual:
         system = full_system(CandidateMap(name="g", kind="modulus-power", gamma=gamma), m, mp)
         x = np.random.default_rng(gamma).normal(scale=0.7, size=system.n_vars)
         _, big = system.unpack(x)
-        rows = dict(zip(system.equations, system.residual(x)))
+        rows = dict(zip(system.equations, system.evaluate(x)[0]))
         labels = [label for label in system.equations if label.startswith("independence")]
         assert labels
         for label in labels:
@@ -172,28 +167,14 @@ class TestArrayResidual:
             want = term.real if part == "re" else term.imag
             assert rows[label] == pytest.approx(want, rel=1e-12, abs=1e-12)
 
-    @pytest.mark.parametrize("candidate", DEFAULT_CANDIDATES)
-    @pytest.mark.parametrize("m, mp", SHAPES)
-    def test_batched_residual_stacks_single_calls(self, candidate, m, mp):
-        system = full_system(candidate, m, mp)
-        xs = np.random.default_rng(0).normal(size=(2, 3, system.n_vars))
-        batched = system.residual(xs)
-        assert batched.shape == (2, 3, len(system.equations))
-        singles = np.array([[system.residual(x) for x in row] for row in xs])
-        assert np.allclose(batched, singles, rtol=0, atol=1e-12)
-
     @pytest.mark.parametrize("candidate, level, m, mp", [
         jacobian_case(candidate, level, m, mp)
-        for level in LEVELS for candidate in DEFAULT_CANDIDATES + (BIVARIATE,)
+        for level in LEVELS for candidate in DEFAULT_CANDIDATES
         for m, mp in SHAPES])
     def test_fused_evaluation_matches_its_wrappers(self, candidate, level, m, mp):
         system = leveled_system(candidate, m, mp, level)
         xs = np.random.default_rng(m + mp).normal(scale=0.7, size=(2, 3, system.n_vars))
-        r, jac = system.evaluate(xs)
-        r_only, no_jac = system.evaluate(xs, jacobian=False)
-        assert no_jac is None
-        assert r.tobytes() == r_only.tobytes() == system.residual(xs).tobytes()
-        assert jac.tobytes() == system.jacobian(xs).tobytes()
+        _, jac = system.evaluate(xs)
         assert jac.shape == (2, 3, len(system.equations), system.n_vars)
         f_rows = len(build_constraints(m, mp, level, candidate).equations)
         assert np.all(jac[..., f_rows:, :system.n_p_vars] == 0)  # independence rows hold no a_j
@@ -203,7 +184,7 @@ class TestArrayResidual:
         rng = np.random.default_rng(m)
         a = rng.normal(size=m) + 1j * rng.normal(size=m)
         big, _ = np.linalg.qr(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))
-        residual = full_system(BORN, m, m).residual(pack(a / np.linalg.norm(a), big))
+        residual = full_system(BORN, m, m).evaluate(pack(a / np.linalg.norm(a), big))[0]
         assert np.max(np.abs(residual)) < 1e-12
 
 
@@ -225,12 +206,6 @@ class TestIndependenceConditions:
     def test_level_three_has_no_independence_rows(self):
         base = build_constraints(2, 2, Knowability.DECIDED, BORN)
         with pytest.raises(ValueError, match="never knowable"):
-            property_independence_conditions(base)
-
-    def test_bivariate_unsupported(self):
-        cand = CandidateMap(name="g", kind="bivariate", coefficients=((2, 0, 1.0),))
-        base = build_constraints(2, 2, Knowability.NEVER, cand)
-        with pytest.raises(ValueError, match="modulus-power"):
             property_independence_conditions(base)
 
 
@@ -275,42 +250,20 @@ class TestEstimateDof:
             assert x.tobytes() == y.tobytes()
 
     def test_one_evaluation_per_iteration(self, monkeypatch):
-        calls = {"evaluate": 0, "residual": 0, "jacobian": 0}
+        calls = []
+        original = ConstraintSystem.evaluate
 
-        def spy(name):
-            original = getattr(ConstraintSystem, name)
-
-            def counted(self, *args, **kwargs):
-                calls[name] += 1
-                return original(self, *args, **kwargs)
-            monkeypatch.setattr(ConstraintSystem, name, counted)
-
-        for name in calls:
-            spy(name)
+        def counted(self, x):
+            calls.append(x)
+            return original(self, x)
+        monkeypatch.setattr(ConstraintSystem, "evaluate", counted)
         estimate_dof(full_system(QUARTIC, 2, 2), samples=8)
-        assert calls["residual"] == calls["jacobian"] == 0
-        assert 1 <= calls["evaluate"] <= LM_MAX_ITER + 1
+        assert 1 <= len(calls) <= LM_MAX_ITER + 1
 
     @pytest.mark.parametrize("candidate", [BORN, REAL_QUADRATIC], ids=lambda c: c.name)
     def test_keeps_at_most_max_solutions(self, candidate):
         report = dof_for(candidate, samples=3 * MAX_SOLUTIONS)
         assert len(report.sample_solutions) == MAX_SOLUTIONS
-
-
-class TestMultiplicativity:
-    def test_modulus_powers_multiplicative(self):
-        for cand in (BORN, QUARTIC, SEXTIC):
-            assert verify_multiplicativity(cand).max_deviation < 1e-12
-
-    def test_polynomial_fails_with_witness(self):
-        cand = CandidateMap(name="x^2+y^4", kind="bivariate",
-                            coefficients=((2, 0, 1.0), (0, 4, 1.0)))
-        report = verify_multiplicativity(cand)
-        assert not report.multiplicative
-        assert report.witness is not None
-        a, b = report.witness
-        f = lambda z: cand.apply(np.array([z]))[0]
-        assert abs(f(a * b) - f(a) * f(b)) == pytest.approx(report.max_deviation)
 
 
 class TestReport:
@@ -338,8 +291,13 @@ class TestReport:
         with pytest.raises(ValueError, match="shorter"):
             uniqueness_report([2, 3], [2], samples=2)
 
-    def test_table_rows_cover_grid(self):
-        report = uniqueness_report([2], [2], candidates=(BORN,), samples=30, seed=0)
-        assert len(report.rows) == 1
-        candidate, shape, summary = report.table()[0]
-        assert candidate == "|a|^2" and shape == "2x2" and summary.startswith("pass")
+
+def test_benchmark_plans_the_uniqueness_table(monkeypatch, tmp_path):
+    """The uniqueness-table workload's set-up builds each row's system and
+    runs one study, so it fails if a name it calls leaves this module."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import workloads
+    table = workloads.UniquenessTable()
+    table.setup(1, tmp_path)
+    assert len(table.equations) == len(table.rows) == len(DEFAULT_CANDIDATES) * 3
+    assert {(cand.name, (m, mp)) for cand, m, mp, *_ in table.rows} == set(table.reference)
