@@ -135,16 +135,23 @@ class TestArrayResidual:
 
     @pytest.mark.parametrize("candidate", DEFAULT_CANDIDATES, ids=lambda c: c.name)
     @pytest.mark.parametrize("m, mp", SHAPES)
-    def test_batched_evaluation_stacks_single_calls(self, candidate, m, mp):
+    def test_batched_jacobian_stacks_single_calls(self, candidate, m, mp):
         system = full_system(candidate, m, mp)
         xs = np.random.default_rng(0).normal(size=(2, 3, system.n_vars))
-        r, jac = system.evaluate(xs)
-        assert r.shape == (2, 3, len(system.equations))
-        assert jac.shape == r.shape + (system.n_vars,)
-        singles = [[system.evaluate(x) for x in row] for row in xs]
-        for batched, part in ((r, 0), (jac, 1)):
-            stacked = np.array([[single[part] for single in row] for row in singles])
-            assert np.allclose(batched, stacked, rtol=0, atol=1e-12)
+        batched = system.evaluate(xs)[1]
+        assert batched.shape == (2, 3, len(system.equations), system.n_vars)
+        singles = np.array([[system.evaluate(x)[1] for x in row] for row in xs])
+        assert np.allclose(batched, singles, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("candidate", DEFAULT_CANDIDATES)
+    @pytest.mark.parametrize("m, mp", SHAPES)
+    def test_batched_residual_stacks_single_calls(self, candidate, m, mp):
+        system = full_system(candidate, m, mp)
+        xs = np.random.default_rng(0).normal(size=(2, 3, system.n_vars))
+        batched = system.evaluate(xs)[0]
+        assert batched.shape == (2, 3, len(system.equations))
+        singles = np.array([[system.evaluate(x)[0] for x in row] for row in xs])
+        assert np.allclose(batched, singles, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("gamma", [1, 2, 3])
     @pytest.mark.parametrize("m, mp", SHAPES)
