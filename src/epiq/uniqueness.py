@@ -19,7 +19,10 @@ is probed from random starts that one Levenberg-Marquardt loop drives down
 together, with one evaluation per iteration; the local manifold dimension is
 variables minus the numerical rank of the Jacobian at the solutions found,
 and each block's freedom is the rank of that block's rows against that
-block's variables, sliced from the same matrix.
+block's variables, sliced from the same matrix.  Only the real and |a|^2
+candidates are searched: every |a|^(2 gamma) with gamma >= 2 is infeasible by
+a closed-form bound on the degeneracy floor (_proved_infeasible), which
+evaluate_candidate checks before it would search.
 """
 from __future__ import annotations
 
@@ -36,7 +39,9 @@ RESIDUAL_TOL = 1e-10
 RANK_TOL = 1e-8
 # A solution matrix with an (almost) vanishing entry makes some value
 # transition deterministic and would leak the never-knowable value, so the
-# feasibility search only accepts solutions clear of that boundary.
+# feasibility search only accepts solutions clear of that boundary.  For
+# |a|^(2 gamma), gamma >= 2, this floor alone proves the verdict: every point
+# within RESIDUAL_TOL has an entry far below it (_proved_infeasible).
 DEGENERACY_FLOOR = 1e-3
 # Accepted solutions that the DoF vote uses, the first ones in start order.
 MAX_SOLUTIONS = 10
@@ -419,14 +424,33 @@ class UniquenessReport:
                      if all(r.verdict for r in self.rows if r.candidate == n))
 
 
+def _proved_infeasible(candidate: CandidateMap, mp: int) -> bool:
+    """Whether no point of |a|^(2 gamma), gamma >= 2, at width mp can pass
+    estimate_dof's acceptance test.  With alpha = (gamma-1) e_j + e_l, j != l,
+    the independence row (alpha, alpha) is sum_k |A_jk|^(2(gamma-1)) |A_lk|^2,
+    a sum of non-negative terms.  If every residual is below t = RESIDUAL_TOL,
+    row norm j has some |A_jk|^(2 gamma) > (1-t)/mp, so that row's k-th term
+    gives |A_lk|^2 < t (mp/(1-t))^((gamma-1)/gamma); below DEGENERACY_FLOOR^2,
+    A_lk fails the floor."""
+    if candidate.real_only or candidate.gamma < 2:
+        return False
+    t, g = RESIDUAL_TOL, candidate.gamma
+    return t * (mp / (1 - t)) ** ((g - 1) / g) < DEGENERACY_FLOOR ** 2
+
+
 def evaluate_candidate(candidate: CandidateMap, m: int, mp: int,
                        samples: int = 60, seed: int = 0) -> UniquenessRow:
     """Full pipeline for one candidate and one context shape."""
     # Virtual-value padding (context.pad_virtual_values) widens P' to m.
     padded = (m, m) if m > mp else None
     system = build_constraints(m, max(m, mp), Knowability.NEVER, candidate)
-    system = property_independence_conditions(system)
-    report = estimate_dof(system, samples=samples, seed=seed)
+    if _proved_infeasible(candidate, system.mp):
+        if samples < 1:
+            raise ValueError("need at least one start")
+        report = DofReport(feasible=False, sample_solutions=(),
+                           dof={}, required=system.required_dof, verdict=False)
+    else:
+        report = estimate_dof(property_independence_conditions(system), samples=samples, seed=seed)
     return UniquenessRow(candidate=candidate.name, shape=(m, mp),
                          padded_shape=padded, report=report)
 

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from epiq.evolution import Knowability
+import epiq.uniqueness as uniqueness
 from epiq.uniqueness import (BORN, DEFAULT_CANDIDATES, LM_MAX_ITER, MAX_SOLUTIONS, QUARTIC,
-                             REAL_QUADRATIC, CandidateMap, ConstraintSystem, build_constraints,
-                             estimate_dof, evaluate_candidate, property_independence_conditions,
-                             uniqueness_report)
+                             REAL_QUADRATIC, SEXTIC, CandidateMap, ConstraintSystem,
+                             UniquenessRow, build_constraints, estimate_dof, evaluate_candidate,
+                             property_independence_conditions, uniqueness_report)
 
 
 class TestCandidateMap:
@@ -297,6 +298,73 @@ class TestReport:
     def test_unpaired_shape_lists_are_refused(self):
         with pytest.raises(ValueError, match="shorter"):
             uniqueness_report([2, 3], [2], samples=2)
+
+
+def row_fields(row):
+    rep = row.report
+    return (row.candidate, row.shape, row.padded_shape, rep.feasible, rep.dof, rep.required,
+            rep.verdict)
+
+
+@pytest.fixture
+def lm_outputs(monkeypatch):
+    """Every (x, r, jac) that _levenberg_marquardt returns while the test runs."""
+    outputs = []
+    original = uniqueness._levenberg_marquardt
+
+    def spy(system, x):
+        outputs.append(original(system, x))
+        return outputs[-1]
+    monkeypatch.setattr(uniqueness, "_levenberg_marquardt", spy)
+    return outputs
+
+
+class TestInfeasibilityProof:
+    """|a|^(2 gamma), gamma >= 2, is decided by a bound, with the search as
+    its oracle."""
+
+    @pytest.mark.parametrize("candidate", [QUARTIC, SEXTIC], ids=lambda c: c.name)
+    @pytest.mark.parametrize("m, mp, samples", [(2, 2, 12), (3, 2, 12), (3, 3, 12), (4, 4, 6)])
+    def test_search_agrees_with_the_bound(self, lm_outputs, candidate, m, mp, samples):
+        system = full_system(candidate, m, max(m, mp))
+        searched = estimate_dof(system, samples=samples, seed=1)
+        (x, r, _), = lm_outputs
+        # the proved bound on min |A_jk| at a point within RESIDUAL_TOL, recomputed
+        tol, g = uniqueness.RESIDUAL_TOL, candidate.gamma
+        bound = np.sqrt(tol * (system.mp / (1 - tol)) ** ((g - 1) / g))
+        assert bound < uniqueness.DEGENERACY_FLOOR
+        converged = np.max(np.abs(r), axis=-1) < tol
+        assert converged.any()
+        _, big = system.unpack(x[converged])
+        assert np.all(np.min(np.abs(big), axis=(-2, -1)) < bound)
+
+        proved = evaluate_candidate(candidate, m, mp, samples=samples, seed=1)
+        assert len(lm_outputs) == 1  # the proof ran no search
+        assert not proved.report.feasible and proved.report.sample_solutions == ()
+        assert row_fields(proved) == row_fields(UniquenessRow(
+            candidate=candidate.name, shape=(m, mp),
+            padded_shape=(m, m) if m > mp else None, report=searched))
+
+    def test_search_runs_when_the_bound_fails(self, monkeypatch, lm_outputs):
+        monkeypatch.setattr(uniqueness, "DEGENERACY_FLOOR", 1e-6)
+        row = evaluate_candidate(QUARTIC, 2, 2, samples=4, seed=1)
+        assert len(lm_outputs) == 1
+        assert not row.verdict
+
+    def test_proof_decides_an_unpadded_wide_row(self):
+        # the search on this row can stop with LinAlgError on an exactly
+        # singular damped matrix (seen at seed 1); the proof cannot
+        row = evaluate_candidate(SEXTIC, 2, 3, samples=60, seed=1)
+        assert row.padded_shape is None and not row.report.feasible
+
+    @pytest.mark.parametrize("candidate", [QUARTIC, SEXTIC], ids=lambda c: c.name)
+    def test_input_checks_hold_on_proved_rows(self, lm_outputs, candidate):
+        with pytest.raises(ValueError, match="need at least one start"):
+            uniqueness_report([2], [2], candidates=[candidate], samples=0)
+        for m, mp in ((1, 2), (1, 1)):
+            with pytest.raises(ValueError, match="at least two values"):
+                evaluate_candidate(candidate, m, mp, samples=4)
+        assert lm_outputs == []
 
 
 def test_benchmark_plans_the_uniqueness_table(monkeypatch, tmp_path):
