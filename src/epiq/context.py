@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 from . import Knowability  # re-exported: epiq.context.Knowability
-from .exactnum import ExactAmplitude, abs2
+from .exactnum import ZERO, ExactAmplitude, abs2
 
 NORM_TOL = 1e-12
 
@@ -89,13 +89,18 @@ class ContextualState:
             raise ContextError("state is either superposed or reduced")
         if self.amplitudes is not None:
             object.__setattr__(self, "amplitudes", tuple(self.amplitudes))
-            if not _normalized(self.amplitudes):
+            if not _normalized(map(abs2, self.amplitudes)):
                 raise ContextError("superposed state is not normalized")
 
 
-def _normalized(amps) -> bool:
-    """Whether the squared moduli sum to 1; written so that NaN fails."""
-    return abs(float(sum(abs2(a) for a in amps)) - 1.0) <= NORM_TOL
+def _normalized(squares) -> bool:
+    """Whether squared moduli sum to 1; written so that NaN fails."""
+    return abs(float(sum(squares)) - 1.0) <= NORM_TOL
+
+
+def _squares(rows) -> list:
+    """|a|^2 of every entry, row by row."""
+    return [[abs2(a) for a in row] for row in rows]
 
 
 def born(a: Amplitude):
@@ -105,9 +110,16 @@ def born(a: Amplitude):
 
 def validate_context(net: ContextNetwork) -> list:
     """All structural violations of a network, as a list of messages."""
-    errors = []
+    return _check(net, net.edges)[0]
+
+
+def _check(net: ContextNetwork, edges) -> tuple:
+    """validate_context's messages for `net` with its matrices read from
+    `edges`, and each matrix's table of |m_jk|^2 that the row checks sum
+    (None for a matrix of the wrong shape)."""
+    errors, squares = [], []
     if not net.layers:
-        return ["network has no layers"]
+        return ["network has no layers"], squares
     for layer in net.layers:
         if layer.size < 2:
             errors.append(f"layer {layer.property_id}: a complete set needs at least 2 alternatives")
@@ -117,29 +129,25 @@ def validate_context(net: ContextNetwork) -> list:
         errors.append("final property must be decided")
     if len(net.edges) != len(net.layers) - 1:
         errors.append("need exactly one amplitude matrix per consecutive layer pair")
-        return errors
+        return errors, squares
     if len(net.initial) != net.layers[0].size:
         errors.append("initial amplitude vector does not match first layer")
-    elif not _normalized(net.initial):
+    elif not _normalized(map(abs2, net.initial)):
         errors.append("row not normalized: initial amplitudes")
-    for i, m in enumerate(net.edges):
+    for i, m in enumerate(edges):
         rows, cols = net.layers[i].size, net.layers[i + 1].size
         if len(m) != rows or any(len(row) != cols for row in m):
             errors.append(f"matrix {i}: expected shape {rows}x{cols}")
+            squares.append(None)
             continue
-        for j, row in enumerate(m):
+        squares.append(_squares(m))
+        for j, row in enumerate(squares[-1]):
             if not _normalized(row):
                 errors.append(f"row not normalized: matrix {i} row {j}")
     for i, layer in enumerate(net.layers[:-1]):
         if layer.level is Knowability.NEVER and net.layers[i + 1].size < layer.size:
             errors.append(f"layer {layer.property_id}: requires virtual-value padding")
-    return errors
-
-
-def _require_valid(net: ContextNetwork):
-    errors = validate_context(net)
-    if errors:
-        raise ContextError("; ".join(errors))
+    return errors, squares
 
 
 @dataclass(frozen=True)
@@ -161,9 +169,21 @@ def propagate(net: ContextNetwork, start: Optional[ContextualState] = None) -> D
     and continues with that layer's matrix rows; a level-1 layer carries every
     row's amplitudes linearly through the matrix.  An unpromoted level-2 layer
     is an error: consistency reduction must resolve it first.
+
+    Each edge entry is squared once per call: the validity check keeps every
+    matrix's |m_jk|^2 table, and a merge straight after a decided layer reads
+    it instead of squaring the matrix rows again.  A network with any float
+    amplitude, or a float start state, is checked and propagated on complex
+    entries.
     """
-    _require_valid(net)
-    cursor, rows = 0, [net.initial]
+    exact = net.is_exact() and (start is None or start.amplitudes is None or all(
+        isinstance(a, ExactAmplitude) for a in start.amplitudes))
+    edges = net.edges if exact else tuple(
+        tuple(tuple(map(complex, row)) for row in m) for m in net.edges)
+    errors, squares = _check(net, edges)
+    if errors:
+        raise ContextError("; ".join(errors))
+    cursor, rows, squared = 0, [net.initial], None
     if start is not None:
         cursor = start.layer_cursor
         if not 0 <= cursor < len(net.layers):
@@ -178,28 +198,26 @@ def propagate(net: ContextNetwork, start: Optional[ContextualState] = None) -> D
         elif not 0 <= start.reduced < size:
             raise ContextError(f"no value index {start.reduced} at start layer")
         else:
-            rows = [net.edges[cursor][start.reduced]]
+            rows, squared = [edges[cursor][start.reduced]], [squares[cursor][start.reduced]]
             cursor += 1
-    edges = net.edges
-    exact = net.is_exact() and all(isinstance(a, ExactAmplitude) for a in rows[0])
     if not exact:
         rows = [tuple(map(complex, row)) for row in rows]
-        edges = tuple(tuple(tuple(map(complex, row)) for row in m) for m in edges)
 
     weights, rules = [1], []
     for i in range(cursor, len(net.layers) - 1):
         layer, matrix = net.layers[i], edges[i]
         if layer.level is Knowability.DECIDED:
             rules.append("classical")
-            weights, rows = _merge(weights, rows, layer.size), matrix
+            weights = _merge(weights, squared or _squares(rows), layer.size)
+            rows, squared = matrix, squares[i]
         elif layer.level is Knowability.NEVER:
             rules.append("amplitude")
-            rows = [[sum(a * m_row[k] for a, m_row in zip(row, matrix))
-                     for k in range(net.layers[i + 1].size)] for row in rows]
+            rows, squared = [[sum(a * m_row[k] for a, m_row in zip(row, matrix))
+                              for k in range(net.layers[i + 1].size)] for row in rows], None
         else:
             raise ContextError("unresolved contingent knowability")
 
-    totals = _merge(weights, rows, net.final_layer.size)
+    totals = _merge(weights, squared or _squares(rows), net.final_layer.size)
     probs = tuple(float(t) for t in totals)
     if not abs(sum(probs) - 1.0) <= NORM_TOL:
         if "amplitude" in rules:
@@ -214,9 +232,10 @@ def propagate(net: ContextNetwork, start: Optional[ContextualState] = None) -> D
     )
 
 
-def _merge(weights, rows, size) -> list:
-    """One classical weight per value j: sum_b w_b |row_b[j]|^2."""
-    return [sum(w * abs2(row[j]) for w, row in zip(weights, rows)) for j in range(size)]
+def _merge(weights, squared, size) -> list:
+    """One classical weight per value j: sum_b w_b |row_b[j]|^2, from the
+    rows' squared moduli."""
+    return [sum(w * row[j] for w, row in zip(weights, squared)) for j in range(size)]
 
 
 def reduce_by_observation(state: ContextualState, net: ContextNetwork,
@@ -231,7 +250,9 @@ def reduce_by_observation(state: ContextualState, net: ContextNetwork,
         raise ContextError("state is already reduced")
     if not 0 <= outcome < layer.size:
         raise ContextError(f"no value index {outcome} at layer {layer.property_id}")
-    if float(abs2(state.amplitudes[outcome])) == 0.0:
+    # an exact |a|^2 is compared with ZERO exactly (it never equals 0), a
+    # float one with 0 (it never equals ZERO)
+    if abs2(state.amplitudes[outcome]) in (0, ZERO):
         raise ContextError("impossible outcome")
     return ContextualState(layer_cursor=state.layer_cursor, reduced=outcome)
 

@@ -5,9 +5,13 @@ quantity that appears while folding such a network (sums, products, squared
 moduli) stays inside Q(sqrt2).  Keeping them exact lets normalization and
 distribution checks be literal equality tests instead of float comparisons.
 A scalar is held as ints (a, b, d) standing for (a + b*sqrt2)/d, with d > 0
-and gcd(a, b, d) == 1, so equal values have equal coordinates.  `float`
-divides ints, which rounds correctly as `Fraction.__float__` does, so it is
-bit-identical to float(p) + float(q)*sqrt(2).
+and gcd(a, b, d) == 1, so equal values have equal coordinates.  An amplitude
+is held the same way as five ints (a, b, c, e, d) standing for
+(a + b*sqrt2 + i(c + e*sqrt2))/d, with d > 0 and gcd(a, b, c, e, d) == 1, so
+`+`, `*` and `abs2` are integer arithmetic with one gcd per result; `.re` and
+`.im` build the canonical scalars on demand.  `float` and `complex` divide
+ints, which rounds correctly as `Fraction.__float__` does, so they are
+bit-identical to float(p) + float(q)*sqrt(2) of each part.
 """
 from __future__ import annotations
 
@@ -134,22 +138,26 @@ class ExactAmplitude(_Value):
     __slots__ = ()
 
     def __new__(cls, re=ZERO, im=ZERO):
-        return _make(ExactAmplitude, (Sqrt2Scalar.of(re), Sqrt2Scalar.of(im)))
+        (a, b, d), (c, e, f) = Sqrt2Scalar.of(re)._k, Sqrt2Scalar.of(im)._k
+        return _amplitude(a * f, b * f, c * d, e * d, d * f)
 
-    re = property(lambda self: self._k[0])
-    im = property(lambda self: self._k[1])
+    re = property(lambda self: _scalar(self._k[0], self._k[1], self._k[4]))
+    im = property(lambda self: _scalar(self._k[2], self._k[3], self._k[4]))
 
     @staticmethod
     def of(value) -> "ExactAmplitude":
         if type(value) is ExactAmplitude:
             return value
-        return _make(ExactAmplitude, (Sqrt2Scalar.of(value), ZERO))
+        a, b, d = Sqrt2Scalar.of(value)._k
+        return _make(ExactAmplitude, (a, b, 0, 0, d))
 
     def __add__(self, other):
         if type(other) is not ExactAmplitude:
             other = ExactAmplitude.of(other)
-        (a, b), (c, d) = self._k, other._k
-        return _make(ExactAmplitude, (a + c, b + d))
+        (a, b, c, e, d), (f, g, h, k, n) = self._k, other._k
+        if d == n:
+            return _amplitude(a + f, b + g, c + h, e + k, d)
+        return _amplitude(a * n + f * d, b * n + g * d, c * n + h * d, e * n + k * d, d * n)
 
     __radd__ = __add__
 
@@ -157,24 +165,38 @@ class ExactAmplitude(_Value):
         return self + -ExactAmplitude.of(other)
 
     def __neg__(self):
-        a, b = self._k
-        return _make(ExactAmplitude, (-a, -b))
+        a, b, c, e, d = self._k
+        return _make(ExactAmplitude, (-a, -b, -c, -e, d))
 
     def __mul__(self, other):
         if type(other) is not ExactAmplitude:
             other = ExactAmplitude.of(other)
-        (a, b), (c, d) = self._k, other._k
-        return _make(ExactAmplitude, (a * c - b * d, a * d + b * c))
+        (a, b, c, e, d), (f, g, h, k, n) = self._k, other._k
+        # (x + iy)(u + iv) with x = a + b*s, y = c + e*s, u = f + g*s,
+        # v = h + k*s and s^2 = 2
+        return _amplitude(a * f + 2 * b * g - c * h - 2 * e * k,
+                          a * g + b * f - c * k - e * h,
+                          a * h + 2 * b * k + c * f + 2 * e * g,
+                          a * k + b * h + c * g + e * f, d * n)
 
     def abs2(self) -> Sqrt2Scalar:
-        a, b = self._k
-        return a * a + b * b
+        a, b, c, e, d = self._k
+        return _scalar(a * a + 2 * b * b + c * c + 2 * e * e, 2 * (a * b + c * e), d * d)
 
     def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        a, b, c, e, d = self._k
+        return complex(a / d + (b / d) * _SQRT2, c / d + (e / d) * _SQRT2)
 
     def __repr__(self):
         return f"ExactAmplitude(re={self.re!r}, im={self.im!r})"
+
+
+def _amplitude(a: int, b: int, c: int, e: int, d: int) -> ExactAmplitude:
+    """(a + b*sqrt2 + i(c + e*sqrt2))/d in lowest terms; d must be positive."""
+    g = gcd(a, b, c, e, d)
+    value = _new(ExactAmplitude)
+    _set_k(value, (a, b, c, e, d) if g == 1 else (a // g, b // g, c // g, e // g, d // g))
+    return value
 
 
 def parse_exact(token: str) -> ExactAmplitude:
@@ -190,8 +212,8 @@ def parse_exact(token: str) -> ExactAmplitude:
     if den == 0:
         raise ValueError(f"zero denominator in amplitude token {token!r}")
     if m.group(3):
-        return ExactAmplitude(_scalar(0, num, 2 * den))
-    return ExactAmplitude(_scalar(num, 0, den))
+        return ExactAmplitude.of(_scalar(0, num, 2 * den))
+    return ExactAmplitude.of(_scalar(num, 0, den))
 
 
 def abs2(a):

@@ -340,9 +340,13 @@ def _levenberg_marquardt(system: ConstraintSystem, x: np.ndarray):
         scale[sel] = np.maximum(scale[sel], np.sqrt(diag))
         d2 = np.where(scale[sel] > 0, scale[sel], 1.0) ** 2
         diag += lam_i[:, None] * d2  # hess becomes the damped matrix
-        step = np.linalg.solve(hess, -g[..., None])[..., 0]
+        try:
+            step = np.linalg.solve(hess, -g[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            step = np.array([_solve_or_nan(h, -gi) for h, gi in zip(hess, g)])
         x_new = x[sel] + step
-        # a step that overflows the residual gives rho = nan and is rejected
+        # a step that overflows the residual, or the nan step of a singular
+        # damped matrix, gives rho = nan and is rejected
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             r_new, jac_new = system.evaluate(x_new)
             cost_new = 0.5 * np.sum(r_new ** 2, axis=-1)
@@ -363,6 +367,14 @@ def _levenberg_marquardt(system: ConstraintSystem, x: np.ndarray):
                 | (it - ref_iter[sel] >= LM_STALL_ITER))
         active[idx[done]] = False
     return x, r, jac
+
+
+def _solve_or_nan(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The solution of a x = b, or nan for an exactly singular a."""
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        return np.full_like(b, np.nan)
 
 
 def estimate_dof(system: ConstraintSystem, samples: int = 60, seed: int = 0) -> DofReport:

@@ -196,6 +196,23 @@ class TestReduction:
         with pytest.raises(ContextError, match="impossible"):
             reduce_by_observation(state, mz(3), outcome=1)
 
+    def test_observation_of_a_tiny_exact_amplitude_is_possible(self):
+        # |tiny|^2 = 10**-800 is 0.0 as a float, but not zero
+        tiny = ExactAmplitude.of(Fraction(1, 10**400))
+        net = ContextNetwork(
+            layers=(Layer("path", Knowability.DECIDED, (1.0, 2.0)),
+                    Layer("detector", Knowability.DECIDED, (1.0, 2.0))),
+            initial=(ONE, tiny),
+            edges=(((ONE, ZERO), (ZERO, ONE)),))
+        assert propagate(net).exact[1] == Sqrt2Scalar(Fraction(1, 10**800))
+        state = ContextualState(layer_cursor=0, amplitudes=(ONE, tiny))
+        assert reduce_by_observation(state, net, outcome=1).reduced == 1
+
+    def test_impossible_float_outcome_rejected(self):
+        state = ContextualState(layer_cursor=0, amplitudes=(1 + 0j, 0j))
+        with pytest.raises(ContextError, match="impossible"):
+            reduce_by_observation(state, mz(3), outcome=1)
+
     @pytest.mark.parametrize("cursor", [-1, 2])
     def test_cursor_outside_network_rejected(self, cursor):
         # -1 would index the decided detector layer, 2 is one past the end

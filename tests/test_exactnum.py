@@ -3,6 +3,7 @@ the value-object contract of Sqrt2Scalar and ExactAmplitude."""
 import copy
 import pickle
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -84,6 +85,48 @@ def test_amplitude_arithmetic_matches_pair_oracle(zr, zi, wr, wi):
         assert (coords(got.re), coords(got.im)) == want
     assert coords(z.abs2()) == o_add(o_mul(zr, zr), o_mul(zi, zi))
     assert 0 + z == z + 0 == z
+
+
+def o_float(x):
+    return float(x[0]) + float(x[1]) * ROOT2
+
+
+def bits(*values):
+    return tuple(v.hex() for v in values)
+
+
+@given(pairs, pairs, pairs, pairs)
+@settings(max_examples=200, deadline=None)
+def test_amplitude_floats_match_pair_oracle(zr, zi, wr, wi):
+    z, w = amplitude(zr, zi), amplitude(wr, wi)
+    for got, (re, im) in ((z + w, (o_add(zr, wr), o_add(zi, wi))),
+                          (z - w, (o_sub(zr, wr), o_sub(zi, wi))),
+                          (z * w, o_cmul((zr, zi), (wr, wi)))):
+        c = complex(got)
+        assert bits(c.real, c.imag) == bits(float(got.re), float(got.im)) == \
+            bits(o_float(re), o_float(im))
+    assert bits(float(z.abs2())) == bits(o_float(o_add(o_mul(zr, zr), o_mul(zi, zi))))
+
+
+@given(pairs, pairs, st.integers(1, 10**12))
+@settings(max_examples=200, deadline=None)
+def test_equal_amplitudes_by_different_routes_share_coordinates(x, y, k):
+    z, w = amplitude(x, y), amplitude(y, x)
+    routes = [
+        ExactAmplitude.of(scalar(x)) + ExactAmplitude(ZERO, scalar(y)),
+        (z + w) - w,
+        z * ExactAmplitude.of(ONE) + 0,
+        (z * k) * ExactAmplitude.of(F(1, k)),
+        (z * ExactAmplitude(ZERO, ONE)) * ExactAmplitude(ZERO, -ONE),
+        -(-z),
+        ExactAmplitude(z.re, z.im),
+        pickle.loads(pickle.dumps(z)),
+    ]
+    *numerators, d = z._k
+    assert d > 0 and gcd(*numerators, d) == 1
+    for route in routes:
+        assert route._k == z._k
+        assert hash(route) == hash(z)
 
 
 @given(pairs, st.booleans())

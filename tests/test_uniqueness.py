@@ -357,6 +357,20 @@ class TestInfeasibilityProof:
         row = evaluate_candidate(SEXTIC, 2, 3, samples=60, seed=1)
         assert row.padded_shape is None and not row.report.feasible
 
+    def test_search_survives_a_singular_damped_matrix(self, monkeypatch):
+        # at seed 1 the batched solve meets an exactly singular damped matrix
+        # on this row; each start is then solved on its own
+        fallbacks = []
+        original = uniqueness._solve_or_nan
+
+        def spy(a, b):
+            fallbacks.append(original(a, b))
+            return fallbacks[-1]
+        monkeypatch.setattr(uniqueness, "_solve_or_nan", spy)
+        report = estimate_dof(full_system(SEXTIC, 2, 3), samples=60, seed=1)
+        assert any(np.isnan(step).all() for step in fallbacks)
+        assert not report.feasible and report.sample_solutions == ()
+
     @pytest.mark.parametrize("candidate", [QUARTIC, SEXTIC], ids=lambda c: c.name)
     def test_input_checks_hold_on_proved_rows(self, lm_outputs, candidate):
         with pytest.raises(ValueError, match="need at least one start"):
