@@ -11,7 +11,10 @@ scenario file and seed.  Options are parsed with the standard library's
 until a command needs numpy.  ``borel_trial`` lives in the package root and
 imports numpy when called; ``hilbert`` and ``uniqueness`` are imported inside
 the command that uses them.  So ``propagate`` and ``validate`` load no numpy,
-and no command loads ``epiq.evolution`` or ``epiq.statespace``.
+and no command loads ``epiq.evolution`` or ``epiq.statespace``.  Nor do
+``propagate`` and ``validate`` load ``dataclasses`` (and ``inspect`` under it)
+or ``fractions`` (and ``decimal``): scenarios, networks and distributions are
+``epiq.Record``s, and exact arithmetic builds a ``Fraction`` only on request.
 """
 from __future__ import annotations
 

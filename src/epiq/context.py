@@ -17,10 +17,10 @@ propagated without any floating-point arithmetic.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 from . import Knowability  # re-exported: epiq.context.Knowability
+from . import Record, _set
 from .exactnum import ZERO, ExactAmplitude, abs2
 
 NORM_TOL = 1e-12
@@ -32,36 +32,32 @@ class ContextError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Layer:
-    property_id: str
-    level: Knowability
-    labels: tuple  # distinct real value labels, one per alternative
+class Layer(Record):
+    __slots__ = ("property_id", "level", "labels")
 
-    def __post_init__(self):
-        object.__setattr__(self, "level", Knowability(self.level))
-        object.__setattr__(self, "labels", tuple(float(x) for x in self.labels))
+    def __init__(self, property_id: str, level: Knowability, labels: tuple):
+        _set(self, "property_id", property_id)
+        _set(self, "level", Knowability(level))
+        # distinct real value labels, one per alternative
+        _set(self, "labels", tuple(float(x) for x in labels))
 
     @property
     def size(self) -> int:
         return len(self.labels)
 
 
-@dataclass(frozen=True)
-class ContextNetwork:
+class ContextNetwork(Record):
     """Layered network: initial amplitudes feed the first layer, one complex
     matrix links each consecutive pair (entry [j][k]: value j of the earlier
     layer to value k of the later)."""
 
-    layers: tuple
-    initial: tuple
-    edges: tuple  # of matrices, each a tuple of row tuples
+    __slots__ = ("layers", "initial", "edges")
 
-    def __post_init__(self):
-        object.__setattr__(self, "layers", tuple(self.layers))
-        object.__setattr__(self, "initial", tuple(self.initial))
-        object.__setattr__(self, "edges",
-                           tuple(tuple(tuple(row) for row in m) for m in self.edges))
+    def __init__(self, layers: tuple, initial: tuple, edges: tuple):
+        _set(self, "layers", tuple(layers))
+        _set(self, "initial", tuple(initial))
+        # of matrices, each a tuple of row tuples
+        _set(self, "edges", tuple(tuple(tuple(row) for row in m) for m in edges))
 
     @property
     def final_layer(self) -> Layer:
@@ -75,22 +71,23 @@ class ContextNetwork:
         return all(isinstance(a, ExactAmplitude) for a in amps)
 
 
-@dataclass(frozen=True)
-class ContextualState:
+class ContextualState(Record):
     """Knowledge about the specimen at one layer: either a unit amplitude
     vector over the layer's values, or a single reduced value index."""
 
-    layer_cursor: int
-    amplitudes: Optional[tuple] = None
-    reduced: Optional[int] = None
+    __slots__ = ("layer_cursor", "amplitudes", "reduced")
 
-    def __post_init__(self):
-        if (self.amplitudes is None) == (self.reduced is None):
+    def __init__(self, layer_cursor: int, amplitudes: Optional[tuple] = None,
+                 reduced: Optional[int] = None):
+        if (amplitudes is None) == (reduced is None):
             raise ContextError("state is either superposed or reduced")
-        if self.amplitudes is not None:
-            object.__setattr__(self, "amplitudes", tuple(self.amplitudes))
-            if not _normalized(map(abs2, self.amplitudes)):
+        if amplitudes is not None:
+            amplitudes = tuple(amplitudes)
+            if not _normalized(map(abs2, amplitudes)):
                 raise ContextError("superposed state is not normalized")
+        _set(self, "layer_cursor", layer_cursor)
+        _set(self, "amplitudes", amplitudes)
+        _set(self, "reduced", reduced)
 
 
 def _normalized(squares) -> bool:
@@ -150,12 +147,15 @@ def _check(net: ContextNetwork, edges) -> tuple:
     return errors, squares
 
 
-@dataclass(frozen=True)
-class Distribution:
-    labels: tuple
-    probabilities: tuple  # floats
-    exact: Optional[tuple] = None  # Sqrt2Scalar values when propagated exactly
-    rules: tuple = ()  # per crossed layer: "classical" | "amplitude"
+class Distribution(Record):
+    __slots__ = ("labels", "probabilities", "exact", "rules")
+
+    def __init__(self, labels: tuple, probabilities: tuple,
+                 exact: Optional[tuple] = None, rules: tuple = ()):
+        _set(self, "labels", labels)
+        _set(self, "probabilities", probabilities)  # floats
+        _set(self, "exact", exact)  # Sqrt2Scalar values when propagated exactly
+        _set(self, "rules", rules)  # per crossed layer: "classical" | "amplitude"
 
     def total_variation(self, other: "Distribution") -> float:
         return 0.5 * sum(abs(p - q) for p, q in zip(self.probabilities, other.probabilities))
@@ -270,9 +270,9 @@ def reduce_by_consistency(net: ContextNetwork,
         raise ContextError("nothing to resolve")
     target = Knowability.DECIDED if path_knowledge_reachable else Knowability.NEVER
     new_layers = tuple(
-        replace(l, level=target) if l.level is Knowability.CONTINGENT else l
+        Layer(l.property_id, target, l.labels) if l.level is Knowability.CONTINGENT else l
         for l in net.layers)
-    return replace(net, layers=new_layers)
+    return ContextNetwork(new_layers, net.initial, net.edges)
 
 
 def pad_virtual_values(net: ContextNetwork, layer_index: int) -> ContextNetwork:
@@ -296,7 +296,7 @@ def pad_virtual_values(net: ContextNetwork, layer_index: int) -> ContextNetwork:
     fresh = max(nxt.labels) + 1.0
     new_labels = nxt.labels + tuple(fresh + k for k in range(extra))
     new_layers = list(net.layers)
-    new_layers[layer_index + 1] = replace(nxt, labels=new_labels)
+    new_layers[layer_index + 1] = Layer(nxt.property_id, nxt.level, new_labels)
     new_edges = list(net.edges)
     new_edges[layer_index] = tuple(row + (zero,) * extra for row in net.edges[layer_index])
     if layer_index + 1 < len(net.layers) - 1:

@@ -12,38 +12,29 @@ is held the same way as five ints (a, b, c, e, d) standing for
 `.im` build the canonical scalars on demand.  `float` and `complex` divide
 ints, which rounds correctly as `Fraction.__float__` does, so they are
 bit-identical to float(p) + float(q)*sqrt(2) of each part.
+
+`fractions` is imported only where a `Fraction` is built: by
+`Sqrt2Scalar(p, q)`, `.p`, `.q`, `as_fraction` and a scalar's `repr`.
+Arithmetic, `float`, `complex` and `parse_exact` work on the ints alone, so
+propagating and checking an exact network loads neither `fractions` nor
+`decimal`.  Both value types are `epiq.Record`s with the one field `_k`.
 """
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from math import gcd
+
+from . import Record
 
 _SQRT2 = 2 ** 0.5
 
 _TOKEN = re.compile(r"^(-?\d+)(?:/(\d+))?(/sqrt2)?$")
 
 
-class _Value:
+class _Value(Record):
     """Immutable value in one slot `_k`; equal to its own type's equal `_k`."""
 
     __slots__ = ("_k",)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._k == other._k
-
-    def __hash__(self):
-        return hash(self._k)
-
-    def __reduce__(self):
-        return _make, (type(self), self._k)
 
 
 _new, _set_k = object.__new__, _Value._k.__set__
@@ -55,18 +46,25 @@ def _make(cls, k):
     return value
 
 
+def _fraction(numerator: int, denominator: int):
+    """Fraction(numerator, denominator); fractions is imported on first use."""
+    from fractions import Fraction
+    return Fraction(numerator, denominator)
+
+
 class Sqrt2Scalar(_Value):
     """The real number p + q*sqrt(2) with rational p, q."""
 
     __slots__ = ()
 
-    def __new__(cls, p, q=Fraction(0)):
+    def __new__(cls, p, q=0):
+        from fractions import Fraction
         p, q = Fraction(p), Fraction(q)
         return _scalar(p.numerator * q.denominator, q.numerator * p.denominator,
                        p.denominator * q.denominator)
 
-    p = property(lambda self: Fraction(self._k[0], self._k[2]))
-    q = property(lambda self: Fraction(self._k[1], self._k[2]))
+    p = property(lambda self: _fraction(self._k[0], self._k[2]))
+    q = property(lambda self: _fraction(self._k[1], self._k[2]))
 
     @staticmethod
     def of(value) -> "Sqrt2Scalar":
@@ -109,7 +107,7 @@ class Sqrt2Scalar(_Value):
     def is_rational(self) -> bool:
         return self._k[1] == 0
 
-    def as_fraction(self) -> Fraction:
+    def as_fraction(self) -> "Fraction":
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
         return self.p
@@ -128,8 +126,8 @@ def _scalar(a: int, b: int, d: int) -> Sqrt2Scalar:
     return value
 
 
-ZERO = Sqrt2Scalar(Fraction(0))
-ONE = Sqrt2Scalar(Fraction(1))
+ZERO = _scalar(0, 0, 1)
+ONE = _scalar(1, 0, 1)
 
 
 class ExactAmplitude(_Value):

@@ -19,13 +19,12 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
 from functools import cache
 from importlib import resources
 from numbers import Number
 from typing import Optional
 
-from . import Knowability
+from . import Knowability, Record, _set
 from .context import ContextNetwork, Layer
 from .exactnum import parse_exact
 
@@ -173,16 +172,21 @@ def _amplitude_at(value, *path):
         raise ScenarioSchemaError(f"{'/'.join(map(str, path))}: {e}") from e
 
 
-@dataclass(frozen=True)
-class Scenario:
-    name: str
-    description: str
-    network: ContextNetwork
-    eraser: Optional[bool]
-    joint_volumes: Optional[tuple]
-    simultaneous: bool
-    uniqueness: Optional[dict]
-    run: dict
+class Scenario(Record):
+    __slots__ = ("name", "description", "network", "eraser", "joint_volumes",
+                 "simultaneous", "uniqueness", "run")
+
+    def __init__(self, name: str, description: str, network: ContextNetwork,
+                 eraser: Optional[bool], joint_volumes: Optional[tuple],
+                 simultaneous: bool, uniqueness: Optional[dict], run: dict):
+        _set(self, "name", name)
+        _set(self, "description", description)
+        _set(self, "network", network)
+        _set(self, "eraser", eraser)
+        _set(self, "joint_volumes", joint_volumes)
+        _set(self, "simultaneous", simultaneous)
+        _set(self, "uniqueness", uniqueness)
+        _set(self, "run", run)
 
 
 def validate_document(doc: dict) -> None:
@@ -239,10 +243,24 @@ def _finite(token: str) -> float:
     return value
 
 
+def _integer(token: str) -> int:
+    """An integer token as an exact int, if a float can hold it: every number
+    in a document is one that labels, amplitudes and tolerances can take."""
+    try:
+        value = int(token)  # ValueError past int()'s digit limit
+        float(value)  # OverflowError past the largest float
+    except (ValueError, OverflowError):
+        digits = len(token.lstrip("-"))
+        raise ScenarioSchemaError(
+            f"integer of {digits} digits is out of the float range") from None
+    return value
+
+
 def load_scenario_file(path) -> Scenario:
     with open(path, "r") as fh:
         try:
-            doc = json.load(fh, parse_float=_finite, parse_constant=_finite)
+            doc = json.load(fh, parse_float=_finite, parse_int=_integer,
+                            parse_constant=_finite)
         except json.JSONDecodeError as e:
             raise ScenarioSchemaError(f"not valid JSON: {e}") from e
     return load_scenario(doc)

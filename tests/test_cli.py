@@ -577,6 +577,47 @@ class TestCli:
         assert "non-finite" in result.output
         assert not list(tmp_path.glob("minimal-*"))
 
+    @staticmethod
+    def _with_integer(setter, integer):
+        """minimal_doc's text with ``setter`` putting ``integer`` in one field;
+        written by hand, since repr of an int past 4300 digits is refused."""
+        doc = minimal_doc(run={"seed": 1})
+        setter(doc, "PLACEHOLDER")
+        return json.dumps(doc).replace('"PLACEHOLDER"', integer)
+
+    OVERSIZED_FIELDS = {
+        "label": lambda doc, v: doc["context"]["layers"][0]["labels"].__setitem__(0, v),
+        "amplitude": lambda doc, v: doc["context"]["initial"].__setitem__(0, v),
+        "pair": lambda doc, v: doc["context"]["initial"].__setitem__(0, [0, v]),
+        "tolerance": lambda doc, v: doc["run"].__setitem__("tolerance", v),
+        "seed": lambda doc, v: doc["run"].__setitem__("seed", v),
+    }
+
+    @pytest.mark.parametrize("command", ["validate", "propagate"])
+    @pytest.mark.parametrize("digits", [400, 5000])
+    @pytest.mark.parametrize("field", OVERSIZED_FIELDS)
+    def test_oversized_integer_exit_code_2(self, tmp_path, command, digits, field):
+        bad = tmp_path / "oversized.json"
+        bad.write_text(self._with_integer(self.OVERSIZED_FIELDS[field], "9" * digits))
+        result = run_cli(tmp_path, str(bad), "--command", command)
+        assert result.exit_code == 2, result.output
+        assert result.output == (
+            f"schema error: integer of {digits} digits is out of the float range\n")
+        assert not list(tmp_path.glob("minimal-*"))
+
+    def test_integers_a_float_holds_stay_exact(self, tmp_path):
+        path = tmp_path / "large.json"
+        path.write_text(json.dumps(minimal_doc(run={"n": 2**63 - 1})))
+        n = load_scenario_file(path).run["n"]
+        assert n == 2**63 - 1 and type(n) is int
+        largest = 2**1024 - 2**970 - 1  # rounds down to the largest float
+        label = self.OVERSIZED_FIELDS["label"]
+        path.write_text(self._with_integer(label, str(-largest)))
+        assert load_scenario_file(path).network.layers[0].labels[0] == -1.7976931348623157e308
+        path.write_text(self._with_integer(label, str(largest + 1)))
+        with pytest.raises(ScenarioSchemaError, match="integer of 309 digits"):
+            load_scenario_file(path)
+
     @pytest.mark.parametrize("token, reason", [("1/0", "zero denominator"),
                                                ("1" * 5000, "Exceeds the limit")])
     @pytest.mark.parametrize("field, path", [
@@ -627,18 +668,22 @@ def _cli_call(name, command):
 NO_LIBRARY = ("scipy", "jsonschema", "click")
 # no command loads the state-space modules; borel_trial is in the package root
 LIGHT = ("numpy", *NO_LIBRARY, "epiq.statespace", "epiq.evolution")
+# the CLI path's values are epiq.Records, not dataclasses, and exact arithmetic
+# builds no Fraction; numpy itself imports inspect
+NO_STDLIB_EXTRAS = ("dataclasses", "inspect", "fractions", "decimal")
 
 
 class TestImportCost:
     """A module-level import on the CLI path is only for what every command
     uses; numpy is imported by the commands that need it, and no command
     loads epiq.evolution, the state space under it, scipy, jsonschema or
-    click."""
+    click.  Importing the CLI, propagate and validate load neither
+    dataclasses (nor inspect under it) nor fractions (nor decimal)."""
 
     @pytest.mark.parametrize("statement, forbidden", [
-        ("pass", LIGHT),
-        (_cli_call("mach-zehnder-open", "propagate"), LIGHT),
-        (_cli_call("branching", "validate"), LIGHT),
+        ("pass", LIGHT + NO_STDLIB_EXTRAS),
+        (_cli_call("mach-zehnder-open", "propagate"), LIGHT + NO_STDLIB_EXTRAS),
+        (_cli_call("branching", "validate"), LIGHT + NO_STDLIB_EXTRAS),
         # M < M': the orthonormal completion comes from numpy's SVD
         (_cli_call("branching", "hilbert"), LIGHT[1:]),
         ("import epiq.hilbert, epiq.uniqueness", ("scipy",)),

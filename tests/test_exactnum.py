@@ -1,7 +1,10 @@
 """Q(sqrt2) arithmetic against a plain (Fraction, Fraction) pair oracle, and
-the value-object contract of Sqrt2Scalar and ExactAmplitude."""
+the value-object contract of Sqrt2Scalar, ExactAmplitude and the records
+built on the same base (epiq.Record)."""
 import copy
+import inspect
 import pickle
+from decimal import Decimal
 from fractions import Fraction as F
 from math import gcd
 
@@ -9,7 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epiq.exactnum import ONE, ZERO, ExactAmplitude, Sqrt2Scalar, parse_exact
+from epiq import Knowability
+from epiq.context import ContextNetwork, ContextualState, Distribution, Layer, propagate
+from epiq.exactnum import ONE, ZERO, ExactAmplitude, Sqrt2Scalar, _make, parse_exact
+from epiq.scenario import Scenario, bundled_scenario_path, load_scenario_file
 
 ROOT2 = 2 ** 0.5
 
@@ -221,6 +227,149 @@ class TestValueObject:
         assert Sqrt2Scalar(F(1, 2)) != F(1, 2)
         assert (ONE == 1) is False
         assert (ExactAmplitude(ONE) == ONE) is False
+
+
+H = parse_exact("1/sqrt2")
+LAYERS = (Layer("path", Knowability.NEVER, (1, 2)), Layer("detector", 3, [1.0, 2]))
+NETWORK = ContextNetwork(LAYERS, (H, H), [[(H, H), (H, -H)]])
+SCENARIO = load_scenario_file(bundled_scenario_path("twin-eraser"))
+RECORDS = {
+    "layer": LAYERS[0],
+    "network": NETWORK,
+    "superposed": ContextualState(0, amplitudes=[H, H]),
+    "reduced": ContextualState(1, reduced=0),
+    "distribution": propagate(NETWORK),
+    "scenario": SCENARIO,
+}
+# the records' constructor signatures: (name, default) per parameter
+SIGNATURES = {
+    Layer: [("property_id", None), ("level", None), ("labels", None)],
+    ContextNetwork: [("layers", None), ("initial", None), ("edges", None)],
+    ContextualState: [("layer_cursor", None), ("amplitudes", None), ("reduced", None)],
+    Distribution: [("labels", None), ("probabilities", None), ("exact", None),
+                   ("rules", ())],
+    Scenario: [(name, None) for name in ("name", "description", "network", "eraser",
+                                         "joint_volumes", "simultaneous", "uniqueness",
+                                         "run")],
+}
+
+
+def fields(cls):
+    return [name for name, _ in SIGNATURES[cls]]
+
+
+def hash_or_error(value):
+    """hash(value), or the TypeError's text for a record holding a dict."""
+    try:
+        return hash(value)
+    except TypeError as e:
+        return str(e)
+
+
+class TestRecord:
+    @pytest.mark.parametrize("roundtrip", [
+        lambda x: pickle.loads(pickle.dumps(x)),
+        lambda x: pickle.loads(pickle.dumps(x, protocol=0)),
+        copy.copy,
+        copy.deepcopy,
+    ], ids=["pickle", "pickle-0", "copy", "deepcopy"])
+    @pytest.mark.parametrize("name", RECORDS)
+    def test_pickle_and_copy_roundtrip(self, roundtrip, name):
+        value = RECORDS[name]
+        back = roundtrip(value)
+        assert type(back) is type(value)
+        assert back == value and hash_or_error(back) == hash_or_error(value)
+        assert repr(back) == repr(value)
+
+    def test_hash_follows_fields(self):
+        assert hash(Layer("path", 1, (1, 2))) == hash(LAYERS[0])
+        assert hash(NETWORK) == hash(ContextNetwork(LAYERS, (H, H), NETWORK.edges))
+        assert hash_or_error(SCENARIO) == "unhashable type: 'dict'"
+
+    @pytest.mark.parametrize("name", RECORDS)
+    def test_fields_are_frozen(self, name):
+        value = RECORDS[name]
+        before = repr(value)
+        for field in (*fields(type(value)), "other"):
+            with pytest.raises(AttributeError):
+                setattr(value, field, None)
+            with pytest.raises(AttributeError):
+                delattr(value, field)
+        assert repr(value) == before
+
+    def test_repr_names_the_fields(self):
+        assert repr(LAYERS[0]) == ("Layer(property_id='path', level=<Knowability.NEVER: 1>, "
+                                   "labels=(1.0, 2.0))")
+        assert repr(RECORDS["reduced"]) == \
+            "ContextualState(layer_cursor=1, amplitudes=None, reduced=0)"
+
+    def test_equality_is_same_type_only(self):
+        class OtherLayer(Layer):
+            __slots__ = ()
+
+        other = OtherLayer("path", 1, (1, 2))
+        assert [getattr(other, name) for name in fields(Layer)] == \
+            [getattr(LAYERS[0], name) for name in fields(Layer)]
+        assert other != LAYERS[0] and LAYERS[0] != other
+        assert (LAYERS[0] == ("path", Knowability.NEVER, (1.0, 2.0))) is False
+        k = (1, 0, 1, 0, 1)
+        assert _make(Sqrt2Scalar, k) != _make(ExactAmplitude, k)
+
+    @pytest.mark.parametrize("cls", SIGNATURES)
+    def test_signature_and_defaults(self, cls):
+        empty = inspect.Parameter.empty
+        assert [(p.name, None if p.default is empty else p.default)
+                for p in inspect.signature(cls).parameters.values()] == SIGNATURES[cls]
+        assert all(p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+                   for p in inspect.signature(cls).parameters.values())
+
+    def test_positional_and_keyword_construction_agree(self):
+        layer = LAYERS[0]
+        assert Layer("path", 1, [1, 2]) == Layer(labels=(1.0, 2), level=1,
+                                                 property_id="path") == layer
+        assert type(layer.level) is Knowability and type(layer.labels[0]) is float
+        assert ContextNetwork(list(LAYERS), [H, H], NETWORK.edges) == ContextNetwork(
+            edges=[[[H, H], [H, -H]]], initial=(H, H), layers=LAYERS) == NETWORK
+        state = ContextualState(0, [H, H])
+        assert state == ContextualState(amplitudes=(H, H), layer_cursor=0)
+        assert state.reduced is None and state.amplitudes == (H, H)
+        assert ContextualState(1, None, 0) == ContextualState(layer_cursor=1, reduced=0)
+        assert ContextualState(1, reduced=0).amplitudes is None
+        dist = Distribution((1.0, 2.0), (0.5, 0.5))
+        assert dist.exact is None and dist.rules == ()
+        assert dist == Distribution(probabilities=(0.5, 0.5), labels=(1.0, 2.0),
+                                    exact=None, rules=())
+        values = [getattr(SCENARIO, name) for name in fields(Scenario)]
+        assert Scenario(*values) == Scenario(**dict(zip(fields(Scenario), values))) == SCENARIO
+
+    @pytest.mark.parametrize("args, message", [
+        ((0,), "either superposed or reduced"),
+        ((0, (H, H), 1), "either superposed or reduced"),
+        ((0, (H, parse_exact("0"))), "not normalized"),
+    ])
+    def test_state_checks_run_in_constructor(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            ContextualState(*args)
+
+
+@pytest.mark.parametrize("value", [3, -7, F(3, 4), 0.75, Decimal("-0.75"), "3/4", " -1.5e-2 "])
+def test_scalar_accepts_what_fraction_accepts(value):
+    for x in (Sqrt2Scalar(value), Sqrt2Scalar(F(1, 3), value), Sqrt2Scalar(0, value)):
+        assert type(x.p) is F and type(x.q) is F
+    assert Sqrt2Scalar(value).p == F(value) and Sqrt2Scalar(value).q == 0
+    assert Sqrt2Scalar(0, value).q == F(value)
+    assert Sqrt2Scalar(value).as_fraction() == F(value)
+    assert type(Sqrt2Scalar(value).as_fraction()) is F
+
+
+@pytest.mark.parametrize("value", ["abc", "1/0", float("nan"), None])
+def test_scalar_refuses_what_fraction_refuses(value):
+    with pytest.raises(Exception) as expected:
+        F(value)
+    with pytest.raises(expected.type):
+        Sqrt2Scalar(value)
+    with pytest.raises(expected.type):
+        Sqrt2Scalar(0, value)
 
 
 @pytest.mark.parametrize("token", ["1/0", "-3/0/sqrt2", "1" * 5000, "1/2/3", "sqrt2"])
