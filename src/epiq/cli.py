@@ -150,6 +150,8 @@ def _cmd_hilbert(scenario, eraser, n, seed, tolerance):
     from .hilbert import (JointVolumeTable, SpaceConstructionError, build_space,
                           commutator, make_operator, principle4_probabilities)
     net, eraser = _resolved_network(scenario, eraser)
+    if errors := validate_context(net):  # build_space checks only what its kind needs
+        raise ContextError("; ".join(errors))
     jv = JointVolumeTable(v=scenario.joint_volumes) if scenario.joint_volumes else None
     space = build_space(net, joint_volumes=jv, simultaneous=scenario.simultaneous)
     result = {"dimension": space.dimension, "kind": space.kind, "properties": {

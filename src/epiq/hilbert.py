@@ -24,11 +24,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import Knowability
-from .context import ContextError, ContextNetwork, Layer
+from .context import ContextError, ContextNetwork
 
 ORTHO_TOL = 1e-12
 NEUTRAL_TOL = 1e-9
-DEGENERACY_TOL = 1e-9
 
 
 class SpaceConstructionError(ValueError):
@@ -49,6 +48,8 @@ class JointVolumeTable:
     def __post_init__(self):
         rows = tuple(tuple(float(x) for x in row) for row in self.v)
         object.__setattr__(self, "v", rows)
+        if len({len(row) for row in rows}) > 1:
+            raise ValueError("joint volume rows must have equal length")
         flat = [x for row in rows for x in row]
         if not all(x >= 0 for x in flat):  # both checks are written so that NaN fails
             raise ValueError("joint volumes must be nonnegative")
@@ -92,14 +93,6 @@ class ContextSpace:
         if any(b.shape[1] != 1 for b in blocks):
             raise SpaceConstructionError(f"{property_id} is represented by subspaces, not vectors")
         return np.hstack(blocks)
-
-    def basis_change(self, from_property: str, to_property: str) -> np.ndarray:
-        """Unitary matrix of <from_i, to_j> inner products."""
-        a, b = self.basis(from_property), self.basis(to_property)
-        u = np.conj(b).T @ a  # u[j, i] = <a_i, b_j>
-        if np.max(np.abs(np.conj(u).T @ u - np.eye(u.shape[0]))) > 1e-9:
-            raise SpaceConstructionError("basis change is not unitary")
-        return u
 
     def subspace_dimensions(self, property_id: str) -> tuple:
         return tuple(b.shape[1] for b in self.value_spaces[property_id])
@@ -253,7 +246,6 @@ def reciprocal(net: ContextNetwork) -> ContextNetwork:
 class PropertyOperator:
     matrix: np.ndarray = field(compare=False)
     eigenvalues: tuple
-    eigenspaces: tuple = field(compare=False)  # orthonormal column blocks
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
@@ -263,36 +255,24 @@ class PropertyOperator:
 
 
 def make_operator(space: ContextSpace, property_id: str,
-                  labels: Optional[Sequence[float]] = None,
-                  groups: Optional[Sequence[Sequence[int]]] = None) -> PropertyOperator:
-    """Sum of label-weighted projectors onto a property's value subspaces.
-
-    ``groups`` contracts several underlying values into one contextual value
-    (limited resolution); each group becomes a higher-rank eigenprojector.
-    """
+                  labels: Optional[Sequence[float]] = None) -> PropertyOperator:
+    """Sum of label-weighted projectors onto a property's value subspaces."""
     blocks = space.value_spaces[property_id]
-    if groups is None:
-        groups = [[j] for j in range(len(blocks))]
     if labels is None:
-        labels = [float(j + 1) for j in range(len(groups))]
+        labels = [float(j + 1) for j in range(len(blocks))]
     labels = [float(x) for x in labels]
-    if len(labels) != len(groups):
-        raise ValueError("one label per value (or value group) required")
+    if len(labels) != len(blocks):
+        raise ValueError("one label per value required")
     if len(set(labels)) != len(labels):
         raise ValueError("property values must be distinct")
     matrix = np.zeros((space.dimension, space.dimension), dtype=complex)
-    spaces = []
-    for label, group in zip(labels, groups):
-        cols = np.hstack([blocks[j] for j in group])
+    for label, cols in zip(labels, blocks):
         matrix += label * (cols @ np.conj(cols).T)
-        spaces.append(cols)
-    return PropertyOperator(matrix=matrix, eigenvalues=tuple(labels),
-                            eigenspaces=tuple(spaces))
+    return PropertyOperator(matrix=matrix, eigenvalues=tuple(labels))
 
 
 @dataclass(frozen=True)
 class CommutatorResult:
-    matrix: np.ndarray = field(compare=False)
     norm: float = 0.0
     commuting: bool = False
 
@@ -303,48 +283,7 @@ def commutator(a: PropertyOperator, b: PropertyOperator) -> CommutatorResult:
         raise ValueError("operators act on different spaces")
     c = a.matrix @ b.matrix - b.matrix @ a.matrix
     norm = float(np.linalg.norm(c, 2))
-    return CommutatorResult(matrix=c, norm=norm, commuting=norm < ORTHO_TOL)
-
-
-@dataclass(frozen=True)
-class OperatorPropertyReport:
-    labels: tuple
-    joint_volumes: JointVolumeTable
-    context: ContextNetwork
-    notes: tuple
-
-
-def operator_to_property(op: PropertyOperator, space: ContextSpace) -> OperatorPropertyReport:
-    """Read a contextual property off a self-adjoint operator.
-
-    The operator's eigenbasis fixes the new property's value vectors; the
-    joint volume table against the first property's basis follows from the
-    inner products.  The state-space regions behind those volumes are not
-    pinned down by the operator, which the report always records.
-    """
-    vals = list(op.eigenvalues)
-    for i, x in enumerate(vals):
-        for y in vals[i + 1:]:
-            if abs(x - y) < DEGENERACY_TOL:
-                raise ValueError("cannot define distinct property values")
-    if any(b.shape[1] != 1 for b in op.eigenspaces):
-        raise ValueError("cannot define distinct property values")
-    ref = space.property_order[0]
-    basis = space.basis(ref)
-    m = basis.shape[1]
-    amp = [[inner(basis[:, j], op.eigenspaces[k][:, 0]) for k in range(len(vals))]
-           for j in range(m)]
-    v = [[abs(a) ** 2 / 2 for a in row] for row in amp]
-    total = sum(x for row in v for x in row)
-    table = JointVolumeTable(v=tuple(tuple(x / total for x in row) for row in v))
-    net = ContextNetwork(
-        layers=(Layer(ref, Knowability.DECIDED, tuple(float(j + 1) for j in range(m))),
-                Layer("operator-property", Knowability.DECIDED, tuple(vals))),
-        initial=tuple([1 / math.sqrt(m) + 0j] * m),
-        edges=(tuple(tuple(row) for row in amp),))
-    return OperatorPropertyReport(
-        labels=tuple(vals), joint_volumes=table, context=net,
-        notes=("regions not uniquely determined",))
+    return CommutatorResult(norm=norm, commuting=norm < ORTHO_TOL)
 
 
 def principle4_probabilities(space: ContextSpace, net: ContextNetwork) -> np.ndarray:

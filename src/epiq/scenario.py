@@ -163,12 +163,13 @@ def parse_amplitude(value):
     return complex(float(value), 0.0)
 
 
-def _amplitude_at(value, *path):
-    """`parse_amplitude` of the field at `path`; a token the schema admits but
-    the parser refuses ("1/0", too many digits) is a schema error there."""
+def _parsed_at(parse, value, *path):
+    """`parse(value)` for the field at `path`; a value the schema admits but
+    `parse` refuses ("1/0", too many digits, an int past the float range) is
+    a schema error there."""
     try:
-        return parse_amplitude(value)
-    except ValueError as e:
+        return parse(value)
+    except (ValueError, OverflowError) as e:
         raise ScenarioSchemaError(f"{'/'.join(map(str, path))}: {e}") from e
 
 
@@ -204,12 +205,13 @@ def load_scenario(doc: dict) -> Scenario:
     ctx = doc["context"]
     layers = tuple(
         Layer(property_id=l["property"], level=Knowability(l["level"]),
-              labels=tuple(l["labels"]))
-        for l in ctx["layers"])
-    initial = tuple(_amplitude_at(a, "context", "initial", j)
+              labels=tuple(_parsed_at(float, x, "context", "layers", i, "labels", j)
+                           for j, x in enumerate(l["labels"])))
+        for i, l in enumerate(ctx["layers"]))
+    initial = tuple(_parsed_at(parse_amplitude, a, "context", "initial", j)
                     for j, a in enumerate(ctx["initial"]))
     matrices = tuple(
-        tuple(tuple(_amplitude_at(a, "context", "matrices", i, r, k)
+        tuple(tuple(_parsed_at(parse_amplitude, a, "context", "matrices", i, r, k)
                     for k, a in enumerate(row)) for r, row in enumerate(m))
         for i, m in enumerate(ctx["matrices"]))
     try:

@@ -231,6 +231,19 @@ class TestLoading:
         assert any("one amplitude matrix" in msg
                    for msg in validate_context(scenario.network))
 
+    @pytest.mark.parametrize("field, path", [
+        (lambda ctx: ctx["layers"][1]["labels"].__setitem__(1, 10**400),
+         "context/layers/1/labels/1"),
+        (lambda ctx: ctx["initial"].__setitem__(0, -10**400), "context/initial/0"),
+        (lambda ctx: ctx["matrices"][0][1].__setitem__(0, [0, 10**400]),
+         "context/matrices/0/1/0"),
+    ], ids=["label", "amplitude", "pair"])
+    def test_int_past_float_range_is_a_schema_error(self, field, path):
+        doc = minimal_doc()
+        field(doc["context"])
+        with pytest.raises(ScenarioSchemaError, match=f"^{path}: "):
+            load_scenario(doc)
+
     def test_registry_section_is_a_schema_error(self):
         doc = minimal_doc(registry={
             "attributes": [{"id": "cell", "kind": "ordered", "values": [1, 2]}],
@@ -431,6 +444,24 @@ class TestCli:
         result = run_cli(tmp_path, str(path), "--command", "hilbert")
         assert result.exit_code == 1
         assert "one- and two-property contexts" in result.output
+        assert not list(tmp_path.glob("minimal-hilbert.*"))
+
+    @pytest.mark.parametrize("context, simultaneous", [
+        ({"layers": [{"property": "a", "level": 3, "labels": [1, 2]},
+                     {"property": "b", "level": 3, "labels": [1, 2]}],
+          "initial": ["1", "1"], "matrices": [[["1", "1"], ["1", "1"]]]}, True),
+        ({"layers": [{"property": "a", "level": 3, "labels": [1, 2]}],
+          "initial": ["1", "1"], "matrices": []}, False),
+    ], ids=["joint", "single"])
+    def test_hilbert_command_refuses_what_validate_refuses(self, tmp_path, context,
+                                                           simultaneous):
+        path = tmp_path / "invalid.json"
+        path.write_text(json.dumps(minimal_doc(context=context, simultaneous=simultaneous)))
+        validated = run_cli(tmp_path, str(path), "--command", "validate")
+        assert validated.exit_code == 1
+        result = run_cli(tmp_path, str(path), "--command", "hilbert")
+        assert result.exit_code == 1
+        assert result.output.startswith("error: row not normalized: ")
         assert not list(tmp_path.glob("minimal-hilbert.*"))
 
     def test_uniqueness_command_guard(self, tmp_path):

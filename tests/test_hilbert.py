@@ -5,10 +5,8 @@ import pytest
 
 from epiq.context import ContextError, ContextNetwork, Layer, propagate
 from epiq.evolution import Knowability
-from epiq.exactnum import parse_exact
-from epiq.hilbert import (ContextSpace, JointVolumeTable, SpaceConstructionError, build_space,
-                          commutator, inner, make_operator, operator_to_property,
-                          principle4_probabilities, reciprocal)
+from epiq.hilbert import (JointVolumeTable, SpaceConstructionError, build_space, commutator,
+                          inner, make_operator, principle4_probabilities, reciprocal)
 
 H = 1 / math.sqrt(2)
 
@@ -50,10 +48,14 @@ class TestJointVolumeTable:
         with pytest.raises(ValueError, match=message):
             JointVolumeTable(v=v)
 
+    def test_ragged_rows_rejected(self):
+        with pytest.raises(ValueError, match="equal length"):
+            JointVolumeTable(v=((0.25, 0.25), (0.25, 0.125, 0.125)))
+
     def test_symmetric_pair_conditions(self):
         assert quarter_volumes().symmetric_pair_conditions_hold()
-        assert not JointVolumeTable(v=((0.4, 0.1), (0.1, 0.4))).symmetric_pair_conditions_hold() \
-            or True  # symmetric with equal diagonal: holds
+        # symmetric with equal diagonal: holds
+        assert JointVolumeTable(v=((0.4, 0.1), (0.1, 0.4))).symmetric_pair_conditions_hold()
         assert not JointVolumeTable(v=((0.4, 0.2), (0.1, 0.3))).symmetric_pair_conditions_hold()
 
 
@@ -62,8 +64,6 @@ class TestInterferenceSpace:
         space = build_space(interference_net())
         assert space.dimension == 2
         assert space.kind == "interference"
-        u = space.basis_change("path", "detector")
-        assert np.max(np.abs(np.conj(u).T @ u - np.eye(2))) < 1e-12
 
     def test_inner_products_reproduce_amplitudes(self):
         net = interference_net()
@@ -224,6 +224,20 @@ class TestSequentialSpace:
                 v=tuple(tuple(r) for r in lopsided)))
 
 
+@pytest.mark.parametrize("net, kwargs, message", [
+    (sequential_net(), {}, "sequential space needs a joint volume table"),
+    (sequential_net(), {"joint_volumes": JointVolumeTable(v=((0.5, 0.5),))},
+     "joint volume table has the wrong shape"),
+    (ContextNetwork(layers=(Layer("P", Knowability.CONTINGENT, (1.0, 2.0)),
+                            Layer("Q", Knowability.DECIDED, (1.0, 2.0))),
+                    initial=(H + 0j, H + 0j), edges=(((1 + 0j, 0j), (0j, 1 + 0j)),)),
+     {"simultaneous": True}, "joint space needs both properties decided"),
+], ids=["no-table", "wrong-shape", "joint-undecided"])
+def test_build_space_refusals(net, kwargs, message):
+    with pytest.raises(SpaceConstructionError, match=message):
+        build_space(net, **kwargs)
+
+
 class TestOperators:
     def space(self):
         return build_space(sequential_net(), joint_volumes=quarter_volumes())
@@ -236,24 +250,11 @@ class TestOperators:
         with pytest.raises(ValueError, match="distinct"):
             make_operator(self.space(), "P", labels=(1.0, 1.0))
 
-    def test_contracted_value_projector_rank(self):
-        m = 3
-        s = math.sqrt(1 / m)
-        net = ContextNetwork(
-            layers=(Layer("P", Knowability.NEVER, (1.0, 2.0, 3.0)),
-                    Layer("Q", Knowability.DECIDED, (1.0, 2.0, 3.0))),
-            initial=(1 + 0j, 0j, 0j),
-            edges=((tuple(tuple(s * np.exp(2j * np.pi * j * k / m) for k in range(m))
-                          for j in range(m))),))
-        space = build_space(net)
-        op = make_operator(space, "P", labels=(1.0, 2.0), groups=[[0], [1, 2]])
-        ranks = [np.linalg.matrix_rank(b @ np.conj(b).T) for b in op.eigenspaces]
-        assert ranks == [1, 2]
-
     def test_spectral_reconstruction(self):
-        op = make_operator(self.space(), "Q", labels=(2.0, -3.0))
+        space = self.space()
+        op = make_operator(space, "Q", labels=(2.0, -3.0))
         rebuilt = sum(val * (b @ np.conj(b).T)
-                      for val, b in zip(op.eigenvalues, op.eigenspaces))
+                      for val, b in zip(op.eigenvalues, space.value_spaces["Q"]))
         assert np.max(np.abs(rebuilt - op.matrix)) < 1e-12
 
     def test_commutator_dichotomy(self):
@@ -288,39 +289,6 @@ class TestOperators:
         b = make_operator(space3, "P")
         with pytest.raises(ValueError, match="different spaces"):
             commutator(a, b)
-
-
-class TestOperatorToProperty:
-    def space(self):
-        return build_space(sequential_net(), joint_volumes=quarter_volumes())
-
-    def test_diagonal_operator_recovers_same_property(self):
-        space = self.space()
-        op = make_operator(space, "P", labels=(1.0, -1.0))
-        report = operator_to_property(op, space)
-        assert report.joint_volumes.v == ((0.5, 0.0), (0.0, 0.5))
-        assert "regions not uniquely determined" in report.notes
-
-    def test_45_degree_operator(self):
-        space = self.space()
-        op = make_operator(space, "Q", labels=(1.0, -1.0))
-        report = operator_to_property(op, space)
-        for row in report.joint_volumes.v:
-            for v in row:
-                assert v == pytest.approx(0.25, abs=1e-12)
-
-    def test_emitted_context_propagates(self):
-        space = self.space()
-        op = make_operator(space, "Q", labels=(1.0, -1.0))
-        report = operator_to_property(op, space)
-        dist = propagate(report.context)
-        assert sum(dist.probabilities) == pytest.approx(1.0, abs=1e-12)
-
-    def test_degenerate_eigenvalues_rejected(self):
-        space = self.space()
-        op = make_operator(space, "Q", labels=(1.0, 1.0 + 1e-10))
-        with pytest.raises(ValueError, match="distinct property values"):
-            operator_to_property(op, space)
 
 
 class TestReciprocal:
