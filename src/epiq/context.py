@@ -17,15 +17,13 @@ propagated without any floating-point arithmetic.
 """
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional
 
 from . import Knowability  # re-exported: epiq.context.Knowability
 from . import Record, _set
 from .exactnum import ZERO, ExactAmplitude, abs2
 
 NORM_TOL = 1e-12
-
-Amplitude = Union[complex, ExactAmplitude]
 
 
 class ContextError(ValueError):
@@ -91,18 +89,18 @@ class ContextualState(Record):
 
 
 def _normalized(squares) -> bool:
-    """Whether squared moduli sum to 1; written so that NaN fails."""
-    return abs(float(sum(squares)) - 1.0) <= NORM_TOL
+    """Whether squared moduli sum to 1; written so that NaN fails.  A sum past
+    the float range (a float square that overflowed to inf meeting an exact
+    one, or an exact sum too large to convert) is not 1 either."""
+    try:
+        return abs(float(sum(squares)) - 1.0) <= NORM_TOL
+    except OverflowError:
+        return False
 
 
 def _squares(rows) -> list:
     """|a|^2 of every entry, row by row."""
     return [[abs2(a) for a in row] for row in rows]
-
-
-def born(a: Amplitude):
-    """Probability carried by one amplitude: its squared modulus."""
-    return abs2(a)
 
 
 def validate_context(net: ContextNetwork) -> list:

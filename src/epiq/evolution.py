@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import Knowability, borel_trial  # re-exported: epiq.evolution.<name>
-from .statespace import EpistemicState, ExactState, ObjectRegistry, PropertySpec, relative_volume
+from .statespace import EpistemicState, ObjectRegistry, PropertySpec, relative_volume
 
 
 class EvolutionContractError(ValueError):
@@ -38,12 +38,6 @@ class EvolutionRule:
         for z, img in self.images.items():
             if not img:
                 raise ValueError("every exact state needs a nonempty image")
-
-    def image_of(self, z: ExactState) -> frozenset:
-        try:
-            return self.images[z]
-        except KeyError:
-            raise ValueError("exact state outside the rule's domain") from None
 
     @cached_property
     def _tables(self) -> dict:
@@ -76,8 +70,9 @@ def evolve(s: EpistemicState, rule: EvolutionRule,
            tracked_pairs: Sequence[EpistemicState] = ()) -> EpistemicState:
     """Apply the rule to a state: union of member images.
 
-    Raises if the result overlaps ``s`` itself (a physical state must change),
-    or if overlap with any tracked companion state is created or destroyed.
+    Raises if the result overlaps ``s`` itself (a physical state must change
+    from moment n to n + 1), or if overlap with any tracked companion state
+    is created or destroyed; ``apply`` checks neither.
     """
     out = rule.apply(s)
     if s.physical and s._meet(out):
@@ -151,7 +146,9 @@ def probability(alt: FutureAlternative, parent: EpistemicState) -> Fraction:
 class InvarianceReport:
     steps: int
     ratios: tuple  # per-alternative relative volumes, constant across steps
-    max_deviation = Fraction(0)  # not a field: check_invariance raises on any deviation
+    # not a field: check_invariance raises on any deviation; the state-space
+    # benchmark reads it as the deviation it checks is zero
+    max_deviation = Fraction(0)
 
 
 def check_invariance(parent: EpistemicState, altset: CompleteAlternativeSet,

@@ -46,7 +46,10 @@ class JointVolumeTable:
     v: tuple  # M x M' nonnegative reals, summing to 1
 
     def __post_init__(self):
-        rows = tuple(tuple(float(x) for x in row) for row in self.v)
+        try:
+            rows = tuple(tuple(float(x) for x in row) for row in self.v)
+        except OverflowError:
+            raise ValueError("joint volumes must be within the float range") from None
         object.__setattr__(self, "v", rows)
         if len({len(row) for row in rows}) > 1:
             raise ValueError("joint volume rows must have equal length")

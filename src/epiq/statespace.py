@@ -44,6 +44,9 @@ MAX_STATES = 10**6
 
 
 class AttributeKind(str, Enum):
+    """An attribute's kind, which fixes how many values it may have.  Callers
+    may name a kind by its string, as the state-space benchmark does."""
+
     ORDERED = "ordered"
     DIRECTED = "directed"
     BINARY = "binary"
@@ -52,12 +55,9 @@ class AttributeKind(str, Enum):
 
 @dataclass(frozen=True)
 class AttributeDef:
-    """A named attribute with a finite value set.
-
-    For ordered/directed kinds the tuple order carries the betweenness and
-    succession structure; for binary and circular kinds it is arbitrary
-    (circular values are understood cyclically).
-    """
+    """A named attribute with a finite value set: exactly 2 values for the
+    binary kind, at least 3 for circular and at least 2 for ordered and
+    directed.  The tuple order numbers the values (see ``ExactState``)."""
 
     id: str
     kind: AttributeKind
@@ -77,31 +77,6 @@ class AttributeDef:
             raise ValueError(f"attribute {self.id}: circular kind needs >= 3 values")
         if self.kind in (AttributeKind.ORDERED, AttributeKind.DIRECTED) and len(self.values) < 2:
             raise ValueError(f"attribute {self.id}: ordered kind needs >= 2 values")
-
-    def index(self, value) -> int:
-        return self.values.index(value)
-
-    def between(self, a, b, c) -> bool:
-        """True if b lies between a and c.
-
-        Ordered/directed: positional.  Circular: always true for distinct
-        triples (every value lies on some arc between the other two).
-        Binary: undefined.
-        """
-        if len({a, b, c}) != 3:
-            raise ValueError("betweenness needs three different values")
-        if self.kind is AttributeKind.BINARY:
-            raise ValueError(f"attribute {self.id}: betweenness undefined for binary kind")
-        if self.kind is AttributeKind.CIRCULAR:
-            return True
-        ia, ib, ic = self.index(a), self.index(b), self.index(c)
-        return min(ia, ic) < ib < max(ia, ic)
-
-    def succeeds(self, a, b) -> bool:
-        """True if b succeeds a (directed attributes only)."""
-        if self.kind is not AttributeKind.DIRECTED:
-            raise ValueError(f"attribute {self.id}: succession defined only for directed kind")
-        return self.index(b) > self.index(a)
 
 
 @dataclass(frozen=True)
@@ -133,10 +108,6 @@ class ObjectRegistry:
             objs.append((oid, attr_ids))
         return ObjectRegistry(attributes=attrs, objects=tuple(objs))
 
-    @property
-    def attribute_table(self) -> dict:
-        return {a.id: a for a in self.attributes}
-
     # Computed once per instance; cached_property writes the instance
     # ``__dict__`` directly, so it works on a frozen dataclass and leaves the
     # structural equality and hash over (attributes, objects) untouched.
@@ -146,7 +117,7 @@ class ObjectRegistry:
 
     @cached_property
     def _slot_values(self) -> tuple:
-        table = self.attribute_table
+        table = {a.id: a for a in self.attributes}
         return tuple(table[aid].values for _, aid in self._slots)
 
     @cached_property
@@ -385,7 +356,7 @@ def combine(a: EpistemicState, b: EpistemicState, connective: str) -> EpistemicS
 
 
 def collective_state(subject_states: Sequence[EpistemicState]) -> EpistemicState:
-    """Intersection of all subjects' states; what everyone together knows."""
+    """Intersection of all subjects' states: the abstract's collective knowledge."""
     if not subject_states:
         raise ValueError("need at least one subject state")
     registry = subject_states[0].registry
@@ -397,18 +368,6 @@ def collective_state(subject_states: Sequence[EpistemicState]) -> EpistemicState
     if not mask:
         raise ContradictionError("subjects' knowledge contradicts")
     return EpistemicState._of(registry, mask)
-
-
-def knowledge_dimension(distinct_attributes: Sequence[int]) -> int:
-    """Product over objects of the number of distinct attributes each carries."""
-    if not distinct_attributes:
-        raise ValueError("no objects: knowledge dimension undefined")
-    dim = 1
-    for n in distinct_attributes:
-        if n < 1:
-            raise ValueError("each object needs at least one distinct attribute")
-        dim *= n
-    return dim
 
 
 @dataclass(frozen=True)
@@ -430,12 +389,9 @@ class PropertySpec:
             raise ValueError(f"property {self.id}: value labels must be distinct")
 
     def preimage(self, j: int, within: EpistemicState) -> Optional[EpistemicState]:
-        """The members of ``within`` where the property has value index j."""
+        """The members of ``within`` where the property has value index j: the one
+        call of a valuation, which cuts Born regions in acceptance criterion 10."""
         if not 0 <= j < len(self.labels):
             raise ValueError(f"property {self.id}: no value index {j}")
         members = [z for z in within.members if self.valuation(z) == j]
-        return EpistemicState(within.registry, members) if members else None
-
-    def defined_region(self, within: EpistemicState) -> Optional[EpistemicState]:
-        members = [z for z in within.members if self.valuation(z) is not None]
         return EpistemicState(within.registry, members) if members else None

@@ -2,6 +2,7 @@
 
 Each test prints "ACCEPTANCE <n> <name>: PASS|FAIL" and asserts the criterion.
 """
+import functools
 import math
 import time
 from fractions import Fraction
@@ -11,7 +12,8 @@ import scipy.stats
 
 from epiq.context import (ContextNetwork, ContextualState, Layer, propagate,
                           reduce_by_consistency)
-from epiq.evolution import EvolutionRule, Knowability, borel_trial, make_alternatives, probability
+from epiq.evolution import (EvolutionRule, Knowability, borel_trial, check_invariance,
+                            make_alternatives, probability)
 from epiq.exactnum import parse_exact
 from epiq.hilbert import (JointVolumeTable, build_space, commutator, inner, make_operator,
                           principle4_probabilities, reciprocal)
@@ -270,3 +272,89 @@ def test_criterion_9_measure_probability_suites():
         if rule.apply(union).members != rule.apply(part).members | rule.apply(other).members:
             violations += 1
     report(9, "measure-probability-suites", violations == 0)
+
+
+# Unit rows whose |a|^2 are rational, so that a finite space can hold them
+# exactly: Pythagorean entries, beam-splitter halves, and three-way splits.
+BRIDGE_ROWS = (("3/5", "4/5"), ("4/5", "-3/5"), ("5/13", "12/13"), ("1/sqrt2", "-1/sqrt2"),
+               ("1/2", "-1/2", "1/sqrt2"), ("2/3", "2/3", "-1/3"), ("1", "0"))
+BRIDGE_MAX_STATES = 2000
+
+
+def _bridge_row(rng, cols):
+    fits = [row for row in BRIDGE_ROWS if len(row) <= cols]
+    row = [parse_exact(e) for e in fits[rng.integers(len(fits))]]
+    row += [parse_exact("0")] * (cols - len(row))
+    rng.shuffle(row)
+    return tuple(row)
+
+
+def _ticket_tables(boundaries):
+    """Per boundary (the initial row, then each matrix), its common
+    denominator D of |a|^2 and, per row, the value that each of the D tickets
+    falls on: value k owns D*|a_k|^2 consecutive tickets.  None when the
+    product of the D exceeds ``BRIDGE_MAX_STATES``."""
+    squares = [[[a.abs2().as_fraction() for a in row] for row in rows] for rows in boundaries]
+    dens = [max(2, math.lcm(*(p.denominator for row in rows for p in row))) for rows in squares]
+    if math.prod(dens) > BRIDGE_MAX_STATES:
+        return None
+    return [(d, [[k for k, p in enumerate(row) for _ in range(int(p * d))]
+                 for row in rows]) for d, rows in zip(dens, squares)]
+
+
+def test_criterion_10_volume_born_bridge():
+    """Born probabilities of a decided chain are relative volumes of the state
+    space: one object per boundary holds a ticket, each layer's value is read
+    off the ticket intervals of the previous value's row, and the preimage of
+    each final value has exactly the propagated probability.  A finite space
+    has only rational relative volumes, so chains whose probabilities carry a
+    sqrt2 term are out of scope."""
+    start = time.perf_counter()
+    rng = np.random.default_rng(10)
+    ok, chains = True, 0
+    while chains < 50:
+        sizes = [int(rng.integers(2, 4)) for _ in range(int(rng.integers(2, 4)))]
+        initial = _bridge_row(rng, sizes[0])
+        edges = tuple(tuple(_bridge_row(rng, sizes[i + 1]) for _ in range(sizes[i]))
+                      for i in range(len(sizes) - 1))
+        tables = _ticket_tables(((initial,),) + edges)
+        if tables is None:
+            continue
+        chains += 1
+        net = ContextNetwork(
+            layers=tuple(Layer(f"L{i}", Knowability.DECIDED, tuple(float(k + 1) for k in range(m)))
+                         for i, m in enumerate(sizes)),
+            initial=initial, edges=edges)
+        registry = ObjectRegistry.build(
+            [AttributeDef(id=f"ticket{i}", kind="ordered", values=tuple(range(d)))
+             for i, (d, _) in enumerate(tables)],
+            {f"boundary{i}": [f"ticket{i}"] for i in range(len(tables))})
+
+        @functools.cache  # one walk per state, however many preimages read it
+        def final_value(z):
+            value = 0  # the initial amplitudes are the one row of the first table
+            for ticket, (_, rows) in zip(z.values, tables):
+                value = rows[value][ticket]
+            return value
+
+        final = PropertySpec(id=f"L{len(sizes) - 1}", labels=net.final_layer.labels,
+                             valuation=final_value)
+        whole = full_state(registry)
+        regions = {j: final.preimage(j, whole) for j in range(sizes[-1])}
+        volumes = [Fraction(0) if r is None else relative_volume(r, whole) for r in regions.values()]
+        ok = ok and volumes == [p.as_fraction() for p in propagate(net).exact]
+
+        regions = {j: r for j, r in regions.items() if r is not None}
+        if len(regions) < 2:  # one certain outcome: no genuine alternatives
+            continue
+        alts = make_alternatives(whole, final, regions,
+                                 {j: Knowability.DECIDED for j in regions})
+        ok = ok and [probability(a, whole) for a in alts.alternatives] == \
+            [volumes[j] for j in regions]
+        states = list(all_exact_states(registry))
+        image = rng.permutation(len(states))
+        rule = EvolutionRule(images={z: frozenset([states[k]]) for z, k in zip(states, image)})
+        ok = ok and check_invariance(whole, alts, rule, steps=2).ratios == \
+            tuple(volumes[j] for j in regions)
+    elapsed = time.perf_counter() - start
+    report(10, "volume-born-bridge", ok and elapsed < 1.0)

@@ -464,6 +464,29 @@ class TestCli:
         assert result.output.startswith("error: row not normalized: ")
         assert not list(tmp_path.glob("minimal-hilbert.*"))
 
+    @pytest.mark.parametrize("name, place", [
+        ("born-uniqueness", lambda c: c["initial"]),
+        ("branching", lambda c: c["matrices"][0][0]),
+    ], ids=["initial", "matrix"])
+    def test_float_square_past_the_float_range_fails_like_an_unnormalized_row(
+            self, tmp_path, name, place):
+        """A float whose square overflows, among exact tokens, is refused as a
+        row that does not normalize, exactly as the float 2.0 is."""
+        runs = {}
+        for value in (2.0, 1e160):
+            doc = json.loads(bundled_scenario_path(name).read_text())
+            place(doc["context"])[0] = value
+            out = tmp_path / str(value)
+            out.mkdir()
+            path = out / "scenario.json"
+            path.write_text(json.dumps(doc))
+            runs[value] = [run_cli(out, str(path), "--command", c)
+                           for c in ("validate", "propagate", "hilbert")]
+            runs[value].append((out / f"{name}-validate.json").read_text())
+        assert runs[1e160] == runs[2.0]
+        assert [r.exit_code for r in runs[2.0][:-1]] == [1, 1, 1]
+        assert "row not normalized" in json.loads(runs[2.0][-1])["result"]["errors"][0]
+
     def test_uniqueness_command_guard(self, tmp_path):
         result = run_cli(tmp_path, str(bundled_scenario_path("born-uniqueness")))
         assert result.exit_code == 0, result.output

@@ -2,11 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from epiq.context import (ContextError, ContextNetwork, ContextualState, Layer, born,
+from epiq.context import (ContextError, ContextNetwork, ContextualState, Layer,
                           pad_virtual_values, propagate, reduce_by_consistency,
                           reduce_by_observation, validate_context)
 from epiq.evolution import Knowability
-from epiq.exactnum import ExactAmplitude, Sqrt2Scalar, parse_exact
+from epiq.exactnum import ExactAmplitude, Sqrt2Scalar, abs2, parse_exact
 
 H = parse_exact("1/sqrt2")
 HN = parse_exact("-1/sqrt2")
@@ -68,6 +68,18 @@ class TestValidation:
             layers=(Layer("p", Knowability.NEVER, (1.0, 2.0)),
                     Layer("q", Knowability.DECIDED, (1.0, 2.0))),
             initial=(nan, 0j), edges=(((1 + 0j, 0j), (0j, nan)),))
+        assert validate_context(net) == ["row not normalized: initial amplitudes",
+                                         "row not normalized: matrix 0 row 1"]
+        with pytest.raises(ContextError, match="not normalized"):
+            propagate(net)
+
+    @pytest.mark.parametrize("big", [1e160, ExactAmplitude.of(10**200)],
+                             ids=["float-square-overflows", "exact-sum-past-float-range"])
+    def test_square_past_the_float_range_is_not_normalized(self, big):
+        net = ContextNetwork(
+            layers=(Layer("p", Knowability.NEVER, (1.0, 2.0)),
+                    Layer("q", Knowability.DECIDED, (1.0, 2.0))),
+            initial=(big, H), edges=(((H, H), (H, big)),))
         assert validate_context(net) == ["row not normalized: initial amplitudes",
                                          "row not normalized: matrix 0 row 1"]
         with pytest.raises(ContextError, match="not normalized"):
@@ -176,8 +188,8 @@ class TestPropagate:
             propagate(mz(1), start=start)
 
     def test_born_map(self):
-        assert born(H) == Sqrt2Scalar.of(Fraction(1, 2))
-        assert born(0.6 + 0.8j) == pytest.approx(1.0)
+        assert abs2(H) == Sqrt2Scalar.of(Fraction(1, 2))
+        assert abs2(0.6 + 0.8j) == pytest.approx(1.0)
 
 
 class TestReduction:

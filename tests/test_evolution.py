@@ -90,7 +90,7 @@ class TestEvolve:
 
 class TestIndexArrayApply:
     """A 9-state space (not a whole number of bytes) and a rule without an image
-    for the top code, against the union of ``image_of`` over the members."""
+    for the top code, against the union of ``images`` over the members."""
 
     @pytest.fixture
     def nine(self):
@@ -118,7 +118,7 @@ class TestIndexArrayApply:
             members = list(itertools.compress(states, picks))
             if members:
                 s = EpistemicState(nine, members)
-                expected = frozenset().union(*map(rule.image_of, members))
+                expected = frozenset().union(*(rule.images[z] for z in members))
                 assert rule.apply(s).members == expected
 
     def test_equal_registry_gives_the_same_mask(self, nine, rule):
@@ -129,7 +129,7 @@ class TestIndexArrayApply:
         out_twin = rule.apply(s_twin)  # the table is built over the twin first
         assert out_twin.registry is twin
         assert out_twin.mask == rule.apply(s).mask
-        assert out_twin.members == frozenset().union(*map(rule.image_of, s.members))
+        assert out_twin.members == frozenset().union(*(rule.images[z] for z in s.members))
 
 
 @pytest.fixture

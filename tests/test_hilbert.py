@@ -43,7 +43,8 @@ class TestJointVolumeTable:
     @pytest.mark.parametrize("v, message", [
         (((float("nan"), 0.5), (0.25, 0.25)), "nonnegative"),
         (((float("inf"), 0.5), (0.25, 0.25)), "sum to one"),
-    ], ids=["nan", "inf"])
+        (((10**400, 0), (0, 0)), "joint volumes must be within the float range"),
+    ], ids=["nan", "inf", "int-past-float-range"])
     def test_non_finite_volumes_rejected(self, v, message):
         with pytest.raises(ValueError, match=message):
             JointVolumeTable(v=v)

@@ -118,7 +118,7 @@ class TestMaskOracles:
             for z in all_exact_states(rule_registry)})
         states = list(all_exact_states(registry))
         s = EpistemicState(registry, rnd.sample(states, rnd.randint(1, len(states))))
-        expected = frozenset().union(*(rule.image_of(z) for z in s.members))
+        expected = frozenset().union(*(rule.images[z] for z in s.members))
         assert rule.apply(s).members == expected
         assert rule.apply(s).registry is registry
 
@@ -153,8 +153,8 @@ class TestMeasureAxioms:
     @settings(max_examples=30, deadline=None)
     def test_slice_equality_for_independent_attributes(self, registry):
         whole = full_state(registry)
-        positions = registry.attribute_table["position"].values
-        slices = [state_slice(whole, "dot", "position", p) for p in positions]
+        position, _ = registry.attributes
+        slices = [state_slice(whole, "dot", "position", p) for p in position.values]
         sizes = {volume(s) for s in slices}
         assert len(sizes) == 1
         assert sum(volume(s) for s in slices) == volume(whole)
@@ -217,7 +217,8 @@ class TestKolmogorov:
     @settings(max_examples=30, deadline=None)
     def test_alternative_probabilities_form_distribution(self, registry):
         whole = full_state(registry)
-        marks = registry.attribute_table["mark"].values
+        _, mark = registry.attributes
+        marks = mark.values
         prop = PropertySpec(
             id="mark", labels=tuple(float(m + 1) for m in marks),
             valuation=lambda z: z.value("dot", "mark"))

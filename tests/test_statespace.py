@@ -11,8 +11,7 @@ from epiq import statespace
 from epiq.statespace import (MAX_STATES, AttributeDef, ContradictionError, EpistemicState,
                              ExactState, ObjectRegistry, PropertySpec, StateSpaceSizeError,
                              VoidStateError, all_exact_states, collective_state, combine,
-                             full_state, knowledge_dimension, relative_volume, state_slice,
-                             volume)
+                             full_state, relative_volume, state_slice, volume)
 
 
 class TestAttributeDef:
@@ -31,29 +30,6 @@ class TestAttributeDef:
     def test_unhashable_values_rejected(self):
         with pytest.raises(ValueError, match="attribute a: values must be hashable"):
             AttributeDef(id="a", kind="ordered", values=([1], [2]))
-
-    def test_betweenness_ordered(self):
-        a = AttributeDef(id="o", kind="ordered", values=(1, 2, 3, 4))
-        assert a.between(1, 2, 3)
-        assert a.between(4, 3, 1)
-        assert not a.between(2, 4, 3)
-
-    def test_betweenness_circular_always_true(self):
-        c = AttributeDef(id="c", kind="circular", values=("n", "e", "s", "w"))
-        assert c.between("n", "s", "e")
-
-    def test_betweenness_binary_undefined(self):
-        b = AttributeDef(id="b", kind="binary", values=(0, 1))
-        with pytest.raises(ValueError, match="betweenness"):
-            b.between(0, 1, 0)
-
-    def test_succession_directed_only(self):
-        d = AttributeDef(id="t", kind="directed", values=(1, 2, 3))
-        assert d.succeeds(1, 3)
-        assert not d.succeeds(3, 1)
-        o = AttributeDef(id="o", kind="ordered", values=(1, 2))
-        with pytest.raises(ValueError, match="succession"):
-            o.succeeds(1, 2)
 
 
 class TestRegistryAndStates:
@@ -262,17 +238,8 @@ class TestCombination:
             collective_state([up, down])
 
 
-class TestKnowledgeDimension:
-    def test_product_over_objects(self):
-        assert knowledge_dimension([2, 3]) == 6
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            knowledge_dimension([])
-
-
 class TestPropertySpec:
-    def test_preimages_partition_defined_region(self, registry, whole):
+    def test_preimages_partition_the_state(self, registry, whole):
         spin = PropertySpec(
             id="spin", labels=(1.0, -1.0),
             valuation=lambda z: 0 if z.value("particle", "spin") == "up" else 1)
@@ -280,14 +247,14 @@ class TestPropertySpec:
         down = spin.preimage(1, whole)
         assert volume(up) == volume(down) == 4
         assert not (up.members & down.members)
-        assert spin.defined_region(whole).members == whole.members
+        assert up.members | down.members == whole.members
 
     def test_partial_valuation(self, registry, whole):
         left = PropertySpec(
-            id="leftish", labels=(1.0,),
+            id="leftish", labels=(1.0, 2.0),
             valuation=lambda z: 0 if z.value("particle", "position") == 1 else None)
-        assert volume(left.defined_region(whole)) == 2
-        assert left.preimage(0, whole).members == left.defined_region(whole).members
+        assert left.preimage(0, whole) == state_slice(whole, "particle", "position", 1)
+        assert left.preimage(1, whole) is None
 
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
