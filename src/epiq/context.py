@@ -14,6 +14,11 @@ therefore never wider than the widest layer, and the cost is linear in depth.
 Amplitudes may be ordinary complex numbers or exact Q(sqrt2) values
 (`exactnum.ExactAmplitude`); a network whose amplitudes are all exact is
 propagated without any floating-point arithmetic.
+
+A network is its own start state, and every reduction maps networks to
+networks: a superposed state at layer c is `ContextNetwork(layers[c:],
+amplitudes, edges[c:])`, and observing value j of a decided first layer leaves
+the later layers fed by row j of the first matrix (`reduce_by_observation`).
 """
 from __future__ import annotations
 
@@ -67,25 +72,6 @@ class ContextNetwork(Record):
             for row in m:
                 amps.extend(row)
         return all(isinstance(a, ExactAmplitude) for a in amps)
-
-
-class ContextualState(Record):
-    """Knowledge about the specimen at one layer: either a unit amplitude
-    vector over the layer's values, or a single reduced value index."""
-
-    __slots__ = ("layer_cursor", "amplitudes", "reduced")
-
-    def __init__(self, layer_cursor: int, amplitudes: Optional[tuple] = None,
-                 reduced: Optional[int] = None):
-        if (amplitudes is None) == (reduced is None):
-            raise ContextError("state is either superposed or reduced")
-        if amplitudes is not None:
-            amplitudes = tuple(amplitudes)
-            if not _normalized(map(abs2, amplitudes)):
-                raise ContextError("superposed state is not normalized")
-        _set(self, "layer_cursor", layer_cursor)
-        _set(self, "amplitudes", amplitudes)
-        _set(self, "reduced", reduced)
 
 
 def _normalized(squares) -> bool:
@@ -159,7 +145,7 @@ class Distribution(Record):
         return 0.5 * sum(abs(p - q) for p, q in zip(self.probabilities, other.probabilities))
 
 
-def propagate(net: ContextNetwork, start: Optional[ContextualState] = None) -> Distribution:
+def propagate(net: ContextNetwork) -> Distribution:
     """Fold the network into the outcome distribution of its final property.
 
     The mixture is a list of classical weights, one per amplitude row.  A
@@ -171,38 +157,17 @@ def propagate(net: ContextNetwork, start: Optional[ContextualState] = None) -> D
     Each edge entry is squared once per call: the validity check keeps every
     matrix's |m_jk|^2 table, and a merge straight after a decided layer reads
     it instead of squaring the matrix rows again.  A network with any float
-    amplitude, or a float start state, is checked and propagated on complex
-    entries.
+    amplitude is checked and propagated on complex entries.
     """
-    exact = net.is_exact() and (start is None or start.amplitudes is None or all(
-        isinstance(a, ExactAmplitude) for a in start.amplitudes))
+    exact = net.is_exact()
     edges = net.edges if exact else tuple(
         tuple(tuple(map(complex, row)) for row in m) for m in net.edges)
     errors, squares = _check(net, edges)
     if errors:
         raise ContextError("; ".join(errors))
-    cursor, rows, squared = 0, [net.initial], None
-    if start is not None:
-        cursor = start.layer_cursor
-        if not 0 <= cursor < len(net.layers):
-            raise ContextError(f"start layer {cursor} outside the network")
-        size = net.layers[cursor].size
-        if start.reduced is None:
-            if len(start.amplitudes) != size:
-                raise ContextError(f"start state needs {size} amplitudes")
-            rows = [start.amplitudes]
-        elif cursor >= len(net.layers) - 1:
-            raise ContextError("nothing left to propagate")
-        elif not 0 <= start.reduced < size:
-            raise ContextError(f"no value index {start.reduced} at start layer")
-        else:
-            rows, squared = [edges[cursor][start.reduced]], [squares[cursor][start.reduced]]
-            cursor += 1
-    if not exact:
-        rows = [tuple(map(complex, row)) for row in rows]
-
+    rows, squared = [net.initial if exact else tuple(map(complex, net.initial))], None
     weights, rules = [1], []
-    for i in range(cursor, len(net.layers) - 1):
+    for i in range(len(net.layers) - 1):
         layer, matrix = net.layers[i], edges[i]
         if layer.level is Knowability.DECIDED:
             rules.append("classical")
@@ -236,23 +201,26 @@ def _merge(weights, squared, size) -> list:
     return [sum(w * row[j] for w, row in zip(weights, squared)) for j in range(size)]
 
 
-def reduce_by_observation(state: ContextualState, net: ContextNetwork,
-                          outcome: int) -> ContextualState:
-    """Collapse a superposed state at a decided layer onto one observed value."""
-    if not 0 <= state.layer_cursor < len(net.layers):
-        raise ContextError(f"state layer {state.layer_cursor} outside the network")
-    layer = net.layers[state.layer_cursor]
+def reduce_by_observation(net: ContextNetwork, outcome: int) -> ContextNetwork:
+    """Observe value `outcome` of the network's first, decided property.
+
+    What is then known is again a context: the remaining layers, fed by the
+    observed value's row of the first matrix.
+    """
+    if errors := validate_context(net):
+        raise ContextError("; ".join(errors))
+    layer = net.layers[0]
     if layer.level is not Knowability.DECIDED:
         raise ContextError("reduction forbidden at unknowable property")
-    if state.amplitudes is None:
-        raise ContextError("state is already reduced")
+    if len(net.layers) == 1:
+        raise ContextError("nothing left to propagate")
     if not 0 <= outcome < layer.size:
         raise ContextError(f"no value index {outcome} at layer {layer.property_id}")
     # an exact |a|^2 is compared with ZERO exactly (it never equals 0), a
     # float one with 0 (it never equals ZERO)
-    if abs2(state.amplitudes[outcome]) in (0, ZERO):
+    if abs2(net.initial[outcome]) in (0, ZERO):
         raise ContextError("impossible outcome")
-    return ContextualState(layer_cursor=state.layer_cursor, reduced=outcome)
+    return ContextNetwork(net.layers[1:], net.edges[0][outcome], net.edges[1:])
 
 
 def reduce_by_consistency(net: ContextNetwork,

@@ -21,7 +21,6 @@ import math
 import re
 from functools import cache
 from importlib import resources
-from numbers import Number
 from typing import Optional
 
 from . import Knowability, Record, _set
@@ -44,7 +43,7 @@ _TYPES = {
     "array": lambda v: isinstance(v, list),
     "string": lambda v: isinstance(v, str),
     "boolean": lambda v: isinstance(v, bool),
-    "number": lambda v: isinstance(v, Number) and not isinstance(v, bool),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
     "integer": lambda v: not isinstance(v, bool) and (
         isinstance(v, int) or isinstance(v, float) and v.is_integer()),
 }
@@ -191,7 +190,9 @@ class Scenario(Record):
 
 
 def validate_document(doc: dict) -> None:
-    """Schema-validate a raw document; raises with field-level messages."""
+    """Schema-validate a raw document; raises with field-level messages.
+    It holds JSON values only: a ``Fraction`` or ``Decimal`` where a number
+    belongs is "not of type 'number'"."""
     schema = _schema()
     errors = sorted(_errors(doc, schema, schema), key=lambda e: list(e[0]))
     if errors:

@@ -10,8 +10,7 @@ from fractions import Fraction
 import numpy as np
 import scipy.stats
 
-from epiq.context import (ContextNetwork, ContextualState, Layer, propagate,
-                          reduce_by_consistency)
+from epiq.context import ContextNetwork, Layer, propagate, reduce_by_consistency
 from epiq.evolution import (EvolutionRule, Knowability, borel_trial, check_invariance,
                             make_alternatives, probability)
 from epiq.exactnum import parse_exact

@@ -1,12 +1,16 @@
+import collections
 import contextlib
 import copy
 import io
 import json
+import math
 import os
 import random
 import subprocess
 import sys
 import textwrap
+from decimal import Decimal
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
@@ -82,6 +86,17 @@ class TestSchema:
         doc["context"]["initial"] = ["nonsense", "1/sqrt2"]
         with pytest.raises(ScenarioSchemaError, match="context/initial/0"):
             validate_document(doc)
+
+    @pytest.mark.parametrize("value", [Fraction(3, 2), Decimal("1.5")],
+                             ids=["fraction", "decimal"])
+    def test_only_a_json_number_is_a_number(self, value):
+        # a document holds JSON values; json.load never makes these
+        doc = minimal_doc()
+        doc["context"]["layers"][1]["labels"][1] = value
+        with pytest.raises(ScenarioSchemaError) as refused:
+            validate_document(doc)
+        assert str(refused.value) == \
+            f"context/layers/1/labels/1: {value!r} is not of type 'number'"
 
 
 # jsonschema's Draft 2020-12 validator is the oracle for epiq.scenario's own
@@ -162,11 +177,11 @@ def _containers(node):
             yield from _containers(child)
 
 
-def mutate(doc, rng):
+def mutate(doc, rng, values=VALUES):
     """Replace a value, delete a key or item, or add an unknown key or item."""
     node = rng.choice(list(_containers(doc)))
     op = rng.choice(("replace", "delete", "add")) if node else "add"
-    value = copy.deepcopy(rng.choice(VALUES))
+    value = copy.deepcopy(rng.choice(values))
     if op == "add":
         if isinstance(node, dict):
             node[rng.choice(KEYS)] = value
@@ -561,6 +576,18 @@ class TestCli:
         assert "schema error" in result.output and "is too long" in result.output
         assert not list(tmp_path.glob("minimal-*"))
 
+    @pytest.mark.parametrize("name", ["a/b", "../escaped", "a\\b"],
+                             ids=["slash", "parent", "backslash"])
+    def test_name_with_a_path_separator_exit_code_2(self, tmp_path, name):
+        # the name is the stem of the output files, which must stay in --out-dir
+        (tmp_path / "run").mkdir()
+        (tmp_path / "run" / "doc.json").write_text(json.dumps(minimal_doc(name=name)))
+        result = run_cli(tmp_path / "run" / "out", str(tmp_path / "run" / "doc.json"))
+        assert result.exit_code == 2, result.output
+        assert result.output == (f"schema error: name: {name!r} does not match "
+                                 f"'^[^/\\\\\\\\]*$'\n")
+        assert [p.name for p in tmp_path.rglob("*")] == ["run", "doc.json"]
+
     def test_oversized_sample_count_option_exit_code_2(self, tmp_path):
         result = run_cli(tmp_path, str(bundled_scenario_path("mach-zehnder-open")),
                          "--command", "montecarlo", "--n", str(10**23))
@@ -722,9 +749,10 @@ def _cli_call(name, command):
 NO_LIBRARY = ("scipy", "jsonschema", "click")
 # no command loads the state-space modules; borel_trial is in the package root
 LIGHT = ("numpy", *NO_LIBRARY, "epiq.statespace", "epiq.evolution")
-# the CLI path's values are epiq.Records, not dataclasses, and exact arithmetic
-# builds no Fraction; numpy itself imports inspect
-NO_STDLIB_EXTRAS = ("dataclasses", "inspect", "fractions", "decimal")
+# the CLI path's values are epiq.Records, not dataclasses, exact arithmetic
+# builds no Fraction, and the schema's numbers are ints and floats; numpy
+# itself imports inspect
+NO_STDLIB_EXTRAS = ("dataclasses", "inspect", "fractions", "decimal", "numbers")
 
 
 class TestImportCost:
@@ -732,7 +760,8 @@ class TestImportCost:
     uses; numpy is imported by the commands that need it, and no command
     loads epiq.evolution, the state space under it, scipy, jsonschema or
     click.  Importing the CLI, propagate and validate load neither
-    dataclasses (nor inspect under it) nor fractions (nor decimal)."""
+    dataclasses (nor inspect under it) nor fractions (nor decimal) nor
+    numbers."""
 
     @pytest.mark.parametrize("statement, forbidden", [
         ("pass", LIGHT + NO_STDLIB_EXTRAS),
@@ -749,3 +778,59 @@ class TestImportCost:
         loaded = _modules_after(tmp_path, statement)
         assert [m for m in loaded
                 if any(m == f or m.startswith(f + ".") for f in forbidden)] == []
+
+
+FUZZ_CASES = 300
+FUZZ_COMMANDS = ("propagate", "montecarlo", "hilbert", "uniqueness", "validate")
+# finite floats whose squares overflow or underflow, or that sit at the range's edge
+FUZZ_VALUES = VALUES + (1e160, -1e308, 5e-324, 1e-170, [1e160, 0.0])
+FUZZ_STARTS, FUZZ_SHAPES = 4, 2
+
+
+def _capped(doc):
+    """Bound the uniqueness study a document asks for (60 starts when it names
+    none) at FUZZ_STARTS starts and FUZZ_SHAPES shapes, so the fuzz stays
+    fast.  A value past the schema's own bounds is left for it to refuse."""
+    section = doc.setdefault("uniqueness", {})
+    if isinstance(section, dict):
+        samples = section.get("samples", 60)
+        if type(samples) in (int, float) and FUZZ_STARTS < samples <= 1000:
+            section["samples"] = FUZZ_STARTS
+        shapes = section.get("shapes")
+        if isinstance(shapes, list) and len(shapes) <= 16:
+            del shapes[FUZZ_SHAPES:]
+    return doc
+
+
+def _finite(node):
+    if isinstance(node, float):
+        return math.isfinite(node)
+    if isinstance(node, (dict, list)):
+        return all(map(_finite, node.values() if isinstance(node, dict) else node))
+    return True
+
+
+def test_mutated_scenarios_end_in_an_exit_code(tmp_path):
+    """Fuzz guard: every command on seeded mutations of the bundled scenarios
+    ends in exit 0, 1 or 2 (``invoke`` lets any other exception escape), and
+    an exit-0 result file holds only finite numbers."""
+    rng = random.Random(2017)
+    docs = [json.loads(bundled_scenario_path(name).read_text()) for name in BUNDLED]
+    codes = collections.Counter()
+    for case in range(FUZZ_CASES):
+        doc = copy.deepcopy(docs[case % len(docs)])
+        for _ in range(rng.randint(1, 3)):
+            mutate(doc, rng, FUZZ_VALUES)
+        path = tmp_path / f"case{case}.json"
+        path.write_text(json.dumps(_capped(doc)))
+        for command in FUZZ_COMMANDS:
+            out_dir = tmp_path / f"out{case}-{command}"
+            result = invoke([str(path), "--command", command, "--n", "1000",
+                             "--out-dir", str(out_dir)])
+            assert result.exit_code in (0, 1, 2), (case, command, result.output)
+            codes[result.exit_code] += 1
+            if result.exit_code == 0:
+                [file] = out_dir.glob("*.json")
+                assert _finite(json.loads(file.read_text())), (case, command)
+    # the mutations must leave documents that run and break others both ways
+    assert set(codes) == {0, 1, 2}, codes

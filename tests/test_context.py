@@ -2,8 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from epiq.context import (ContextError, ContextNetwork, ContextualState, Layer,
-                          pad_virtual_values, propagate, reduce_by_consistency,
+from epiq.context import (ContextError, ContextNetwork, Layer, pad_virtual_values, propagate, reduce_by_consistency,
                           reduce_by_observation, validate_context)
 from epiq.evolution import Knowability
 from epiq.exactnum import ExactAmplitude, Sqrt2Scalar, abs2, parse_exact
@@ -174,18 +173,19 @@ class TestPropagate:
         assert dist.probabilities == (0.5, 0.5)
 
     def test_start_from_reduced_state(self):
-        dist = propagate(mz(1), start=ContextualState(layer_cursor=0, reduced=1))
-        assert dist.probabilities == (0.5, 0.5)
+        # value 1 of mz(1)'s path known: the detector layer fed by row 1
+        dist = propagate(ContextNetwork(mz(1).layers[1:], mz(1).edges[0][1], ()))
+        assert dist.probabilities == (0.5, 0.5) and dist.rules == ()
 
-    @pytest.mark.parametrize("start, match", [
-        (ContextualState(layer_cursor=0, amplitudes=(ONE, ZERO, ZERO)), "2 amplitudes"),
-        (ContextualState(layer_cursor=7, amplitudes=(H, H)), "outside"),
-        (ContextualState(layer_cursor=-1, amplitudes=(H, H)), "outside"),
-        (ContextualState(layer_cursor=0, reduced=-1), "value index"),
-    ])
-    def test_start_out_of_range_rejected(self, start, match):
-        with pytest.raises(ContextError, match=match):
-            propagate(mz(1), start=start)
+    def test_a_start_is_checked_and_propagated_on_its_own(self):
+        # a superposed start at mz(1)'s path layer, after a decided source whose
+        # float matrix has an unnormalized row: the start reaches neither
+        source = Layer("source", Knowability.DECIDED, (1.0, 2.0))
+        net = ContextNetwork((source,) + mz(1).layers, (ONE, ZERO),
+                             (((2 + 0j, 0j), (0.6 + 0j, 0.8j)),) + mz(1).edges)
+        start = ContextNetwork(net.layers[1:], (H, HN), net.edges[1:])
+        assert validate_context(net) == ["row not normalized: matrix 0 row 0"]
+        assert propagate(start).exact == (Sqrt2Scalar.of(0), Sqrt2Scalar.of(1))
 
     def test_born_map(self):
         assert abs2(H) == Sqrt2Scalar.of(Fraction(1, 2))
@@ -194,19 +194,19 @@ class TestPropagate:
 
 class TestReduction:
     def test_observation_collapses(self):
-        state = ContextualState(layer_cursor=0, amplitudes=(H, H))
-        reduced = reduce_by_observation(state, mz(3), outcome=0)
-        assert reduced.reduced == 0
+        # value 1 known: the later layers, fed by row 1 of the first matrix
+        reduced = reduce_by_observation(mz(3), outcome=1)
+        assert reduced == ContextNetwork(mz(3).layers[1:], (H, HN), ())
+        assert propagate(reduced).probabilities == (0.5, 0.5)
 
     def test_observation_forbidden_at_level_one(self):
-        state = ContextualState(layer_cursor=0, amplitudes=(H, H))
         with pytest.raises(ContextError, match="unknowable"):
-            reduce_by_observation(state, mz(1), outcome=0)
+            reduce_by_observation(mz(1), outcome=0)
 
     def test_impossible_outcome_rejected(self):
-        state = ContextualState(layer_cursor=0, amplitudes=(ONE, ZERO))
+        net = ContextNetwork(mz(3).layers, (ONE, ZERO), mz(3).edges)
         with pytest.raises(ContextError, match="impossible"):
-            reduce_by_observation(state, mz(3), outcome=1)
+            reduce_by_observation(net, outcome=1)
 
     def test_observation_of_a_tiny_exact_amplitude_is_possible(self):
         # |tiny|^2 = 10**-800 is 0.0 as a float, but not zero
@@ -217,30 +217,38 @@ class TestReduction:
             initial=(ONE, tiny),
             edges=(((ONE, ZERO), (ZERO, ONE)),))
         assert propagate(net).exact[1] == Sqrt2Scalar(Fraction(1, 10**800))
-        state = ContextualState(layer_cursor=0, amplitudes=(ONE, tiny))
-        assert reduce_by_observation(state, net, outcome=1).reduced == 1
+        assert reduce_by_observation(net, outcome=1).initial == (ZERO, ONE)
 
     def test_impossible_float_outcome_rejected(self):
-        state = ContextualState(layer_cursor=0, amplitudes=(1 + 0j, 0j))
+        net = ContextNetwork(mz(3).layers, (1 + 0j, 0j), mz(3).edges)
         with pytest.raises(ContextError, match="impossible"):
-            reduce_by_observation(state, mz(3), outcome=1)
+            reduce_by_observation(net, outcome=1)
 
-    @pytest.mark.parametrize("cursor", [-1, 2])
-    def test_cursor_outside_network_rejected(self, cursor):
-        # -1 would index the decided detector layer, 2 is one past the end
-        state = ContextualState(layer_cursor=cursor, amplitudes=(H, H))
-        with pytest.raises(ContextError, match="outside"):
-            reduce_by_observation(state, mz(1), outcome=0)
+    @pytest.mark.parametrize("outcome", [-1, 2])
+    def test_outcome_outside_the_layer_rejected(self, outcome):
+        with pytest.raises(ContextError, match=f"no value index {outcome} at layer path"):
+            reduce_by_observation(mz(3), outcome=outcome)
 
-    def test_state_is_superposed_xor_reduced(self):
-        with pytest.raises(ContextError):
-            ContextualState(layer_cursor=0, amplitudes=(H, H), reduced=0)
-        with pytest.raises(ContextError):
-            ContextualState(layer_cursor=0)
+    def test_one_layer_network_leaves_nothing_to_propagate(self):
+        with pytest.raises(ContextError, match="nothing left to propagate"):
+            reduce_by_observation(reduce_by_observation(mz(3), outcome=0), outcome=0)
+
+    @pytest.mark.parametrize("net", [
+        ContextNetwork((), (), ()),
+        ContextNetwork(mz(3).layers, (H, H), ()),
+        ContextNetwork(mz(3).layers, (ONE, ZERO, ZERO), mz(3).edges),
+    ], ids=["no-layers", "missing-matrix", "long-initial"])
+    def test_malformed_network_rejected_with_validation_messages(self, net):
+        with pytest.raises(ContextError) as refused:
+            reduce_by_observation(net, outcome=0)
+        assert str(refused.value) == "; ".join(validate_context(net))
 
     def test_superposed_state_must_be_normalized(self):
-        with pytest.raises(ContextError, match="normalized"):
-            ContextualState(layer_cursor=0, amplitudes=(ONE, ONE))
+        # a superposed state at the path layer is the network fed by it
+        state = ContextNetwork(mz(3).layers, (ONE, ONE), mz(3).edges)
+        for refuse in (propagate, lambda net: reduce_by_observation(net, outcome=0)):
+            with pytest.raises(ContextError, match="row not normalized: initial amplitudes"):
+                refuse(state)
 
     def test_consistency_promotes_when_reachable(self):
         resolved = reduce_by_consistency(mz(2), path_knowledge_reachable=True)

@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epiq import Knowability
-from epiq.context import ContextNetwork, ContextualState, Distribution, Layer, propagate
+from epiq.context import (ContextNetwork, Distribution, Layer, propagate,
+                          reduce_by_observation)
 from epiq.exactnum import ONE, ZERO, ExactAmplitude, Sqrt2Scalar, _make, parse_exact
 from epiq.scenario import Scenario, bundled_scenario_path, load_scenario_file
 
@@ -236,8 +237,11 @@ SCENARIO = load_scenario_file(bundled_scenario_path("twin-eraser"))
 RECORDS = {
     "layer": LAYERS[0],
     "network": NETWORK,
-    "superposed": ContextualState(0, amplitudes=[H, H]),
-    "reduced": ContextualState(1, reduced=0),
+    # a start state is a network: one superposed at the path layer, and the one
+    # left once a decided path is observed
+    "superposed": ContextNetwork(LAYERS, (H, -H), NETWORK.edges),
+    "reduced": reduce_by_observation(
+        ContextNetwork((Layer("path", 3, (1, 2)), LAYERS[1]), (H, H), NETWORK.edges), 0),
     "distribution": propagate(NETWORK),
     "scenario": SCENARIO,
 }
@@ -245,7 +249,6 @@ RECORDS = {
 SIGNATURES = {
     Layer: [("property_id", None), ("level", None), ("labels", None)],
     ContextNetwork: [("layers", None), ("initial", None), ("edges", None)],
-    ContextualState: [("layer_cursor", None), ("amplitudes", None), ("reduced", None)],
     Distribution: [("labels", None), ("probabilities", None), ("exact", None),
                    ("rules", ())],
     Scenario: [(name, None) for name in ("name", "description", "network", "eraser",
@@ -300,8 +303,11 @@ class TestRecord:
     def test_repr_names_the_fields(self):
         assert repr(LAYERS[0]) == ("Layer(property_id='path', level=<Knowability.NEVER: 1>, "
                                    "labels=(1.0, 2.0))")
-        assert repr(RECORDS["reduced"]) == \
-            "ContextualState(layer_cursor=1, amplitudes=None, reduced=0)"
+        assert repr(RECORDS["reduced"]) == (
+            "ContextNetwork(layers=(Layer(property_id='detector', "
+            "level=<Knowability.DECIDED: 3>, labels=(1.0, 2.0)),), "
+            "initial=(ExactAmplitude(re=(0 + 1/2*sqrt2), im=0), "
+            "ExactAmplitude(re=(0 + 1/2*sqrt2), im=0)), edges=())")
 
     def test_equality_is_same_type_only(self):
         class OtherLayer(Layer):
@@ -330,26 +336,12 @@ class TestRecord:
         assert type(layer.level) is Knowability and type(layer.labels[0]) is float
         assert ContextNetwork(list(LAYERS), [H, H], NETWORK.edges) == ContextNetwork(
             edges=[[[H, H], [H, -H]]], initial=(H, H), layers=LAYERS) == NETWORK
-        state = ContextualState(0, [H, H])
-        assert state == ContextualState(amplitudes=(H, H), layer_cursor=0)
-        assert state.reduced is None and state.amplitudes == (H, H)
-        assert ContextualState(1, None, 0) == ContextualState(layer_cursor=1, reduced=0)
-        assert ContextualState(1, reduced=0).amplitudes is None
         dist = Distribution((1.0, 2.0), (0.5, 0.5))
         assert dist.exact is None and dist.rules == ()
         assert dist == Distribution(probabilities=(0.5, 0.5), labels=(1.0, 2.0),
                                     exact=None, rules=())
         values = [getattr(SCENARIO, name) for name in fields(Scenario)]
         assert Scenario(*values) == Scenario(**dict(zip(fields(Scenario), values))) == SCENARIO
-
-    @pytest.mark.parametrize("args, message", [
-        ((0,), "either superposed or reduced"),
-        ((0, (H, H), 1), "either superposed or reduced"),
-        ((0, (H, parse_exact("0"))), "not normalized"),
-    ])
-    def test_state_checks_run_in_constructor(self, args, message):
-        with pytest.raises(ValueError, match=message):
-            ContextualState(*args)
 
 
 @pytest.mark.parametrize("value", [3, -7, F(3, 4), 0.75, Decimal("-0.75"), "3/4", " -1.5e-2 "])

@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epiq.context import (ContextNetwork, ContextualState, Layer, pad_virtual_values, propagate,
-                          validate_context)
+from epiq.context import (ContextError, ContextNetwork, Layer, pad_virtual_values, propagate,
+                          reduce_by_observation, validate_context)
 from epiq.evolution import EvolutionRule, Knowability, make_alternatives, probability
-from epiq.exactnum import ExactAmplitude, Sqrt2Scalar, abs2, parse_exact
+from epiq.exactnum import ZERO, ExactAmplitude, Sqrt2Scalar, abs2, parse_exact
 from epiq.statespace import (AttributeDef, EpistemicState, ExactState, ObjectRegistry,
                              PropertySpec, VoidStateError, all_exact_states, combine,
                              full_state, relative_volume, state_slice, volume)
@@ -262,10 +262,14 @@ def unitaries(draw, n, exact):
 
 
 @st.composite
-def mixed_networks(draw, exact):
+def mixed_networks(draw, exact, start=None):
     """Depth 2-6, widths 2-3, levels 1 and 3.  A level-1 layer never feeds a
     narrower one (that needs padding) and gets orthonormal rows; a decided
-    layer gets rows that are only normalized."""
+    layer gets rows that are only normalized.
+
+    With a `start`, the network is what a start state at a random layer c
+    leaves: for "reduced" the tail from c + 1 fed by a row r of matrix c, for
+    "superposed" the tail from c fed by a fresh unit vector."""
     depth = draw(st.integers(2, 6))
     levels = [draw(st.sampled_from((Knowability.NEVER, Knowability.DECIDED)))
               for _ in range(depth - 1)] + [Knowability.DECIDED]
@@ -283,16 +287,13 @@ def mixed_networks(draw, exact):
     layers = tuple(Layer(f"L{i}", level, tuple(float(k + 1) for k in range(m)))
                    for i, (level, m) in enumerate(zip(levels, sizes)))
     initial = draw(unitaries(sizes[0], exact))[0]
-    net = ContextNetwork(layers=layers, initial=initial, edges=tuple(edges))
-    cursor = draw(st.integers(0, depth - 2))
-    start = draw(st.sampled_from((None, "reduced", "superposed")))
+    if start is None:
+        return ContextNetwork(layers=layers, initial=initial, edges=tuple(edges))
+    c = draw(st.integers(0, depth - 2))
     if start == "reduced":
-        start = ContextualState(layer_cursor=cursor,
-                                reduced=draw(st.integers(0, sizes[cursor] - 1)))
-    elif start == "superposed":
-        start = ContextualState(layer_cursor=cursor,
-                                amplitudes=draw(unitaries(sizes[cursor], exact))[0])
-    return net, start
+        row = edges[c][draw(st.integers(0, sizes[c] - 1))]
+        return ContextNetwork(layers[c + 1:], row, edges[c + 1:])
+    return ContextNetwork(layers[c:], draw(unitaries(sizes[c], exact))[0], edges[c:])
 
 
 @st.composite
@@ -313,19 +314,13 @@ def padded_networks(draw, exact):
     return pad_virtual_values(ContextNetwork(layers=layers, initial=initial, edges=edges), 0)
 
 
-def path_oracle(net, start=None):
-    """Final distribution by enumerating every path from the start layer.
+def path_oracle(net):
+    """Final distribution by enumerating every path through the network.
 
     For each choice of values at the decided layers, the path amplitudes are
     summed over the values of the level-1 layers before squaring; the squared
     sums are then added classically."""
-    cursor, initial = 0, net.initial
-    if start is not None:
-        cursor = start.layer_cursor
-        initial = start.amplitudes
-        if start.reduced is not None:
-            initial = [int(k == start.reduced) for k in range(net.layers[cursor].size)]
-    layers = net.layers[cursor:]
+    layers = net.layers
     decided = [i for i, l in enumerate(layers) if l.level is Knowability.DECIDED]
     never = [i for i, l in enumerate(layers) if l.level is Knowability.NEVER]
     totals = [0] * net.final_layer.size
@@ -333,31 +328,52 @@ def path_oracle(net, start=None):
         coherent = 0
         for nvals in itertools.product(*(range(layers[i].size) for i in never)):
             path = dict(zip(decided, dvals)) | dict(zip(never, nvals))
-            amp = initial[path[0]]
+            amp = net.initial[path[0]]
             for i in range(len(layers) - 1):
-                amp = net.edges[cursor + i][path[i]][path[i + 1]] * amp
+                amp = net.edges[i][path[i]][path[i + 1]] * amp
             coherent = coherent + amp
         totals[path[len(layers) - 1]] += abs2(coherent)
     return totals
 
 
+def assert_exact_fold_is_path_sum(net):
+    dist = propagate(net)
+    assert dist.exact is not None
+    assert list(dist.exact) == path_oracle(net)
+
+
+def assert_float_fold_is_path_sum(net):
+    dist = propagate(net)
+    assert dist.exact is None
+    for p, q in zip(dist.probabilities, path_oracle(net)):
+        assert abs(p - q) <= 1e-12
+
+
+START_KINDS = ("reduced", "superposed")
+
+
 class TestPropagationOracle:
     @given(mixed_networks(exact=True))
     @settings(max_examples=25, deadline=None)
-    def test_exact_fold_equals_path_enumeration(self, case):
-        net, start = case
-        dist = propagate(net, start=start)
-        assert dist.exact is not None
-        assert list(dist.exact) == path_oracle(net, start)
+    def test_exact_fold_equals_path_enumeration(self, net):
+        assert_exact_fold_is_path_sum(net)
 
     @given(mixed_networks(exact=False))
     @settings(max_examples=25, deadline=None)
-    def test_float_fold_equals_path_enumeration(self, case):
-        net, start = case
-        dist = propagate(net, start=start)
-        assert dist.exact is None
-        for p, q in zip(dist.probabilities, path_oracle(net, start)):
-            assert abs(p - q) <= 1e-12
+    def test_float_fold_equals_path_enumeration(self, net):
+        assert_float_fold_is_path_sum(net)
+
+    @pytest.mark.parametrize("start", START_KINDS)
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_exact_fold_from_a_start_equals_path_enumeration(self, start, data):
+        assert_exact_fold_is_path_sum(data.draw(mixed_networks(exact=True, start=start)))
+
+    @pytest.mark.parametrize("start", START_KINDS)
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_float_fold_from_a_start_equals_path_enumeration(self, start, data):
+        assert_float_fold_is_path_sum(data.draw(mixed_networks(exact=False, start=start)))
 
     @given(padded_networks(exact=True))
     @settings(max_examples=25, deadline=None)
@@ -373,3 +389,43 @@ class TestPropagationOracle:
         assert net.layers[1].size == len(net.edges[1]) == 3
         for p, q in zip(propagate(net).probabilities, path_oracle(net)):
             assert abs(p - q) <= 1e-12
+
+
+def observed_mixture(net):
+    """(|a_j|^2, propagate of the network left by observing j) for each value
+    j of the decided first layer that can be observed; an impossible one is
+    refused."""
+    parts = []
+    for j, a in enumerate(net.initial):
+        weight = abs2(a)
+        if weight in (0, ZERO):
+            with pytest.raises(ContextError, match="impossible outcome"):
+                reduce_by_observation(net, j)
+            continue
+        parts.append((weight, propagate(reduce_by_observation(net, j))))
+    return parts
+
+
+def decided_first(net):
+    return net.layers[0].level is Knowability.DECIDED
+
+
+class TestReductionMixtureLaw:
+    """Observing the decided first property and weighting each remaining
+    network's distribution by its value's Born probability gives back the
+    distribution of the whole network."""
+
+    @given(mixed_networks(exact=True).filter(decided_first))
+    @settings(max_examples=25, deadline=None)
+    def test_exact_mixture_of_reductions_is_the_fold(self, net):
+        parts = observed_mixture(net)
+        size = net.final_layer.size
+        assert [sum((w * d.exact[k] for w, d in parts), ZERO) for k in range(size)] == \
+            list(propagate(net).exact)
+
+    @given(mixed_networks(exact=False).filter(decided_first))
+    @settings(max_examples=25, deadline=None)
+    def test_float_mixture_of_reductions_is_the_fold(self, net):
+        parts = observed_mixture(net)
+        for k, p in enumerate(propagate(net).probabilities):
+            assert abs(sum(w * d.probabilities[k] for w, d in parts) - p) <= 1e-12
