@@ -9,12 +9,14 @@ scenario file and seed.  Options are parsed with the standard library's
 ``argparse``, and scenario files are checked against the bundled schema by
 ``epiq.scenario``'s own interpreter, so no third-party library is loaded
 until a command needs numpy.  ``borel_trial`` lives in the package root and
-imports numpy when called; ``hilbert`` and ``uniqueness`` are imported inside
-the command that uses them.  So ``propagate`` and ``validate`` load no numpy,
-and no command loads ``epiq.evolution`` or ``epiq.statespace``.  Nor do
-``propagate`` and ``validate`` load ``dataclasses`` (and ``inspect`` under it)
-or ``fractions`` (and ``decimal``): scenarios, networks and distributions are
-``epiq.Record``s, and exact arithmetic builds a ``Fraction`` only on request.
+samples with the standard library's ``random``; ``hilbert`` and ``uniqueness``
+are imported inside the command that uses them.  So ``propagate``,
+``validate`` and ``montecarlo`` load no numpy, and no command loads
+``epiq.evolution`` or ``epiq.statespace``.  Nor do these three load
+``dataclasses`` (and ``inspect`` under it) or ``fractions`` (and ``decimal``):
+scenarios, networks and distributions are ``epiq.Record``s, and exact
+arithmetic builds a ``Fraction`` only on request.  A result file that cannot
+be written (say, a scenario name too long for a file name) is an error, exit 1.
 """
 from __future__ import annotations
 
@@ -31,7 +33,7 @@ from .context import ContextError, propagate, reduce_by_consistency, validate_co
 from .scenario import Scenario, ScenarioDomainError, ScenarioSchemaError, load_scenario_file
 
 DEFAULT_TOLERANCE = 1e-9
-MAX_SAMPLES = 2**63 - 1  # numpy's multinomial takes an int64 count; the schema's run.n maximum
+MAX_SAMPLES = 2**63 - 1  # the schema's run.n maximum
 
 
 def _resolved_network(scenario: Scenario, eraser):
@@ -255,7 +257,7 @@ def main(args=None, prog_name="epiq", standalone_mode=True):
                    "version": __version__, "result": result}
         # a non-finite result is refused here, before any file is opened
         _write_outputs(out_dir, scenario.name, command, payload, rows, header)
-    except ValueError as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         sys.exit(1)
     sys.exit(0 if ok else 1)

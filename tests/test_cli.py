@@ -588,6 +588,17 @@ class TestCli:
                                  f"'^[^/\\\\\\\\]*$'\n")
         assert [p.name for p in tmp_path.rglob("*")] == ["run", "doc.json"]
 
+    @pytest.mark.parametrize("name", ["x" * 300, "é" * 200], ids=["long", "multibyte"])
+    def test_name_too_long_for_a_file_exit_code_1(self, tmp_path, name):
+        # 300 bytes, or 200 characters of two UTF-8 bytes each: past a file name's 255
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(minimal_doc(name=name)))
+        result = run_cli(tmp_path / "out", str(path))
+        assert result.exit_code == 1, result.output
+        assert [line for line in result.output.splitlines()
+                if line.startswith("error:")] == [error_line(result.output)]
+        assert "File name too long" in result.output and "Traceback" not in result.output
+
     def test_oversized_sample_count_option_exit_code_2(self, tmp_path):
         result = run_cli(tmp_path, str(bundled_scenario_path("mach-zehnder-open")),
                          "--command", "montecarlo", "--n", str(10**23))
@@ -607,6 +618,14 @@ class TestCli:
         result = run_cli(tmp_path, str(bundled_scenario_path("mach-zehnder-open")),
                          "--command", "montecarlo", "--n", str(2**63 - 1))
         assert result.exit_code == 0, result.output
+
+    def test_seed_past_128_bits_runs(self, tmp_path):
+        # the schema allows any seed >= 0, and random.Random takes any integer
+        result = run_cli(tmp_path, str(bundled_scenario_path("mach-zehnder-detected")),
+                         "--command", "montecarlo", "--seed", str(2**128))
+        assert result.exit_code == 0, result.output
+        payload = json.loads((tmp_path / "mach-zehnder-detected-montecarlo.json").read_text())
+        assert payload["result"]["seed"] == 2**128 and payload["result"]["all_pass"]
 
     def test_validate_command(self, tmp_path):
         result = run_cli(tmp_path, str(bundled_scenario_path("branching")),
@@ -757,11 +776,11 @@ NO_STDLIB_EXTRAS = ("dataclasses", "inspect", "fractions", "decimal", "numbers")
 
 class TestImportCost:
     """A module-level import on the CLI path is only for what every command
-    uses; numpy is imported by the commands that need it, and no command
-    loads epiq.evolution, the state space under it, scipy, jsonschema or
-    click.  Importing the CLI, propagate and validate load neither
-    dataclasses (nor inspect under it) nor fractions (nor decimal) nor
-    numbers."""
+    uses; numpy is imported by the commands that need it (hilbert and
+    uniqueness), and no command loads epiq.evolution, the state space under
+    it, scipy, jsonschema or click.  Importing the CLI, propagate, validate
+    and montecarlo load neither numpy nor dataclasses (nor inspect under it)
+    nor fractions (nor decimal) nor numbers."""
 
     @pytest.mark.parametrize("statement, forbidden", [
         ("pass", LIGHT + NO_STDLIB_EXTRAS),
@@ -771,7 +790,7 @@ class TestImportCost:
         (_cli_call("branching", "hilbert"), LIGHT[1:]),
         ("import epiq.hilbert, epiq.uniqueness", ("scipy",)),
         (_cli_call("born-uniqueness", "uniqueness"), LIGHT[1:]),
-        (_cli_call("mach-zehnder-detected", "montecarlo"), LIGHT[1:]),
+        (_cli_call("mach-zehnder-detected", "montecarlo"), LIGHT + NO_STDLIB_EXTRAS),
     ], ids=["import", "propagate", "validate", "hilbert", "modules", "uniqueness",
             "montecarlo"])
     def test_heavy_modules_not_loaded(self, tmp_path, statement, forbidden):

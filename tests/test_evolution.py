@@ -1,9 +1,14 @@
 import itertools
+import math
+import time
 from fractions import Fraction
+from random import Random
 
 import numpy as np
 import pytest
+from scipy import stats
 
+import epiq
 from epiq.evolution import (CompleteAlternativeSet, EvolutionContractError, EvolutionRule,
                             FutureAlternative, Knowability, borel_trial, check_invariance,
                             evolve, make_alternatives, probability)
@@ -215,7 +220,7 @@ class TestBorelTrial:
         assert borel_trial is epiq.borel_trial is epiq.cli.borel_trial
 
     def test_frequencies_sum_to_one(self):
-        freqs = borel_trial([0.25, 0.75], n=1000, seed=3)
+        freqs = np.asarray(borel_trial([0.25, 0.75], n=1000, seed=3))
         assert freqs.sum() == pytest.approx(1.0)
 
     def test_deterministic_for_fixed_seed(self):
@@ -230,7 +235,7 @@ class TestBorelTrial:
 
     @pytest.mark.parametrize("n", [1, 9_999, 100_000])
     def test_counts_are_whole_and_sum_to_n(self, n):
-        freqs = borel_trial([0.2, 0.3, 0.5], n=n, seed=7)
+        freqs = np.asarray(borel_trial([0.2, 0.3, 0.5], n=n, seed=7))
         counts = np.rint(freqs * n)
         assert np.array_equal(counts / n, freqs)
         assert counts.sum() == n
@@ -238,14 +243,119 @@ class TestBorelTrial:
     def test_memory_does_not_grow_with_n(self):
         # one multinomial sample; materializing 10**9 draws would need ~8 GB
         n = 10**9
-        freqs = borel_trial([0.5, 0.5], n=n, seed=0)
+        freqs = np.asarray(borel_trial([0.5, 0.5], n=n, seed=0))
         assert np.rint(freqs * n).sum() == n
         assert abs(freqs[0] - 0.5) <= 3 * (0.25 / n) ** 0.5
 
     def test_degenerate_distribution_exact(self):
-        freqs = borel_trial([1.0, 0.0], n=50_000, seed=0)
+        freqs = np.asarray(borel_trial([1.0, 0.0], n=50_000, seed=0))
         assert freqs.tolist() == [1.0, 0.0]
 
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="sum to one"):
             borel_trial([0.5, 0.6], n=10, seed=0)
+
+    def test_returns_a_tuple_of_floats(self):
+        freqs = borel_trial([0.2, 0.3, 0.5], n=1000, seed=7)
+        assert type(freqs) is tuple and all(type(f) is float for f in freqs)
+
+    def test_stream_is_pinned(self):
+        # the frequencies of one small run; a change here changes every
+        # montecarlo result, so it has to be a deliberate one
+        assert borel_trial([0.2, 0.3, 0.5], n=1000, seed=7) == (0.193, 0.309, 0.498)
+
+    @pytest.mark.parametrize("probabilities", [
+        [math.nan, 1.0], [0.5, math.nan, 0.5], [math.inf, 0.0], [-math.inf, 1.0],
+        [-0.5, 1.5], [1.0 + 1e-9, -1e-9]],
+        ids=["nan", "nan-inside", "inf", "minus-inf", "outside", "past-rounding"])
+    def test_rejects_entries_outside_the_unit_interval(self, probabilities):
+        with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+            borel_trial(probabilities, n=10, seed=0)
+
+    def test_rounding_overshoot_is_clamped(self):
+        assert borel_trial([1.0 + 1e-13, -1e-13], n=10, seed=0) == (1.0, 0.0)
+
+    def test_rejects_empty_distribution(self):
+        with pytest.raises(ValueError, match="sum to one"):
+            borel_trial([], n=10, seed=0)
+
+    def test_rejects_no_draws(self):
+        with pytest.raises(ValueError, match="at least one draw"):
+            borel_trial([0.5, 0.5], n=0, seed=0)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5], ids=["negative", "float"])
+    def test_rejects_a_seed_that_is_not_a_natural_number(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            borel_trial([0.5, 0.5], n=10, seed=seed)
+
+    def test_seed_past_128_bits_runs(self):
+        # any integer seed keys its own stream
+        a = borel_trial([0.25] * 4, n=10**6, seed=2**128)
+        assert a == borel_trial([0.25] * 4, n=10**6, seed=2**128)
+        assert a != borel_trial([0.25] * 4, n=10**6, seed=2**128 + 1)
+
+    @pytest.mark.parametrize("n", [10**9, 2**63 - 1])
+    def test_largest_counts_are_fast_and_in_band(self, n):
+        start = time.perf_counter()
+        freqs = borel_trial([0.2, 0.3, 0.5], n=n, seed=1)
+        assert time.perf_counter() - start < 1.0
+        assert math.fsum(freqs) == pytest.approx(1.0, abs=1e-15)
+        for p, freq in zip((0.2, 0.3, 0.5), freqs):
+            assert abs(freq - p) <= 5 * math.sqrt(p * (1 - p) / n)
+
+
+DRAWS = 20_000
+
+
+def _chi_square_p_value(draws, dist, n):
+    """The chi-square p-value of counts 0..n drawn from ``dist`` (a frozen
+    scipy distribution), binned at its own twentieths (tails pooled) so
+    every cell expects hundreds of draws."""
+    edges = np.unique(dist.ppf(np.linspace(0.05, 0.95, 19)))
+    edges = edges[edges < n]  # cell i holds edges[i - 1] < k <= edges[i]; the last k > edges[-1]
+    expected = np.diff([0.0, *dist.cdf(edges), 1.0]) * len(draws)
+    observed = np.bincount(np.searchsorted(edges, draws), minlength=len(expected))
+    return stats.chisquare(observed, expected).pvalue
+
+
+def _draws(n, p):
+    random = Random(f"{n} {p}").random
+    draws = [epiq._binomial(random, n, p) for _ in range(DRAWS)]
+    assert all(0 <= k <= n for k in draws)
+    return draws
+
+
+class TestBinomialSampler:
+    """Goodness of fit of the sampler under borel_trial, at fixed seeds:
+    Devroye's waiting times below n*min(p, 1-p) = 10, Hörmann's BTRS above,
+    each also through the p -> 1-p symmetry."""
+
+    @pytest.mark.parametrize("n, p", [
+        (1, 0.3), (1, 0.8), (50, 0.1), (9, 0.5), (200, 0.97),
+        (60, 0.3), (20, 0.5), (1000, 0.75), (10**6, 0.4), (10**15, 0.3)],
+        ids=["n1", "n1-symmetric", "waiting", "waiting-half", "waiting-symmetric",
+             "btrs", "btrs-edge", "btrs-symmetric", "btrs-1e6", "btrs-1e15"])
+    def test_counts_follow_the_binomial(self, n, p):
+        # at 1e15 an acceptance test on plain lgamma values fails this fit
+        assert _chi_square_p_value(_draws(n, p), stats.binom(n, p), n) > 1e-3
+
+    @pytest.mark.parametrize("n, p", [(10**17, 0.3), (2**63 - 1, 0.5), (2**63 - 1, 0.01)],
+                             ids=["1e17", "largest-half", "largest-rare"])
+    def test_largest_counts_follow_the_normal_limit(self, n, p):
+        # scipy's binomial does not reach these n; with n*p*(1-p) past 1e16 the
+        # binomial's skew is below 1e-8, far under what 20,000 draws can tell
+        normal = stats.norm(n * p, math.sqrt(n * p * (1 - p)))
+        assert _chi_square_p_value(_draws(n, p), normal, n) > 1e-3
+
+    def test_chained_binomials_give_multinomial_marginals(self):
+        # each outcome of a multinomial draw is Binomial(n, p_j) on its own
+        n, probabilities = 40, (0.2, 0.3, 0.1, 0.4)
+        counts = np.rint(np.array([borel_trial(probabilities, n=n, seed=seed)
+                                   for seed in range(4000)]) * n).astype(int)
+        for j, p in enumerate(probabilities):
+            assert _chi_square_p_value(counts[:, j], stats.binom(n, p), n) > 1e-3
+
+    @pytest.mark.parametrize("p", [0.0, 1.0])
+    def test_certain_outcomes(self, p):
+        random = Random(0).random
+        assert epiq._binomial(random, 10**6, p) == 10**6 * p
