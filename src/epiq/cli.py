@@ -9,14 +9,15 @@ scenario file and seed.  Options are parsed with the standard library's
 ``argparse``, and scenario files are checked against the bundled schema by
 ``epiq.scenario``'s own interpreter, so no third-party library is loaded
 until a command needs numpy.  ``borel_trial`` lives in the package root and
-samples with the standard library's ``random``; ``hilbert`` and ``uniqueness``
-are imported inside the command that uses them.  So ``propagate``,
-``validate`` and ``montecarlo`` load no numpy, and no command loads
-``epiq.evolution`` or ``epiq.statespace``.  Nor do these three load
+samples with the standard library's ``random``; ``epiq.hilbert`` is plain
+Python; ``hilbert`` and ``uniqueness`` are imported inside the command that
+uses them.  So only ``uniqueness`` loads numpy, and no command loads
+``epiq.evolution`` or ``epiq.statespace``.  Nor do the other four load
 ``dataclasses`` (and ``inspect`` under it) or ``fractions`` (and ``decimal``):
-scenarios, networks and distributions are ``epiq.Record``s, and exact
-arithmetic builds a ``Fraction`` only on request.  A result file that cannot
-be written (say, a scenario name too long for a file name) is an error, exit 1.
+scenarios, networks, distributions and contextual spaces are
+``epiq.Record``s, and exact arithmetic builds a ``Fraction`` only on request.
+A result file that cannot be written (say, a scenario name too long for a
+file name) is an error, exit 1.
 """
 from __future__ import annotations
 
@@ -148,7 +149,6 @@ def _cmd_montecarlo(scenario, eraser, n, seed, tolerance):
 
 
 def _cmd_hilbert(scenario, eraser, n, seed, tolerance):
-    import numpy as np
     from .hilbert import (JointVolumeTable, SpaceConstructionError, build_space,
                           commutator, make_operator, principle4_probabilities)
     net, eraser = _resolved_network(scenario, eraser)
@@ -170,8 +170,8 @@ def _cmd_hilbert(scenario, eraser, n, seed, tolerance):
         if space.kind in ("interference", "sequential"):
             probs = principle4_probabilities(space, net)
             dist = propagate(net)
-            dev = float(np.max(np.abs(probs - np.array(dist.probabilities))))
-            result["principle4_probabilities"] = [float(p) for p in probs]
+            dev = max(abs(p - q) for p, q in zip(probs, dist.probabilities))
+            result["principle4_probabilities"] = list(probs)
             result["principle4_max_deviation"] = dev
             if dev > max(tolerance, 1e-12):
                 raise SpaceConstructionError(

@@ -13,17 +13,22 @@ orthonormal basis (or subspace family) per observed property:
 
 The inner product used throughout is linear in its first argument and
 conjugate-linear in the second.
+
+Everything is plain Python on tuples, built from the structure each kind
+has: the first property's basis is always the standard basis, so its
+operator is diagonal; a joint space's value subspaces are sets of
+coordinates, so both of its operators are diagonal and commute exactly; and
+a commutator's spectral norm is read off a Householder tridiagonal form by
+Sturm-sequence bisection.
 """
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from operator import mul
 from typing import Optional, Sequence
 
-import numpy as np
-
-from . import Knowability
+from . import Knowability, Record, _set
 from .context import ContextError, ContextNetwork
 
 ORTHO_TOL = 1e-12
@@ -34,23 +39,39 @@ class SpaceConstructionError(ValueError):
     pass
 
 
-def inner(x: np.ndarray, y: np.ndarray) -> complex:
+class Matrix(tuple):
+    """A matrix as a tuple of row tuples; ``m[:, k]`` is column k, as in numpy."""
+
+    __slots__ = ()
+
+    def __getitem__(self, key):
+        if isinstance(key, tuple):  # (rows, column)
+            rows, k = key
+            return tuple(row[k] for row in tuple.__getitem__(self, rows))
+        return tuple.__getitem__(self, key)
+
+
+def inner(x: Sequence[complex], y: Sequence[complex]) -> complex:
     """<x, y> with conjugation on the second argument."""
-    return complex(np.sum(np.asarray(x) * np.conj(np.asarray(y))))
+    return complex(sum(a * b.conjugate() for a, b in zip(x, y)))
 
 
-@dataclass(frozen=True)
-class JointVolumeTable:
+def _close(x: float, y: float) -> bool:
+    """numpy.allclose's test of one pair at atol=1e-9 and its default rtol."""
+    return abs(x - y) <= 1e-9 + 1e-05 * abs(y)
+
+
+class JointVolumeTable(Record):
     """Relative volumes v[j][k] of the joint value regions of two properties."""
 
-    v: tuple  # M x M' nonnegative reals, summing to 1
+    __slots__ = ("v",)  # M x M' nonnegative reals, summing to 1
 
-    def __post_init__(self):
+    def __init__(self, v):
         try:
-            rows = tuple(tuple(float(x) for x in row) for row in self.v)
+            rows = tuple(tuple(float(x) for x in row) for row in v)
         except OverflowError:
             raise ValueError("joint volumes must be within the float range") from None
-        object.__setattr__(self, "v", rows)
+        _set(self, "v", rows)
         if len({len(row) for row in rows}) > 1:
             raise ValueError("joint volume rows must have equal length")
         flat = [x for row in rows for x in row]
@@ -63,52 +84,77 @@ class JointVolumeTable:
     def shape(self):
         return len(self.v), len(self.v[0])
 
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.v, dtype=float)
-
     def symmetric_pair_conditions_hold(self) -> bool:
         """v[j][k] = v[k][j] and equal diagonal entries (square tables only)."""
-        a = self.as_array()
         m, mp = self.shape
         if m != mp:
             return False
-        if not np.allclose(a, a.T, atol=1e-9):
-            return False
-        return np.allclose(np.diag(a), a[0, 0], atol=1e-9)
+        v = self.v
+        return (all(_close(v[j][k], v[k][j]) for j in range(m) for k in range(m))
+                and all(_close(v[j][j], v[0][0]) for j in range(m)))
 
 
-@dataclass(frozen=True)
-class ContextSpace:
+class ContextSpace(Record):
     """Finite complex space with per-property value subspaces.
 
-    ``value_spaces`` maps a property id to one orthonormal column block per
-    value; blocks are single columns except in the joint (simultaneous) case.
+    ``bases`` holds one orthonormal basis per property, in ``property_order``:
+    its rows, so that column k is basis vector k, or None for the standard
+    basis, which the first property always has.  ``blocks`` gives each
+    value's subspace as the basis columns that span it: one column per value
+    except in the joint (simultaneous) case, where a value owns a set of
+    coordinates.
     """
 
-    dimension: int
-    kind: str  # "interference" | "joint" | "sequential" | "single"
-    property_order: tuple
-    value_spaces: dict = field(compare=False)
+    __slots__ = ("dimension", "kind", "property_order", "bases", "blocks")
+    # kind: "interference" | "joint" | "sequential" | "single"
 
-    def basis(self, property_id: str) -> np.ndarray:
+    def __init__(self, dimension: int, kind: str, property_order: tuple, bases: tuple,
+                 blocks: tuple):
+        _set(self, "dimension", dimension)
+        _set(self, "kind", kind)
+        _set(self, "property_order", tuple(property_order))
+        _set(self, "bases", tuple(bases))
+        _set(self, "blocks", tuple(tuple(map(tuple, b)) for b in blocks))
+
+    @property
+    def value_spaces(self) -> dict:
+        """Property id -> the basis columns spanning each value's subspace."""
+        return dict(zip(self.property_order, self.blocks))
+
+    def _basis_rows(self, property_id: str):
+        return dict(zip(self.property_order, self.bases))[property_id]
+
+    def basis(self, property_id: str) -> Matrix:
         """Columns of all value vectors of a property (1-dim blocks only)."""
         blocks = self.value_spaces[property_id]
-        if any(b.shape[1] != 1 for b in blocks):
+        if any(len(b) != 1 for b in blocks):
             raise SpaceConstructionError(f"{property_id} is represented by subspaces, not vectors")
-        return np.hstack(blocks)
+        cols = [b[0] for b in blocks]
+        rows = self._basis_rows(property_id)
+        if rows is None:
+            return Matrix(tuple(complex(i == c) for c in cols) for i in range(self.dimension))
+        return Matrix(tuple(row[c] for c in cols) for row in rows)
 
     def subspace_dimensions(self, property_id: str) -> tuple:
-        return tuple(b.shape[1] for b in self.value_spaces[property_id])
+        return tuple(len(b) for b in self.value_spaces[property_id])
 
 
-def _check_unitary(a: np.ndarray, what: str):
-    m = np.conj(a).T @ a
-    if np.max(np.abs(m - np.eye(a.shape[1]))) > 1e-9:
-        raise SpaceConstructionError(what)
+def _singletons(n: int) -> tuple:
+    return tuple((j,) for j in range(n))
 
 
-def _amp_matrix(net: ContextNetwork) -> np.ndarray:
-    return np.array([[complex(a) for a in row] for row in net.edges[0]], dtype=complex)
+def _check_orthonormal(rows, what: str):
+    """Refuse rows whose Gram matrix is off the identity by more than 1e-9
+    in some entry (NaN fails)."""
+    conj = [[x.conjugate() for x in row] for row in rows]
+    for j, row in enumerate(rows):
+        for l in range(j, len(rows)):
+            if not abs(sum(map(mul, row, conj[l])) - (j == l)) <= 1e-9:
+                raise SpaceConstructionError(what)
+
+
+def _amp_matrix(net: ContextNetwork) -> list:
+    return [[complex(a) for a in row] for row in net.edges[0]]
 
 
 def build_space(net: ContextNetwork,
@@ -117,11 +163,8 @@ def build_space(net: ContextNetwork,
     """Construct the contextual space for a one- or two-property network."""
     if len(net.layers) == 1:
         layer = net.layers[0]
-        eye = np.eye(layer.size, dtype=complex)
-        return ContextSpace(
-            dimension=layer.size, kind="single",
-            property_order=(layer.property_id,),
-            value_spaces={layer.property_id: [eye[:, [j]] for j in range(layer.size)]})
+        return ContextSpace(layer.size, "single", (layer.property_id,), (None,),
+                            (_singletons(layer.size),))
     if len(net.layers) != 2:
         raise SpaceConstructionError("space construction covers one- and two-property contexts")
 
@@ -135,68 +178,106 @@ def build_space(net: ContextNetwork,
     return _build_sequential(net, joint_volumes, m, mp)
 
 
-def _build_interference(net: ContextNetwork, m: int, mp: int) -> ContextSpace:
+def _vector_space(net: ContextNetwork, kind: str, w) -> ContextSpace:
+    """A two-property space in which each value is one basis vector: the
+    first property's are the standard basis, the second's the columns of ``w``."""
     first, second = net.layers
+    return ContextSpace(len(w), kind, (first.property_id, second.property_id), (None, w),
+                        (_singletons(first.size), _singletons(second.size)))
+
+
+def _build_interference(net: ContextNetwork, m: int, mp: int) -> ContextSpace:
     if m > mp:
         raise SpaceConstructionError(
             "pad virtual values first: interference space needs M <= M'")
-    a = _amp_matrix(net)
-    _check_unitary(a.T, "amplitude matrix rows are not orthonormal")
-    dim = mp  # max(M, M') once M <= M'
-    eye = np.eye(dim, dtype=complex)
     # second-basis vector k has component conj(a[j][k]) on first-basis vector j,
     # so that <first_j, second_k> equals the amplitude a[j][k]; when M < M' the
     # remaining coordinates are an orthonormal completion.
-    w = np.conj(a)
+    w = [[x.conjugate() for x in row] for row in _amp_matrix(net)]
+    _check_orthonormal(w, "amplitude matrix rows are not orthonormal")
     if m < mp:
-        # the trailing right-singular vectors span the null space of w
-        w = np.vstack([w, np.linalg.svd(w)[2][m:]])
-    _check_unitary(w, "derived second basis is not orthonormal")
-    return ContextSpace(
-        dimension=dim, kind="interference",
-        property_order=(first.property_id, second.property_id),
-        value_spaces={
-            first.property_id: [eye[:, [j]] for j in range(m)],
-            second.property_id: [w[:, [k]] for k in range(mp)],
-        })
+        w += _completion(w, mp)
+        _check_orthonormal(w, "derived second basis is not orthonormal")
+    return _vector_space(net, "interference", tuple(map(tuple, w)))
+
+
+def _completion(rows, n: int) -> list:
+    """Rows that extend orthonormal ``rows`` of length n to an orthonormal basis.
+
+    They are the trailing columns of the unitary factor Q = P_1 ... P_M of a
+    Householder QR of the matrix whose columns are ``rows``; Q's leading
+    columns span ``rows``.  That costs O(M n^2), against O(n^3) for
+    Gram-Schmidt from the standard basis.
+    """
+    reduced, reflectors = [list(r) for r in rows], []
+    for j, x in enumerate(reduced):
+        v, beta, _ = _reflector(x[j:])
+        if v is not None:
+            reflectors.append((j, v, beta))
+            for y in reduced[j + 1:]:
+                _reflect(y, j, v, beta)
+    completion = []
+    for l in range(len(rows), n):
+        y = [complex(c == l) for c in range(n)]
+        for j, v, beta in reversed(reflectors):
+            _reflect(y, j, v, beta)
+        completion.append(y)
+    return completion
+
+
+def _reflector(x) -> tuple:
+    """(v, beta, alpha): the Householder reflection I - beta v v^H maps x to
+    a multiple of e_0 of modulus alpha = |x|.  v is None when the entries
+    past the first have a norm under 1e-30: x is taken as that multiple."""
+    x0 = abs(x[0])
+    rest = math.sqrt(sum(abs(z) ** 2 for z in x[1:]))
+    alpha = math.hypot(x0, rest)
+    if rest <= 1e-30:
+        return None, 0.0, alpha
+    v = list(x)
+    v[0] += (x[0] / x0 if x0 else 1.0) * alpha
+    return v, 1.0 / (alpha * (alpha + x0)), alpha
+
+
+def _reflect(y: list, j: int, v, beta: float):
+    """Apply I - beta v v^H to the entries of y from j on, in place."""
+    s = beta * sum(map(mul, (c.conjugate() for c in v), y[j:]))
+    y[j:] = [a - s * b for a, b in zip(y[j:], v)]
 
 
 def _build_joint(net: ContextNetwork, m: int, mp: int) -> ContextSpace:
     first, second = net.layers
     if first.level is not Knowability.DECIDED or second.level is not Knowability.DECIDED:
         raise SpaceConstructionError("joint space needs both properties decided")
-    dim = m * mp
-    eye = np.eye(dim, dtype=complex)
-    # product basis index (j, k) -> j * mp + k
-    first_blocks = [eye[:, [j * mp + k for k in range(mp)]] for j in range(m)]
-    second_blocks = [eye[:, [j * mp + k for j in range(m)]] for k in range(mp)]
-    return ContextSpace(
-        dimension=dim, kind="joint",
-        property_order=(first.property_id, second.property_id),
-        value_spaces={first.property_id: first_blocks,
-                      second.property_id: second_blocks})
+    # product basis index (j, k) -> j * mp + k; both properties keep the
+    # standard basis, each value owning a set of its coordinates
+    first_blocks = [[j * mp + k for k in range(mp)] for j in range(m)]
+    second_blocks = [[j * mp + k for j in range(m)] for k in range(mp)]
+    return ContextSpace(m * mp, "joint", (first.property_id, second.property_id),
+                        (None, None), (first_blocks, second_blocks))
 
 
 def _build_sequential(net: ContextNetwork, joint_volumes: Optional[JointVolumeTable],
                       m: int, mp: int) -> ContextSpace:
-    first, second = net.layers
     if m != mp:
         raise SpaceConstructionError("no reciprocal basis: sequential space needs M = M'")
     if joint_volumes is None:
         raise SpaceConstructionError("sequential space needs a joint volume table")
     if joint_volumes.shape != (m, mp):
         raise SpaceConstructionError("joint volume table has the wrong shape")
-    v = joint_volumes.as_array()
+    v = joint_volumes.v
 
     a = _amp_matrix(net)
     # network rows are unit vectors, i.e. conditional amplitudes; a neutral
     # apparatus means their squared moduli reproduce the joint volumes once
-    # those are conditioned on the first observed value.
-    conditional = v / v.sum(axis=1, keepdims=True)
-    if np.max(np.abs(np.abs(a) ** 2 - conditional)) > NEUTRAL_TOL:
-        raise SpaceConstructionError("context not neutral")
+    # those are conditioned on the first observed value (a row of zero volume
+    # has no conditional volumes, and NaN fails the check).
+    for a_row, v_row in zip(a, v):
+        total = sum(v_row)
+        for amp, vol in zip(a_row, v_row):
+            if not abs(abs(amp) ** 2 - (vol / total if total else math.nan)) <= NEUTRAL_TOL:
+                raise SpaceConstructionError("context not neutral")
 
-    eye = np.eye(m, dtype=complex)
     if m == 2:
         if not joint_volumes.symmetric_pair_conditions_hold():
             raise SpaceConstructionError("no orthonormal second basis exists")
@@ -204,20 +285,38 @@ def _build_sequential(net: ContextNetwork, joint_volumes: Optional[JointVolumeTa
         # cos(alpha)^2 = 2*v11 realizes every entry of the table.
         c = math.sqrt(min(1.0, 2.0 * v[0][0]))
         alpha = math.acos(c)
-        w = np.array([[math.cos(alpha), -math.sin(alpha)],
-                      [math.sin(alpha), math.cos(alpha)]], dtype=complex)
+        cos, sin = complex(math.cos(alpha)), complex(math.sin(alpha))
+        w = ((cos, -sin), (sin, cos))
     else:
-        if not np.allclose(v, v[0, 0], atol=1e-9):
+        if not all(_close(x, v[0][0]) for row in v for x in row):
             raise SpaceConstructionError("unsupported pair class")
         # independent pair: all joint volumes equal, realized by the unitary
         # Fourier matrix (every squared inner product equals 1/M).
-        w = np.array([[cmath.exp(2j * math.pi * j * k / m) / math.sqrt(m)
-                       for k in range(m)] for j in range(m)], dtype=complex)
-    return ContextSpace(
-        dimension=m, kind="sequential",
-        property_order=(first.property_id, second.property_id),
-        value_spaces={first.property_id: [eye[:, [j]] for j in range(m)],
-                      second.property_id: [w[:, [k]] for k in range(m)]})
+        w = tuple(tuple(cmath.exp(2j * math.pi * j * k / m) / math.sqrt(m)
+                        for k in range(m)) for j in range(m))
+    return _vector_space(net, "sequential", w)
+
+
+def _gauss_jordan(a) -> tuple:
+    """(determinant, inverse) of a square matrix by Gauss-Jordan elimination
+    with partial pivoting; (0, None) if a pivot vanishes."""
+    n = len(a)
+    rows = [list(row) + [complex(j == i) for j in range(n)] for i, row in enumerate(a)]
+    det = 1
+    for c in range(n):
+        p = max(range(c, n), key=lambda r: abs(rows[r][c]))
+        if p != c:
+            rows[c], rows[p], det = rows[p], rows[c], -det
+        pivot = rows[c][c]
+        if pivot == 0:
+            return 0, None
+        det *= pivot
+        rows[c] = [x / pivot for x in rows[c]]
+        for r in range(n):
+            if r != c and rows[r][c]:
+                f = rows[r][c]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
+    return det, [row[n:] for row in rows]
 
 
 def reciprocal(net: ContextNetwork) -> ContextNetwork:
@@ -233,28 +332,45 @@ def reciprocal(net: ContextNetwork) -> ContextNetwork:
     if m != mp:
         raise ContextError("reciprocal context exists if and only if M = M'")
     a = _amp_matrix(net)
-    if abs(np.linalg.det(a)) < 1e-12:
+    det, inverse = _gauss_jordan(a)
+    if abs(det) < 1e-12:
         raise ContextError("reciprocal undefined")
-    init = np.array([complex(x) for x in net.initial], dtype=complex)
-    new_init = init @ a
-    new_matrix = np.linalg.inv(a)
+    init = [complex(x) for x in net.initial]
     return ContextNetwork(
         layers=(net.layers[1], net.layers[0]),
-        initial=tuple(complex(x) for x in new_init),
-        edges=(tuple(tuple(complex(x) for x in row) for row in new_matrix),),
+        initial=tuple(sum(map(mul, init, col)) for col in zip(*a)),
+        edges=(tuple(map(tuple, inverse)),),
     )
 
 
-@dataclass(frozen=True)
-class PropertyOperator:
-    matrix: np.ndarray = field(compare=False)
-    eigenvalues: tuple
+class PropertyOperator(Record):
+    """The self-adjoint operator sum_k label_k P_k of a property, held as its
+    eigendecomposition: the property's basis rows (None for the standard
+    basis, in which the operator is diagonal) and ``spectrum``, the label of
+    each basis column (0 for a column in no value's subspace)."""
 
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if np.max(np.abs(m - np.conj(m).T)) > ORTHO_TOL:
-            raise ValueError("property operator must be self-adjoint")
-        object.__setattr__(self, "matrix", m)
+    __slots__ = ("basis", "spectrum", "eigenvalues")
+
+    def __init__(self, basis, spectrum: tuple, eigenvalues: tuple):
+        _set(self, "basis", basis)
+        _set(self, "spectrum", tuple(spectrum))
+        _set(self, "eigenvalues", tuple(eigenvalues))
+
+    @property
+    def matrix(self) -> Matrix:
+        """The operator's dense matrix, built on request."""
+        return _recompose(self.basis, self.spectrum)
+
+
+def _recompose(v, spectrum) -> Matrix:
+    """V diag(spectrum) V^H for basis rows V (the identity if None)."""
+    n = len(spectrum)
+    if v is None:
+        return Matrix(tuple(complex(spectrum[j]) if j == l else 0j for l in range(n))
+                      for j in range(n))
+    scaled = [[x * e for x, e in zip(row, spectrum)] for row in v]
+    conj = [[x.conjugate() for x in row] for row in v]
+    return Matrix(tuple(sum(map(mul, s, c)) for c in conj) for s in scaled)
 
 
 def make_operator(space: ContextSpace, property_id: str,
@@ -268,41 +384,157 @@ def make_operator(space: ContextSpace, property_id: str,
         raise ValueError("one label per value required")
     if len(set(labels)) != len(labels):
         raise ValueError("property values must be distinct")
-    matrix = np.zeros((space.dimension, space.dimension), dtype=complex)
+    spectrum = [0.0] * space.dimension
     for label, cols in zip(labels, blocks):
-        matrix += label * (cols @ np.conj(cols).T)
-    return PropertyOperator(matrix=matrix, eigenvalues=tuple(labels))
+        for c in cols:
+            spectrum[c] = label
+    return PropertyOperator(space._basis_rows(property_id), spectrum, labels)
 
 
-@dataclass(frozen=True)
-class CommutatorResult:
-    norm: float = 0.0
-    commuting: bool = False
+class CommutatorResult(Record):
+    __slots__ = ("norm", "commuting")
+
+    def __init__(self, norm: float = 0.0, commuting: bool = False):
+        _set(self, "norm", norm)
+        _set(self, "commuting", commuting)
+
+
+def _adjoint(rows) -> list:
+    return [[x.conjugate() for x in col] for col in zip(*rows)]
 
 
 def commutator(a: PropertyOperator, b: PropertyOperator) -> CommutatorResult:
-    """[A, B] with its spectral norm; commuting iff the norm vanishes."""
-    if a.matrix.shape != b.matrix.shape:
+    """[A, B] with its spectral norm; commuting iff the norm vanishes.
+
+    With A = U diag(d) U^H and B = W diag(e) W^H, U^H [A, B] U is the
+    commutator [diag(d), M] with M = V diag(e) V^H and V = U^H W, whose
+    entries are (d_j - d_l) M_jl; a unitary similarity keeps the norm.
+    Operators diagonal in one basis commute exactly.
+    """
+    n = len(a.spectrum)
+    if len(b.spectrum) != n:
         raise ValueError("operators act on different spaces")
-    c = a.matrix @ b.matrix - b.matrix @ a.matrix
-    norm = float(np.linalg.norm(c, 2))
+    if a.basis == b.basis:
+        return CommutatorResult(norm=0.0, commuting=True)
+    if a.basis is None:
+        v = b.basis
+    elif b.basis is None:
+        v = _adjoint(a.basis)
+    else:
+        wt = list(zip(*b.basis))
+        v = [[sum(map(mul, row, col)) for col in wt] for row in _adjoint(a.basis)]
+    m = _recompose(v, b.spectrum)
+    d = a.spectrum
+    # i [diag(d), M] is Hermitian, and its eigenvalues are i times those of
+    # the commutator, so their largest modulus is the commutator's norm
+    norm = spectral_norm([[1j * (dj - dl) * x for dl, x in zip(d, row)]
+                          for dj, row in zip(d, m)])
+    if not norm < math.inf:
+        raise ValueError("commutator norm lies outside the float range")
     return CommutatorResult(norm=norm, commuting=norm < ORTHO_TOL)
 
 
-def principle4_probabilities(space: ContextSpace, net: ContextNetwork) -> np.ndarray:
+def spectral_norm(h) -> float:
+    """Spectral norm of a Hermitian matrix: its largest eigenvalue modulus.
+
+    Householder reflections reduce ``h`` (its rows) to a Hermitian
+    tridiagonal matrix, which has the eigenvalues of the real symmetric one
+    with the moduli of its off-diagonal entries; bisection on Sturm-sequence
+    counts then brackets the largest modulus to the last bit (Golub & Van
+    Loan, Matrix Computations, 8.3-8.4).  The entries are first divided by
+    the largest modulus, so nothing overflows or underflows on the way.  A
+    non-finite entry gives NaN.
+    """
+    moduli = [abs(x) for row in h for x in row]
+    if not all(map(math.isfinite, moduli)):
+        return math.nan
+    scale = max(moduli, default=0.0)
+    if scale == 0:
+        return 0.0
+    diag, off = _tridiagonal([[x / scale for x in row] for row in h])
+    return scale * _largest_modulus(diag, off)
+
+
+def _tridiagonal(a) -> tuple:
+    """Diagonal and off-diagonal moduli of a tridiagonal matrix unitarily
+    similar to the Hermitian matrix ``a``, whose rows it overwrites.
+
+    ``a``'s largest entry has modulus 1, so its norm is at least 1, and a
+    column that ``_reflector`` leaves as it is (its part below the
+    subdiagonal under 1e-30) moves no eigenvalue by more than 1e-30.
+    """
+    n = len(a)
+    off = []
+    for k in range(n - 1):
+        v, beta, alpha = _reflector([a[i][k] for i in range(k + 1, n)])
+        off.append(alpha)
+        if v is None:
+            continue
+        vc = [z.conjugate() for z in v]
+        tail = [row[k + 1:] for row in a[k + 1:]]
+        # P A P = A - v w^H - w v^H, with p = beta A v and w = p - (beta/2)(v^H p) v
+        p = [beta * sum(map(mul, row, v)) for row in tail]
+        half = 0.5 * beta * sum(map(mul, vc, p)).real
+        w = [pi - half * vi for pi, vi in zip(p, v)]
+        wc = [z.conjugate() for z in w]
+        for i, row in enumerate(tail):
+            vi, wi = v[i], w[i]
+            a[k + 1 + i][k + 1:] = [y - vi * wcj - wi * vcj for y, vcj, wcj in zip(row, vc, wc)]
+    return [a[i][i].real for i in range(n)], off
+
+
+def _largest_modulus(diag, off) -> float:
+    """Largest eigenvalue modulus of the real symmetric tridiagonal matrix
+    with this diagonal and these off-diagonal entries, by bisection."""
+    n = len(diag)
+    squares = [0.0] + [b * b for b in off]
+    pivmin = 2.0 ** -1022 * max(1.0, *squares)  # a pivot never nearer to 0
+
+    def below(x, sign):
+        """Number of eigenvalues of sign * T under x: the negative pivots of
+        sign * T - x I (a zero pivot counts, so an eigenvalue at x may too)."""
+        count, q = 0, 1.0
+        for d, s in zip(diag, squares):
+            q = sign * d - x - s / q
+            if abs(q) < pivmin:
+                q = -pivmin
+            count += q < 0
+        return count
+
+    # [0, twice Gershgorin's bound]: finite, as the entries are, so the
+    # halving ends when no float lies between the ends
+    lo = 0.0
+    hi = 2.0 * max(abs(d) + s + t for d, s, t in zip(diag, [0.0, *off], [*off, 0.0]))
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return hi
+        # every eigenvalue of T and of -T under mid?
+        if below(mid, 1.0) == n and below(mid, -1.0) == n:
+            hi = mid
+        else:
+            lo = mid
+
+
+def principle4_probabilities(space: ContextSpace, net: ContextNetwork) -> tuple:
     """Final-property probabilities via squared inner products with the
     evolved contextual state, each clipped at 1 as propagation clips them;
-    must agree with network propagation."""
+    must agree with network propagation.
+
+    The first property's basis is the standard basis, so <first_j, second_k>
+    is the conjugate of entry j of second-basis vector k; rows past the
+    first property's values (an interference completion) never enter.
+    """
     first, second = space.property_order[0], space.property_order[-1]
-    init = np.array([complex(x) for x in net.initial], dtype=complex)
-    v = space.basis(first)
+    space.basis(first)  # refuses a property held as subspaces, as the next line does
     w = space.basis(second)
+    init = [complex(x) for x in net.initial]
+    rows = w[:len(init)]
     if net.layers[0].level == Knowability.DECIDED:
         # The first property is observed, so the contextual state reduces to
         # one first-basis vector per branch; the outcomes mix classically.
-        return np.minimum(1.0, [
-            sum(abs(init[j]) ** 2 * abs(inner(v[:, j], w[:, k])) ** 2
-                for j in range(v.shape[1]))
-            for k in range(w.shape[1])])
-    evolved = v @ init
-    return np.minimum(1.0, [abs(inner(evolved, w[:, k])) ** 2 for k in range(w.shape[1])])
+        return tuple(min(sum(abs(init[j]) ** 2 * abs(row[k]) ** 2
+                             for j, row in enumerate(rows)), 1.0)
+                     for k in range(len(w[0])))
+    return tuple(min(abs(sum(c * row[k].conjugate() for c, row in zip(init, rows))) ** 2, 1.0)
+                 for k in range(len(w[0])))

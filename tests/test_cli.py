@@ -9,6 +9,8 @@ import random
 import subprocess
 import sys
 import textwrap
+import time
+import warnings
 from decimal import Decimal
 from fractions import Fraction
 from importlib import resources
@@ -16,6 +18,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 import jsonschema
+import numpy as np
 import pytest
 
 import epiq
@@ -439,6 +442,68 @@ class TestCli:
         assert payload["properties"] == {"a": [2, 2, 2], "b": [3, 3]}
         assert payload["commutator_norm"] == 0.0 and payload["commuting"] is True
 
+    def test_hilbert_labels_past_the_float_range_fail_on_one_line(self, tmp_path):
+        """Labels whose commutator overflows end in exit 1 with one error line
+        and no warning, on the bundled interference scenario."""
+        doc = json.loads(bundled_scenario_path("mach-zehnder-open").read_text())
+        for layer in doc["context"]["layers"]:
+            layer["labels"] = [1, 1e160]
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run_cli(tmp_path, str(path), "--command", "hilbert")
+        assert result.exit_code == 1
+        assert result.output == "error: commutator norm lies outside the float range\n"
+        assert not list(tmp_path.glob("*-hilbert.*"))
+
+    @staticmethod
+    def widest_doc(level, matrix, **overrides):
+        """Two layers of the schema's maximum width, 64 values each."""
+        labels = list(range(1, 65))
+        return minimal_doc(context={
+            "layers": [{"property": "a", "level": level, "labels": labels},
+                       {"property": "b", "level": 3, "labels": labels}],
+            "initial": ["1"] + ["0"] * 63, "matrices": [matrix]}, **overrides)
+
+    def test_hilbert_joint_space_at_the_schema_maximum(self, tmp_path):
+        """A 64x64 joint space has dimension 4096; its operators are diagonal,
+        so no 4096^2 matrix is built and the run takes well under 2 s."""
+        path = tmp_path / "joint.json"
+        path.write_text(json.dumps(self.widest_doc(3, [["1/8"] * 64] * 64, simultaneous=True)))
+        start = time.perf_counter()
+        result = run_cli(tmp_path, str(path), "--command", "hilbert")
+        elapsed = time.perf_counter() - start
+        assert result.exit_code == 0, result.output
+        payload = json.loads((tmp_path / "minimal-hilbert.json").read_text())["result"]
+        assert payload["dimension"] == 4096
+        assert payload["commuting"] is True and payload["commutator_norm"] == 0.0
+        assert elapsed < 2.0
+
+    def test_hilbert_interference_at_the_schema_maximum(self, tmp_path):
+        """A 64-wide interference space (a Sylvester-Hadamard network) runs in
+        under 0.41 s, the time numpy's dense construction took as a whole
+        subprocess; the norm is that of [diag(1..64), H diag(1..64) H]."""
+        hadamard = [[1]]
+        for _ in range(6):
+            hadamard = [row + row for row in hadamard] + [row + [-x for x in row] for row in hadamard]
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(self.widest_doc(
+            1, [["1/8" if x > 0 else "-1/8" for x in row] for row in hadamard])))
+        start = time.perf_counter()
+        result = run_cli(tmp_path, str(path), "--command", "hilbert")
+        elapsed = time.perf_counter() - start
+        assert result.exit_code == 0, result.output
+        payload = json.loads((tmp_path / "minimal-hilbert.json").read_text())["result"]
+        assert payload["kind"] == "interference" and payload["dimension"] == 64
+        assert payload["principle4_probabilities"] == [1 / 64] * 64
+        h = np.array(hadamard) / 8
+        d = np.diag(np.arange(1.0, 65.0))
+        b = h @ d @ h
+        assert payload["commutator_norm"] == pytest.approx(
+            np.linalg.norm(d @ b - b @ d, 2), rel=1e-12)
+        assert elapsed < 0.41
+
     def test_hilbert_command_single_property(self, tmp_path):
         doc = minimal_doc()
         doc["context"] = {"layers": [{"property": "a", "level": 3, "labels": [1, 2]}],
@@ -776,23 +841,24 @@ NO_STDLIB_EXTRAS = ("dataclasses", "inspect", "fractions", "decimal", "numbers")
 
 class TestImportCost:
     """A module-level import on the CLI path is only for what every command
-    uses; numpy is imported by the commands that need it (hilbert and
-    uniqueness), and no command loads epiq.evolution, the state space under
-    it, scipy, jsonschema or click.  Importing the CLI, propagate, validate
-    and montecarlo load neither numpy nor dataclasses (nor inspect under it)
-    nor fractions (nor decimal) nor numbers."""
+    uses; numpy is imported by the one command that needs it (uniqueness),
+    and no command loads epiq.evolution, the state space under it, scipy,
+    jsonschema or click.  Importing the CLI or epiq.hilbert, and running
+    propagate, validate, montecarlo and hilbert, load neither numpy nor
+    dataclasses (nor inspect under it) nor fractions (nor decimal) nor
+    numbers."""
 
     @pytest.mark.parametrize("statement, forbidden", [
         ("pass", LIGHT + NO_STDLIB_EXTRAS),
         (_cli_call("mach-zehnder-open", "propagate"), LIGHT + NO_STDLIB_EXTRAS),
         (_cli_call("branching", "validate"), LIGHT + NO_STDLIB_EXTRAS),
-        # M < M': the orthonormal completion comes from numpy's SVD
-        (_cli_call("branching", "hilbert"), LIGHT[1:]),
+        (_cli_call("branching", "hilbert"), LIGHT + NO_STDLIB_EXTRAS),
+        ("import epiq.hilbert", LIGHT + NO_STDLIB_EXTRAS),
         ("import epiq.hilbert, epiq.uniqueness", ("scipy",)),
         (_cli_call("born-uniqueness", "uniqueness"), LIGHT[1:]),
         (_cli_call("mach-zehnder-detected", "montecarlo"), LIGHT + NO_STDLIB_EXTRAS),
-    ], ids=["import", "propagate", "validate", "hilbert", "modules", "uniqueness",
-            "montecarlo"])
+    ], ids=["import", "propagate", "validate", "hilbert", "hilbert-module", "modules",
+            "uniqueness", "montecarlo"])
     def test_heavy_modules_not_loaded(self, tmp_path, statement, forbidden):
         loaded = _modules_after(tmp_path, statement)
         assert [m for m in loaded

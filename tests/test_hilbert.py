@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epiq.context import ContextError, ContextNetwork, Layer, propagate
 from epiq.evolution import Knowability
 from epiq.hilbert import (JointVolumeTable, SpaceConstructionError, build_space, commutator,
-                          inner, make_operator, principle4_probabilities, reciprocal)
+                          inner, make_operator, principle4_probabilities, reciprocal,
+                          spectral_norm)
 
 H = 1 / math.sqrt(2)
 
@@ -90,7 +93,7 @@ class TestInterferenceSpace:
             edges=(((s, s, 0j), (s, -s, 0j)),))
         space = build_space(net)
         assert space.dimension == 3
-        w = space.basis("detector")
+        w = np.asarray(space.basis("detector"))
         assert np.max(np.abs(np.conj(w).T @ w - np.eye(3))) < 1e-12
         probs = principle4_probabilities(space, net)
         assert probs == pytest.approx(propagate(net).probabilities, abs=1e-12)
@@ -154,7 +157,7 @@ class TestSequentialSpace:
             initial=(H + 0j, H + 0j),
             edges=(((1 + 0j, 0j), (0j, 1 + 0j)),))
         space = build_space(net, joint_volumes=JointVolumeTable(v=((0.5, 0.0), (0.0, 0.5))))
-        p, q = space.basis("P"), space.basis("Q")
+        p, q = np.asarray(space.basis("P")), np.asarray(space.basis("Q"))
         assert np.max(np.abs(p - q)) < 1e-12
 
     def test_requires_square(self):
@@ -245,7 +248,7 @@ class TestOperators:
 
     def test_diagonal_in_own_basis(self):
         op = make_operator(self.space(), "P", labels=(1.0, -1.0))
-        assert np.max(np.abs(op.matrix - np.diag([1.0, -1.0]))) < 1e-12
+        assert np.max(np.abs(np.asarray(op.matrix) - np.diag([1.0, -1.0]))) < 1e-12
 
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
@@ -254,9 +257,10 @@ class TestOperators:
     def test_spectral_reconstruction(self):
         space = self.space()
         op = make_operator(space, "Q", labels=(2.0, -3.0))
-        rebuilt = sum(val * (b @ np.conj(b).T)
+        w = np.asarray(space.basis("Q"))
+        rebuilt = sum(val * (w[:, b] @ np.conj(w[:, b]).T)
                       for val, b in zip(op.eigenvalues, space.value_spaces["Q"]))
-        assert np.max(np.abs(rebuilt - op.matrix)) < 1e-12
+        assert np.max(np.abs(rebuilt - np.asarray(op.matrix))) < 1e-12
 
     def test_commutator_dichotomy(self):
         space = self.space()
@@ -336,3 +340,178 @@ class TestReciprocal:
             edges=(((H + 0j, H + 0j), (H + 0j, H + 0j)),))
         with pytest.raises(ContextError, match="reciprocal undefined"):
             reciprocal(net)
+
+
+def random_hermitian(rng, n, shape):
+    """An n x n Hermitian matrix: dense, zero, rank 1 of either sign, or with
+    a repeated eigenvalue of the largest modulus."""
+    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    if shape == "dense":
+        return z + z.conj().T
+    if shape == "zero":
+        return np.zeros((n, n), dtype=complex)
+    if shape == "rank1":
+        return rng.choice([-1, 1]) * np.outer(z[0], z[0].conj())
+    q = np.linalg.qr(z)[0]
+    eigenvalues = rng.choice([-3.0, 3.0, 1.0, 0.0], size=n)
+    eigenvalues[: (n + 1) // 2] = rng.choice([-3.0, 3.0])
+    return q @ np.diag(eigenvalues) @ q.conj().T
+
+
+class TestSpectralNorm:
+    """The Householder-and-bisection norm against numpy's SVD norm, also with
+    entries near 1e150 and 1e-150, where squares leave the float range."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(1, 16), shape=st.sampled_from(["dense", "zero", "rank1", "repeated"]),
+           scale=st.sampled_from([1.0, 1e150, 1e-150]), seed=st.integers(0, 2**32 - 1))
+    def test_matches_numpy(self, n, shape, scale, seed):
+        h = random_hermitian(np.random.default_rng(seed), n, shape) * scale
+        assert spectral_norm(h.tolist()) == pytest.approx(np.linalg.norm(h, 2), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("shape", ["dense", "repeated"])
+    def test_matches_numpy_at_64(self, shape):
+        h = random_hermitian(np.random.default_rng(64), 64, shape)
+        assert spectral_norm(h.tolist()) == pytest.approx(np.linalg.norm(h, 2), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, complex(math.nan, 0)])
+    def test_non_finite_entry_gives_nan(self, bad):
+        h = [[1.0, 0j], [0j, bad]]
+        assert math.isnan(spectral_norm(h))
+
+
+def dense_oracle(net, volumes=None):
+    """Commutator norm and principle-4 probabilities from numpy's dense
+    construction: identity columns for the first property, the second basis
+    from the amplitude matrix (its SVD completing it when M < M') or from the
+    volume table, projector sums for the operators, [A, B] by matrix products
+    and its norm from the SVD."""
+    a = np.array([[complex(x) for x in row] for row in net.edges[0]])
+    m, mp = a.shape
+    if net.layers[0].level is Knowability.NEVER:
+        w = np.conj(a)
+        if m < mp:
+            w = np.vstack([w, np.linalg.svd(w)[2][m:]])
+    elif m == 2:
+        alpha = math.acos(math.sqrt(min(1.0, 2.0 * volumes[0][0])))
+        w = np.array([[math.cos(alpha), -math.sin(alpha)],
+                      [math.sin(alpha), math.cos(alpha)]], dtype=complex)
+    else:
+        w = np.array([[np.exp(2j * np.pi * j * k / m) / np.sqrt(m) for k in range(m)]
+                      for j in range(m)])
+    dim = len(w)
+    eye = np.eye(dim)
+    op_a = sum(label * np.outer(eye[:, j], eye[:, j])
+               for j, label in enumerate(net.layers[0].labels))
+    op_b = sum(label * np.outer(w[:, k], np.conj(w[:, k]))
+               for k, label in enumerate(net.layers[1].labels))
+    norm = np.linalg.norm(op_a @ op_b - op_b @ op_a, 2)
+    init = np.zeros(dim, dtype=complex)
+    init[:m] = [complex(x) for x in net.initial]
+    if net.layers[0].level is Knowability.DECIDED:
+        probs = (np.abs(init) ** 2) @ (np.abs(w) ** 2)
+    else:
+        probs = np.abs(init @ w.conj()) ** 2
+    return norm, np.minimum(1.0, probs)
+
+
+def random_labels(rng, n):
+    return tuple(float(x) for x in rng.permutation(n) + rng.normal(scale=0.3, size=n))
+
+
+def random_unit(rng, n):
+    z = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return tuple(complex(x) for x in z / np.linalg.norm(z))
+
+
+class TestDenseOracle:
+    """commutator and principle4_probabilities against the dense numpy
+    construction, on random interference and sequential spaces."""
+
+    @staticmethod
+    def check(net, volumes=None):
+        table = JointVolumeTable(v=volumes) if volumes else None
+        space = build_space(net, joint_volumes=table)
+        first, second = space.property_order
+        norm = commutator(make_operator(space, first, labels=net.layers[0].labels),
+                          make_operator(space, second, labels=net.layers[1].labels)).norm
+        want_norm, want_probs = dense_oracle(net, volumes)
+        assert norm == pytest.approx(want_norm, rel=1e-12, abs=1e-13)
+        assert principle4_probabilities(space, net) == pytest.approx(want_probs, abs=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(m=st.integers(2, 6), extra=st.integers(0, 4), seed=st.integers(0, 2**32 - 1))
+    def test_interference(self, m, extra, seed):
+        rng = np.random.default_rng(seed)
+        mp = m + extra
+        u = np.linalg.qr(rng.normal(size=(mp, mp)) + 1j * rng.normal(size=(mp, mp)))[0]
+        self.check(ContextNetwork(
+            layers=(Layer("P", Knowability.NEVER, random_labels(rng, m)),
+                    Layer("Q", Knowability.DECIDED, random_labels(rng, mp))),
+            initial=random_unit(rng, m), edges=(tuple(map(tuple, u[:m])),)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(m=st.integers(2, 6), t=st.floats(0.0, 0.5), seed=st.integers(0, 2**32 - 1))
+    def test_sequential(self, m, t, seed):
+        rng = np.random.default_rng(seed)
+        if m == 2:
+            volumes = ((t, 0.5 - t), (0.5 - t, t))
+        else:
+            volumes = ((1 / m**2,) * m,) * m
+        # neutral: each row's squared moduli are its conditional volumes
+        phases = np.exp(2j * np.pi * rng.random(size=(m, m)))
+        amplitudes = np.sqrt(np.array(volumes) * m) * phases
+        self.check(ContextNetwork(
+            layers=(Layer("P", Knowability.DECIDED, random_labels(rng, m)),
+                    Layer("Q", Knowability.DECIDED, random_labels(rng, m))),
+            initial=random_unit(rng, m), edges=(tuple(map(tuple, amplitudes)),)), volumes)
+
+
+# offsets around numpy.allclose's bands: atol 1e-9, and rtol 1e-05 of entries near 0.25
+OFFSETS = st.sampled_from([0.0, 4e-10, 1e-9, 1e-7, 1e-6, 1.2e-6, 2e-6, 1e-5])
+
+
+@settings(max_examples=80, deadline=None)
+@given(p=st.floats(0.05, 0.45), d1=OFFSETS, d2=OFFSETS, signs=st.tuples(st.booleans(), st.booleans()))
+def test_symmetric_pair_conditions_follow_numpy_allclose(p, d1, d2, signs):
+    d1, d2 = (-d1 if signs[0] else d1), (-d2 if signs[1] else d2)
+    q = 0.5 - p
+    table = JointVolumeTable(v=((p + d1, q + d2), (q - d2, p - d1)))
+    a = np.array(table.v)
+    want = bool(np.allclose(a, a.T, atol=1e-9) and np.allclose(np.diag(a), a[0, 0], atol=1e-9))
+    assert table.symmetric_pair_conditions_hold() is want
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=OFFSETS)
+def test_fourier_class_follows_numpy_allclose(d):
+    v = [[1 / 9] * 3 for _ in range(3)]
+    v[0][1] += d
+    v[1][0] -= d
+    net = ContextNetwork(
+        layers=(Layer("P", Knowability.DECIDED, (1.0, 2.0, 3.0)),
+                Layer("Q", Knowability.DECIDED, (1.0, 2.0, 3.0))),
+        initial=(1 + 0j, 0j, 0j),
+        edges=(tuple(tuple(complex(math.sqrt(x / sum(row))) for x in row) for row in v),))
+    table = JointVolumeTable(v=v)
+    if np.allclose(np.array(table.v), table.v[0][0], atol=1e-9):
+        assert build_space(net, joint_volumes=table).kind == "sequential"
+    else:
+        with pytest.raises(SpaceConstructionError, match="unsupported pair class"):
+            build_space(net, joint_volumes=table)
+
+
+def test_neutrality_check_fails_a_row_of_zero_volume():
+    """A value of zero volume has no conditional volumes (0/0): NaN fails
+    the neutrality check instead of passing it."""
+    net = ContextNetwork(layers=sequential_net().layers, initial=(H + 0j, H + 0j),
+                         edges=(((H + 0j, H + 0j), (1 + 0j, 0j)),))
+    with pytest.raises(SpaceConstructionError, match="context not neutral"):
+        build_space(net, joint_volumes=JointVolumeTable(v=((0.5, 0.5), (0.0, 0.0))))
+
+
+def test_unitarity_check_fails_a_nan_amplitude():
+    net = ContextNetwork(layers=interference_net().layers, initial=(H + 0j, H + 0j),
+                         edges=(((complex(math.nan), H + 0j), (H + 0j, -H + 0j)),))
+    with pytest.raises(SpaceConstructionError, match="amplitude matrix rows are not orthonormal"):
+        build_space(net)
