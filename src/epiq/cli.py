@@ -7,14 +7,13 @@ Outputs are written as JSON (full doubles) and CSV (12 significant digits)
 into the output directory; serialization is deterministic for a fixed
 scenario file and seed.  Options are parsed with the standard library's
 ``argparse``, and scenario files are checked against the bundled schema by
-``epiq.scenario``'s own interpreter, so no third-party library is loaded
-until a command needs numpy.  ``borel_trial`` lives in the package root and
-samples with the standard library's ``random``; ``epiq.hilbert`` is plain
-Python; ``hilbert`` and ``uniqueness`` are imported inside the command that
-uses them.  So only ``uniqueness`` loads numpy, and no command loads
-``epiq.evolution`` or ``epiq.statespace``.  Nor do the other four load
-``dataclasses`` (and ``inspect`` under it) or ``fractions`` (and ``decimal``):
-scenarios, networks, distributions and contextual spaces are
+``epiq.scenario``'s own interpreter, so no third-party library is loaded.
+``borel_trial`` lives in the package root and samples with the standard
+library's ``random``; ``epiq.hilbert`` and ``epiq.uniqueness`` are plain
+Python, imported inside the command that uses them.  So no command loads
+numpy, ``epiq.evolution`` or ``epiq.statespace``, nor ``dataclasses`` (and
+``inspect`` under it) or ``fractions`` (and ``decimal``): scenarios,
+networks, distributions, contextual spaces and verdict rows are
 ``epiq.Record``s, and exact arithmetic builds a ``Fraction`` only on request.
 A result file that cannot be written (say, a scenario name too long for a
 file name) is an error, exit 1.
@@ -80,7 +79,8 @@ def _parser(prog):
     add("--command", choices=COMMANDS, help="Override the scenario's run command.")
     add("--n", type=_checked(int, _range_problem(1, MAX_SAMPLES)), help="Monte Carlo sample count.")
     add("--seed", type=_checked(int, _range_problem(0)),
-        help="Random seed for sampling and solver starts.")
+        help="Random seed for Monte Carlo sampling (uniqueness accepts it and "
+             "decides its table without one).")
     # read per call, not at import; a string default is checked by its type too
     add("--out-dir", default=os.environ.get("EPIQ_OUT_DIR"), type=_checked(
         str, lambda v: f"directory {v!r} is a file" if os.path.isfile(v) else None),

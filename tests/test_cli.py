@@ -831,7 +831,8 @@ def _cli_call(name, command):
 # loaded by no command: the schema is interpreted in epiq.scenario, options
 # are parsed by argparse
 NO_LIBRARY = ("scipy", "jsonschema", "click")
-# no command loads the state-space modules; borel_trial is in the package root
+# no command loads numpy or the state-space modules; borel_trial is in the
+# package root
 LIGHT = ("numpy", *NO_LIBRARY, "epiq.statespace", "epiq.evolution")
 # the CLI path's values are epiq.Records, not dataclasses, exact arithmetic
 # builds no Fraction, and the schema's numbers are ints and floats; numpy
@@ -841,25 +842,24 @@ NO_STDLIB_EXTRAS = ("dataclasses", "inspect", "fractions", "decimal", "numbers")
 
 class TestImportCost:
     """A module-level import on the CLI path is only for what every command
-    uses; numpy is imported by the one command that needs it (uniqueness),
-    and no command loads epiq.evolution, the state space under it, scipy,
-    jsonschema or click.  Importing the CLI or epiq.hilbert, and running
-    propagate, validate, montecarlo and hilbert, load neither numpy nor
-    dataclasses (nor inspect under it) nor fractions (nor decimal) nor
-    numbers."""
+    uses, and no command loads numpy, epiq.evolution, the state space under
+    it, scipy, jsonschema or click.  Importing the CLI, epiq.hilbert or
+    epiq.uniqueness, and running any command, load neither dataclasses (nor
+    inspect under it) nor fractions (nor decimal) nor numbers."""
 
-    @pytest.mark.parametrize("statement, forbidden", [
-        ("pass", LIGHT + NO_STDLIB_EXTRAS),
-        (_cli_call("mach-zehnder-open", "propagate"), LIGHT + NO_STDLIB_EXTRAS),
-        (_cli_call("branching", "validate"), LIGHT + NO_STDLIB_EXTRAS),
-        (_cli_call("branching", "hilbert"), LIGHT + NO_STDLIB_EXTRAS),
-        ("import epiq.hilbert", LIGHT + NO_STDLIB_EXTRAS),
-        ("import epiq.hilbert, epiq.uniqueness", ("scipy",)),
-        (_cli_call("born-uniqueness", "uniqueness"), LIGHT[1:]),
-        (_cli_call("mach-zehnder-detected", "montecarlo"), LIGHT + NO_STDLIB_EXTRAS),
+    @pytest.mark.parametrize("statement", [
+        "pass",
+        _cli_call("mach-zehnder-open", "propagate"),
+        _cli_call("branching", "validate"),
+        _cli_call("branching", "hilbert"),
+        "import epiq.hilbert",
+        "import epiq.hilbert, epiq.uniqueness",
+        _cli_call("born-uniqueness", "uniqueness"),
+        _cli_call("mach-zehnder-detected", "montecarlo"),
     ], ids=["import", "propagate", "validate", "hilbert", "hilbert-module", "modules",
             "uniqueness", "montecarlo"])
-    def test_heavy_modules_not_loaded(self, tmp_path, statement, forbidden):
+    def test_heavy_modules_not_loaded(self, tmp_path, statement):
+        forbidden = LIGHT + NO_STDLIB_EXTRAS
         loaded = _modules_after(tmp_path, statement)
         assert [m for m in loaded
                 if any(m == f or m.startswith(f + ".") for f in forbidden)] == []
@@ -869,22 +869,6 @@ FUZZ_CASES = 300
 FUZZ_COMMANDS = ("propagate", "montecarlo", "hilbert", "uniqueness", "validate")
 # finite floats whose squares overflow or underflow, or that sit at the range's edge
 FUZZ_VALUES = VALUES + (1e160, -1e308, 5e-324, 1e-170, [1e160, 0.0])
-FUZZ_STARTS, FUZZ_SHAPES = 4, 2
-
-
-def _capped(doc):
-    """Bound the uniqueness study a document asks for (60 starts when it names
-    none) at FUZZ_STARTS starts and FUZZ_SHAPES shapes, so the fuzz stays
-    fast.  A value past the schema's own bounds is left for it to refuse."""
-    section = doc.setdefault("uniqueness", {})
-    if isinstance(section, dict):
-        samples = section.get("samples", 60)
-        if type(samples) in (int, float) and FUZZ_STARTS < samples <= 1000:
-            section["samples"] = FUZZ_STARTS
-        shapes = section.get("shapes")
-        if isinstance(shapes, list) and len(shapes) <= 16:
-            del shapes[FUZZ_SHAPES:]
-    return doc
 
 
 def _finite(node):
@@ -907,7 +891,7 @@ def test_mutated_scenarios_end_in_an_exit_code(tmp_path):
         for _ in range(rng.randint(1, 3)):
             mutate(doc, rng, FUZZ_VALUES)
         path = tmp_path / f"case{case}.json"
-        path.write_text(json.dumps(_capped(doc)))
+        path.write_text(json.dumps(doc))
         for command in FUZZ_COMMANDS:
             out_dir = tmp_path / f"out{case}-{command}"
             result = invoke([str(path), "--command", command, "--n", "1000",

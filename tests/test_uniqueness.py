@@ -1,13 +1,16 @@
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dof_search
+from dof_search import (LM_MAX_ITER, MAX_SOLUTIONS, apply, block_dof, estimate_dof, evaluate,
+                        unpack)
 from epiq.evolution import Knowability
 import epiq.uniqueness as uniqueness
-from epiq.uniqueness import (BORN, DEFAULT_CANDIDATES, LM_MAX_ITER, MAX_SOLUTIONS, QUARTIC,
-                             REAL_QUADRATIC, SEXTIC, CandidateMap, ConstraintSystem,
-                             UniquenessRow, build_constraints, estimate_dof, evaluate_candidate,
+from epiq.uniqueness import (BORN, DEFAULT_CANDIDATES, QUARTIC, REAL_QUADRATIC, SEXTIC,
+                             CandidateMap, UniquenessRow, build_constraints, evaluate_candidate,
                              property_independence_conditions, uniqueness_report)
 
 
@@ -22,9 +25,9 @@ class TestCandidateMap:
             CandidateMap(name="x", kind="modulus-power", gamma=0)
 
     def test_born_map_values(self):
-        assert BORN.apply(np.array([0.6 + 0.8j]))[0] == pytest.approx(1.0)
-        assert QUARTIC.apply(np.array([0.6 + 0.8j]))[0] == pytest.approx(1.0)
-        assert REAL_QUADRATIC.apply(np.array([0.5 + 0j]))[0] == pytest.approx(0.25)
+        assert apply(BORN, np.array([0.6 + 0.8j]))[0] == pytest.approx(1.0)
+        assert apply(QUARTIC, np.array([0.6 + 0.8j]))[0] == pytest.approx(1.0)
+        assert apply(REAL_QUADRATIC, np.array([0.5 + 0j]))[0] == pytest.approx(0.25)
 
 
 class TestBuildConstraints:
@@ -44,12 +47,12 @@ class TestBuildConstraints:
         candidate = CandidateMap(name="g", kind="modulus-power", gamma=gamma)
         a = rng.normal(size=3) + 1j * rng.normal(size=3)
         big = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        a = a / np.sum(candidate.apply(a)) ** (1 / (2 * gamma))
-        big = big / np.sum(candidate.apply(big), axis=1, keepdims=True) ** (1 / (2 * gamma))
+        a = a / np.sum(apply(candidate, a)) ** (1 / (2 * gamma))
+        big = big / np.sum(apply(candidate, big), axis=1, keepdims=True) ** (1 / (2 * gamma))
         x = pack(a, big)
         for level, closure_vanishes in ((Knowability.DECIDED, True), (Knowability.NEVER, False)):
             system = build_constraints(3, 3, level, candidate)
-            res = dict(zip(system.equations, system.evaluate(x)[0]))
+            res = dict(zip(system.equations, evaluate(system, x)[0]))
             assert max(abs(v) for k, v in res.items() if k != "closure") < 1e-12
             assert (abs(res["closure"]) < 1e-12) == closure_vanishes
 
@@ -59,7 +62,7 @@ class TestBuildConstraints:
         h = 1 / np.sqrt(2)
         x = np.array([h, h, 0, 0,  # a real parts, imaginary parts
                       h, h, h, -h, 0, 0, 0, 0])
-        assert np.max(np.abs(system.evaluate(x)[0])) < 1e-12
+        assert np.max(np.abs(evaluate(system, x)[0])) < 1e-12
 
     def test_too_small_shapes_rejected(self):
         with pytest.raises(ValueError, match="two values"):
@@ -91,7 +94,7 @@ def central_difference(system, x, h=1e-6):
     """The residual's central difference, column by column, from one
     evaluation of the whole (2 n_vars, n_vars) stencil."""
     steps = h * np.eye(system.n_vars)
-    r = system.evaluate(x + np.concatenate([steps, -steps]))[0]
+    r = evaluate(system, x + np.concatenate([steps, -steps]))[0]
     return ((r[:system.n_vars] - r[system.n_vars:]) / (2 * h)).T
 
 
@@ -115,7 +118,7 @@ class TestArrayResidual:
         seed = m * mp
         x = np.random.default_rng(seed).normal(scale=0.7, size=system.n_vars)
         ref = central_difference(system, x)
-        assert np.allclose(system.evaluate(x)[1], ref, rtol=0, atol=1e-9 * np.max(np.abs(ref)))
+        assert np.allclose(evaluate(system, x)[1], ref, rtol=0, atol=1e-9 * np.max(np.abs(ref)))
 
     @pytest.mark.parametrize("candidate", DEFAULT_CANDIDATES, ids=lambda c: c.name)
     def test_jacobian_finite_at_vanishing_entry(self, candidate):
@@ -127,9 +130,9 @@ class TestArrayResidual:
         x[entry] = 0.0
         if not candidate.real_only:
             x[entry + n] = 0.0
-        _, big = system.unpack(x)
+        _, big = unpack(system, x)
         assert big[1, 1] == 0
-        jac = system.evaluate(x)[1]
+        jac = evaluate(system, x)[1]
         assert np.all(np.isfinite(jac))
         ref = central_difference(system, x)
         assert np.allclose(jac, ref, rtol=0, atol=1e-9 * np.max(np.abs(ref)))
@@ -139,9 +142,9 @@ class TestArrayResidual:
     def test_batched_jacobian_stacks_single_calls(self, candidate, m, mp):
         system = full_system(candidate, m, mp)
         xs = np.random.default_rng(0).normal(size=(2, 3, system.n_vars))
-        batched = system.evaluate(xs)[1]
+        batched = evaluate(system, xs)[1]
         assert batched.shape == (2, 3, len(system.equations), system.n_vars)
-        singles = np.array([[system.evaluate(x)[1] for x in row] for row in xs])
+        singles = np.array([[evaluate(system, x)[1] for x in row] for row in xs])
         assert np.allclose(batched, singles, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("candidate", DEFAULT_CANDIDATES)
@@ -149,9 +152,9 @@ class TestArrayResidual:
     def test_batched_residual_stacks_single_calls(self, candidate, m, mp):
         system = full_system(candidate, m, mp)
         xs = np.random.default_rng(0).normal(size=(2, 3, system.n_vars))
-        batched = system.evaluate(xs)[0]
+        batched = evaluate(system, xs)[0]
         assert batched.shape == (2, 3, len(system.equations))
-        singles = np.array([[system.evaluate(x)[0] for x in row] for row in xs])
+        singles = np.array([[evaluate(system, x)[0] for x in row] for row in xs])
         assert np.allclose(batched, singles, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("gamma", [1, 2, 3])
@@ -159,8 +162,8 @@ class TestArrayResidual:
     def test_independence_rows_match_their_labels(self, gamma, m, mp):
         system = full_system(CandidateMap(name="g", kind="modulus-power", gamma=gamma), m, mp)
         x = np.random.default_rng(gamma).normal(scale=0.7, size=system.n_vars)
-        _, big = system.unpack(x)
-        rows = dict(zip(system.equations, system.evaluate(x)[0]))
+        _, big = unpack(system, x)
+        rows = dict(zip(system.equations, evaluate(system, x)[0]))
         labels = [label for label in system.equations if label.startswith("independence")]
         assert labels
         for label in labels:
@@ -182,7 +185,7 @@ class TestArrayResidual:
     def test_fused_evaluation_matches_its_wrappers(self, candidate, level, m, mp):
         system = leveled_system(candidate, m, mp, level)
         xs = np.random.default_rng(m + mp).normal(scale=0.7, size=(2, 3, system.n_vars))
-        _, jac = system.evaluate(xs)
+        _, jac = evaluate(system, xs)
         assert jac.shape == (2, 3, len(system.equations), system.n_vars)
         f_rows = len(build_constraints(m, mp, level, candidate).equations)
         assert np.all(jac[..., f_rows:, :system.n_p_vars] == 0)  # independence rows hold no a_j
@@ -192,7 +195,7 @@ class TestArrayResidual:
         rng = np.random.default_rng(m)
         a = rng.normal(size=m) + 1j * rng.normal(size=m)
         big, _ = np.linalg.qr(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))
-        residual = full_system(BORN, m, m).evaluate(pack(a / np.linalg.norm(a), big))[0]
+        residual = evaluate(full_system(BORN, m, m), pack(a / np.linalg.norm(a), big))[0]
         assert np.max(np.abs(residual)) < 1e-12
 
 
@@ -232,7 +235,7 @@ class TestEstimateDof:
         report = dof_for(BORN)
         system = full_system(BORN, 2, 2)
         for x in report.sample_solutions:
-            _, big = system.unpack(x)
+            _, big = unpack(system, x)
             gram = big @ np.conj(big).T
             assert np.max(np.abs(gram - np.eye(2))) < 1e-8
 
@@ -259,12 +262,12 @@ class TestEstimateDof:
 
     def test_one_evaluation_per_iteration(self, monkeypatch):
         calls = []
-        original = ConstraintSystem.evaluate
+        original = dof_search.evaluate
 
-        def counted(self, x):
+        def counted(system, x):
             calls.append(x)
-            return original(self, x)
-        monkeypatch.setattr(ConstraintSystem, "evaluate", counted)
+            return original(system, x)
+        monkeypatch.setattr(dof_search, "evaluate", counted)
         estimate_dof(full_system(QUARTIC, 2, 2), samples=8)
         assert 1 <= len(calls) <= LM_MAX_ITER + 1
 
@@ -310,12 +313,12 @@ def row_fields(row):
 def lm_outputs(monkeypatch):
     """Every (x, r, jac) that _levenberg_marquardt returns while the test runs."""
     outputs = []
-    original = uniqueness._levenberg_marquardt
+    original = dof_search._levenberg_marquardt
 
     def spy(system, x):
         outputs.append(original(system, x))
         return outputs[-1]
-    monkeypatch.setattr(uniqueness, "_levenberg_marquardt", spy)
+    monkeypatch.setattr(dof_search, "_levenberg_marquardt", spy)
     return outputs
 
 
@@ -335,7 +338,7 @@ class TestInfeasibilityProof:
         assert bound < uniqueness.DEGENERACY_FLOOR
         converged = np.max(np.abs(r), axis=-1) < tol
         assert converged.any()
-        _, big = system.unpack(x[converged])
+        _, big = unpack(system, x[converged])
         assert np.all(np.min(np.abs(big), axis=(-2, -1)) < bound)
 
         proved = evaluate_candidate(candidate, m, mp, samples=samples, seed=1)
@@ -345,11 +348,11 @@ class TestInfeasibilityProof:
             candidate=candidate.name, shape=(m, mp),
             padded_shape=(m, m) if m > mp else None, report=searched))
 
-    def test_search_runs_when_the_bound_fails(self, monkeypatch, lm_outputs):
+    def test_raises_when_the_bound_fails(self, monkeypatch, lm_outputs):
         monkeypatch.setattr(uniqueness, "DEGENERACY_FLOOR", 1e-6)
-        row = evaluate_candidate(QUARTIC, 2, 2, samples=4, seed=1)
-        assert len(lm_outputs) == 1
-        assert not row.verdict
+        with pytest.raises(ValueError, match="no proof decides"):
+            evaluate_candidate(QUARTIC, 2, 2, samples=4, seed=1)
+        assert lm_outputs == []
 
     def test_proof_decides_an_unpadded_wide_row(self):
         # the search on this row can stop with LinAlgError on an exactly
@@ -361,12 +364,12 @@ class TestInfeasibilityProof:
         # at seed 1 the batched solve meets an exactly singular damped matrix
         # on this row; each start is then solved on its own
         fallbacks = []
-        original = uniqueness._solve_or_nan
+        original = dof_search._solve_or_nan
 
         def spy(a, b):
             fallbacks.append(original(a, b))
             return fallbacks[-1]
-        monkeypatch.setattr(uniqueness, "_solve_or_nan", spy)
+        monkeypatch.setattr(dof_search, "_solve_or_nan", spy)
         report = estimate_dof(full_system(SEXTIC, 2, 3), samples=60, seed=1)
         assert any(np.isnan(step).all() for step in fallbacks)
         assert not report.feasible and report.sample_solutions == ()
@@ -379,6 +382,118 @@ class TestInfeasibilityProof:
             with pytest.raises(ValueError, match="at least two values"):
                 evaluate_candidate(candidate, m, mp, samples=4)
         assert lm_outputs == []
+
+
+def exact_rows(system, x):
+    """Every residual row at x in the arithmetic of x's entries (Fractions
+    stay exact), complex numbers held as (re, im) pairs: a plain-Python
+    mirror of dof_search.evaluate's residual."""
+    m, n, cand = system.m, system.mp, system.candidate
+    zero = x[0] * 0
+    if cand.real_only:
+        a = [(v, zero) for v in x[:m]]
+        flat = [(v, zero) for v in x[m:]]
+    else:
+        a = list(zip(x[:m], x[m:2 * m]))
+        flat = list(zip(x[2 * m:2 * m + m * n], x[2 * m + m * n:]))
+    big = [flat[j * n:(j + 1) * n] for j in range(m)]
+
+    def mul(p, q):
+        return p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0]
+
+    def f(z):
+        return z[0] ** 2 if cand.real_only else (z[0] ** 2 + z[1] ** 2) ** cand.gamma
+
+    rows = [sum(map(f, a)) - 1] + [sum(map(f, row)) - 1 for row in big]
+    if system.level is Knowability.DECIDED:
+        closure = sum(f(a[j]) * f(big[j][k]) for j in range(m) for k in range(n))
+    else:
+        w = [(sum(mul(a[j], big[j][k])[0] for j in range(m)),
+              sum(mul(a[j], big[j][k])[1] for j in range(m))) for k in range(n)]
+        closure = sum(map(f, w))
+    rows.append(closure - 1)
+    for alpha, beta in zip(system.alpha, system.beta):
+        term = (zero, zero)
+        for k in range(n):
+            factor = (zero + 1, zero)
+            for j in range(m):
+                entry = big[j][k]
+                for _ in range(alpha[j]):
+                    factor = mul(factor, entry)
+                for _ in range(beta[j]):
+                    factor = mul(factor, (entry[0], -entry[1]))
+            term = (term[0] + factor[0], term[1] + factor[1])
+        rows.extend(term[:1] if cand.real_only else term)
+    return rows
+
+
+FEASIBLE = [REAL_QUADRATIC, BORN]
+SCHEMA_ROWS = [pytest.param(c, m, mp, id=f"{c.name}-{m}x{mp}")
+               for c in FEASIBLE for m in (2, 3, 4) for mp in (2, 3, 4)]
+WIDE_SHAPES = [(m, mp) for m in range(2, 9) for mp in range(2, 9)]
+
+
+class TestClosedForm:
+    """The real and |a|^2 rows are decided by the dimension of their solution
+    manifold and one rational witness; the float search is the oracle."""
+
+    @pytest.mark.parametrize("candidate, m, mp", SCHEMA_ROWS)
+    def test_search_agrees_with_the_closed_form(self, candidate, m, mp):
+        # seeds 1-3 here; seeds 1-10 at 60 starts also agree on all 18 rows,
+        # in about 5 s with one BLAS thread
+        row = evaluate_candidate(candidate, m, mp)
+        system = full_system(candidate, m, max(m, mp))
+        for seed in (1, 2, 3):
+            searched = estimate_dof(system, samples=60, seed=seed)
+            assert ((searched.feasible, searched.dof, searched.verdict)
+                    == (row.report.feasible, row.report.dof, row.report.verdict)), seed
+        assert row.verdict == (candidate is BORN)
+
+    def test_exact_rows_mirror_the_search_residual(self):
+        for candidate in DEFAULT_CANDIDATES:
+            for level in LEVELS:
+                system = leveled_system(candidate, 3, 4, level)
+                x = np.random.default_rng(11).normal(scale=0.7, size=system.n_vars)
+                assert np.allclose(exact_rows(system, list(x)), evaluate(system, x)[0],
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("candidate", FEASIBLE, ids=lambda c: c.name)
+    def test_witness_zeroes_every_row_exactly(self, candidate):
+        for m, mp in WIDE_SHAPES:
+            system = full_system(candidate, m, max(m, mp))
+            x = uniqueness._witness(system, Fraction)
+            assert all(type(v) is Fraction for v in x)
+            assert all(row == 0 for row in exact_rows(system, x)), (m, mp)
+            _, big = unpack(system, np.array(x, dtype=float))
+            assert np.min(np.abs(big)) >= 0.25
+
+    @pytest.mark.parametrize("candidate", FEASIBLE, ids=lambda c: c.name)
+    def test_search_ranks_at_the_witness_give_the_closed_form(self, candidate):
+        for m, mp in WIDE_SHAPES:
+            system = full_system(candidate, m, max(m, mp))
+            _, jac = evaluate(system, np.array([uniqueness._witness(system)]))
+            ranked = {k: int(v[0]) for k, v in block_dof(system, jac).items()}
+            assert ranked == uniqueness._manifold_dof(system), (m, mp)
+
+    def test_report_carries_the_float_witness(self):
+        row = evaluate_candidate(BORN, 3, 2)
+        system = full_system(BORN, 3, 3)
+        (x,) = row.report.sample_solutions
+        assert len(x) == system.n_vars
+        assert np.max(np.abs(evaluate(system, np.array(x))[0])) < 1e-15
+
+    def test_one_start_no_longer_misses_a_feasible_row(self):
+        # the search's one start at seed 4 finds no solution of this row
+        assert not estimate_dof(full_system(REAL_QUADRATIC, 3, 3), samples=1, seed=4).feasible
+        report = evaluate_candidate(REAL_QUADRATIC, 3, 3, samples=1, seed=4).report
+        assert report.feasible
+        assert report.dof == {"P": 2, "P'": 3, "total": 5}
+
+    def test_report_ignores_samples_and_seed(self):
+        shapes = ([2, 3, 4, 3, 2], [2, 3, 4, 2, 4])
+        first = uniqueness_report(*shapes, samples=60, seed=0)
+        for samples, seed in ((1, 4), (1, 14), (1000, 7)):
+            assert uniqueness_report(*shapes, samples=samples, seed=seed) == first
 
 
 def test_benchmark_plans_the_uniqueness_table(monkeypatch, tmp_path):
