@@ -10,10 +10,10 @@ observation and by epistemic consistency.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from enum import IntEnum
 from itertools import accumulate
 from operator import attrgetter
-from typing import Sequence
 
 __version__ = "0.1.0"
 
@@ -30,6 +30,10 @@ class Record:
     alike, ``repr`` names the fields, and pickle and copy rebuild a record
     without calling its constructor.  Unlike a dataclass, the class is made
     without compiling generated methods or importing ``inspect``.
+
+    A class with further slots, derived from the fields, names its fields in
+    ``_fields`` and pickles through its constructor; a class that compares
+    on fewer than all of its fields names those in ``_key``.
     """
 
     __slots__ = ()
@@ -37,9 +41,11 @@ class Record:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._fields += cls.__dict__.get("__slots__", ())
-        # the field itself for one field, a tuple of them for several
-        cls._key = property(attrgetter(*cls._fields))
+        if "_fields" not in cls.__dict__:
+            cls._fields += cls.__dict__.get("__slots__", ())
+        if "_key" not in cls.__dict__:
+            # the field itself for one field, a tuple of them for several
+            cls._key = property(attrgetter(*cls._fields))
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"cannot assign to field {name!r}")

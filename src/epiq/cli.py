@@ -15,8 +15,9 @@ numpy, ``epiq.evolution`` or ``epiq.statespace``, nor ``dataclasses`` (and
 ``inspect`` under it) or ``fractions`` (and ``decimal``): scenarios,
 networks, distributions, contextual spaces and verdict rows are
 ``epiq.Record``s, and exact arithmetic builds a ``Fraction`` only on request.
-A result file that cannot be written (say, a scenario name too long for a
-file name) is an error, exit 1.
+Nor does one load ``typing``, ``pathlib`` or ``importlib.resources``: results
+are written through ``os.path``, and a result file that cannot be written
+(say, a scenario name too long for a file name) is an error, exit 1.
 """
 from __future__ import annotations
 
@@ -26,7 +27,6 @@ import json
 import math
 import os
 import sys
-from pathlib import Path
 
 from . import Knowability, __version__, borel_trial
 from .context import ContextError, propagate, reduce_by_consistency, validate_context
@@ -101,12 +101,13 @@ def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
 
-def _write_outputs(out_dir: Path, name: str, command: str, result: dict, rows, header):
+def _write_outputs(out_dir: str, name: str, command: str, result: dict, rows, header):
     text = json.dumps(result, indent=2, sort_keys=True, allow_nan=False)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    stem = f"{name}-{command}"
-    (out_dir / f"{stem}.json").write_text(text + "\n")
-    with open(out_dir / f"{stem}.csv", "w", newline="") as fh:
+    os.makedirs(out_dir, exist_ok=True)
+    stem = os.path.join(out_dir, f"{name}-{command}")
+    with open(f"{stem}.json", "w") as fh:
+        fh.write(text + "\n")
+    with open(f"{stem}.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -249,7 +250,7 @@ def main(args=None, prog_name="epiq", standalone_mode=True):
         if command == "uniqueness":
             seed = (scenario.uniqueness or {}).get("seed", seed)
     tolerance = tolerance if tolerance is not None else run.get("tolerance", DEFAULT_TOLERANCE)
-    out_dir = Path(opts.out_dir) if opts.out_dir else Path(".")
+    out_dir = opts.out_dir or "."
 
     try:
         result, rows, header, ok = COMMANDS[command](scenario, opts.eraser, n, seed, tolerance)

@@ -22,8 +22,6 @@ the later layers fed by row j of the first matrix (`reduce_by_observation`).
 """
 from __future__ import annotations
 
-from typing import Optional
-
 from . import Knowability  # re-exported: epiq.context.Knowability
 from . import Record, _set
 from .exactnum import ZERO, ExactAmplitude, abs2
@@ -135,7 +133,7 @@ class Distribution(Record):
     __slots__ = ("labels", "probabilities", "exact", "rules")
 
     def __init__(self, labels: tuple, probabilities: tuple,
-                 exact: Optional[tuple] = None, rules: tuple = ()):
+                 exact: tuple | None = None, rules: tuple = ()):
         _set(self, "labels", labels)
         _set(self, "probabilities", probabilities)  # floats
         _set(self, "exact", exact)  # Sqrt2Scalar values when propagated exactly

@@ -2,64 +2,74 @@
 
 The evolution rule is stored per exact state; the action on a set is the
 union of member images, so set-theoretic linearity holds by construction.
-A rule turns its images into index arrays once per registry (each image code
-beside its owner's code, and a flag per code that has images), so applying
-it is one numpy gather and scatter from the state's mask to a new mask.
+A rule turns its images into a table once per registry (for each image code,
+one owner's code), so applying it gathers the new mask's binary digits from
+the state's, in plain Python.
 The contracts the rule must honour (a state never overlaps its own future,
 overlaps are preserved both ways) are checked at application time on the
 states a scenario actually exercises.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from array import array
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from functools import cached_property
-from typing import Mapping, Sequence
-
-import numpy as np
+from operator import itemgetter
 
 from . import Knowability, borel_trial  # re-exported: epiq.evolution.<name>
-from .statespace import EpistemicState, ObjectRegistry, PropertySpec, relative_volume
+from . import Record, _set
+from .statespace import EpistemicState, ObjectRegistry, PropertySpec, _mask, relative_volume
 
 
 class EvolutionContractError(ValueError):
     """Raised when a rule violates a checked evolution contract."""
 
 
-@dataclass(frozen=True, eq=False)
-class EvolutionRule:
+class EvolutionRule(Record):
     """Equality and hash are identity: the image map is a mutable mapping.
-    Each registry's index arrays are built on the first ``apply`` over it, so
-    later changes to ``images`` do not reach them."""
+    Each registry's table is built on the first ``apply`` over it, so later
+    changes to ``images`` do not reach it."""
 
-    images: Mapping  # ExactState -> frozenset of ExactState
+    __slots__ = ("images", "_tables")  # images: ExactState -> frozenset of ExactState
+    _fields = ("images",)  # _tables holds the per-registry tables
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __post_init__(self):
-        for z, img in self.images.items():
-            if not img:
-                raise ValueError("every exact state needs a nonempty image")
+    def __init__(self, images: Mapping):
+        if not all(images.values()):
+            raise ValueError("every exact state needs a nonempty image")
+        _set(self, "images", images)
+        _set(self, "_tables", {})
 
-    @cached_property
-    def _tables(self) -> dict:
-        return {}
+    def __reduce__(self):
+        return EvolutionRule, (self.images,)
 
     def _table(self, registry: ObjectRegistry) -> tuple:
-        """``(owners, targets, domain)`` over ``registry``: code ``owners[k]`` has
-        image code ``targets[k]``, and ``domain`` flags the codes with images."""
-        if registry not in self._tables:
-            owners, targets = [], []
+        """The ``_map`` arguments over ``registry``: ``domain``, the codes with
+        images; ``first``, a gather of one owner code per image code (``size``
+        for none); ``rest``, of the other owners, whose images are ``rest_targets``."""
+        table = self._tables.get(registry)
+        if table is None:
+            size = registry._size
+            first = [size] * size
+            owners, rest, rest_targets = [], [], []
             for z, img in self.images.items():
                 if z.registry is registry or z.registry == registry:
+                    code = z.code
+                    owners.append(code)
                     for w in img:
                         if w.registry is not registry and w.registry != registry:
                             raise ValueError("image from a different registry")
-                        owners.append(z.code)
-                        targets.append(w.code)
-            owners = np.array(owners, np.intp)
-            domain = np.zeros(registry._size, bool)
-            domain[owners] = True
-            self._tables[registry] = owners, np.array(targets, np.intp), domain
-        return self._tables[registry]
+                        if first[w.code] == size:
+                            first[w.code] = code
+                        else:
+                            rest.append(code)
+                            rest_targets.append(w.code)
+            # owners are distinct codes, so as many owners as codes are all codes
+            domain = (1 << size) - 1 if len(owners) == size else _mask(owners, size)
+            # the array's fresh ints lie in memory in gather order, which a gather reads in order
+            table = self._tables[registry] = (domain, itemgetter(*array("q", first)),
+                                              itemgetter(*rest) if rest else None, rest_targets)
+        return table
 
     def apply(self, s: EpistemicState) -> EpistemicState:
         """The union of the member images, over the same registry."""
@@ -83,56 +93,45 @@ def evolve(s: EpistemicState, rule: EvolutionRule,
     return out
 
 
-@dataclass(frozen=True)
-class FutureAlternative:
+class FutureAlternative(Record):
     """The part of a parent object state that leads to one property value."""
 
-    region: EpistemicState
-    property_id: str
-    value_index: int
-    level: Knowability
+    __slots__ = ("region", "property_id", "value_index", "level")
 
-    def __post_init__(self):
-        object.__setattr__(self, "level", Knowability(self.level))
+    def __init__(self, region: EpistemicState, property_id: str, value_index: int, level: int):
+        _set(self, "region", region)
+        _set(self, "property_id", property_id)
+        _set(self, "value_index", value_index)
+        _set(self, "level", Knowability(level))
 
 
-@dataclass(frozen=True)
-class CompleteAlternativeSet:
-    parent: EpistemicState
-    alternatives: tuple
+class CompleteAlternativeSet(Record):
+    __slots__ = ("parent", "alternatives")
 
-    def __post_init__(self):
-        alts = tuple(self.alternatives)
-        object.__setattr__(self, "alternatives", alts)
+    def __init__(self, parent: EpistemicState, alternatives: Sequence[FutureAlternative]):
+        alts = tuple(alternatives)
         if len(alts) < 2:
             raise ValueError("no genuine alternatives")
         covered = 0
         for alt in alts:
-            if not alt.region.issubset(self.parent):
+            if not alt.region.issubset(parent):
                 raise ValueError("alternative region outside parent state")
             if covered & alt.region.mask:
                 raise ValueError("alternatives not mutually exclusive")
             covered |= alt.region.mask
-        if covered != self.parent.mask:
+        if covered != parent.mask:
             raise ValueError("alternative set incomplete")
+        _set(self, "parent", parent)
+        _set(self, "alternatives", alts)
 
 
 def make_alternatives(parent: EpistemicState, p: PropertySpec,
                       future_preimages: Mapping[int, EpistemicState],
                       levels: Mapping[int, Knowability]) -> CompleteAlternativeSet:
     """Cut the parent state along caller-supplied future value regions."""
-    alts = []
-    for j, region in sorted(future_preimages.items()):
-        cut = parent._meet(region)
-        if not cut:
-            continue
-        alts.append(FutureAlternative(
-            region=EpistemicState._of(parent.registry, cut),
-            property_id=p.id,
-            value_index=j,
-            level=Knowability(levels[j]),
-        ))
-    return CompleteAlternativeSet(parent=parent, alternatives=tuple(alts))
+    alts = [FutureAlternative(EpistemicState._of(parent.registry, cut), p.id, j, levels[j])
+            for j, region in sorted(future_preimages.items()) if (cut := parent._meet(region))]
+    return CompleteAlternativeSet(parent, alts)
 
 
 def probability(alt: FutureAlternative, parent: EpistemicState) -> Fraction:
@@ -142,13 +141,15 @@ def probability(alt: FutureAlternative, parent: EpistemicState) -> Fraction:
     return relative_volume(alt.region, parent)
 
 
-@dataclass(frozen=True)
-class InvarianceReport:
-    steps: int
-    ratios: tuple  # per-alternative relative volumes, constant across steps
+class InvarianceReport(Record):
+    __slots__ = ("steps", "ratios")  # ratios: the alternatives' relative volumes at every step
     # not a field: check_invariance raises on any deviation; the state-space
     # benchmark reads it as the deviation it checks is zero
     max_deviation = Fraction(0)
+
+    def __init__(self, steps: int, ratios: tuple):
+        _set(self, "steps", steps)
+        _set(self, "ratios", ratios)
 
 
 def check_invariance(parent: EpistemicState, altset: CompleteAlternativeSet,

@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Sequence
 from operator import mul
-from typing import Optional, Sequence
 
 from . import Knowability, Record, _set
 from .context import ContextError, ContextNetwork
@@ -158,7 +158,7 @@ def _amp_matrix(net: ContextNetwork) -> list:
 
 
 def build_space(net: ContextNetwork,
-                joint_volumes: Optional[JointVolumeTable] = None,
+                joint_volumes: JointVolumeTable | None = None,
                 simultaneous: bool = False) -> ContextSpace:
     """Construct the contextual space for a one- or two-property network."""
     if len(net.layers) == 1:
@@ -257,7 +257,7 @@ def _build_joint(net: ContextNetwork, m: int, mp: int) -> ContextSpace:
                         (None, None), (first_blocks, second_blocks))
 
 
-def _build_sequential(net: ContextNetwork, joint_volumes: Optional[JointVolumeTable],
+def _build_sequential(net: ContextNetwork, joint_volumes: JointVolumeTable | None,
                       m: int, mp: int) -> ContextSpace:
     if m != mp:
         raise SpaceConstructionError("no reciprocal basis: sequential space needs M = M'")
@@ -374,7 +374,7 @@ def _recompose(v, spectrum) -> Matrix:
 
 
 def make_operator(space: ContextSpace, property_id: str,
-                  labels: Optional[Sequence[float]] = None) -> PropertyOperator:
+                  labels: Sequence[float] | None = None) -> PropertyOperator:
     """Sum of label-weighted projectors onto a property's value subspaces."""
     blocks = space.value_spaces[property_id]
     if labels is None:

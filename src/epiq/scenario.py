@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
 from functools import cache
-from importlib import resources
-from typing import Optional
 
 from . import Knowability, Record, _set
 from .context import ContextNetwork, Layer
@@ -61,7 +60,7 @@ def _resolve(root: dict, ref: str) -> dict:
     return node
 
 
-def check_schema(schema: dict, root: Optional[dict] = None) -> dict:
+def check_schema(schema: dict, root: dict | None = None) -> dict:
     """Return ``schema`` once every keyword in it is one ``_errors`` interprets.
 
     Raises ``ValueError`` naming the first keyword (or keyword value) that is
@@ -148,8 +147,9 @@ def _errors(instance, schema: dict, root: dict, path: tuple = ()):
 
 @cache
 def _schema() -> dict:
-    text = resources.files("epiq").joinpath("schema/scenario.schema.json").read_text()
-    return check_schema(json.loads(text))
+    with open(os.path.join(os.path.dirname(__file__), "schema", "scenario.schema.json"),
+              encoding="utf-8") as fh:
+        return check_schema(json.load(fh))
 
 
 def parse_amplitude(value):
@@ -177,8 +177,8 @@ class Scenario(Record):
                  "simultaneous", "uniqueness", "run")
 
     def __init__(self, name: str, description: str, network: ContextNetwork,
-                 eraser: Optional[bool], joint_volumes: Optional[tuple],
-                 simultaneous: bool, uniqueness: Optional[dict], run: dict):
+                 eraser: bool | None, joint_volumes: tuple | None,
+                 simultaneous: bool, uniqueness: dict | None, run: dict):
         _set(self, "name", name)
         _set(self, "description", description)
         _set(self, "network", network)
@@ -270,5 +270,6 @@ def load_scenario_file(path) -> Scenario:
 
 
 def bundled_scenario_path(name: str):
-    """Path to a scenario shipped with the package."""
-    return resources.files("epiq").joinpath(f"scenarios/{name}.json")
+    """Path to a scenario shipped with the package (``pathlib`` loads only here)."""
+    from pathlib import Path
+    return Path(__file__).with_name("scenarios") / f"{name}.json"

@@ -11,21 +11,21 @@ is the index of its value there, with place values ``ObjectRegistry._strides``,
 so codes run in ``itertools.product`` order.  An epistemic state is the pair
 (registry, mask), an integer whose bit ``code`` is set for each member, so AND,
 OR, NOT, slices and volumes are integer operations that build no exact state.
-A mask converts to and from one numpy flag per code, which is how rules are
-applied, slices cut and members found.
+Members are read from the mask's binary digits, and a rule is applied by
+gathering those digits (see ``EpistemicState._map``), so the module needs only
+the standard library.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from operator import attrgetter
 
-import numpy as np
+from . import Record, _record, _set
 
 
 class ContradictionError(ValueError):
@@ -53,45 +53,63 @@ class AttributeKind(str, Enum):
     CIRCULAR = "circular"
 
 
-@dataclass(frozen=True)
-class AttributeDef:
+class AttributeDef(Record):
     """A named attribute with a finite value set: exactly 2 values for the
     binary kind, at least 3 for circular and at least 2 for ordered and
     directed.  The tuple order numbers the values (see ``ExactState``)."""
 
-    id: str
-    kind: AttributeKind
-    values: tuple
+    __slots__ = ("id", "kind", "values")
 
-    def __post_init__(self):
-        object.__setattr__(self, "kind", AttributeKind(self.kind))
-        object.__setattr__(self, "values", tuple(self.values))
+    def __init__(self, id: str, kind: AttributeKind | str, values: Iterable):
+        kind, values = AttributeKind(kind), tuple(values)
         try:
-            if len(set(self.values)) != len(self.values):
-                raise ValueError(f"attribute {self.id}: duplicate values")
+            if len(set(values)) != len(values):
+                raise ValueError(f"attribute {id}: duplicate values")
         except TypeError:
-            raise ValueError(f"attribute {self.id}: values must be hashable") from None
-        if self.kind is AttributeKind.BINARY and len(self.values) != 2:
-            raise ValueError(f"attribute {self.id}: binary kind needs exactly 2 values")
-        if self.kind is AttributeKind.CIRCULAR and len(self.values) < 3:
-            raise ValueError(f"attribute {self.id}: circular kind needs >= 3 values")
-        if self.kind in (AttributeKind.ORDERED, AttributeKind.DIRECTED) and len(self.values) < 2:
-            raise ValueError(f"attribute {self.id}: ordered kind needs >= 2 values")
+            raise ValueError(f"attribute {id}: values must be hashable") from None
+        if kind is AttributeKind.BINARY and len(values) != 2:
+            raise ValueError(f"attribute {id}: binary kind needs exactly 2 values")
+        if kind is AttributeKind.CIRCULAR and len(values) < 3:
+            raise ValueError(f"attribute {id}: circular kind needs >= 3 values")
+        if kind in (AttributeKind.ORDERED, AttributeKind.DIRECTED) and len(values) < 2:
+            raise ValueError(f"attribute {id}: ordered kind needs >= 2 values")
+        _set(self, "id", id)
+        _set(self, "kind", kind)
+        _set(self, "values", values)
 
 
-@dataclass(frozen=True)
-class ObjectRegistry:
+class ObjectRegistry(Record):
     """Immutable table of objects and their attributes.
 
-    ``objects`` maps each object id to the tuple of attribute ids it carries;
+    ``objects`` pairs each object id with the tuple of attribute ids it carries;
     the slot list (object, attribute) is the domain of every exact state.
     """
 
-    attributes: tuple
-    objects: tuple  # of (object_id, tuple_of_attribute_ids)
+    __slots__ = ("attributes", "objects",
+                 "_slots", "_slot_values", "_slot_index", "_digits", "_strides", "_count")
+    _fields = ("attributes", "objects")  # the other slots are derived from these
+
+    def __init__(self, attributes: tuple, objects: tuple):
+        _set(self, "attributes", attributes)
+        _set(self, "objects", objects)
+        slots = tuple((oid, aid) for oid, attr_ids in objects for aid in attr_ids)
+        table = {a.id: a for a in attributes}
+        slot_values = tuple(table[aid].values for _, aid in slots)
+        radices = [len(legal) for legal in slot_values]
+        _set(self, "_slots", slots)
+        _set(self, "_slot_values", slot_values)
+        _set(self, "_slot_index", {slot: i for i, slot in enumerate(slots)})
+        # per slot, the map from each legal value to its digit
+        _set(self, "_digits", tuple({v: d for d, v in enumerate(legal)} for legal in slot_values))
+        # per slot, the product of the later slots' radices: its digit's place value
+        _set(self, "_strides", tuple(math.prod(radices[i + 1:]) for i in range(len(radices))))
+        _set(self, "_count", math.prod(radices))  # the number of exact states
+
+    def __reduce__(self):
+        return ObjectRegistry, (self.attributes, self.objects)
 
     @staticmethod
-    def build(attributes: Sequence[AttributeDef], objects: dict) -> "ObjectRegistry":
+    def build(attributes: Sequence[AttributeDef], objects: dict) -> ObjectRegistry:
         attrs = tuple(attributes)
         ids = [a.id for a in attrs]
         if len(set(ids)) != len(ids):
@@ -108,48 +126,23 @@ class ObjectRegistry:
             objs.append((oid, attr_ids))
         return ObjectRegistry(attributes=attrs, objects=tuple(objs))
 
-    # Computed once per instance; cached_property writes the instance
-    # ``__dict__`` directly, so it works on a frozen dataclass and leaves the
-    # structural equality and hash over (attributes, objects) untouched.
-    @cached_property
-    def _slots(self) -> tuple:
-        return tuple((oid, aid) for oid, attr_ids in self.objects for aid in attr_ids)
-
-    @cached_property
-    def _slot_values(self) -> tuple:
-        table = {a.id: a for a in self.attributes}
-        return tuple(table[aid].values for _, aid in self._slots)
-
-    @cached_property
-    def _slot_index(self) -> dict:
-        return {slot: i for i, slot in enumerate(self._slots)}
-
-    @cached_property
-    def _digits(self) -> tuple:
-        """Per slot, the map from each legal value to its digit."""
-        return tuple({v: d for d, v in enumerate(values)} for values in self._slot_values)
-
-    @cached_property
+    @property
     def _size(self) -> int:
         """The number of exact states, refused above ``MAX_STATES``: a mask spans them all."""
-        size = math.prod(map(len, self._slot_values))
-        if size > MAX_STATES:
+        if self._count > MAX_STATES:
             raise StateSpaceSizeError(
-                f"full state space has {size} exact states, above the limit of {MAX_STATES}")
-        return size
-
-    @cached_property
-    def _strides(self) -> tuple:
-        """Per slot, the product of the later slots' radices: its digit's place value."""
-        radices = [len(legal) for legal in self._slot_values]
-        return tuple(math.prod(radices[i + 1:]) for i in range(len(radices)))
+                f"full state space has {self._count} exact states, above the limit of {MAX_STATES}")
+        return self._count
 
     def _value_mask(self, idx: int, digit: int) -> int:
-        """The mask of the codes whose digit at slot ``idx`` is ``digit``."""
-        stride, radix = self._strides[idx], len(self._slot_values[idx])
-        flags = np.zeros((self._size // (radix * stride), radix, stride), bool)
-        flags[:, digit] = True
-        return _mask(flags)
+        """The mask of the codes whose digit at slot ``idx`` is ``digit``: one
+        period of ``radix * stride`` codes, doubled until it spans them all."""
+        stride, size = self._strides[idx], self._size
+        mask, width = ((1 << stride) - 1) << (digit * stride), stride * len(self._slot_values[idx])
+        while width < size:
+            mask |= mask << width
+            width *= 2
+        return mask & ((1 << size) - 1)
 
     def slots(self) -> tuple:
         return self._slots
@@ -164,16 +157,14 @@ class ObjectRegistry:
             raise ValueError(f"no slot ({object_id}, {attribute_id})") from None
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class ExactState:
+class ExactState(Record):
     """One complete value assignment over a registry (a point of state space).
 
     It is held as its ``code``, the state's position in ``all_exact_states``
     order; ``values`` decodes it.  The code is the hash.
     """
 
-    registry: ObjectRegistry
-    code: int
+    __slots__ = ("registry", "code")
 
     def __init__(self, registry: ObjectRegistry, values: Sequence):
         if len(values) != len(registry._digits):
@@ -186,8 +177,8 @@ class ExactState:
                 if v not in legal:
                     raise ValueError(f"illegal value {v!r} for ({oid}, {aid})") from None
             raise
-        object.__setattr__(self, "registry", registry)
-        object.__setattr__(self, "code", code)
+        _set(self, "registry", registry)
+        _set(self, "code", code)
 
     def __hash__(self):
         return self.code
@@ -216,26 +207,23 @@ def _exact_states(registry: ObjectRegistry, codes: Iterable[int]) -> Iterator[Ex
         yield from states
 
 
-def _flags(mask: int, size: int) -> np.ndarray:
-    """One bool per code below ``size``, lowest first: True for a member."""
-    raw = np.frombuffer(mask.to_bytes(-(-size // 8), "little"), np.uint8)
-    return np.unpackbits(raw, count=size, bitorder="little").view(bool)
+# the binary digits "0" and "1" as the bytes 0 and 1, which itertools.compress reads
+_DIGIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
 
 
-def _mask(flags: np.ndarray) -> int:
-    """The mask with bit ``c`` set where ``flags.flat[c]``: the inverse of ``_flags``."""
-    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+def _codes(mask: int) -> Iterator[int]:
+    """The codes of the set bits of ``mask``, lowest first."""
+    return itertools.compress(itertools.count(), bin(mask)[:1:-1].encode().translate(_DIGIT_FLAGS))
 
 
-def _mask_of(codes: np.ndarray, size: int) -> int:
-    """The mask with bit ``c`` set for each code ``c`` of an index array, below ``size``."""
-    flags = np.zeros(size, bool)
-    flags[codes] = True
-    return _mask(flags)
+def _mask(codes: Iterable[int], size: int) -> int:
+    """The mask with bit ``c`` set for each code ``c`` below ``size``: the inverse of ``_codes``."""
+    digits = bytearray(b"0") * size
+    deque(map(digits.__setitem__, codes, itertools.repeat(ord("1"))), 0)
+    return int(digits[::-1], 2)
 
 
-@dataclass(frozen=True, init=False)
-class EpistemicState:
+class EpistemicState(Record):
     """A nonempty finite set of exact states over one registry.
 
     The set is ``mask``, with bit ``z.code`` set for each member ``z``.
@@ -244,39 +232,29 @@ class EpistemicState:
     produced by intersections may legitimately be singletons.
     """
 
-    registry: ObjectRegistry
-    mask: int
-    physical: bool = False
+    __slots__ = ("registry", "mask", "physical")
 
-    def __init__(self, registry: ObjectRegistry, members: Iterable[ExactState],
-                 physical: bool = False):
+    def __new__(cls, registry: ObjectRegistry, members: Iterable[ExactState],
+                physical: bool = False):
         codes = []
         for z in members:
             if z.registry is not registry and z.registry != registry:
                 raise ValueError("member from a different registry")
             codes.append(z.code)
-        self._fill(registry, _mask_of(np.array(codes, np.intp), registry._size), physical)
+        return cls._of(registry, _mask(codes, registry._size), physical)
 
     @classmethod
-    def _of(cls, registry: ObjectRegistry, mask: int, physical: bool = False) -> "EpistemicState":
-        s = object.__new__(cls)
-        s._fill(registry, mask, physical)
-        return s
-
-    def _fill(self, registry, mask, physical):
+    def _of(cls, registry: ObjectRegistry, mask: int, physical: bool = False) -> EpistemicState:
         if not mask:
             raise VoidStateError("void state has no volume meaning")
         if physical and not mask & (mask - 1):
             raise ValueError("a physical state must leave at least two exact states open")
-        object.__setattr__(self, "registry", registry)
-        object.__setattr__(self, "mask", mask)
-        object.__setattr__(self, "physical", physical)
+        return _record(cls, (registry, mask, physical))
 
-    @cached_property
+    @property
     def members(self) -> frozenset:
         """The exact states of the mask; only members are built."""
-        codes = np.flatnonzero(_flags(self.mask, self.registry._size))
-        return frozenset(_exact_states(self.registry, codes.tolist()))
+        return frozenset(_exact_states(self.registry, _codes(self.mask)))
 
     def __len__(self):
         return self.mask.bit_count()
@@ -284,27 +262,32 @@ class EpistemicState:
     def __contains__(self, z: ExactState):
         return z.registry == self.registry and bool(self.mask >> z.code & 1)
 
-    def _meet(self, other: "EpistemicState") -> int:
+    def _meet(self, other: EpistemicState) -> int:
         """The mask of the common members; 0 across different registries."""
         return self.mask & other.mask if other.registry == self.registry else 0
 
-    def issubset(self, other: "EpistemicState") -> bool:
+    def issubset(self, other: EpistemicState) -> bool:
         return self._meet(other) == self.mask
 
-    def _map(self, owners: np.ndarray, targets: np.ndarray,
-             domain: np.ndarray) -> "EpistemicState":
-        """The union of the images ``targets[k]`` of the members ``owners[k]``;
-        raises for a member outside ``domain``, the codes that have images."""
-        size = self.registry._size
-        flags = _flags(self.mask, size)
-        if (flags & ~domain).any():
+    def _map(self, domain: int, first: Callable, rest: Callable | None,
+             rest_targets: list) -> EpistemicState:
+        """The union of the member images under ``EvolutionRule._table``, read
+        from the mask's binary digits lowest code first, with a "0" at ``size``
+        for "no owner"; raises for a member outside ``domain``."""
+        if self.mask & ~domain:
             raise ValueError("exact state outside the rule's domain")
-        return EpistemicState._of(self.registry, _mask_of(targets[flags[owners]], size))
+        size = self.registry._size
+        digits = bin(self.mask)[:1:-1].ljust(size + 1, "0")
+        mask = int("".join(first(digits))[::-1], 2)
+        if rest is not None:
+            hits = "".join(rest(digits)).encode().translate(_DIGIT_FLAGS)
+            mask |= _mask(itertools.compress(rest_targets, hits), size)
+        return EpistemicState._of(self.registry, mask)
 
 
 def all_exact_states(registry: ObjectRegistry) -> Iterator[ExactState]:
     """Enumerate the full state space of a registry; the enumeration index is the code."""
-    return _exact_states(registry, range(math.prod(map(len, registry.slot_values()))))
+    return _exact_states(registry, range(registry._count))
 
 
 def full_state(registry: ObjectRegistry) -> EpistemicState:
@@ -370,8 +353,7 @@ def collective_state(subject_states: Sequence[EpistemicState]) -> EpistemicState
     return EpistemicState._of(registry, mask)
 
 
-@dataclass(frozen=True)
-class PropertySpec:
+class PropertySpec(Record):
     """A property: a partial valuation of exact states into labelled values.
 
     ``valuation`` maps an exact state to a value index or None (undefined).
@@ -379,19 +361,30 @@ class PropertySpec:
     distinctness is enforced here.
     """
 
-    id: str
-    labels: tuple
-    valuation: Callable = field(compare=False)
+    __slots__ = ("id", "labels", "valuation")
+    _key = property(attrgetter("id", "labels"))  # the valuation is not compared
 
-    def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(float(x) for x in self.labels))
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError(f"property {self.id}: value labels must be distinct")
+    def __init__(self, id: str, labels: Iterable, valuation: Callable):
+        labels = tuple(float(x) for x in labels)
+        if len(set(labels)) != len(labels):
+            raise ValueError(f"property {id}: value labels must be distinct")
+        _set(self, "id", id)
+        _set(self, "labels", labels)
+        _set(self, "valuation", valuation)
 
-    def preimage(self, j: int, within: EpistemicState) -> Optional[EpistemicState]:
-        """The members of ``within`` where the property has value index j: the one
-        call of a valuation, which cuts Born regions in acceptance criterion 10."""
-        if not 0 <= j < len(self.labels):
-            raise ValueError(f"property {self.id}: no value index {j}")
-        members = [z for z in within.members if self.valuation(z) == j]
-        return EpistemicState(within.registry, members) if members else None
+    def preimages(self, within: EpistemicState) -> dict:
+        """``{j: the members of within where the property has value index j}``
+        for each j that some member has, calling the valuation once per member
+        and refusing a result that is neither None nor a value index."""
+        codes = {j: [] for j in (*range(len(self.labels)), None)}
+        for z in _exact_states(within.registry, _codes(within.mask)):
+            j = self.valuation(z)
+            try:
+                codes[j].append(z.code)
+            except (KeyError, TypeError):  # TypeError: an unhashable result
+                raise ValueError(
+                    f"property {self.id}: valuation gave {j!r}, not a value index") from None
+        del codes[None]  # the members where the property is undefined
+        size = within.registry._size
+        return {j: EpistemicState._of(within.registry, _mask(c, size))
+                for j, c in codes.items() if c}

@@ -26,7 +26,7 @@ beside the tests as their oracle.
 from __future__ import annotations
 
 import itertools
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 from . import Knowability, Record, _set
 
@@ -184,7 +184,7 @@ class DofReport(Record):
 class UniquenessRow(Record):
     __slots__ = ("candidate", "shape", "padded_shape", "report")
 
-    def __init__(self, candidate: str, shape: tuple, padded_shape: Optional[tuple],
+    def __init__(self, candidate: str, shape: tuple, padded_shape: tuple | None,
                  report: DofReport):
         _set(self, "candidate", candidate)
         _set(self, "shape", shape)

@@ -2,7 +2,6 @@
 
 Each test prints "ACCEPTANCE <n> <name>: PASS|FAIL" and asserts the criterion.
 """
-import functools
 import math
 import time
 from fractions import Fraction
@@ -336,7 +335,6 @@ def test_criterion_10_volume_born_bridge():
              for i, (d, _) in enumerate(tables)],
             {f"boundary{i}": [f"ticket{i}"] for i in range(len(tables))})
 
-        @functools.cache  # one walk per state, however many preimages read it
         def final_value(z):
             value = 0  # the initial amplitudes are the one row of the first table
             for ticket, (_, rows) in zip(z.values, tables):
@@ -346,11 +344,11 @@ def test_criterion_10_volume_born_bridge():
         final = PropertySpec(id=f"L{len(sizes) - 1}", labels=net.final_layer.labels,
                              valuation=final_value)
         whole = full_state(registry)
-        regions = {j: final.preimage(j, whole) for j in range(sizes[-1])}
-        volumes = [Fraction(0) if r is None else relative_volume(r, whole) for r in regions.values()]
+        regions = final.preimages(whole)
+        volumes = [relative_volume(regions[j], whole) if j in regions else Fraction(0)
+                   for j in range(sizes[-1])]
         ok = ok and volumes == [p.as_fraction() for p in propagate(net).exact]
 
-        regions = {j: r for j, r in regions.items() if r is not None}
         if len(regions) < 2:  # one certain outcome: no genuine alternatives
             continue
         alts = make_alternatives(whole, final, regions,

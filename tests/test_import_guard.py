@@ -1,0 +1,64 @@
+"""Import guard: epiq needs only the standard library.
+
+Each case runs a fresh ``python -I -S -B``, whose path holds the standard
+library and the checkout's ``src`` and nothing else, so no installed package
+(numpy included) can be imported.  The state space and its evolution load
+neither numpy nor ``dataclasses`` (nor ``inspect`` under it), and a CLI
+command loads none of the ``typing``, ``pathlib`` and ``importlib.resources``
+that a ``site`` hook would otherwise have paid for.
+"""
+import json
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+
+import epiq
+from epiq.scenario import bundled_scenario_path
+
+SRC = str(Path(epiq.__file__).resolve().parents[1])
+FORBIDDEN = ("numpy", "dataclasses", "inspect", "typing", "pathlib", "importlib.resources")
+
+# four positions, halved: codes 0, 1 go to 0 and codes 2, 3 to 1
+STATE_SPACE = """
+from epiq.evolution import EvolutionRule
+from epiq.statespace import (AttributeDef, EpistemicState, ObjectRegistry, all_exact_states,
+                             full_state, volume)
+registry = ObjectRegistry.build(
+    [AttributeDef(id="x", kind="ordered", values=(0, 1, 2, 3))], {"dot": ["x"]})
+states = list(all_exact_states(registry))
+rule = EvolutionRule(images={z: frozenset([states[z.code // 2]]) for z in states})
+assert volume(rule.apply(full_state(registry))) == 2
+assert rule.apply(EpistemicState(registry, states[:2])).members == {states[0]}
+"""
+
+CLI = """
+from epiq.cli import main
+try:
+    main([{path!r}, "--command", "propagate", "--out-dir", "."])
+except SystemExit as e:
+    assert e.code == 0, e.code
+"""
+
+
+def _modules_after(tmp_path, body):
+    """The module names a standard-library-only interpreter holds after ``body``."""
+    out = tmp_path / "modules.json"
+    script = "\n".join([
+        "import sys", f"sys.path.insert(0, {SRC!r})", textwrap.dedent(body),
+        "loaded = sorted(sys.modules)", "import json",
+        f"with open({str(out)!r}, 'w') as fh: json.dump(loaded, fh)"])
+    subprocess.run([sys.executable, "-I", "-S", "-B", "-c", script], cwd=tmp_path,
+                   check=True, capture_output=True, timeout=120)
+    return json.loads(out.read_text())
+
+
+@pytest.mark.parametrize("body", [
+    STATE_SPACE,
+    CLI.format(path=str(bundled_scenario_path("mach-zehnder-open"))),
+], ids=["state-space", "cli"])
+def test_standard_library_only(tmp_path, body):
+    loaded = _modules_after(tmp_path, body)
+    assert [m for m in loaded if any(m == f or m.startswith(f + ".") for f in FORBIDDEN)] == []

@@ -1,10 +1,8 @@
 import copy
-import dataclasses
 import itertools
 import pickle
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from epiq import statespace
@@ -83,7 +81,7 @@ class TestExactStateCode:
             EpistemicState(r1, frozenset([ExactState(r2, (3, "down"))]))
 
     def test_state_is_its_registry_and_code(self, registry):
-        assert [f.name for f in dataclasses.fields(ExactState)] == ["registry", "code"]
+        assert ExactState._fields == ("registry", "code")
         z = ExactState(registry, (2, "down"))
         assert repr(z) == f"ExactState(registry={registry!r}, code={z.code})"
 
@@ -150,10 +148,9 @@ class TestMaskPacking:
     def test_codes_to_mask_and_back_at_awkward_sizes(self, size):
         codes = sorted({0, size // 2, size - 1})  # the top code is always set
         expected = sum(1 << c for c in codes)
-        assert statespace._mask_of(np.array(codes, np.intp), size) == expected
-        flags = statespace._flags(expected, size)
-        assert flags.dtype == bool and flags.shape == (size,)
-        assert sum(1 << int(c) for c in np.flatnonzero(flags)) == expected
+        assert statespace._mask(codes, size) == expected
+        assert list(statespace._codes(expected)) == codes
+        assert statespace._mask(iter(codes), size) == expected  # as _map passes them
 
 
 class TestBulkEnumeration:
@@ -243,8 +240,9 @@ class TestPropertySpec:
         spin = PropertySpec(
             id="spin", labels=(1.0, -1.0),
             valuation=lambda z: 0 if z.value("particle", "spin") == "up" else 1)
-        up = spin.preimage(0, whole)
-        down = spin.preimage(1, whole)
+        regions = spin.preimages(whole)
+        assert list(regions) == [0, 1]
+        up, down = regions[0], regions[1]
         assert volume(up) == volume(down) == 4
         assert not (up.members & down.members)
         assert up.members | down.members == whole.members
@@ -253,8 +251,21 @@ class TestPropertySpec:
         left = PropertySpec(
             id="leftish", labels=(1.0, 2.0),
             valuation=lambda z: 0 if z.value("particle", "position") == 1 else None)
-        assert left.preimage(0, whole) == state_slice(whole, "particle", "position", 1)
-        assert left.preimage(1, whole) is None
+        # value 1 is never taken, so it has no region
+        assert left.preimages(whole) == {0: state_slice(whole, "particle", "position", 1)}
+
+    def test_valuation_called_once_per_member(self, registry, whole):
+        calls = []
+        spin = PropertySpec(id="spin", labels=(1.0, -1.0),
+                            valuation=lambda z: calls.append(z) or z.code % 2)
+        spin.preimages(whole)
+        assert sorted(z.code for z in calls) == list(range(volume(whole)))
+
+    @pytest.mark.parametrize("result", [2, -1, "0", [0]], ids=["high", "negative", "str", "list"])
+    def test_valuation_outside_the_labels_refused(self, whole, result):
+        bad = PropertySpec(id="bad", labels=(1.0, 2.0), valuation=lambda z: result)
+        with pytest.raises(ValueError, match="property bad: valuation gave"):
+            bad.preimages(whole)
 
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
