@@ -153,8 +153,7 @@ def _cmd_hilbert(scenario, eraser, n, seed, tolerance):
     from .hilbert import (JointVolumeTable, SpaceConstructionError, build_space,
                           commutator, make_operator, principle4_probabilities)
     net, eraser = _resolved_network(scenario, eraser)
-    if errors := validate_context(net):  # build_space checks only what its kind needs
-        raise ContextError("; ".join(errors))
+    dist = propagate(net)  # checks the network, which build_space checks only as its kind needs
     jv = JointVolumeTable(v=scenario.joint_volumes) if scenario.joint_volumes else None
     space = build_space(net, joint_volumes=jv, simultaneous=scenario.simultaneous)
     result = {"dimension": space.dimension, "kind": space.kind, "properties": {
@@ -170,7 +169,6 @@ def _cmd_hilbert(scenario, eraser, n, seed, tolerance):
                  "commuting" if comm.commuting else "non-commuting")]
         if space.kind in ("interference", "sequential"):
             probs = principle4_probabilities(space, net)
-            dist = propagate(net)
             dev = max(abs(p - q) for p, q in zip(probs, dist.probabilities))
             result["principle4_probabilities"] = list(probs)
             result["principle4_max_deviation"] = dev

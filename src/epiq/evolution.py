@@ -14,7 +14,8 @@ from __future__ import annotations
 from array import array
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from operator import itemgetter
+from functools import reduce
+from operator import itemgetter, or_
 
 from . import Knowability, borel_trial  # re-exported: epiq.evolution.<name>
 from . import Record, _set
@@ -154,15 +155,21 @@ class InvarianceReport(Record):
 
 def check_invariance(parent: EpistemicState, altset: CompleteAlternativeSet,
                      rule: EvolutionRule, steps: int) -> InvarianceReport:
-    """Verify relative volumes stay fixed while parent and alternatives evolve."""
+    """Verify relative volumes stay fixed while parent and alternatives evolve.
+
+    The regions partition the parent, so the parent's image is the union of
+    theirs: the rule is applied once per region and step, and never to the
+    parent itself.
+    """
     if steps < 1:
         raise ValueError("steps must be positive")
+    if parent != altset.parent:
+        raise ValueError("parent is not the alternative set's parent")
     initial = tuple(relative_volume(a.region, parent) for a in altset.alternatives)
-    cur_parent = parent
     cur_regions = [a.region for a in altset.alternatives]
     for _ in range(steps):
-        cur_parent = rule.apply(cur_parent)
         cur_regions = [rule.apply(r) for r in cur_regions]
-        if tuple(relative_volume(r, cur_parent) for r in cur_regions) != initial:
+        total = reduce(or_, (r.mask for r in cur_regions)).bit_count()
+        if tuple(Fraction(len(r), total) for r in cur_regions) != initial:
             raise EvolutionContractError("evolution rule breaks volume invariance")
     return InvarianceReport(steps=steps, ratios=initial)

@@ -39,18 +39,6 @@ class SpaceConstructionError(ValueError):
     pass
 
 
-class Matrix(tuple):
-    """A matrix as a tuple of row tuples; ``m[:, k]`` is column k, as in numpy."""
-
-    __slots__ = ()
-
-    def __getitem__(self, key):
-        if isinstance(key, tuple):  # (rows, column)
-            rows, k = key
-            return tuple(row[k] for row in tuple.__getitem__(self, rows))
-        return tuple.__getitem__(self, key)
-
-
 def inner(x: Sequence[complex], y: Sequence[complex]) -> complex:
     """<x, y> with conjugation on the second argument."""
     return complex(sum(a * b.conjugate() for a, b in zip(x, y)))
@@ -124,16 +112,17 @@ class ContextSpace(Record):
     def _basis_rows(self, property_id: str):
         return dict(zip(self.property_order, self.bases))[property_id]
 
-    def basis(self, property_id: str) -> Matrix:
-        """Columns of all value vectors of a property (1-dim blocks only)."""
+    def basis(self, property_id: str) -> tuple:
+        """A property's value vectors as the columns of a tuple of rows: row i
+        holds coordinate i of every value's vector (1-dim blocks only)."""
         blocks = self.value_spaces[property_id]
         if any(len(b) != 1 for b in blocks):
             raise SpaceConstructionError(f"{property_id} is represented by subspaces, not vectors")
         cols = [b[0] for b in blocks]
         rows = self._basis_rows(property_id)
         if rows is None:
-            return Matrix(tuple(complex(i == c) for c in cols) for i in range(self.dimension))
-        return Matrix(tuple(row[c] for c in cols) for row in rows)
+            return tuple(tuple(complex(i == c) for c in cols) for i in range(self.dimension))
+        return tuple(tuple(row[c] for c in cols) for row in rows)
 
     def subspace_dimensions(self, property_id: str) -> tuple:
         return tuple(len(b) for b in self.value_spaces[property_id])
@@ -143,14 +132,16 @@ def _singletons(n: int) -> tuple:
     return tuple((j,) for j in range(n))
 
 
-def _check_orthonormal(rows, what: str):
-    """Refuse rows whose Gram matrix is off the identity by more than 1e-9
-    in some entry (NaN fails)."""
+def _orthonormal(rows) -> bool:
+    """Whether the rows' Gram matrix is within 1e-9 of the identity in every
+    entry (NaN fails)."""
     conj = [[x.conjugate() for x in row] for row in rows]
-    for j, row in enumerate(rows):
-        for l in range(j, len(rows)):
-            if not abs(sum(map(mul, row, conj[l])) - (j == l)) <= 1e-9:
-                raise SpaceConstructionError(what)
+    return all(abs(sum(map(mul, row, conj[l])) - (j == l)) <= 1e-9
+               for j, row in enumerate(rows) for l in range(j, len(rows)))
+
+
+def _adjoint(rows) -> tuple:
+    return tuple(tuple(x.conjugate() for x in col) for col in zip(*rows))
 
 
 def _amp_matrix(net: ContextNetwork) -> list:
@@ -194,10 +185,12 @@ def _build_interference(net: ContextNetwork, m: int, mp: int) -> ContextSpace:
     # so that <first_j, second_k> equals the amplitude a[j][k]; when M < M' the
     # remaining coordinates are an orthonormal completion.
     w = [[x.conjugate() for x in row] for row in _amp_matrix(net)]
-    _check_orthonormal(w, "amplitude matrix rows are not orthonormal")
+    if not _orthonormal(w):
+        raise SpaceConstructionError("amplitude matrix rows are not orthonormal")
     if m < mp:
         w += _completion(w, mp)
-        _check_orthonormal(w, "derived second basis is not orthonormal")
+        if not _orthonormal(w):
+            raise SpaceConstructionError("derived second basis is not orthonormal")
     return _vector_space(net, "interference", tuple(map(tuple, w)))
 
 
@@ -297,34 +290,14 @@ def _build_sequential(net: ContextNetwork, joint_volumes: JointVolumeTable | Non
     return _vector_space(net, "sequential", w)
 
 
-def _gauss_jordan(a) -> tuple:
-    """(determinant, inverse) of a square matrix by Gauss-Jordan elimination
-    with partial pivoting; (0, None) if a pivot vanishes."""
-    n = len(a)
-    rows = [list(row) + [complex(j == i) for j in range(n)] for i, row in enumerate(a)]
-    det = 1
-    for c in range(n):
-        p = max(range(c, n), key=lambda r: abs(rows[r][c]))
-        if p != c:
-            rows[c], rows[p], det = rows[p], rows[c], -det
-        pivot = rows[c][c]
-        if pivot == 0:
-            return 0, None
-        det *= pivot
-        rows[c] = [x / pivot for x in rows[c]]
-        for r in range(n):
-            if r != c and rows[r][c]:
-                f = rows[r][c]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
-    return det, [row[n:] for row in rows]
-
-
 def reciprocal(net: ContextNetwork) -> ContextNetwork:
     """The same two properties observed in the reverse order.
 
     The reversed initial amplitudes re-express the evolved state in the
-    second property's basis; the reversed matrix is the inverse of the
-    original, so applying the construction twice restores the network.
+    second property's basis.  The matrix relating two orthonormal bases is
+    unitary, so the reversed matrix is its adjoint, and applying the
+    construction twice restores the network; a matrix that is not unitary
+    (within 1e-9 in each entry of its Gram matrix) is refused.
     """
     if len(net.layers) != 2:
         raise ContextError("reciprocal context is defined for two-layer networks")
@@ -332,14 +305,13 @@ def reciprocal(net: ContextNetwork) -> ContextNetwork:
     if m != mp:
         raise ContextError("reciprocal context exists if and only if M = M'")
     a = _amp_matrix(net)
-    det, inverse = _gauss_jordan(a)
-    if abs(det) < 1e-12:
+    if not _orthonormal(a):
         raise ContextError("reciprocal undefined")
     init = [complex(x) for x in net.initial]
     return ContextNetwork(
         layers=(net.layers[1], net.layers[0]),
         initial=tuple(sum(map(mul, init, col)) for col in zip(*a)),
-        edges=(tuple(map(tuple, inverse)),),
+        edges=(_adjoint(a),),
     )
 
 
@@ -356,21 +328,12 @@ class PropertyOperator(Record):
         _set(self, "spectrum", tuple(spectrum))
         _set(self, "eigenvalues", tuple(eigenvalues))
 
-    @property
-    def matrix(self) -> Matrix:
-        """The operator's dense matrix, built on request."""
-        return _recompose(self.basis, self.spectrum)
 
-
-def _recompose(v, spectrum) -> Matrix:
-    """V diag(spectrum) V^H for basis rows V (the identity if None)."""
-    n = len(spectrum)
-    if v is None:
-        return Matrix(tuple(complex(spectrum[j]) if j == l else 0j for l in range(n))
-                      for j in range(n))
+def _recompose(v, spectrum) -> list:
+    """V diag(spectrum) V^H for basis rows V."""
     scaled = [[x * e for x, e in zip(row, spectrum)] for row in v]
     conj = [[x.conjugate() for x in row] for row in v]
-    return Matrix(tuple(sum(map(mul, s, c)) for c in conj) for s in scaled)
+    return [[sum(map(mul, s, c)) for c in conj] for s in scaled]
 
 
 def make_operator(space: ContextSpace, property_id: str,
@@ -397,10 +360,6 @@ class CommutatorResult(Record):
     def __init__(self, norm: float = 0.0, commuting: bool = False):
         _set(self, "norm", norm)
         _set(self, "commuting", commuting)
-
-
-def _adjoint(rows) -> list:
-    return [[x.conjugate() for x in col] for col in zip(*rows)]
 
 
 def commutator(a: PropertyOperator, b: PropertyOperator) -> CommutatorResult:
@@ -525,9 +484,7 @@ def principle4_probabilities(space: ContextSpace, net: ContextNetwork) -> tuple:
     is the conjugate of entry j of second-basis vector k; rows past the
     first property's values (an interference completion) never enter.
     """
-    first, second = space.property_order[0], space.property_order[-1]
-    space.basis(first)  # refuses a property held as subspaces, as the next line does
-    w = space.basis(second)
+    w = space.basis(space.property_order[-1])
     init = [complex(x) for x in net.initial]
     rows = w[:len(init)]
     if net.layers[0].level == Knowability.DECIDED:

@@ -256,6 +256,11 @@ class EpistemicState(Record):
         """The exact states of the mask; only members are built."""
         return frozenset(_exact_states(self.registry, _codes(self.mask)))
 
+    def __repr__(self):
+        # the mask in hex: int-to-decimal refuses more than 4300 digits
+        return (f"EpistemicState(registry={self.registry!r}, mask={self.mask:#x}, "
+                f"physical={self.physical!r})")
+
     def __len__(self):
         return self.mask.bit_count()
 

@@ -104,7 +104,7 @@ def test_criterion_4_hilbert_construction():
         initial=(complex(H), complex(H)),
         edges=(((complex(H), complex(H)), (complex(H), complex(HN))),))
     space_c = build_space(seq, joint_volumes=JointVolumeTable(v=((0.25,) * 2,) * 2))
-    p, q = space_c.basis("P"), space_c.basis("Q")
+    p, q = np.asarray(space_c.basis("P")), np.asarray(space_c.basis("Q"))
     tilted = all(
         abs(abs(inner(p[:, j], q[:, k])) ** 2 - 0.5) <= 1e-12
         for j in range(2) for k in range(2))

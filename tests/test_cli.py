@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 import epiq
+import epiq.context
 import epiq.scenario
 import epiq.uniqueness
 from epiq.cli import main
@@ -543,6 +544,23 @@ class TestCli:
         assert result.exit_code == 1
         assert result.output.startswith("error: row not normalized: ")
         assert not list(tmp_path.glob("minimal-hilbert.*"))
+
+    def test_hilbert_checks_the_network_once(self, tmp_path, monkeypatch):
+        calls, check = [], epiq.context._check
+        monkeypatch.setattr(epiq.context, "_check", lambda *a: calls.append(1) or check(*a))
+        result = run_cli(tmp_path, str(bundled_scenario_path("branching")), "--command", "hilbert")
+        assert result.exit_code == 0, result.output
+        assert len(calls) == 1
+
+    def test_hilbert_refuses_a_non_unitary_interference_as_propagate_does(self, tmp_path):
+        doc = minimal_doc()
+        doc["context"]["matrices"] = [[[0.6, 0.8], [0.8, 0.6]]]
+        path = tmp_path / "skew.json"
+        path.write_text(json.dumps(doc))
+        result = run_cli(tmp_path, str(path), "--command", "hilbert")
+        assert result.exit_code == 1
+        assert result.output == "error: amplitude matrix violates unitarity conditions\n"
+        assert run_cli(tmp_path, str(path), "--command", "propagate").output == result.output
 
     @pytest.mark.parametrize("name, place", [
         ("born-uniqueness", lambda c: c["initial"]),

@@ -212,6 +212,22 @@ class TestInvariance:
         with pytest.raises(EvolutionContractError, match="invariance"):
             check_invariance(whole, spin_alternatives, rule, steps=1)
 
+    def test_rule_applied_once_per_region_and_step(self, registry, whole, spin_alternatives,
+                                                    monkeypatch):
+        calls, apply = [], EvolutionRule.apply
+        monkeypatch.setattr(EvolutionRule, "apply",
+                            lambda rule, s: calls.append(s) or apply(rule, s))
+        check_invariance(whole, spin_alternatives, shift_rule(registry), steps=3)
+        assert len(calls) == 3 * len(spin_alternatives.alternatives)
+
+    def test_parent_must_be_the_alternative_sets(self, registry, whole, spin_property):
+        # the alternatives cut position 1 alone; whole contains it, but is not their parent
+        left = state_slice(whole, "particle", "position", 1)
+        pre = {j: state_slice(left, "particle", "spin", v) for j, v in enumerate(("up", "down"))}
+        alts = make_alternatives(left, spin_property, pre, dict.fromkeys(pre, Knowability.DECIDED))
+        with pytest.raises(ValueError, match="parent"):
+            check_invariance(whole, alts, shift_rule(registry), steps=1)
+
 
 class TestBorelTrial:
     def test_one_object_in_root_evolution_and_cli(self):

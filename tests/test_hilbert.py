@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epiq.context import ContextError, ContextNetwork, Layer, propagate
+from epiq.context import ContextError, ContextNetwork, Layer, propagate, validate_context
 from epiq.evolution import Knowability
 from epiq.hilbert import (JointVolumeTable, SpaceConstructionError, build_space, commutator,
                           inner, make_operator, principle4_probabilities, reciprocal,
@@ -72,7 +72,7 @@ class TestInterferenceSpace:
     def test_inner_products_reproduce_amplitudes(self):
         net = interference_net()
         space = build_space(net)
-        p, d = space.basis("path"), space.basis("detector")
+        p, d = np.asarray(space.basis("path")), np.asarray(space.basis("detector"))
         a = np.array([[H, H], [H, -H]])
         for j in range(2):
             for k in range(2):
@@ -145,7 +145,7 @@ class TestJointSpace:
 class TestSequentialSpace:
     def test_45_degree_basis(self):
         space = build_space(sequential_net(), joint_volumes=quarter_volumes())
-        p, q = space.basis("P"), space.basis("Q")
+        p, q = np.asarray(space.basis("P")), np.asarray(space.basis("Q"))
         for j in range(2):
             for k in range(2):
                 assert abs(inner(p[:, j], q[:, k])) ** 2 == pytest.approx(0.5, abs=1e-12)
@@ -209,7 +209,7 @@ class TestSequentialSpace:
             edges=((tuple([s + 0j] * m),) * m,))
         v = JointVolumeTable(v=tuple((1 / 9,) * 3 for _ in range(3)))
         space = build_space(net, joint_volumes=v)
-        p, q = space.basis("P"), space.basis("Q")
+        p, q = np.asarray(space.basis("P")), np.asarray(space.basis("Q"))
         for j in range(m):
             for k in range(m):
                 assert abs(inner(p[:, j], q[:, k])) ** 2 == pytest.approx(1 / 3, abs=1e-12)
@@ -242,13 +242,20 @@ def test_build_space_refusals(net, kwargs, message):
         build_space(net, **kwargs)
 
 
+def dense(op):
+    """An operator's matrix V diag(spectrum) V^H, rebuilt from its basis rows
+    V (the identity for the standard basis)."""
+    v = np.eye(len(op.spectrum)) if op.basis is None else np.asarray(op.basis)
+    return v @ np.diag(op.spectrum) @ v.conj().T
+
+
 class TestOperators:
     def space(self):
         return build_space(sequential_net(), joint_volumes=quarter_volumes())
 
     def test_diagonal_in_own_basis(self):
         op = make_operator(self.space(), "P", labels=(1.0, -1.0))
-        assert np.max(np.abs(np.asarray(op.matrix) - np.diag([1.0, -1.0]))) < 1e-12
+        assert np.max(np.abs(dense(op) - np.diag([1.0, -1.0]))) < 1e-12
 
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
@@ -260,7 +267,7 @@ class TestOperators:
         w = np.asarray(space.basis("Q"))
         rebuilt = sum(val * (w[:, b] @ np.conj(w[:, b]).T)
                       for val, b in zip(op.eigenvalues, space.value_spaces["Q"]))
-        assert np.max(np.abs(rebuilt - np.asarray(op.matrix))) < 1e-12
+        assert np.max(np.abs(rebuilt - dense(op))) < 1e-12
 
     def test_commutator_dichotomy(self):
         space = self.space()
@@ -340,6 +347,28 @@ class TestReciprocal:
             edges=(((H + 0j, H + 0j), (H + 0j, H + 0j)),))
         with pytest.raises(ContextError, match="reciprocal undefined"):
             reciprocal(net)
+
+    def test_invertible_non_unitary_rejected(self):
+        # a valid network (unit rows), but its inverse's rows are not unit vectors
+        net = ContextNetwork(
+            layers=(Layer("P", Knowability.NEVER, (1.0, 2.0)),
+                    Layer("Q", Knowability.DECIDED, (1.0, 2.0))),
+            initial=(H + 0j, H + 0j),
+            edges=(((H + 0j, H + 0j), (0.6 + 0j, 0.8 + 0j)),))
+        assert validate_context(net) == []
+        with pytest.raises(ContextError, match="reciprocal undefined"):
+            reciprocal(net)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_unitary_decided_pair_reverses_to_a_valid_network(self, n):
+        rng = np.random.default_rng(n)
+        u, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        labels = tuple(float(k + 1) for k in range(n))
+        net = ContextNetwork(
+            layers=(Layer("P", Knowability.DECIDED, labels),
+                    Layer("Q", Knowability.DECIDED, labels)),
+            initial=tuple(u[0]), edges=(tuple(map(tuple, u)),))
+        assert validate_context(reciprocal(net)) == []
 
 
 def random_hermitian(rng, n, shape):

@@ -3,9 +3,9 @@
 Each case runs a fresh ``python -I -S -B``, whose path holds the standard
 library and the checkout's ``src`` and nothing else, so no installed package
 (numpy included) can be imported.  The state space and its evolution load
-neither numpy nor ``dataclasses`` (nor ``inspect`` under it), and a CLI
-command loads none of the ``typing``, ``pathlib`` and ``importlib.resources``
-that a ``site`` hook would otherwise have paid for.
+neither numpy nor ``dataclasses`` (nor ``inspect`` under it), and no CLI
+command loads any of them, or the ``typing``, ``pathlib`` and
+``importlib.resources`` that a ``site`` hook would otherwise have paid for.
 """
 import json
 import subprocess
@@ -37,7 +37,7 @@ assert rule.apply(EpistemicState(registry, states[:2])).members == {states[0]}
 CLI = """
 from epiq.cli import main
 try:
-    main([{path!r}, "--command", "propagate", "--out-dir", "."])
+    main([{path!r}, "--command", {command!r}, "--out-dir", "."])
 except SystemExit as e:
     assert e.code == 0, e.code
 """
@@ -55,10 +55,19 @@ def _modules_after(tmp_path, body):
     return json.loads(out.read_text())
 
 
+def _cli(command, scenario):
+    return CLI.format(path=str(bundled_scenario_path(scenario)), command=command)
+
+
 @pytest.mark.parametrize("body", [
     STATE_SPACE,
-    CLI.format(path=str(bundled_scenario_path("mach-zehnder-open"))),
-], ids=["state-space", "cli"])
+    _cli("propagate", "mach-zehnder-open"),
+    _cli("validate", "branching"),
+    _cli("hilbert", "branching"),
+    _cli("montecarlo", "mach-zehnder-detected"),
+    _cli("uniqueness", "born-uniqueness"),
+], ids=["state-space", "cli", "cli-validate", "cli-hilbert", "cli-montecarlo",
+        "cli-uniqueness"])
 def test_standard_library_only(tmp_path, body):
     loaded = _modules_after(tmp_path, body)
     assert [m for m in loaded if any(m == f or m.startswith(f + ".") for f in FORBIDDEN)] == []

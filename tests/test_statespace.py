@@ -144,6 +144,13 @@ class TestExactStateCode:
 
 
 class TestMaskPacking:
+    def test_repr_of_a_mask_past_the_decimal_digit_limit(self):
+        reg = ObjectRegistry.build(
+            [AttributeDef(id="x", kind="ordered", values=tuple(range(20_000)))], {"o": ["x"]})
+        whole = full_state(reg)
+        text = repr(whole)
+        assert int(text.split("mask=")[1].split(",")[0], 16) == whole.mask
+
     @pytest.mark.parametrize("size", [1, 7, 8, 9, 4097])
     def test_codes_to_mask_and_back_at_awkward_sizes(self, size):
         codes = sorted({0, size // 2, size - 1})  # the top code is always set
