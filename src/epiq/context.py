@@ -12,8 +12,12 @@ run that took value j continues with the same matrix row j; the mixture is
 therefore never wider than the widest layer, and the cost is linear in depth.
 
 Amplitudes may be ordinary complex numbers or exact Q(sqrt2) values
-(`exactnum.ExactAmplitude`); a network whose amplitudes are all exact is
-propagated without any floating-point arithmetic.
+(`exactnum.ExactAmplitude`).  A network whose amplitudes are all exact is
+checked and propagated on integer rows, each with one shared denominator and
+one gcd per result row (`exactnum.merge_rows`, `carry_rows`), so the fold
+makes no value object and no gcd per operation; floats enter only for a row
+that does not sum to exactly 1, which gets the float test as a fallback.  Any
+other network is checked and propagated entry by entry.
 
 A network is its own start state, and every reduction maps networks to
 networks: a superposed state at layer c is `ContextNetwork(layers[c:],
@@ -24,7 +28,8 @@ from __future__ import annotations
 
 from . import Knowability  # re-exported: epiq.context.Knowability
 from . import Record, _set
-from .exactnum import ZERO, ExactAmplitude, abs2
+from .exactnum import (ONE_ROW, ZERO, ExactAmplitude, abs2, amplitude_rows, carry_rows,
+                       merge_rows, row_sum, scalars, squared_moduli, sums_to_one)
 
 NORM_TOL = 1e-12
 
@@ -87,15 +92,23 @@ def _squares(rows) -> list:
     return [[abs2(a) for a in row] for row in rows]
 
 
+def _exact_normalized(squares) -> bool:
+    """_normalized for a scalar row of squared moduli: a sum of exactly 1
+    needs no float test."""
+    return sums_to_one(squares) or _normalized((row_sum(squares),))
+
+
 def validate_context(net: ContextNetwork) -> list:
     """All structural violations of a network, as a list of messages."""
-    return _check(net, net.edges)[0]
+    exact = net.is_exact()
+    return _check(net, tuple(map(amplitude_rows, net.edges)) if exact else net.edges, exact)[0]
 
 
-def _check(net: ContextNetwork, edges) -> tuple:
+def _check(net: ContextNetwork, edges, exact: bool) -> tuple:
     """validate_context's messages for `net` with its matrices read from
-    `edges`, and each matrix's table of |m_jk|^2 that the row checks sum
-    (None for a matrix of the wrong shape)."""
+    `edges` (amplitude rows when `exact`, else entries), and each matrix's
+    squared moduli, one row per matrix row, that the row checks sum (None for
+    a matrix of the wrong shape)."""
     errors, squares = [], []
     if not net.layers:
         return ["network has no layers"], squares
@@ -109,19 +122,23 @@ def _check(net: ContextNetwork, edges) -> tuple:
     if len(net.edges) != len(net.layers) - 1:
         errors.append("need exactly one amplitude matrix per consecutive layer pair")
         return errors, squares
+    if exact:
+        squared, normalized, initial = squared_moduli, _exact_normalized, amplitude_rows((net.initial,))
+    else:
+        squared, normalized, initial = _squares, _normalized, (net.initial,)
     if len(net.initial) != net.layers[0].size:
         errors.append("initial amplitude vector does not match first layer")
-    elif not _normalized(map(abs2, net.initial)):
+    elif not normalized(squared(initial)[0]):
         errors.append("row not normalized: initial amplitudes")
-    for i, m in enumerate(edges):
+    for i, m in enumerate(net.edges):
         rows, cols = net.layers[i].size, net.layers[i + 1].size
         if len(m) != rows or any(len(row) != cols for row in m):
             errors.append(f"matrix {i}: expected shape {rows}x{cols}")
             squares.append(None)
             continue
-        squares.append(_squares(m))
+        squares.append(squared(edges[i]))
         for j, row in enumerate(squares[-1]):
-            if not _normalized(row):
+            if not normalized(row):
                 errors.append(f"row not normalized: matrix {i} row {j}")
     for i, layer in enumerate(net.layers[:-1]):
         if layer.level is Knowability.NEVER and net.layers[i + 1].size < layer.size:
@@ -140,6 +157,9 @@ class Distribution(Record):
         _set(self, "rules", rules)  # per crossed layer: "classical" | "amplitude"
 
     def total_variation(self, other: "Distribution") -> float:
+        if self.labels != other.labels:
+            raise ValueError(f"total variation needs the same labels, not {self.labels} "
+                             f"and {other.labels}")
         return 0.5 * sum(abs(p - q) for p, q in zip(self.probabilities, other.probabilities))
 
 
@@ -153,32 +173,38 @@ def propagate(net: ContextNetwork) -> Distribution:
     is an error: consistency reduction must resolve it first.
 
     Each edge entry is squared once per call: the validity check keeps every
-    matrix's |m_jk|^2 table, and a merge straight after a decided layer reads
-    it instead of squaring the matrix rows again.  A network with any float
-    amplitude is checked and propagated on complex entries.
+    matrix's squared moduli, and a merge straight after a decided layer reads
+    them instead of squaring the matrix rows again.  An exact network is
+    checked and folded on integer rows (`exactnum.amplitude_rows`), with one
+    gcd per result row; a network with any float amplitude is checked and
+    propagated on complex entries.
     """
     exact = net.is_exact()
-    edges = net.edges if exact else tuple(
-        tuple(tuple(map(complex, row)) for row in m) for m in net.edges)
-    errors, squares = _check(net, edges)
+    if exact:
+        convert, squared, merge, carry = amplitude_rows, squared_moduli, merge_rows, carry_rows
+    else:
+        convert, squared, merge, carry = _complex_rows, _squares, _merge, _carry
+    edges = tuple(map(convert, net.edges))
+    errors, squares = _check(net, edges, exact)
     if errors:
         raise ContextError("; ".join(errors))
-    rows, squared = [net.initial if exact else tuple(map(complex, net.initial))], None
-    weights, rules = [1], []
+    rows, squared_rows = convert((net.initial,)), None
+    weights, rules = ONE_ROW if exact else [1], []
     for i in range(len(net.layers) - 1):
-        layer, matrix = net.layers[i], edges[i]
-        if layer.level is Knowability.DECIDED:
+        level = net.layers[i].level
+        if level is Knowability.DECIDED:
             rules.append("classical")
-            weights = _merge(weights, squared or _squares(rows), layer.size)
-            rows, squared = matrix, squares[i]
-        elif layer.level is Knowability.NEVER:
+            weights = merge(weights, squared_rows or squared(rows))
+            rows, squared_rows = edges[i], squares[i]
+        elif level is Knowability.NEVER:
             rules.append("amplitude")
-            rows, squared = [[sum(a * m_row[k] for a, m_row in zip(row, matrix))
-                              for k in range(net.layers[i + 1].size)] for row in rows], None
+            rows, squared_rows = carry(rows, edges[i]), None
         else:
             raise ContextError("unresolved contingent knowability")
 
-    totals = _merge(weights, squared or _squares(rows), net.final_layer.size)
+    totals = merge(weights, squared_rows or squared(rows))
+    if exact:
+        totals = scalars(totals)
     probs = tuple(float(t) for t in totals)
     if not abs(sum(probs) - 1.0) <= NORM_TOL:
         if "amplitude" in rules:
@@ -188,15 +214,25 @@ def propagate(net: ContextNetwork) -> Distribution:
         labels=net.final_layer.labels,
         # float rounding can land an ulp above 1; float() of an exact total cannot
         probabilities=tuple(min(p, 1.0) for p in probs),
-        exact=tuple(totals) if exact else None,
+        exact=totals if exact else None,
         rules=tuple(rules),
     )
 
 
-def _merge(weights, squared, size) -> list:
+def _complex_rows(matrix) -> tuple:
+    return tuple(tuple(map(complex, row)) for row in matrix)
+
+
+def _merge(weights, squared) -> list:
     """One classical weight per value j: sum_b w_b |row_b[j]|^2, from the
     rows' squared moduli."""
-    return [sum(w * row[j] for w, row in zip(weights, squared)) for j in range(size)]
+    return [sum(w * row[j] for w, row in zip(weights, squared)) for j in range(len(squared[0]))]
+
+
+def _carry(rows, matrix) -> list:
+    """Each row of amplitudes carried linearly through the matrix."""
+    return [[sum(a * m_row[k] for a, m_row in zip(row, matrix)) for k in range(len(matrix[0]))]
+            for row in rows]
 
 
 def reduce_by_observation(net: ContextNetwork, outcome: int) -> ContextNetwork:

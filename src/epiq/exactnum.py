@@ -13,16 +13,27 @@ is held the same way as five ints (a, b, c, e, d) standing for
 ints, which rounds correctly as `Fraction.__float__` does, so they are
 bit-identical to float(p) + float(q)*sqrt(2) of each part.
 
+Checking and folding a network make no value objects and no gcd per
+operation: they run on integer rows.  An amplitude row is `(D, x)`, a shared
+denominator D > 0 and a flat list x of numerators, (a, b, c, e) for each
+entry; a scalar row is `(D, y)` with (p, q) for each entry.
+`amplitude_rows` puts a matrix on one denominator.  `squared_moduli` keeps
+each row's D^2, so a row is normalized exactly when its p parts sum to D^2
+and its q parts to 0 (`sums_to_one`).  `merge_rows` (the classical merge of a mixture) and
+`carry_rows` (a mixture through a matrix) reduce each result row by one gcd
+over the whole row, and `scalars` turns a scalar row into canonical scalars.
+
 `fractions` is imported only where a `Fraction` is built: by
 `Sqrt2Scalar(p, q)`, `.p`, `.q`, `as_fraction` and a scalar's `repr`.
-Arithmetic, `float`, `complex` and `parse_exact` work on the ints alone, so
-propagating and checking an exact network loads neither `fractions` nor
-`decimal`.  Both value types are `epiq.Record`s with the one field `_k`.
+Arithmetic, the row kernels, `float`, `complex` and `parse_exact` work on the
+ints alone, so propagating and checking an exact network loads neither
+`fractions` nor `decimal`.  Both value types are `epiq.Record`s with the one
+field `_k`.
 """
 from __future__ import annotations
 
 import re
-from math import gcd
+from math import gcd, lcm
 
 from . import Record
 
@@ -78,14 +89,15 @@ class Sqrt2Scalar(_Value):
         if type(other) is not Sqrt2Scalar:
             other = Sqrt2Scalar.of(other)
         (a, b, d), (c, e, f) = self._k, other._k
-        if d == f:
-            return _scalar(a + c, b + e, d)
         return _scalar(a * f + c * d, b * f + e * d, d * f)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         return self + -Sqrt2Scalar.of(other)
+
+    def __rsub__(self, other):
+        return Sqrt2Scalar.of(other) + -self
 
     def __neg__(self):
         a, b, d = self._k
@@ -153,14 +165,15 @@ class ExactAmplitude(_Value):
         if type(other) is not ExactAmplitude:
             other = ExactAmplitude.of(other)
         (a, b, c, e, d), (f, g, h, k, n) = self._k, other._k
-        if d == n:
-            return _amplitude(a + f, b + g, c + h, e + k, d)
         return _amplitude(a * n + f * d, b * n + g * d, c * n + h * d, e * n + k * d, d * n)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         return self + -ExactAmplitude.of(other)
+
+    def __rsub__(self, other):
+        return ExactAmplitude.of(other) + -self
 
     def __neg__(self):
         a, b, c, e, d = self._k
@@ -220,3 +233,98 @@ def abs2(a):
         return a.abs2()
     a = complex(a)
     return a.real * a.real + a.imag * a.imag
+
+
+def _lowest(d: int, x: list) -> tuple:
+    """The row (d, x) with its numerators and denominator divided by their gcd."""
+    g = gcd(d, *x)
+    return (d, x) if g == 1 else (d // g, [v // g for v in x])
+
+
+# the scalar row of the one entry 1: the weight of a mixture of one row
+ONE_ROW = (1, (1, 0))
+
+
+def amplitude_rows(matrix) -> list:
+    """Rows of ExactAmplitudes as amplitude rows on one shared denominator."""
+    d = lcm(*[a._k[4] for row in matrix for a in row])
+    rows = []
+    for row in matrix:
+        x = []
+        for amplitude in row:
+            a, b, c, e, n = amplitude._k
+            f = d // n
+            x += (a * f, b * f, c * f, e * f)
+        rows.append((d, x))
+    return rows
+
+
+def squared_moduli(rows) -> list:
+    """|x_j|^2 of each entry of each amplitude row (D, x), as the scalar row
+    (D^2, y) on the square of the row's own denominator: the row is
+    normalized exactly when its p parts sum to D^2 and its q parts to 0."""
+    out = []
+    for d, x in rows:
+        y, it = [], iter(x)
+        for a, b, c, e in zip(it, it, it, it):
+            y += (a * a + c * c + 2 * (b * b + e * e), 2 * (a * b + c * e))
+        out.append((d * d, y))
+    return out
+
+
+def sums_to_one(row) -> bool:
+    """Whether a scalar row's entries sum to exactly 1."""
+    d, y = row
+    return sum(y[0::2]) == d and sum(y[1::2]) == 0
+
+
+def row_sum(row) -> Sqrt2Scalar:
+    """The sum of a scalar row's entries."""
+    d, y = row
+    return _scalar(sum(y[0::2]), sum(y[1::2]), d)
+
+
+def merge_rows(weights, squares) -> tuple:
+    """The classical merge sum_b w_b * squares_b[j]: a scalar row of weights,
+    one per scalar row of `squares`, gives one scalar row."""
+    d, w = weights
+    n = lcm(*[s for s, _ in squares])
+    t = [0] * len(squares[0][1])
+    for b, (s, y) in enumerate(squares):
+        f = n // s
+        p, q = w[2 * b] * f, w[2 * b + 1] * f
+        if q:
+            for j in range(0, len(t), 2):
+                u, v = y[j], y[j + 1]
+                t[j] += p * u + 2 * q * v
+                t[j + 1] += p * v + q * u
+        elif p:
+            for j in range(len(t)):
+                t[j] += p * y[j]
+    return _lowest(d * n, t)
+
+
+def carry_rows(rows, matrix) -> list:
+    """Each amplitude row x times a matrix of amplitude rows on one shared
+    denominator: sum_j x_j * matrix[j], one amplitude row per row."""
+    e = matrix[0][0]
+    out = []
+    for d, x in rows:
+        t = [0] * len(matrix[0][1])
+        for j, (_, m) in enumerate(matrix):
+            a, b, c, g = x[4 * j:4 * j + 4]
+            for k in range(0, len(t), 4):
+                f, h, u, v = m[k:k + 4]
+                # (a + b*s + i(c + g*s))(f + h*s + i(u + v*s)) with s^2 = 2
+                t[k] += a * f + 2 * b * h - c * u - 2 * g * v
+                t[k + 1] += a * h + b * f - c * v - g * u
+                t[k + 2] += a * u + 2 * b * v + c * f + 2 * g * h
+                t[k + 3] += a * v + b * u + c * h + g * f
+        out.append(_lowest(d * e, t))
+    return out
+
+
+def scalars(row) -> tuple:
+    """A scalar row's entries as canonical Sqrt2Scalars."""
+    d, y = row
+    return tuple(_scalar(y[j], y[j + 1], d) for j in range(0, len(y), 2))

@@ -108,6 +108,19 @@ class TestPropagate:
     def test_total_variation_dichotomy(self):
         assert propagate(mz(1)).total_variation(propagate(mz(3))) == 0.5
 
+    def test_total_variation_refuses_different_labels(self):
+        two = propagate(mz(1))
+        three = propagate(ContextNetwork(
+            layers=(Layer("p", Knowability.DECIDED, (1.0, 2.0, 3.0)),),
+            initial=(ONE, ZERO, ZERO), edges=()))
+        relabelled = propagate(ContextNetwork(
+            layers=(Layer("path", Knowability.NEVER, (1.0, 2.0)),
+                    Layer("detector", Knowability.DECIDED, (1.0, 5.0))),
+            initial=(H, H), edges=(((H, H), (H, HN)),)))
+        for a, b in ((two, three), (three, two), (two, relabelled)):
+            with pytest.raises(ValueError, match="same labels"):
+                a.total_variation(b)
+
     def test_unresolved_contingent_layer_rejected(self):
         with pytest.raises(ContextError, match="contingent"):
             propagate(mz(2))

@@ -80,6 +80,19 @@ def test_mixed_int_and_fraction_operands(x, r):
     assert Sqrt2Scalar.of(r) == Sqrt2Scalar(F(r))
 
 
+@given(pairs, pairs, rationals, pairs, pairs)
+@settings(max_examples=200, deadline=None)
+def test_reflected_subtraction(x, y, r, u, v):
+    """k - x == -(x - k) for an int or Fraction k and for an exact k of x's type."""
+    for value, exact in ((scalar(x), scalar(u)), (amplitude(x, y), amplitude(u, v))):
+        for k in (r, exact):
+            got = k - value
+            assert type(got) is type(value)
+            assert got == -(value - k)
+    assert 1 - Sqrt2Scalar(1, 1) == Sqrt2Scalar(0, -1)
+    assert 1 - ExactAmplitude(ONE, ONE) == ExactAmplitude(ZERO, -ONE)
+
+
 @given(pairs, pairs, pairs, pairs)
 @settings(max_examples=200, deadline=None)
 def test_amplitude_arithmetic_matches_pair_oracle(zr, zi, wr, wi):

@@ -6,6 +6,8 @@ library and the checkout's ``src`` and nothing else, so no installed package
 neither numpy nor ``dataclasses`` (nor ``inspect`` under it), and no CLI
 command loads any of them, or the ``typing``, ``pathlib`` and
 ``importlib.resources`` that a ``site`` hook would otherwise have paid for.
+Checking and propagating an exact network loads neither ``fractions`` nor
+``decimal``.
 """
 import json
 import subprocess
@@ -32,6 +34,22 @@ states = list(all_exact_states(registry))
 rule = EvolutionRule(images={z: frozenset([states[z.code // 2]]) for z in states})
 assert volume(rule.apply(full_state(registry))) == 2
 assert rule.apply(EpistemicState(registry, states[:2])).members == {states[0]}
+"""
+
+# an interferometer, then a decided layer of three values, all exact
+EXACT_PROPAGATE = """
+from epiq import Knowability
+from epiq.context import ContextNetwork, Layer, propagate, validate_context
+from epiq.exactnum import parse_exact
+h, g, q = parse_exact("1/sqrt2"), parse_exact("-1/sqrt2"), parse_exact("1/2")
+net = ContextNetwork(
+    (Layer("a", Knowability.NEVER, (1, 2)), Layer("b", Knowability.DECIDED, (1, 2)),
+     Layer("c", Knowability.DECIDED, (1, 2, 3))),
+    (h, h), (((h, h), (h, g)), ((q, q, h), (h, q, q))))
+assert validate_context(net) == []
+dist = propagate(net)
+assert [t._k for t in dist.exact] == [(1, 0, 4), (1, 0, 4), (1, 0, 2)], dist.exact
+assert dist.probabilities == (0.25, 0.25, 0.5), dist.probabilities
 """
 
 CLI = """
@@ -71,3 +89,8 @@ def _cli(command, scenario):
 def test_standard_library_only(tmp_path, body):
     loaded = _modules_after(tmp_path, body)
     assert [m for m in loaded if any(m == f or m.startswith(f + ".") for f in FORBIDDEN)] == []
+
+
+def test_exact_propagation_loads_no_fractions_or_decimal(tmp_path):
+    loaded = _modules_after(tmp_path, EXACT_PROPAGATE)
+    assert [m for m in loaded if m in ("fractions", "decimal")] == []

@@ -4,11 +4,13 @@ import cmath
 import itertools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from epiq import context
 from epiq.context import (ContextError, ContextNetwork, Layer, pad_virtual_values, propagate,
                           reduce_by_observation, validate_context)
 from epiq.evolution import EvolutionRule, Knowability, make_alternatives, probability
@@ -262,17 +264,22 @@ def unitaries(draw, n, exact):
 
 
 @st.composite
-def mixed_networks(draw, exact, start=None):
-    """Depth 2-6, widths 2-3, levels 1 and 3.  A level-1 layer never feeds a
-    narrower one (that needs padding) and gets orthonormal rows; a decided
+def mixed_networks(draw, exact, start=None, depths=(2, 6), never_run=None):
+    """Depth 2-6 (or `depths`), widths 2-3, levels 1 and 3, with at most
+    `never_run` level-1 layers in a row if given.  A level-1 layer never feeds
+    a narrower one (that needs padding) and gets orthonormal rows; a decided
     layer gets rows that are only normalized.
 
     With a `start`, the network is what a start state at a random layer c
     leaves: for "reduced" the tail from c + 1 fed by a row r of matrix c, for
     "superposed" the tail from c fed by a fresh unit vector."""
-    depth = draw(st.integers(2, 6))
-    levels = [draw(st.sampled_from((Knowability.NEVER, Knowability.DECIDED)))
-              for _ in range(depth - 1)] + [Knowability.DECIDED]
+    depth = draw(st.integers(*depths))
+    levels = []
+    for _ in range(depth - 1):
+        run = never_run is not None and levels[-never_run:] == [Knowability.NEVER] * never_run
+        levels.append(Knowability.DECIDED if run else
+                      draw(st.sampled_from((Knowability.NEVER, Knowability.DECIDED))))
+    levels.append(Knowability.DECIDED)
     sizes = [draw(st.integers(2, 3))]
     for level in levels[:-1]:
         low = sizes[-1] if level is Knowability.NEVER else 2
@@ -429,3 +436,162 @@ class TestReductionMixtureLaw:
         parts = observed_mixture(net)
         for k, p in enumerate(propagate(net).probabilities):
             assert abs(sum(w * d.probabilities[k] for w, d in parts) - p) <= 1e-12
+
+
+def chained_path_oracle(net):
+    """path_oracle run one segment at a time: each decided layer ends a segment,
+    and the segments' distributions are chained classically, value by value,
+    in per-entry Sqrt2Scalar arithmetic.  Deep chains stay cheap this way,
+    where enumerating every path of the whole network would not."""
+    layers, edges = net.layers, net.edges
+    decided = [i for i, l in enumerate(layers) if l.level is Knowability.DECIDED]
+    dist = path_oracle(ContextNetwork(layers[:decided[0] + 1], net.initial, edges[:decided[0]]))
+    for start, end in zip(decided, decided[1:]):
+        steps = [path_oracle(ContextNetwork(layers[start + 1:end + 1], row, edges[start + 1:end]))
+                 for row in edges[start]]
+        dist = [sum((w * step[k] for w, step in zip(dist, steps)), ZERO)
+                for k in range(layers[end].size)]
+    return dist
+
+
+def hadamard_chain(depth):
+    """Never and decided layers in turn, each feeding a balanced beam splitter."""
+    h, g = parse_exact("1/sqrt2"), parse_exact("-1/sqrt2")
+    levels = [Knowability.NEVER, Knowability.DECIDED] * (depth // 2)
+    levels = levels[:depth - 1] + [Knowability.DECIDED]
+    return ContextNetwork(tuple(Layer(f"L{i}", level, (1.0, 2.0)) for i, level in enumerate(levels)),
+                          (h, h), (((h, h), (h, g)),) * (depth - 1))
+
+
+def in_lowest_terms(value):
+    a, b, d = value._k
+    return d > 0 and math.gcd(a, b, d) == 1
+
+
+class TestIntegerRowFold:
+    """The exact fold runs on integer rows with one shared denominator each
+    (`exactnum.amplitude_rows`, `squared_moduli`, `merge_rows`, `carry_rows`)."""
+
+    @given(mixed_networks(exact=True, depths=(32, 64), never_run=3))
+    @settings(max_examples=10, deadline=None)
+    def test_deep_chains_equal_the_per_entry_oracle(self, net):
+        dist = propagate(net)
+        assert list(dist.exact) == chained_path_oracle(net)
+        assert all(map(in_lowest_terms, dist.exact))
+        assert dist.probabilities == tuple(min(float(t), 1.0) for t in dist.exact)
+
+    def test_chained_oracle_agrees_with_whole_path_enumeration(self):
+        net = hadamard_chain(7)
+        assert chained_path_oracle(net) == path_oracle(net) == list(propagate(net).exact)
+
+    def test_alternating_hadamard_chain_keeps_denominators_bounded(self):
+        carried, merged = [], []
+
+        def record(kernel, out):
+            def wrapped(*args):
+                result = kernel(*args)
+                out.append(result)
+                return result
+            return wrapped
+
+        with mock.patch.object(context, "carry_rows", record(context.carry_rows, carried)), \
+                mock.patch.object(context, "merge_rows", record(context.merge_rows, merged)):
+            dist = propagate(hadamard_chain(65))
+        assert dist.exact == (Sqrt2Scalar(Fraction(1, 2)),) * 2
+        assert (len(carried), len(merged)) == (32, 33)
+        rows = [row for rows in carried for row in rows] + merged
+        # 0, 1/2, 1 and 1/sqrt2 = sqrt2/2 need no denominator above 2; without
+        # one gcd per row they would grow fourfold at every layer
+        assert max(d for d, _ in rows) == 2
+        assert all(math.gcd(d, *x) == 1 for d, x in rows)
+
+    def test_fold_does_no_per_entry_arithmetic(self, monkeypatch):
+        nets = [hadamard_chain(9), padded_exact_network()]
+        want = [propagate(net) for net in nets]
+
+        def refuse(*args):
+            raise AssertionError("per-entry arithmetic in the exact fold")
+
+        with monkeypatch.context() as m:
+            for cls, names in ((ExactAmplitude, ("__add__", "__radd__", "__mul__", "abs2")),
+                               (Sqrt2Scalar, ("__add__", "__radd__", "__mul__", "__rmul__"))):
+                for name in names:
+                    m.setattr(cls, name, refuse)
+            got = [(propagate(net), validate_context(net)) for net in nets]
+        assert got == [(dist, []) for dist in want]
+
+
+def padded_exact_network():
+    """A level-1 layer of three values padded before a decided layer of two.
+    The last row's |a|^2 are 3/16 + sqrt2/8, 3/16 - sqrt2/8 and 5/8: their
+    sqrt2 parts cancel only in the sum."""
+    r, h, z = parse_exact("1/sqrt2"), parse_exact("1/2"), parse_exact("0")
+    one, quarter = parse_exact("1"), Fraction(1, 4)
+    cancelling = (ExactAmplitude(Sqrt2Scalar(quarter, quarter)),
+                  ExactAmplitude(Sqrt2Scalar(quarter, -quarter)),
+                  ExactAmplitude(ZERO, Sqrt2Scalar(0, quarter)) + r)
+    net = ContextNetwork(
+        layers=(Layer("a", Knowability.NEVER, (1.0, 2.0, 3.0)),
+                Layer("b", Knowability.DECIDED, (1.0, 2.0)),
+                Layer("c", Knowability.DECIDED, (1.0, 2.0, 3.0))),
+        initial=(r, r, z),
+        edges=(((r, r), (r, -r), (one, z)), ((h, h, r), cancelling)))
+    return pad_virtual_values(net, 0)
+
+
+def per_entry_messages(net):
+    """validate_context's messages from the per-entry check that complex and
+    mixed networks take: every |a|^2 a Sqrt2Scalar, summed one by one."""
+    with mock.patch.object(ContextNetwork, "is_exact", lambda self: False):
+        return validate_context(net)
+
+
+PERTURBATIONS = (
+    lambda a: ExactAmplitude.of(10**200),
+    lambda a: ExactAmplitude.of(0),
+    lambda a: -a,
+    lambda a: a * I,
+    # a row off by 1e-14 passes the float test, one off by 1e-6 does not
+    lambda a: a * (1 + Sqrt2Scalar(Fraction(1, 10**14))),
+    lambda a: a * (1 + Sqrt2Scalar(Fraction(1, 10**6))),
+    lambda a: a + parse_exact("3/5"),
+    lambda a: a * parse_exact("1/sqrt2"),
+)
+
+
+@st.composite
+def perturbed_networks(draw):
+    """A valid exact network with one entry of one row (the initial one or a
+    matrix row) replaced, or the row cut short by one entry."""
+    net = draw(mixed_networks(exact=True))
+    rows = [(None, None)] + [(i, j) for i, m in enumerate(net.edges) for j in range(len(m))]
+    i, j = draw(st.sampled_from(rows))
+    row = list(net.initial if i is None else net.edges[i][j])
+    k = draw(st.integers(0, len(row) - 1))
+    if draw(st.integers(0, 9)) == 0:
+        del row[k]
+    else:
+        row[k] = draw(st.sampled_from(PERTURBATIONS))(row[k])
+    if i is None:
+        return ContextNetwork(net.layers, tuple(row), net.edges)
+    edges = [list(m) for m in net.edges]
+    edges[i][j] = tuple(row)
+    return ContextNetwork(net.layers, net.initial, tuple(map(tuple, edges)))
+
+
+class TestIntegerRowCheck:
+    @given(perturbed_networks())
+    @settings(max_examples=60, deadline=None)
+    def test_messages_equal_the_per_entry_check(self, net):
+        assert net.is_exact()
+        assert validate_context(net) == per_entry_messages(net)
+
+    def test_an_entry_past_the_float_range_is_not_normalized(self):
+        big = ExactAmplitude.of(10**200)
+        h = parse_exact("1/sqrt2")
+        net = hadamard_chain(3)
+        for bad in (ContextNetwork(net.layers, (h, big), net.edges),
+                    ContextNetwork(net.layers, net.initial, (((h, big), (h, h)), net.edges[1]))):
+            messages = validate_context(bad)
+            assert messages == per_entry_messages(bad)
+            assert len(messages) == 1 and messages[0].startswith("row not normalized")
