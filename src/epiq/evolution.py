@@ -3,8 +3,9 @@
 The evolution rule is stored per exact state; the action on a set is the
 union of member images, so set-theoretic linearity holds by construction.
 A rule turns its images into a table once per registry (for each image code,
-one owner's code), so applying it gathers the new mask's binary digits from
-the state's, in plain Python.
+one owner's code; an exact state is an int, its code, so the table indexes by
+the states themselves), and applying it gathers the new mask's binary digits
+from the state's, in plain Python.
 The contracts the rule must honour (a state never overlaps its own future,
 overlaps are preserved both ways) are checked at application time on the
 states a scenario actually exercises.
@@ -53,21 +54,21 @@ class EvolutionRule(Record):
             size = registry._size
             first = [size] * size
             owners, rest, rest_targets = [], [], []
+            state_type = registry._state_type  # a state is its code
             for z, img in self.images.items():
-                if z.registry is registry or z.registry == registry:
-                    code = z.code
-                    owners.append(code)
+                if type(z) is state_type or z.registry == registry:
+                    owners.append(z)
                     for w in img:
-                        if w.registry is not registry and w.registry != registry:
+                        if type(w) is not state_type and w.registry != registry:
                             raise ValueError("image from a different registry")
-                        if first[w.code] == size:
-                            first[w.code] = code
+                        if first[w] == size:
+                            first[w] = z
                         else:
-                            rest.append(code)
-                            rest_targets.append(w.code)
+                            rest.append(z)
+                            rest_targets.append(w)
             # owners are distinct codes, so as many owners as codes are all codes
             domain = (1 << size) - 1 if len(owners) == size else _mask(owners, size)
-            # the array's fresh ints lie in memory in gather order, which a gather reads in order
+            # the gather holds plain ints, copied from the owners by the array in gather order
             table = self._tables[registry] = (domain, itemgetter(*array("q", first)),
                                               itemgetter(*rest) if rest else None, rest_targets)
         return table

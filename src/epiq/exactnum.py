@@ -85,8 +85,12 @@ class Sqrt2Scalar(_Value):
             return _scalar(value, 0, 1)
         return Sqrt2Scalar(value)
 
+    # each binary method returns NotImplemented for an ExactAmplitude, whose
+    # reflected method then answers with an amplitude
     def __add__(self, other):
         if type(other) is not Sqrt2Scalar:
+            if type(other) is ExactAmplitude:
+                return NotImplemented
             other = Sqrt2Scalar.of(other)
         (a, b, d), (c, e, f) = self._k, other._k
         return _scalar(a * f + c * d, b * f + e * d, d * f)
@@ -94,9 +98,13 @@ class Sqrt2Scalar(_Value):
     __radd__ = __add__
 
     def __sub__(self, other):
+        if type(other) is ExactAmplitude:
+            return NotImplemented
         return self + -Sqrt2Scalar.of(other)
 
     def __rsub__(self, other):
+        if type(other) is ExactAmplitude:
+            return NotImplemented
         return Sqrt2Scalar.of(other) + -self
 
     def __neg__(self):
@@ -105,6 +113,8 @@ class Sqrt2Scalar(_Value):
 
     def __mul__(self, other):
         if type(other) is not Sqrt2Scalar:
+            if type(other) is ExactAmplitude:
+                return NotImplemented
             other = Sqrt2Scalar.of(other)
         (a, b, d), (c, e, f) = self._k, other._k
         # (a + b*s)(c + e*s) with s^2 = 2
@@ -189,6 +199,8 @@ class ExactAmplitude(_Value):
                           a * g + b * f - c * k - e * h,
                           a * h + 2 * b * k + c * f + 2 * e * g,
                           a * k + b * h + c * g + e * f, d * n)
+
+    __rmul__ = __mul__
 
     def abs2(self) -> Sqrt2Scalar:
         a, b, c, e, d = self._k

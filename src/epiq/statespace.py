@@ -8,7 +8,9 @@ at the finite scale this library targets.
 
 An exact state is its ``code``: the mixed-radix number whose digit at a slot
 is the index of its value there, with place values ``ObjectRegistry._strides``,
-so codes run in ``itertools.product`` order.  An epistemic state is the pair
+so codes run in ``itertools.product`` order.  It is held as an int of its
+registry's own ``ExactState`` subclass: one object that refers to nothing but
+its class, built in C and hashed by ``int``.  An epistemic state is the pair
 (registry, mask), an integer whose bit ``code`` is set for each member, so AND,
 OR, NOT, slices and volumes are integer operations that build no exact state.
 Members are read from the mask's binary digits, and a rule is applied by
@@ -85,8 +87,8 @@ class ObjectRegistry(Record):
     the slot list (object, attribute) is the domain of every exact state.
     """
 
-    __slots__ = ("attributes", "objects",
-                 "_slots", "_slot_values", "_slot_index", "_digits", "_strides", "_count")
+    __slots__ = ("attributes", "objects", "_slots", "_slot_values", "_slot_index",
+                 "_digits", "_strides", "_count", "_state_type")
     _fields = ("attributes", "objects")  # the other slots are derived from these
 
     def __init__(self, attributes: tuple, objects: tuple):
@@ -104,6 +106,9 @@ class ObjectRegistry(Record):
         # per slot, the product of the later slots' radices: its digit's place value
         _set(self, "_strides", tuple(math.prod(radices[i + 1:]) for i in range(len(radices))))
         _set(self, "_count", math.prod(radices))  # the number of exact states
+        # the registry's own ExactState subclass: its instances are its states
+        _set(self, "_state_type",
+             type("ExactState", (ExactState,), {"__slots__": (), "registry": self}))
 
     def __reduce__(self):
         return ObjectRegistry, (self.attributes, self.objects)
@@ -157,16 +162,22 @@ class ObjectRegistry(Record):
             raise ValueError(f"no slot ({object_id}, {attribute_id})") from None
 
 
-class ExactState(Record):
+class ExactState(int):
     """One complete value assignment over a registry (a point of state space).
 
-    It is held as its ``code``, the state's position in ``all_exact_states``
-    order; ``values`` decodes it.  The code is the hash.
+    A state is its ``code``, its position in ``all_exact_states`` order, held
+    as an int of its registry's ``_state_type``, a subclass whose class
+    attribute ``registry`` names the registry; ``values`` decodes the code.
+    The code is the hash.  States are equal when their registries are equal
+    and their codes are; a state never equals a plain int, and every state is
+    true, the one of code 0 too.  Order and arithmetic are those of the codes.
     """
 
-    __slots__ = ("registry", "code")
+    __slots__ = ()
+    _fields = ("registry", "code")
+    registry: ObjectRegistry  # a class attribute of each registry's subclass
 
-    def __init__(self, registry: ObjectRegistry, values: Sequence):
+    def __new__(cls, registry: ObjectRegistry, values: Sequence):
         if len(values) != len(registry._digits):
             raise ValueError("assignment is not total")
         try:
@@ -177,34 +188,47 @@ class ExactState(Record):
                 if v not in legal:
                     raise ValueError(f"illegal value {v!r} for ({oid}, {aid})") from None
             raise
-        _set(self, "registry", registry)
-        _set(self, "code", code)
+        return int.__new__(registry._state_type, code)
 
-    def __hash__(self):
-        return self.code
+    code = property(int.__int__)
+    __hash__ = int.__hash__
+    __repr__ = Record.__repr__
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return int.__eq__(self, other)
+        # False, not NotImplemented, for a plain int: int.__eq__ would compare the codes
+        return (isinstance(other, ExactState) and int.__eq__(self, other)
+                and other.registry == self.registry)
+
+    def __ne__(self, other):
+        return not self.__eq__(other)
+
+    def __bool__(self):
+        return True
+
+    def __reduce__(self):
+        return _state, (self.registry, int(self))
 
     @property
     def values(self) -> tuple:
-        return tuple(legal[self.code // stride % len(legal)] for legal, stride
+        return tuple(legal[self // stride % len(legal)] for legal, stride
                      in zip(self.registry._slot_values, self.registry._strides))
 
     def value(self, object_id: str, attribute_id: str):
         idx = self.registry._position(object_id, attribute_id)
         legal = self.registry._slot_values[idx]
-        return legal[self.code // self.registry._strides[idx] % len(legal)]
+        return legal[self // self.registry._strides[idx] % len(legal)]
 
 
-_BATCH = 4096  # exact states built per step of ``_exact_states``
+def _state(registry: ObjectRegistry, code: int) -> ExactState:
+    """The exact state of ``code`` over ``registry``, unchecked; pickle rebuilds states with it."""
+    return int.__new__(registry._state_type, code)
 
 
 def _exact_states(registry: ObjectRegistry, codes: Iterable[int]) -> Iterator[ExactState]:
-    """The exact states of ``codes``, built unchecked a batch at a time."""
-    codes = iter(codes)
-    while batch := list(itertools.islice(codes, _BATCH)):
-        states = list(map(object.__new__, itertools.repeat(ExactState, len(batch))))
-        deque(map(ExactState.registry.__set__, states, itertools.repeat(registry)), 0)
-        deque(map(ExactState.code.__set__, states, batch), 0)
-        yield from states
+    """The exact states of ``codes``, built unchecked."""
+    return map(int.__new__, itertools.repeat(registry._state_type), codes)
 
 
 # the binary digits "0" and "1" as the bytes 0 and 1, which itertools.compress reads
@@ -226,7 +250,7 @@ def _mask(codes: Iterable[int], size: int) -> int:
 class EpistemicState(Record):
     """A nonempty finite set of exact states over one registry.
 
-    The set is ``mask``, with bit ``z.code`` set for each member ``z``.
+    The set is ``mask``, with bit ``z`` set for each member ``z``.
     ``physical`` marks states meant to model actual incomplete knowledge,
     which always leaves more than one exact state open.  Scratch values
     produced by intersections may legitimately be singletons.
@@ -236,12 +260,11 @@ class EpistemicState(Record):
 
     def __new__(cls, registry: ObjectRegistry, members: Iterable[ExactState],
                 physical: bool = False):
-        codes = []
-        for z in members:
-            if z.registry is not registry and z.registry != registry:
+        members = list(members)  # the states are their codes
+        for state_type in set(map(type, members)) - {registry._state_type}:
+            if state_type.registry != registry:
                 raise ValueError("member from a different registry")
-            codes.append(z.code)
-        return cls._of(registry, _mask(codes, registry._size), physical)
+        return cls._of(registry, _mask(members, registry._size), physical)
 
     @classmethod
     def _of(cls, registry: ObjectRegistry, mask: int, physical: bool = False) -> EpistemicState:
@@ -265,7 +288,8 @@ class EpistemicState(Record):
         return self.mask.bit_count()
 
     def __contains__(self, z: ExactState):
-        return z.registry == self.registry and bool(self.mask >> z.code & 1)
+        return ((type(z) is self.registry._state_type or z.registry == self.registry)
+                and bool(self.mask >> z & 1))
 
     def _meet(self, other: EpistemicState) -> int:
         """The mask of the common members; 0 across different registries."""
@@ -385,7 +409,7 @@ class PropertySpec(Record):
         for z in _exact_states(within.registry, _codes(within.mask)):
             j = self.valuation(z)
             try:
-                codes[j].append(z.code)
+                codes[j].append(z)
             except (KeyError, TypeError):  # TypeError: an unhashable result
                 raise ValueError(
                     f"property {self.id}: valuation gave {j!r}, not a value index") from None

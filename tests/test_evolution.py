@@ -136,6 +136,17 @@ class TestIndexArrayApply:
         assert out_twin.mask == rule.apply(s).mask
         assert out_twin.members == frozenset().union(*(rule.images[z] for z in s.members))
 
+    def test_rule_keyed_by_a_twin_registrys_states(self, nine, rule):
+        twin = ObjectRegistry(nine.attributes, nine.objects)
+        states = list(all_exact_states(twin))
+        keyed = EvolutionRule(images={states[z.code]: img for z, img in rule.images.items()})
+        both = EvolutionRule(images={states[z.code]: frozenset(states[w.code] for w in img)
+                                     for z, img in rule.images.items()})
+        s = state_slice(full_state(nine), "dot", "c", "b")
+        for twin_rule in (keyed, both):
+            out = twin_rule.apply(s)
+            assert out.registry is nine and out == rule.apply(s)
+
 
 @pytest.fixture
 def spin_property():

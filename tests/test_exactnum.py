@@ -93,6 +93,21 @@ def test_reflected_subtraction(x, y, r, u, v):
     assert 1 - ExactAmplitude(ONE, ONE) == ExactAmplitude(ZERO, -ONE)
 
 
+_A, _S = parse_exact("1/sqrt2"), Sqrt2Scalar(1, 1)
+
+
+@pytest.mark.parametrize("expression, mirror", [
+    (lambda: 2 * _A, lambda: _A * 2),
+    (lambda: _S + _A, lambda: _A + _S),
+    (lambda: _S - _A, lambda: -(_A - _S)),
+    (lambda: _S * _A, lambda: _A * _S),
+], ids=["int*a", "s+a", "s-a", "s*a"])
+def test_reflected_mixed_operands(expression, mirror):
+    """An int or scalar on the left of an amplitude gives the amplitude its mirror gives."""
+    got = expression()
+    assert type(got) is ExactAmplitude and got == mirror()
+
+
 @given(pairs, pairs, pairs, pairs)
 @settings(max_examples=200, deadline=None)
 def test_amplitude_arithmetic_matches_pair_oracle(zr, zi, wr, wi):

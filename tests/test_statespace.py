@@ -1,4 +1,5 @@
 import copy
+import gc
 import itertools
 import pickle
 from fractions import Fraction
@@ -85,6 +86,28 @@ class TestExactStateCode:
         z = ExactState(registry, (2, "down"))
         assert repr(z) == f"ExactState(registry={registry!r}, code={z.code})"
 
+    def test_state_refers_to_nothing_but_its_class(self, registry):
+        z = ExactState(registry, (2, "down"))
+        assert gc.get_referents(z) == [type(z)] and type(z).registry is registry
+
+    def test_state_never_equals_its_code(self, registry):
+        z = ExactState(registry, (2, "down"))
+        assert z != z.code and z.code != z
+        assert not z == z.code and not z.code == z
+        assert z not in {z.code} and z.code not in {z}
+
+    def test_code_zero_state_is_true(self, registry):
+        z = next(all_exact_states(registry))
+        assert z.code == 0 and z and bool(z) is True
+
+    def test_state_refuses_assignment(self, registry):
+        z = ExactState(registry, (2, "down"))
+        other = ObjectRegistry(registry.attributes, registry.objects)
+        for name, value in (("registry", other), ("code", 0), ("extra", 1)):
+            with pytest.raises(AttributeError):
+                setattr(z, name, value)
+        assert z.registry is registry and z.values == (2, "down")
+
     def test_codes_follow_enumeration_order(self, registry):
         states = list(all_exact_states(registry))
         assert [z.code for z in states] == list(range(len(states)))
@@ -128,9 +151,9 @@ class TestExactStateCode:
             full_state(big)
         first = next(all_exact_states(big))
         assert first.code == 0 and first.values == (0, 0, 0, 0)
-        # enumeration stays lazy past the first batch
-        head = list(itertools.islice(all_exact_states(big), statespace._BATCH + 1))
-        assert head[-1].code == statespace._BATCH
+        # enumeration of the 2**40 states stays lazy
+        head = list(itertools.islice(all_exact_states(big), 5000))
+        assert head[-1].code == 4999
         assert head[-1] == ExactState(big, head[-1].values)
 
 
@@ -170,7 +193,7 @@ class TestBulkEnumeration:
 
     def test_codes_cross_batch_boundaries_in_product_order(self, wide):
         states = list(all_exact_states(wide))
-        assert len(states) == 5 * 7 * 11 * 4 * 6 > 2 * statespace._BATCH
+        assert len(states) == 5 * 7 * 11 * 4 * 6 > 2 * 4096
         assert [z.code for z in states] == list(range(len(states)))
         for z, values in zip(states, itertools.product(*wide.slot_values())):
             checked = ExactState(wide, values)
@@ -178,7 +201,7 @@ class TestBulkEnumeration:
 
     def test_members_across_batch_boundaries(self, wide):
         states = list(all_exact_states(wide))
-        picked = states[statespace._BATCH - 3::997] + [states[-1]]
+        picked = states[4096 - 3::997] + [states[-1]]
         s = EpistemicState(wide, picked)
         assert s.members == frozenset(picked)
         assert {z.code for z in s.members} == {z.code for z in picked}
