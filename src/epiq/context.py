@@ -17,7 +17,9 @@ checked and propagated on integer rows, each with one shared denominator and
 one gcd per result row (`exactnum.merge_rows`, `carry_rows`), so the fold
 makes no value object and no gcd per operation; floats enter only for a row
 that does not sum to exactly 1, which gets the float test as a fallback.  Any
-other network is checked and propagated entry by entry.
+other network, one that mixes exact and float entries included, is checked and
+propagated on complex rows: every entry is converted once, and an exact entry
+past the float range becomes infinite, so its row fails the float test.
 
 A network is its own start state, and every reduction maps networks to
 networks: a superposed state at layer c is `ContextNetwork(layers[c:],
@@ -78,9 +80,8 @@ class ContextNetwork(Record):
 
 
 def _normalized(squares) -> bool:
-    """Whether squared moduli sum to 1; written so that NaN fails.  A sum past
-    the float range (a float square that overflowed to inf meeting an exact
-    one, or an exact sum too large to convert) is not 1 either."""
+    """Whether squared moduli sum to 1; written so that NaN fails.  An exact
+    sum too large to convert to a float is not 1 either."""
     try:
         return abs(float(sum(squares)) - 1.0) <= NORM_TOL
     except OverflowError:
@@ -88,8 +89,8 @@ def _normalized(squares) -> bool:
 
 
 def _squares(rows) -> list:
-    """|a|^2 of every entry, row by row."""
-    return [[abs2(a) for a in row] for row in rows]
+    """|a|^2 of every complex entry, row by row."""
+    return [[a.real * a.real + a.imag * a.imag for a in row] for row in rows]
 
 
 def _exact_normalized(squares) -> bool:
@@ -100,18 +101,23 @@ def _exact_normalized(squares) -> bool:
 
 def validate_context(net: ContextNetwork) -> list:
     """All structural violations of a network, as a list of messages."""
+    return _check(net)[0]
+
+
+def _check(net: ContextNetwork) -> tuple:
+    """validate_context's messages for `net`, whether it is exact, and its
+    rows: the initial vector as a one-row matrix, then each matrix, in the
+    network's number field (amplitude rows when exact, else complex rows),
+    with the squared moduli that the row checks sum (None for both when a
+    matrix has the wrong shape)."""
     exact = net.is_exact()
-    return _check(net, tuple(map(amplitude_rows, net.edges)) if exact else net.edges, exact)[0]
-
-
-def _check(net: ContextNetwork, edges, exact: bool) -> tuple:
-    """validate_context's messages for `net` with its matrices read from
-    `edges` (amplitude rows when `exact`, else entries), and each matrix's
-    squared moduli, one row per matrix row, that the row checks sum (None for
-    a matrix of the wrong shape)."""
-    errors, squares = [], []
+    if exact:
+        convert, squared, normalized = amplitude_rows, squared_moduli, _exact_normalized
+    else:
+        convert, squared, normalized = _complex_rows, _squares, _normalized
+    errors, rows, squares = [], [], []
     if not net.layers:
-        return ["network has no layers"], squares
+        return ["network has no layers"], exact, rows, squares
     for layer in net.layers:
         if layer.size < 2:
             errors.append(f"layer {layer.property_id}: a complete set needs at least 2 alternatives")
@@ -121,29 +127,26 @@ def _check(net: ContextNetwork, edges, exact: bool) -> tuple:
         errors.append("final property must be decided")
     if len(net.edges) != len(net.layers) - 1:
         errors.append("need exactly one amplitude matrix per consecutive layer pair")
-        return errors, squares
-    if exact:
-        squared, normalized, initial = squared_moduli, _exact_normalized, amplitude_rows((net.initial,))
-    else:
-        squared, normalized, initial = _squares, _normalized, (net.initial,)
-    if len(net.initial) != net.layers[0].size:
-        errors.append("initial amplitude vector does not match first layer")
-    elif not normalized(squared(initial)[0]):
-        errors.append("row not normalized: initial amplitudes")
-    for i, m in enumerate(net.edges):
-        rows, cols = net.layers[i].size, net.layers[i + 1].size
-        if len(m) != rows or any(len(row) != cols for row in m):
-            errors.append(f"matrix {i}: expected shape {rows}x{cols}")
+        return errors, exact, rows, squares
+    # matrix -1 is the initial vector
+    for i, m in enumerate(((net.initial,),) + net.edges, -1):
+        height, width = net.layers[i].size if i >= 0 else 1, net.layers[i + 1].size
+        if len(m) != height or any(len(row) != width for row in m):
+            errors.append(f"matrix {i}: expected shape {height}x{width}" if i >= 0
+                          else "initial amplitude vector does not match first layer")
+            rows.append(None)
             squares.append(None)
             continue
-        squares.append(squared(edges[i]))
+        rows.append(convert(m))
+        squares.append(squared(rows[-1]))
         for j, row in enumerate(squares[-1]):
             if not normalized(row):
-                errors.append(f"row not normalized: matrix {i} row {j}")
+                errors.append(f"row not normalized: matrix {i} row {j}" if i >= 0
+                              else "row not normalized: initial amplitudes")
     for i, layer in enumerate(net.layers[:-1]):
         if layer.level is Knowability.NEVER and net.layers[i + 1].size < layer.size:
             errors.append(f"layer {layer.property_id}: requires virtual-value padding")
-    return errors, squares
+    return errors, exact, rows, squares
 
 
 class Distribution(Record):
@@ -172,37 +175,32 @@ def propagate(net: ContextNetwork) -> Distribution:
     row's amplitudes linearly through the matrix.  An unpromoted level-2 layer
     is an error: consistency reduction must resolve it first.
 
-    Each edge entry is squared once per call: the validity check keeps every
-    matrix's squared moduli, and a merge straight after a decided layer reads
-    them instead of squaring the matrix rows again.  An exact network is
-    checked and folded on integer rows (`exactnum.amplitude_rows`), with one
-    gcd per result row; a network with any float amplitude is checked and
-    propagated on complex entries.
+    `_check` converts and checks the network once, in its number field, and
+    keeps every matrix's squared moduli, so a merge straight after a decided
+    layer reads them instead of squaring the matrix rows again.  An exact
+    network is folded on integer rows (`exactnum.amplitude_rows`), with one
+    gcd per result row; any other network on complex rows.
     """
-    exact = net.is_exact()
-    if exact:
-        convert, squared, merge, carry = amplitude_rows, squared_moduli, merge_rows, carry_rows
-    else:
-        convert, squared, merge, carry = _complex_rows, _squares, _merge, _carry
-    edges = tuple(map(convert, net.edges))
-    errors, squares = _check(net, edges, exact)
+    errors, exact, rows, squares = _check(net)
     if errors:
         raise ContextError("; ".join(errors))
-    rows, squared_rows = convert((net.initial,)), None
-    weights, rules = ONE_ROW if exact else [1], []
-    for i in range(len(net.layers) - 1):
-        level = net.layers[i].level
-        if level is Knowability.DECIDED:
+    if exact:
+        squared, merge, carry, weights = squared_moduli, merge_rows, carry_rows, ONE_ROW
+    else:
+        squared, merge, carry, weights = _squares, _merge, _carry, [1]
+    mixture, squared_rows, rules = rows[0], squares[0], []
+    for i, layer in enumerate(net.layers[:-1], 1):
+        if layer.level is Knowability.DECIDED:
             rules.append("classical")
-            weights = merge(weights, squared_rows or squared(rows))
-            rows, squared_rows = edges[i], squares[i]
-        elif level is Knowability.NEVER:
+            weights = merge(weights, squared_rows or squared(mixture))
+            mixture, squared_rows = rows[i], squares[i]
+        elif layer.level is Knowability.NEVER:
             rules.append("amplitude")
-            rows, squared_rows = carry(rows, edges[i]), None
+            mixture, squared_rows = carry(mixture, rows[i]), None
         else:
             raise ContextError("unresolved contingent knowability")
 
-    totals = merge(weights, squared_rows or squared(rows))
+    totals = merge(weights, squared_rows or squared(mixture))
     if exact:
         totals = scalars(totals)
     probs = tuple(float(t) for t in totals)
@@ -220,7 +218,15 @@ def propagate(net: ContextNetwork) -> Distribution:
 
 
 def _complex_rows(matrix) -> tuple:
-    return tuple(tuple(map(complex, row)) for row in matrix)
+    return tuple(tuple(map(_complex, row)) for row in matrix)
+
+
+def _complex(a) -> complex:
+    """complex(a), or infinity for an exact or int entry past the float range."""
+    try:
+        return complex(a)
+    except OverflowError:
+        return complex("inf")
 
 
 def _merge(weights, squared) -> list:

@@ -16,11 +16,13 @@ from array import array
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from functools import reduce
+from itertools import compress
 from operator import itemgetter, or_
 
 from . import Knowability, borel_trial  # re-exported: epiq.evolution.<name>
 from . import Record, _set
-from .statespace import EpistemicState, ObjectRegistry, PropertySpec, _mask, relative_volume
+from .statespace import (_DIGIT_FLAGS, EpistemicState, ObjectRegistry, PropertySpec, _mask,
+                         relative_volume)
 
 
 class EvolutionContractError(ValueError):
@@ -46,7 +48,7 @@ class EvolutionRule(Record):
         return EvolutionRule, (self.images,)
 
     def _table(self, registry: ObjectRegistry) -> tuple:
-        """The ``_map`` arguments over ``registry``: ``domain``, the codes with
+        """What ``apply`` reads over ``registry``: ``domain``, the codes with
         images; ``first``, a gather of one owner code per image code (``size``
         for none); ``rest``, of the other owners, whose images are ``rest_targets``."""
         table = self._tables.get(registry)
@@ -74,8 +76,19 @@ class EvolutionRule(Record):
         return table
 
     def apply(self, s: EpistemicState) -> EpistemicState:
-        """The union of the member images, over the same registry."""
-        return s._map(*self._table(s.registry))
+        """The union of the member images, over the same registry, read from
+        the mask's binary digits lowest code first, with a "0" at ``size`` for
+        "no owner"; raises for a member outside the rule's domain."""
+        domain, first, rest, rest_targets = self._table(s.registry)
+        if s.mask & ~domain:
+            raise ValueError("exact state outside the rule's domain")
+        size = s.registry._size
+        digits = bin(s.mask)[:1:-1].ljust(size + 1, "0")
+        mask = int("".join(first(digits))[::-1], 2)
+        if rest is not None:
+            hits = "".join(rest(digits)).encode().translate(_DIGIT_FLAGS)
+            mask |= _mask(compress(rest_targets, hits), size)
+        return EpistemicState._of(s.registry, mask)
 
 
 def evolve(s: EpistemicState, rule: EvolutionRule,

@@ -29,7 +29,7 @@ from collections.abc import Sequence
 from operator import mul
 
 from . import Knowability, Record, _set
-from .context import ContextError, ContextNetwork
+from .context import ContextError, ContextNetwork, Layer
 
 ORTHO_TOL = 1e-12
 NEUTRAL_TOL = 1e-9
@@ -189,8 +189,6 @@ def _build_interference(net: ContextNetwork, m: int, mp: int) -> ContextSpace:
         raise SpaceConstructionError("amplitude matrix rows are not orthonormal")
     if m < mp:
         w += _completion(w, mp)
-        if not _orthonormal(w):
-            raise SpaceConstructionError("derived second basis is not orthonormal")
     return _vector_space(net, "interference", tuple(map(tuple, w)))
 
 
@@ -295,21 +293,23 @@ def reciprocal(net: ContextNetwork) -> ContextNetwork:
 
     The reversed initial amplitudes re-express the evolved state in the
     second property's basis.  The matrix relating two orthonormal bases is
-    unitary, so the reversed matrix is its adjoint, and applying the
-    construction twice restores the network; a matrix that is not unitary
-    (within 1e-9 in each entry of its Gram matrix) is refused.
+    unitary, so the reversed matrix is its adjoint.  Levels stay by position
+    (a never/decided pair stays one), and applying the construction twice
+    restores the network; a matrix that is not unitary (within 1e-9 in each
+    entry of its Gram matrix) is refused.
     """
     if len(net.layers) != 2:
         raise ContextError("reciprocal context is defined for two-layer networks")
-    m, mp = net.layers[0].size, net.layers[1].size
-    if m != mp:
+    first, second = net.layers
+    if first.size != second.size:
         raise ContextError("reciprocal context exists if and only if M = M'")
     a = _amp_matrix(net)
     if not _orthonormal(a):
         raise ContextError("reciprocal undefined")
     init = [complex(x) for x in net.initial]
     return ContextNetwork(
-        layers=(net.layers[1], net.layers[0]),
+        layers=(Layer(second.property_id, first.level, second.labels),
+                Layer(first.property_id, second.level, first.labels)),
         initial=tuple(sum(map(mul, init, col)) for col in zip(*a)),
         edges=(_adjoint(a),),
     )

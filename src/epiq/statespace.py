@@ -13,9 +13,8 @@ registry's own ``ExactState`` subclass: one object that refers to nothing but
 its class, built in C and hashed by ``int``.  An epistemic state is the pair
 (registry, mask), an integer whose bit ``code`` is set for each member, so AND,
 OR, NOT, slices and volumes are integer operations that build no exact state.
-Members are read from the mask's binary digits, and a rule is applied by
-gathering those digits (see ``EpistemicState._map``), so the module needs only
-the standard library.
+Members are read from the mask's binary digits, so the module needs only the
+standard library.
 """
 from __future__ import annotations
 
@@ -171,6 +170,9 @@ class ExactState(int):
     The code is the hash.  States are equal when their registries are equal
     and their codes are; a state never equals a plain int, and every state is
     true, the one of code 0 too.  Order and arithmetic are those of the codes.
+    A float, Fraction or complex on the left compares by the code, though
+    (``3.0 == z``, not ``z == 3.0``), as those types take any int subclass as
+    a number, so a float key finds a state in a dict.
     """
 
     __slots__ = ()
@@ -297,21 +299,6 @@ class EpistemicState(Record):
 
     def issubset(self, other: EpistemicState) -> bool:
         return self._meet(other) == self.mask
-
-    def _map(self, domain: int, first: Callable, rest: Callable | None,
-             rest_targets: list) -> EpistemicState:
-        """The union of the member images under ``EvolutionRule._table``, read
-        from the mask's binary digits lowest code first, with a "0" at ``size``
-        for "no owner"; raises for a member outside ``domain``."""
-        if self.mask & ~domain:
-            raise ValueError("exact state outside the rule's domain")
-        size = self.registry._size
-        digits = bin(self.mask)[:1:-1].ljust(size + 1, "0")
-        mask = int("".join(first(digits))[::-1], 2)
-        if rest is not None:
-            hits = "".join(rest(digits)).encode().translate(_DIGIT_FLAGS)
-            mask |= _mask(itertools.compress(rest_targets, hits), size)
-        return EpistemicState._of(self.registry, mask)
 
 
 def all_exact_states(registry: ObjectRegistry) -> Iterator[ExactState]:

@@ -291,6 +291,14 @@ def run_cli(tmp_path, *args):
     return invoke([*args, "--out-dir", str(tmp_path)])
 
 
+def src_env():
+    """This environment with the checkout's ``src`` first on the import path,
+    for a fresh interpreter."""
+    src = str(Path(epiq.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def error_line(output):
     """The usage error's own line, without the usage text around it."""
     return [line for line in output.splitlines() if "error" in line.lower()][-1]
@@ -585,6 +593,25 @@ class TestCli:
         assert [r.exit_code for r in runs[2.0][:-1]] == [1, 1, 1]
         assert "row not normalized" in json.loads(runs[2.0][-1])["result"]["errors"][0]
 
+    @pytest.mark.parametrize("command", ["propagate", "montecarlo", "hilbert"])
+    def test_mixed_network_with_an_exact_entry_past_the_float_range(self, tmp_path, command):
+        """Float and exact amplitudes mixed, with an exact entry too large for
+        a float: every command refuses the row validate refuses, with no
+        traceback, in a fresh interpreter."""
+        doc = minimal_doc(name="mixed")
+        doc["context"]["initial"] = [0.7071067811865476, "1/sqrt2"]
+        doc["context"]["matrices"][0][0] = ["1" + "0" * 400, "0"]
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps(doc))
+        validated = run_cli(tmp_path, str(path), "--command", "validate")
+        assert validated == (1, "row not normalized: matrix 0 row 0\n")
+        result = subprocess.run(
+            [sys.executable, "-m", "epiq.cli", str(path), "--command", command,
+             "--out-dir", str(tmp_path)], env=src_env(), capture_output=True, text=True,
+            timeout=120)
+        assert (result.returncode, result.stderr) == (1, "error: row not normalized: matrix 0 row 0\n")
+        assert not list(tmp_path.glob(f"mixed-{command}.*"))
+
     def test_uniqueness_command_guard(self, tmp_path):
         result = run_cli(tmp_path, str(bundled_scenario_path("born-uniqueness")))
         assert result.exit_code == 0, result.output
@@ -833,10 +860,7 @@ def _modules_after(tmp_path, statement):
         with open({str(out)!r}, "w") as fh:
             json.dump(sorted(sys.modules), fh)
         """)
-    src = str(Path(epiq.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
+    subprocess.run([sys.executable, "-c", script], env=src_env(), cwd=tmp_path,
                    check=True, capture_output=True, timeout=120)
     return json.loads(out.read_text())
 

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epiq.context import ContextError, ContextNetwork, Layer, propagate, validate_context
+from epiq.context import (ContextError, ContextNetwork, Layer, pad_virtual_values, propagate,
+                          validate_context)
 from epiq.evolution import Knowability
-from epiq.hilbert import (JointVolumeTable, SpaceConstructionError, build_space, commutator,
-                          inner, make_operator, principle4_probabilities, reciprocal,
-                          spectral_norm)
+from epiq.hilbert import (JointVolumeTable, SpaceConstructionError, _completion, _orthonormal,
+                          build_space, commutator, inner, make_operator,
+                          principle4_probabilities, reciprocal, spectral_norm)
 
 H = 1 / math.sqrt(2)
 
@@ -359,6 +360,18 @@ class TestReciprocal:
         with pytest.raises(ContextError, match="reciprocal undefined"):
             reciprocal(net)
 
+    def test_never_decided_pair_reverses_to_a_valid_network(self):
+        """The reversed first layer keeps the first position's level, so the
+        final layer stays decided and the reversed fold gives back |initial_j|^2."""
+        net = interference_net(initial=(0.6, 0.8))
+        rec = reciprocal(net)
+        assert [layer.level for layer in rec.layers] == [Knowability.NEVER, Knowability.DECIDED]
+        assert validate_context(rec) == []
+        dist = propagate(rec)
+        assert dist.labels == net.layers[0].labels
+        assert dist.probabilities == pytest.approx((0.36, 0.64), abs=1e-12)
+        assert reciprocal(rec).layers == net.layers
+
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_unitary_decided_pair_reverses_to_a_valid_network(self, n):
         rng = np.random.default_rng(n)
@@ -544,3 +557,59 @@ def test_unitarity_check_fails_a_nan_amplitude():
                          edges=(((complex(math.nan), H + 0j), (H + 0j, -H + 0j)),))
     with pytest.raises(SpaceConstructionError, match="amplitude matrix rows are not orthonormal"):
         build_space(net)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 7), extra=st.integers(1, 7), permutation=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_completion_extends_orthonormal_rows_to_an_orthonormal_basis(m, extra, permutation,
+                                                                      seed):
+    """Random unitary rows, or phased standard basis vectors (whose reflections
+    are skipped), M of them of length M' with M < M' <= 8."""
+    rng = np.random.default_rng(seed)
+    mp = min(m + extra, 8)
+    if permutation:
+        u = np.eye(mp)[rng.permutation(mp)] * np.exp(2j * np.pi * rng.random(size=mp))
+    else:
+        u = np.linalg.qr(rng.normal(size=(mp, mp)) + 1j * rng.normal(size=(mp, mp)))[0]
+    rows = [[complex(x) for x in row] for row in u[:m]]
+    assert _orthonormal(rows)
+    assert _orthonormal(rows + _completion(rows, mp))
+
+
+def drifting_chain():
+    """All-decided float layers whose rows each sum to 1 + 9e-13, inside
+    NORM_TOL, so the final total drifts to about 1 + 2.7e-12, past it."""
+    s = complex(math.sqrt(1 + 9e-13))
+    layers = tuple(Layer(f"L{i}", Knowability.DECIDED, (1.0, 2.0)) for i in range(3))
+    return ContextNetwork(layers, (s, 0j), (((s, 0j), (0j, s)),) * 2)
+
+
+def contingent_net():
+    """The interferometer with its path layer left contingent (level 2)."""
+    net = interference_net()
+    return ContextNetwork((Layer("path", Knowability.CONTINGENT, (1.0, 2.0)),) + net.layers[1:],
+                          net.initial, net.edges)
+
+
+def joint_space():
+    return build_space(sequential_net(), simultaneous=True)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: propagate(contingent_net()), "unresolved contingent knowability"),
+    (lambda: propagate(drifting_chain()), "distribution does not normalize"),
+    (lambda: pad_virtual_values(interference_net(), 0), "padding unnecessary"),
+    (lambda: make_operator(joint_space(), "P", labels=(1.0,)), "one label per value required"),
+    (lambda: make_operator(joint_space(), "P", labels=(1.0, 1.0)),
+     "property values must be distinct"),
+    (lambda: commutator(make_operator(joint_space(), "P"),
+                        make_operator(build_space(interference_net()), "path")),
+     "operators act on different spaces"),
+    (lambda: joint_space().basis("P"), "P is represented by subspaces, not vectors"),
+], ids=["contingent", "drift", "padding", "label-count", "label-distinct", "spaces",
+        "subspaces"])
+def test_refusals_carry_their_messages(call, message):
+    with pytest.raises(ValueError) as refused:
+        call()
+    assert str(refused.value) == message

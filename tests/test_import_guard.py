@@ -7,7 +7,7 @@ neither numpy nor ``dataclasses`` (nor ``inspect`` under it), and no CLI
 command loads any of them, or the ``typing``, ``pathlib`` and
 ``importlib.resources`` that a ``site`` hook would otherwise have paid for.
 Checking and propagating an exact network loads neither ``fractions`` nor
-``decimal``.
+``decimal``, and neither does one that mixes exact and float amplitudes.
 """
 import json
 import subprocess
@@ -93,4 +93,20 @@ def test_standard_library_only(tmp_path, body):
 
 def test_exact_propagation_loads_no_fractions_or_decimal(tmp_path):
     loaded = _modules_after(tmp_path, EXACT_PROPAGATE)
+    assert [m for m in loaded if m in ("fractions", "decimal")] == []
+
+
+# float and exact amplitudes in one valid document
+MIXED = {"name": "mixed", "context": {
+    "layers": [{"property": "path", "level": 1, "labels": [1, 2]},
+               {"property": "detector", "level": 3, "labels": [1, 2]}],
+    "initial": [0.7071067811865476, "1/sqrt2"],
+    "matrices": [[["1/sqrt2", "1/sqrt2"], ["1/sqrt2", "-1/sqrt2"]]]}}
+
+
+@pytest.mark.parametrize("command", ["validate", "propagate"])
+def test_mixed_network_is_checked_on_complex_rows_without_fractions(tmp_path, command):
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(MIXED))
+    loaded = _modules_after(tmp_path, CLI.format(path=str(path), command=command))
     assert [m for m in loaded if m in ("fractions", "decimal")] == []

@@ -7,7 +7,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from epiq import context
@@ -540,8 +540,9 @@ def padded_exact_network():
 
 
 def per_entry_messages(net):
-    """validate_context's messages from the per-entry check that complex and
-    mixed networks take: every |a|^2 a Sqrt2Scalar, summed one by one."""
+    """validate_context's messages from the per-entry check that float and
+    mixed networks take: every entry converted to a complex number, and its
+    |a|^2 summed in floats."""
     with mock.patch.object(ContextNetwork, "is_exact", lambda self: False):
         return validate_context(net)
 
@@ -595,3 +596,64 @@ class TestIntegerRowCheck:
             messages = validate_context(bad)
             assert messages == per_entry_messages(bad)
             assert len(messages) == 1 and messages[0].startswith("row not normalized")
+
+
+def nudged(a):
+    """a scaled by 1 + 1e-6: a row with a nonzero a is then off by more than NORM_TOL."""
+    if isinstance(a, ExactAmplitude):
+        return a * (1 + Sqrt2Scalar(Fraction(1, 10**6)))
+    return a * (1 + 1e-6)
+
+
+# an entry replaced: 10**400 is past the float range, 10**200 only its square
+REPLACEMENTS = (lambda a: ExactAmplitude.of(10**400), lambda a: ExactAmplitude.of(10**200),
+                lambda a: 2.0, nudged)
+
+
+@st.composite
+def defective_networks(draw):
+    """An exact, float or mixed network (an exact one with its first initial
+    entry and some others turned into complex numbers) with one defect: a
+    matrix or one matrix row missing, a row one entry short or long, or an
+    entry replaced (`REPLACEMENTS`)."""
+    field = draw(st.sampled_from(("exact", "float", "mixed")))
+    net = draw(mixed_networks(exact=field != "float"))
+    initial, edges = list(net.initial), [list(m) for m in net.edges]
+    if field == "mixed":
+        rnd = draw(st.randoms(use_true_random=False))
+        initial = [complex(a) if k == 0 or rnd.random() < 0.5 else a
+                   for k, a in enumerate(initial)]
+        edges = [[tuple(complex(a) if rnd.random() < 0.5 else a for a in row) for row in m]
+                 for m in edges]
+    defect = draw(st.sampled_from(("matrix", "matrix row", "short", "long", "entry")))
+    if defect == "matrix":
+        edges.pop()
+    elif defect == "matrix row":
+        edges[draw(st.integers(0, len(edges) - 1))].pop()
+    else:
+        i = draw(st.integers(-1, len(edges) - 1))  # -1: the initial vector
+        j = draw(st.integers(0, len(edges[i]) - 1)) if i >= 0 else None
+        row = list(initial if i < 0 else edges[i][j])
+        k = draw(st.integers(0, len(row) - 1))
+        if defect == "short":
+            del row[k]
+        elif defect == "long":
+            row.append(row[k])
+        else:
+            row[k] = draw(st.sampled_from(REPLACEMENTS))(row[k])
+        if i < 0:
+            initial = row
+        else:
+            edges[i][j] = tuple(row)
+    return ContextNetwork(net.layers, tuple(initial), tuple(map(tuple, edges)))
+
+
+class TestOneCheckPath:
+    @given(defective_networks())
+    @settings(max_examples=150, deadline=None)
+    def test_propagate_refuses_with_validate_messages(self, net):
+        messages = validate_context(net)
+        assume(messages)
+        with pytest.raises(ContextError) as refused:
+            propagate(net)
+        assert str(refused.value) == "; ".join(messages)

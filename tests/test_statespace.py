@@ -180,7 +180,7 @@ class TestMaskPacking:
         expected = sum(1 << c for c in codes)
         assert statespace._mask(codes, size) == expected
         assert list(statespace._codes(expected)) == codes
-        assert statespace._mask(iter(codes), size) == expected  # as _map passes them
+        assert statespace._mask(iter(codes), size) == expected  # as EvolutionRule.apply passes them
 
 
 class TestBulkEnumeration:
