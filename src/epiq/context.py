@@ -15,11 +15,13 @@ Amplitudes may be ordinary complex numbers or exact Q(sqrt2) values
 (`exactnum.ExactAmplitude`).  A network whose amplitudes are all exact is
 checked and propagated on integer rows, each with one shared denominator and
 one gcd per result row (`exactnum.merge_rows`, `carry_rows`), so the fold
-makes no value object and no gcd per operation; floats enter only for a row
-that does not sum to exactly 1, which gets the float test as a fallback.  Any
-other network, one that mixes exact and float entries included, is checked and
-propagated on complex rows: every entry is converted once, and an exact entry
-past the float range becomes infinite, so its row fails the float test.
+makes no value object and no gcd per operation.  One pass over each matrix
+(`exactnum.checked_rows`) makes its rows and their squared moduli and names
+the rows that do not sum to exactly 1; floats enter only for those, which get
+the float test as a fallback.  Any other network, one that mixes exact and
+float entries included, is checked and propagated on complex rows: every entry
+is converted once, and an exact entry past the float range becomes infinite,
+so its row fails the float test.
 
 A network is its own start state, and every reduction maps networks to
 networks: a superposed state at layer c is `ContextNetwork(layers[c:],
@@ -30,8 +32,8 @@ from __future__ import annotations
 
 from . import Knowability  # re-exported: epiq.context.Knowability
 from . import Record, _set
-from .exactnum import (ONE_ROW, ZERO, ExactAmplitude, abs2, amplitude_rows, carry_rows,
-                       merge_rows, row_sum, scalars, squared_moduli, sums_to_one)
+from .exactnum import (ONE_ROW, ZERO, ExactAmplitude, abs2, carry_rows, checked_rows,
+                       merge_rows, row_sum, scalars, squared_moduli)
 
 NORM_TOL = 1e-12
 
@@ -72,18 +74,15 @@ class ContextNetwork(Record):
         return self.layers[-1]
 
     def is_exact(self) -> bool:
-        amps = list(self.initial)
-        for m in self.edges:
-            for row in m:
-                amps.extend(row)
-        return all(isinstance(a, ExactAmplitude) for a in amps)
+        return all(isinstance(a, ExactAmplitude)
+                   for m in ((self.initial,),) + self.edges for row in m for a in row)
 
 
-def _normalized(squares) -> bool:
-    """Whether squared moduli sum to 1; written so that NaN fails.  An exact
-    sum too large to convert to a float is not 1 either."""
+def _normalized(total) -> bool:
+    """Whether a sum of squared moduli is 1; written so that NaN fails.  An
+    exact sum too large to convert to a float is not 1 either."""
     try:
-        return abs(float(sum(squares)) - 1.0) <= NORM_TOL
+        return abs(float(total) - 1.0) <= NORM_TOL
     except OverflowError:
         return False
 
@@ -91,12 +90,6 @@ def _normalized(squares) -> bool:
 def _squares(rows) -> list:
     """|a|^2 of every complex entry, row by row."""
     return [[a.real * a.real + a.imag * a.imag for a in row] for row in rows]
-
-
-def _exact_normalized(squares) -> bool:
-    """_normalized for a scalar row of squared moduli: a sum of exactly 1
-    needs no float test."""
-    return sums_to_one(squares) or _normalized((row_sum(squares),))
 
 
 def validate_context(net: ContextNetwork) -> list:
@@ -111,40 +104,44 @@ def _check(net: ContextNetwork) -> tuple:
     with the squared moduli that the row checks sum (None for both when a
     matrix has the wrong shape)."""
     exact = net.is_exact()
-    if exact:
-        convert, squared, normalized = amplitude_rows, squared_moduli, _exact_normalized
-    else:
-        convert, squared, normalized = _complex_rows, _squares, _normalized
     errors, rows, squares = [], [], []
     if not net.layers:
         return ["network has no layers"], exact, rows, squares
-    for layer in net.layers:
-        if layer.size < 2:
+    sizes = [len(layer.labels) for layer in net.layers]
+    for layer, size in zip(net.layers, sizes):
+        if size < 2:
             errors.append(f"layer {layer.property_id}: a complete set needs at least 2 alternatives")
-        if len(set(layer.labels)) != len(layer.labels):
+        if len(set(layer.labels)) != size:
             errors.append(f"layer {layer.property_id}: value labels must be distinct")
     if net.final_layer.level is not Knowability.DECIDED:
         errors.append("final property must be decided")
     if len(net.edges) != len(net.layers) - 1:
         errors.append("need exactly one amplitude matrix per consecutive layer pair")
         return errors, exact, rows, squares
-    # matrix -1 is the initial vector
-    for i, m in enumerate(((net.initial,),) + net.edges, -1):
-        height, width = net.layers[i].size if i >= 0 else 1, net.layers[i + 1].size
-        if len(m) != height or any(len(row) != width for row in m):
+    # matrix -1 is the initial vector, one row high
+    for i, m, height, width in zip(range(-1, len(sizes)), ((net.initial,),) + net.edges,
+                                   [1] + sizes, sizes):
+        if [*map(len, m)] != [width] * height:
             errors.append(f"matrix {i}: expected shape {height}x{width}" if i >= 0
                           else "initial amplitude vector does not match first layer")
             rows.append(None)
             squares.append(None)
             continue
-        rows.append(convert(m))
-        squares.append(squared(rows[-1]))
-        for j, row in enumerate(squares[-1]):
-            if not normalized(row):
-                errors.append(f"row not normalized: matrix {i} row {j}" if i >= 0
-                              else "row not normalized: initial amplitudes")
-    for i, layer in enumerate(net.layers[:-1]):
-        if layer.level is Knowability.NEVER and net.layers[i + 1].size < layer.size:
+        if exact:
+            converted, squared, off = checked_rows(m)
+            if off:  # a row that does not sum to exactly 1 gets the float test
+                off = [j for j in off if not _normalized(row_sum(squared[j]))]
+        else:
+            converted = _complex_rows(m)
+            squared = _squares(converted)
+            off = [j for j, row in enumerate(squared) if not _normalized(sum(row))]
+        rows.append(converted)
+        squares.append(squared)
+        if off:
+            errors += [f"row not normalized: matrix {i} row {j}" if i >= 0
+                       else "row not normalized: initial amplitudes" for j in off]
+    for layer, size, following in zip(net.layers, sizes, sizes[1:]):
+        if layer.level is Knowability.NEVER and following < size:
             errors.append(f"layer {layer.property_id}: requires virtual-value padding")
     return errors, exact, rows, squares
 
@@ -178,8 +175,8 @@ def propagate(net: ContextNetwork) -> Distribution:
     `_check` converts and checks the network once, in its number field, and
     keeps every matrix's squared moduli, so a merge straight after a decided
     layer reads them instead of squaring the matrix rows again.  An exact
-    network is folded on integer rows (`exactnum.amplitude_rows`), with one
-    gcd per result row; any other network on complex rows.
+    network is folded on the integer rows `exactnum.checked_rows` made, with
+    one gcd per result row; any other network on complex rows.
     """
     errors, exact, rows, squares = _check(net)
     if errors:
@@ -217,8 +214,12 @@ def propagate(net: ContextNetwork) -> Distribution:
     )
 
 
-def _complex_rows(matrix) -> tuple:
-    return tuple(tuple(map(_complex, row)) for row in matrix)
+def _complex_rows(matrix) -> list:
+    """The matrix's entries as complex numbers (`_complex` after an overflow)."""
+    try:
+        return [tuple(map(complex, row)) for row in matrix]
+    except OverflowError:
+        return [tuple(map(_complex, row)) for row in matrix]
 
 
 def _complex(a) -> complex:
@@ -231,14 +232,19 @@ def _complex(a) -> complex:
 
 def _merge(weights, squared) -> list:
     """One classical weight per value j: sum_b w_b |row_b[j]|^2, from the
-    rows' squared moduli."""
-    return [sum(w * row[j] for w, row in zip(weights, squared)) for j in range(len(squared[0]))]
+    rows' squared moduli.  Each sum starts at 0 and adds the rows in order, as
+    sum() would, so the floats are the same bit for bit."""
+    t = [0] * len(squared[0])
+    for w, row in zip(weights, squared):
+        for j in range(len(t)):
+            t[j] += w * row[j]
+    return t
 
 
 def _carry(rows, matrix) -> list:
-    """Each row of amplitudes carried linearly through the matrix."""
-    return [[sum(a * m_row[k] for a, m_row in zip(row, matrix)) for k in range(len(matrix[0]))]
-            for row in rows]
+    """Each row of amplitudes carried linearly through the matrix: a merge
+    of the matrix rows weighted by the row's amplitudes."""
+    return [_merge(row, matrix) for row in rows]
 
 
 def reduce_by_observation(net: ContextNetwork, outcome: int) -> ContextNetwork:

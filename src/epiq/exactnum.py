@@ -17,11 +17,13 @@ Checking and folding a network make no value objects and no gcd per
 operation: they run on integer rows.  An amplitude row is `(D, x)`, a shared
 denominator D > 0 and a flat list x of numerators, (a, b, c, e) for each
 entry; a scalar row is `(D, y)` with (p, q) for each entry.
-`amplitude_rows` puts a matrix on one denominator.  `squared_moduli` keeps
-each row's D^2, so a row is normalized exactly when its p parts sum to D^2
-and its q parts to 0 (`sums_to_one`).  `merge_rows` (the classical merge of a mixture) and
-`carry_rows` (a mixture through a matrix) reduce each result row by one gcd
-over the whole row, and `scalars` turns a scalar row into canonical scalars.
+`checked_rows` reads each entry of a matrix once: it puts the matrix on one
+denominator D, squares each entry onto D^2, and names the rows that are not
+normalized exactly, those whose p parts do not sum to D^2 or whose q parts
+do not sum to 0.  `squared_moduli` squares the rows a carry makes.
+`merge_rows` (the classical merge of a mixture) and `carry_rows` (a mixture
+through a matrix) reduce each result row by one gcd over the whole row, and
+`scalars` turns a scalar row into canonical scalars.
 
 `fractions` is imported only where a `Fraction` is built: by
 `Sqrt2Scalar(p, q)`, `.p`, `.q`, `as_fraction` and a scalar's `repr`.
@@ -257,24 +259,36 @@ def _lowest(d: int, x: list) -> tuple:
 ONE_ROW = (1, (1, 0))
 
 
-def amplitude_rows(matrix) -> list:
-    """Rows of ExactAmplitudes as amplitude rows on one shared denominator."""
-    d = lcm(*[a._k[4] for row in matrix for a in row])
-    rows = []
-    for row in matrix:
-        x = []
-        for amplitude in row:
-            a, b, c, e, n = amplitude._k
-            f = d // n
-            x += (a * f, b * f, c * f, e * f)
+def checked_rows(matrix) -> tuple:
+    """A matrix of ExactAmplitudes in one pass: its amplitude rows on one
+    shared denominator D, their squared moduli as scalar rows (D^2, y), and
+    the indices of the rows that do not sum to exactly 1, whose p parts do
+    not sum to D^2 or whose q parts do not sum to 0."""
+    ks = [[a._k for a in row] for row in matrix]
+    dens = {k[4] for row in ks for k in row}
+    d = dens.pop() if len(dens) == 1 else lcm(*dens)
+    rows, squares, off = [], [], []
+    for j, row in enumerate(ks):
+        x, y, s, t = [], [], 0, 0
+        for a, b, c, e, n in row:
+            if n != d:
+                f = d // n
+                a, b, c, e = a * f, b * f, c * f, e * f
+            p, q = a * a + c * c + 2 * (b * b + e * e), 2 * (a * b + c * e)
+            x += a, b, c, e
+            y += p, q
+            s += p
+            t += q
         rows.append((d, x))
-    return rows
+        squares.append((d * d, y))
+        if s != d * d or t:
+            off.append(j)
+    return rows, squares, off
 
 
 def squared_moduli(rows) -> list:
     """|x_j|^2 of each entry of each amplitude row (D, x), as the scalar row
-    (D^2, y) on the square of the row's own denominator: the row is
-    normalized exactly when its p parts sum to D^2 and its q parts to 0."""
+    (D^2, y) on the square of the row's own denominator."""
     out = []
     for d, x in rows:
         y, it = [], iter(x)
@@ -282,12 +296,6 @@ def squared_moduli(rows) -> list:
             y += (a * a + c * c + 2 * (b * b + e * e), 2 * (a * b + c * e))
         out.append((d * d, y))
     return out
-
-
-def sums_to_one(row) -> bool:
-    """Whether a scalar row's entries sum to exactly 1."""
-    d, y = row
-    return sum(y[0::2]) == d and sum(y[1::2]) == 0
 
 
 def row_sum(row) -> Sqrt2Scalar:
@@ -300,7 +308,8 @@ def merge_rows(weights, squares) -> tuple:
     """The classical merge sum_b w_b * squares_b[j]: a scalar row of weights,
     one per scalar row of `squares`, gives one scalar row."""
     d, w = weights
-    n = lcm(*[s for s, _ in squares])
+    dens = {s for s, _ in squares}
+    n = dens.pop() if len(dens) == 1 else lcm(*dens)
     t = [0] * len(squares[0][1])
     for b, (s, y) in enumerate(squares):
         f = n // s

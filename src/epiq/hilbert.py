@@ -29,7 +29,7 @@ from collections.abc import Sequence
 from operator import mul
 
 from . import Knowability, Record, _set
-from .context import ContextError, ContextNetwork, Layer
+from .context import ContextError, ContextNetwork, Layer, _complex, _complex_rows
 
 ORTHO_TOL = 1e-12
 NEUTRAL_TOL = 1e-9
@@ -144,10 +144,6 @@ def _adjoint(rows) -> tuple:
     return tuple(tuple(x.conjugate() for x in col) for col in zip(*rows))
 
 
-def _amp_matrix(net: ContextNetwork) -> list:
-    return [[complex(a) for a in row] for row in net.edges[0]]
-
-
 def build_space(net: ContextNetwork,
                 joint_volumes: JointVolumeTable | None = None,
                 simultaneous: bool = False) -> ContextSpace:
@@ -184,7 +180,7 @@ def _build_interference(net: ContextNetwork, m: int, mp: int) -> ContextSpace:
     # second-basis vector k has component conj(a[j][k]) on first-basis vector j,
     # so that <first_j, second_k> equals the amplitude a[j][k]; when M < M' the
     # remaining coordinates are an orthonormal completion.
-    w = [[x.conjugate() for x in row] for row in _amp_matrix(net)]
+    w = [[x.conjugate() for x in row] for row in _complex_rows(net.edges[0])]
     if not _orthonormal(w):
         raise SpaceConstructionError("amplitude matrix rows are not orthonormal")
     if m < mp:
@@ -258,7 +254,7 @@ def _build_sequential(net: ContextNetwork, joint_volumes: JointVolumeTable | Non
         raise SpaceConstructionError("joint volume table has the wrong shape")
     v = joint_volumes.v
 
-    a = _amp_matrix(net)
+    a = _complex_rows(net.edges[0])
     # network rows are unit vectors, i.e. conditional amplitudes; a neutral
     # apparatus means their squared moduli reproduce the joint volumes once
     # those are conditioned on the first observed value (a row of zero volume
@@ -303,10 +299,10 @@ def reciprocal(net: ContextNetwork) -> ContextNetwork:
     first, second = net.layers
     if first.size != second.size:
         raise ContextError("reciprocal context exists if and only if M = M'")
-    a = _amp_matrix(net)
+    a = _complex_rows(net.edges[0])
     if not _orthonormal(a):
         raise ContextError("reciprocal undefined")
-    init = [complex(x) for x in net.initial]
+    init = tuple(map(_complex, net.initial))
     return ContextNetwork(
         layers=(Layer(second.property_id, first.level, second.labels),
                 Layer(first.property_id, second.level, first.labels)),
@@ -485,7 +481,7 @@ def principle4_probabilities(space: ContextSpace, net: ContextNetwork) -> tuple:
     first property's values (an interference completion) never enter.
     """
     w = space.basis(space.property_order[-1])
-    init = [complex(x) for x in net.initial]
+    init = tuple(map(_complex, net.initial))
     rows = w[:len(init)]
     if net.layers[0].level == Knowability.DECIDED:
         # The first property is observed, so the contextual state reduces to

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from epiq.context import (ContextError, ContextNetwork, Layer, pad_virtual_values, propagate,
                           validate_context)
 from epiq.evolution import Knowability
+from epiq.exactnum import ExactAmplitude
 from epiq.hilbert import (JointVolumeTable, SpaceConstructionError, _completion, _orthonormal,
                           build_space, commutator, inner, make_operator,
                           principle4_probabilities, reciprocal, spectral_norm)
@@ -557,6 +558,36 @@ def test_unitarity_check_fails_a_nan_amplitude():
                          edges=(((complex(math.nan), H + 0j), (H + 0j, -H + 0j)),))
     with pytest.raises(SpaceConstructionError, match="amplitude matrix rows are not orthonormal"):
         build_space(net)
+
+
+def past_float_range(net, initial=False):
+    """``net`` with its first initial entry (or else matrix entry [0][0]) an
+    exact amplitude past the float range."""
+    big = ExactAmplitude.of(10**400)
+    if initial:
+        return ContextNetwork(net.layers, (big,) + net.initial[1:], net.edges)
+    (row, *rows), = net.edges
+    return ContextNetwork(net.layers, net.initial, (((big,) + row[1:], *rows),))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: reciprocal(past_float_range(interference_net())), "reciprocal undefined"),
+    (lambda: build_space(past_float_range(interference_net())),
+     "amplitude matrix rows are not orthonormal"),
+    (lambda: build_space(past_float_range(sequential_net()), joint_volumes=quarter_volumes()),
+     "context not neutral"),
+], ids=["reciprocal", "interference", "sequential"])
+def test_an_exact_entry_past_the_float_range_is_refused_with_its_message(call, message):
+    """The entry converts to an infinite complex number, which the unitarity
+    and neutrality checks fail, instead of raising OverflowError."""
+    with pytest.raises(ValueError) as refused:
+        call()
+    assert str(refused.value) == message
+
+
+def test_reciprocal_of_an_initial_entry_past_the_float_range_fails_validation():
+    rec = reciprocal(past_float_range(interference_net(), initial=True))
+    assert validate_context(rec) == ["row not normalized: initial amplitudes"]
 
 
 @settings(max_examples=60, deadline=None)

@@ -11,10 +11,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from epiq import context
-from epiq.context import (ContextError, ContextNetwork, Layer, pad_virtual_values, propagate,
-                          reduce_by_observation, validate_context)
+from epiq.context import (ContextError, ContextNetwork, Distribution, Layer, pad_virtual_values,
+                          propagate, reduce_by_observation, validate_context)
 from epiq.evolution import EvolutionRule, Knowability, make_alternatives, probability
-from epiq.exactnum import ZERO, ExactAmplitude, Sqrt2Scalar, abs2, parse_exact
+from epiq.exactnum import (ONE, ZERO, ExactAmplitude, Sqrt2Scalar, abs2, checked_rows,
+                           parse_exact, scalars)
 from epiq.statespace import (AttributeDef, EpistemicState, ExactState, ObjectRegistry,
                              PropertySpec, VoidStateError, all_exact_states, combine,
                              full_state, relative_volume, state_slice, volume)
@@ -470,7 +471,8 @@ def in_lowest_terms(value):
 
 class TestIntegerRowFold:
     """The exact fold runs on integer rows with one shared denominator each
-    (`exactnum.amplitude_rows`, `squared_moduli`, `merge_rows`, `carry_rows`)."""
+    (`exactnum.checked_rows` makes them, `merge_rows` and `carry_rows` fold
+    them)."""
 
     @given(mixed_networks(exact=True, depths=(32, 64), never_run=3))
     @settings(max_examples=10, deadline=None)
@@ -598,6 +600,68 @@ class TestIntegerRowCheck:
             assert len(messages) == 1 and messages[0].startswith("row not normalized")
 
 
+def exact_entries(draw, count):
+    """Entries with random small denominators (mixed within a row), their
+    coordinates drawn independently."""
+    part = st.integers(-6, 6)
+    return [ExactAmplitude(Sqrt2Scalar(Fraction(draw(part), n), Fraction(draw(part), n)),
+                           Sqrt2Scalar(Fraction(draw(part), n), Fraction(draw(part), n)))
+            for n in draw(st.lists(st.integers(1, 12), min_size=count, max_size=count))]
+
+
+@st.composite
+def exact_matrices(draw):
+    """1-3 rows of 2-4 exact entries.  A row is a unit row of a Q(sqrt2)(i)
+    unitary (its entries on denominators 1, 2, 5 or 13 together), that row with
+    one entry scaled by 1 + an exact amount, random entries, a unit row with
+    one entry past the float range, or one phased entry 1/3 + (2/3)sqrt2,
+    whose |a|^2 has rational part 1 and sqrt2 part 4/9."""
+    height, width = draw(st.integers(1, 3)), draw(st.integers(2, 4))
+    rows = []
+    for _ in range(height):
+        row = list(draw(unitaries(width, True))[draw(st.integers(0, width - 1))])
+        kind = draw(st.sampled_from(("unit", "off", "random", "big", "sqrt2")))
+        k = draw(st.integers(0, width - 1))
+        if kind == "off":
+            amount = Fraction(draw(st.sampled_from((-1, 1))), 10 ** draw(st.integers(1, 30)))
+            row[k] = row[k] * (1 + Sqrt2Scalar(*draw(st.sampled_from(((amount, 0), (0, amount))))))
+        elif kind == "random":
+            row = exact_entries(draw, width)
+        elif kind == "big":
+            row[k] = ExactAmplitude.of(10**400)
+        elif kind == "sqrt2":
+            row = [ExactAmplitude.of(0)] * width
+            phase = draw(st.sampled_from(EXACT_PHASES))
+            row[k] = phase * Sqrt2Scalar(Fraction(1, 3), Fraction(2, 3))
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+class TestFusedRowKernel:
+    """`exactnum.checked_rows` against per-entry ExactAmplitude arithmetic."""
+
+    @given(exact_matrices())
+    @settings(max_examples=100, deadline=None)
+    def test_rows_squares_and_off_rows_equal_the_per_entry_oracle(self, matrix):
+        rows, squares, off = checked_rows(matrix)
+        d = rows[0][0]
+        assert all(a._k[4] and d % a._k[4] == 0 for row in matrix for a in row)
+        for entries, (dx, x), (dy, y) in zip(matrix, rows, squares, strict=True):
+            assert (dx, dy) == (d, d * d)
+            assert [ExactAmplitude(Sqrt2Scalar(Fraction(x[k], d), Fraction(x[k + 1], d)),
+                                   Sqrt2Scalar(Fraction(x[k + 2], d), Fraction(x[k + 3], d)))
+                    for k in range(0, len(x), 4)] == list(entries)
+            assert scalars((dy, y)) == tuple(a.abs2() for a in entries)
+        assert off == [j for j, entries in enumerate(matrix)
+                       if sum((a.abs2() for a in entries), ZERO) != ONE]
+
+    def test_a_shared_denominator_is_kept(self):
+        h = parse_exact("1/sqrt2")
+        rows, squares, off = checked_rows(((h, h), (h, -h)))
+        assert rows == [(2, [0, 1, 0, 0, 0, 1, 0, 0]), (2, [0, 1, 0, 0, 0, -1, 0, 0])]
+        assert squares == [(4, [2, 0, 2, 0])] * 2 and off == []
+
+
 def nudged(a):
     """a scaled by 1 + 1e-6: a row with a nonzero a is then off by more than NORM_TOL."""
     if isinstance(a, ExactAmplitude):
@@ -657,3 +721,147 @@ class TestOneCheckPath:
         with pytest.raises(ContextError) as refused:
             propagate(net)
         assert str(refused.value) == "; ".join(messages)
+
+
+def sum_merge(weights, squared):
+    """The float merge as a generator sum() per value: the oracle for `_merge`."""
+    return [sum(w * row[j] for w, row in zip(weights, squared)) for j in range(len(squared[0]))]
+
+
+def sum_carry(rows, matrix):
+    """The float carry as a generator sum() per value: the oracle for `_carry`."""
+    return [[sum(a * m_row[k] for a, m_row in zip(row, matrix)) for k in range(len(matrix[0]))]
+            for row in rows]
+
+
+def bits(values):
+    """Each float's (or complex part's) hex spelling: -0.0 differs from 0.0."""
+    return [part.hex() for v in values
+            for part in ((v.real, v.imag) if isinstance(v, complex) else (v,))]
+
+
+SIGNED_ZEROS = (-0.0, complex(0, -0.0), complex(-0.0, -0.0), 0j)
+
+
+@st.composite
+def signed_zero_networks(draw):
+    """A float network in which some decided layers' rows (the initial vector
+    if the first layer is decided) are standard basis rows, phased, whose
+    zeros are signed (-0.0, complex(0, -0.0), ...)."""
+    net = draw(mixed_networks(exact=False))
+    decided = [i for i, layer in enumerate(net.layers[:-1]) if layer.level is Knowability.DECIDED]
+
+    def basis_row(width):
+        k = draw(st.integers(0, width - 1))
+        one = draw(st.sampled_from((1.0, -1.0, 1j, complex(-0.0, -1.0))))
+        return tuple(one if c == k else draw(st.sampled_from(SIGNED_ZEROS)) for c in range(width))
+
+    edges = [list(m) for m in net.edges]
+    for i in decided:
+        edges[i] = [basis_row(len(row)) if draw(st.booleans()) else row for row in edges[i]]
+    initial = net.initial
+    if net.layers[0].level is Knowability.DECIDED and draw(st.booleans()):
+        initial = basis_row(len(initial))
+    return ContextNetwork(net.layers, initial, tuple(map(tuple, edges)))
+
+
+class TestFloatFold:
+    """The float fold accumulates one row at a time from 0, so every value
+    is added in the order a generator sum() adds it."""
+
+    @given(signed_zero_networks())
+    @settings(max_examples=60, deadline=None)
+    def test_propagate_is_bit_identical_to_the_sum_fold(self, net):
+        dist = propagate(net)
+        with mock.patch.object(context, "_merge", sum_merge), \
+                mock.patch.object(context, "_carry", sum_carry):
+            want = propagate(net)
+        assert bits(dist.probabilities) == bits(want.probabilities)
+        assert (dist.rules, dist.exact) == (want.rules, None)
+
+    @given(st.lists(st.lists(st.one_of(st.sampled_from(SIGNED_ZEROS),
+                                       st.complex_numbers(max_magnitude=4)),
+                             min_size=3, max_size=3), min_size=1, max_size=3),
+           st.lists(st.sampled_from((1, 0.5, -0.0, 0.0, -1.5)), min_size=3, max_size=3))
+    @settings(max_examples=150, deadline=None)
+    def test_kernels_are_bit_identical_to_the_sum_oracles(self, rows, weights):
+        matrix = [tuple(row) for row in rows]
+        squared = [[a.real for a in row] for row in rows]
+        assert bits(context._merge(weights, squared)) == bits(sum_merge(weights, squared))
+        carried = context._carry([row[:len(matrix)] for row in rows], matrix)
+        assert [bits(row) for row in carried] == \
+            [bits(row) for row in sum_carry([row[:len(matrix)] for row in rows], matrix)]
+
+
+PHASES = {"exact": (parse_exact("1"), parse_exact("-1"), I, -I), "float": (1, -1, 1j, -1j)}
+
+
+def rephased(net, i, j, phase, inverse):
+    """Value j of layer i rephased: row j of its outgoing matrix times `phase`,
+    column j of its incoming matrix (or initial[j]) times `inverse`."""
+    edges = [list(m) for m in net.edges]
+    edges[i][j] = tuple(a * phase for a in edges[i][j])
+    initial = list(net.initial)
+    if i == 0:
+        initial[j] *= inverse
+    else:
+        edges[i - 1] = [row[:j] + (row[j] * inverse,) + row[j + 1:] for row in edges[i - 1]]
+    return ContextNetwork(net.layers, tuple(initial), tuple(map(tuple, edges)))
+
+
+def permuted(net, i, order):
+    """The values of layer i (labels included) in the order `order`: the
+    incoming matrix's columns (or the initial vector) and the outgoing
+    matrix's rows follow them."""
+    layers, edges = list(net.layers), [list(m) for m in net.edges]
+    layer = layers[i]
+    layers[i] = Layer(layer.property_id, layer.level, tuple(layer.labels[k] for k in order))
+    initial = net.initial
+    if i == 0:
+        initial = tuple(initial[k] for k in order)
+    else:
+        edges[i - 1] = [tuple(row[k] for k in order) for row in edges[i - 1]]
+    if i < len(edges):
+        edges[i] = [edges[i][k] for k in order]
+    return ContextNetwork(tuple(layers), initial, tuple(map(tuple, edges)))
+
+
+def assert_same_distribution(got, want, exact):
+    assert got.labels == want.labels and got.rules == want.rules
+    if exact:
+        assert got.exact == want.exact
+    else:
+        assert all(abs(p - q) <= 1e-12 for p, q in zip(got.probabilities, want.probabilities))
+
+
+class TestPropagateMetamorphic:
+    """Relabellings that leave the physics unchanged leave `propagate`'s
+    output unchanged: exactly for exact networks, within 1e-12 for float ones."""
+
+    @given(st.sampled_from(("exact", "float")), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_rephasing_a_level_one_value(self, field, data):
+        net = data.draw(mixed_networks(exact=field == "exact"))
+        never = [i for i, layer in enumerate(net.layers[:-1]) if layer.level is Knowability.NEVER]
+        assume(never)
+        i = data.draw(st.sampled_from(never))
+        j = data.draw(st.integers(0, net.layers[i].size - 1))
+        k = data.draw(st.integers(0, 3))
+        phases = PHASES[field]
+        # phases are 1, -1, i, -i: the inverse of phase k is phase k ^ (k >> 1)
+        other = rephased(net, i, j, phases[k], phases[k ^ (k >> 1)])
+        assert_same_distribution(propagate(other), propagate(net), field == "exact")
+
+    @given(st.sampled_from(("exact", "float")), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_permuting_a_decided_layer(self, field, data):
+        net = data.draw(mixed_networks(exact=field == "exact"))
+        decided = [i for i, layer in enumerate(net.layers) if layer.level is Knowability.DECIDED]
+        i = data.draw(st.sampled_from(decided))
+        order = data.draw(st.permutations(range(net.layers[i].size)))
+        want = propagate(net)
+        if i == len(net.layers) - 1:  # the outcome itself is permuted
+            want = Distribution(tuple(want.labels[k] for k in order),
+                                tuple(want.probabilities[k] for k in order),
+                                want.exact and tuple(want.exact[k] for k in order), want.rules)
+        assert_same_distribution(propagate(permuted(net, i, order)), want, field == "exact")
