@@ -150,8 +150,8 @@ def _cmd_montecarlo(scenario, eraser, n, seed, tolerance):
 
 
 def _cmd_hilbert(scenario, eraser, n, seed, tolerance):
-    from .hilbert import (JointVolumeTable, SpaceConstructionError, build_space,
-                          commutator, make_operator, principle4_probabilities)
+    from .hilbert import (JointVolumeTable, SpaceConstructionError, _principle4, build_space,
+                          commutator, make_operator)
     net, eraser = _resolved_network(scenario, eraser)
     dist = propagate(net)  # checks the network, which build_space checks only as its kind needs
     jv = JointVolumeTable(v=scenario.joint_volumes) if scenario.joint_volumes else None
@@ -168,7 +168,7 @@ def _cmd_hilbert(scenario, eraser, n, seed, tolerance):
         rows = [(space.kind, str(space.dimension), _fmt(comm.norm),
                  "commuting" if comm.commuting else "non-commuting")]
         if space.kind in ("interference", "sequential"):
-            probs = principle4_probabilities(space, net)
+            probs = _principle4(space, net)  # propagate has checked net
             dev = max(abs(p - q) for p, q in zip(probs, dist.probabilities))
             result["principle4_probabilities"] = list(probs)
             result["principle4_max_deviation"] = dev

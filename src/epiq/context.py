@@ -32,8 +32,8 @@ from __future__ import annotations
 
 from . import Knowability  # re-exported: epiq.context.Knowability
 from . import Record, _set
-from .exactnum import (ONE_ROW, ZERO, ExactAmplitude, abs2, carry_rows, checked_rows,
-                       merge_rows, row_sum, scalars, squared_moduli)
+from .exactnum import (ONE_ROW, ExactAmplitude, carry_rows, checked_rows, merge_rows,
+                       row_sum, scalars, squared_moduli)
 
 NORM_TOL = 1e-12
 
@@ -253,7 +253,8 @@ def reduce_by_observation(net: ContextNetwork, outcome: int) -> ContextNetwork:
     What is then known is again a context: the remaining layers, fed by the
     observed value's row of the first matrix.
     """
-    if errors := validate_context(net):
+    errors, exact, _, squares = _check(net)
+    if errors:
         raise ContextError("; ".join(errors))
     layer = net.layers[0]
     if layer.level is not Knowability.DECIDED:
@@ -262,9 +263,9 @@ def reduce_by_observation(net: ContextNetwork, outcome: int) -> ContextNetwork:
         raise ContextError("nothing left to propagate")
     if not 0 <= outcome < layer.size:
         raise ContextError(f"no value index {outcome} at layer {layer.property_id}")
-    # an exact |a|^2 is compared with ZERO exactly (it never equals 0), a
-    # float one with 0 (it never equals ZERO)
-    if abs2(net.initial[outcome]) in (0, ZERO):
+    # |a|^2 of the initial entries; an exact one's (p, q) has p = 0 only for a = 0
+    square = squares[0][0]
+    if (square[1][2 * outcome] if exact else square[outcome]) == 0:
         raise ContextError("impossible outcome")
     return ContextNetwork(net.layers[1:], net.edges[0][outcome], net.edges[1:])
 

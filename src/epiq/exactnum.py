@@ -7,11 +7,13 @@ distribution checks be literal equality tests instead of float comparisons.
 A scalar is held as ints (a, b, d) standing for (a + b*sqrt2)/d, with d > 0
 and gcd(a, b, d) == 1, so equal values have equal coordinates.  An amplitude
 is held the same way as five ints (a, b, c, e, d) standing for
-(a + b*sqrt2 + i(c + e*sqrt2))/d, with d > 0 and gcd(a, b, c, e, d) == 1, so
-`+`, `*` and `abs2` are integer arithmetic with one gcd per result; `.re` and
-`.im` build the canonical scalars on demand.  `float` and `complex` divide
-ints, which rounds correctly as `Fraction.__float__` does, so they are
-bit-identical to float(p) + float(q)*sqrt(2) of each part.
+(a + b*sqrt2 + i(c + e*sqrt2))/d, with d > 0 and gcd(a, b, c, e, d) == 1;
+`.re` and `.im` build the canonical scalars on demand.  An amplitude has no
+arithmetic: its sums, products and squared moduli are made only by the row
+kernels below.  A scalar's `+`, `-` and `*` are integer arithmetic with one
+gcd per result.  `float` and `complex` divide ints, which rounds correctly as
+`Fraction.__float__` does, so they are bit-identical to
+float(p) + float(q)*sqrt(2) of each part.
 
 Checking and folding a network make no value objects and no gcd per
 operation: they run on integer rows.  An amplitude row is `(D, x)`, a shared
@@ -27,10 +29,10 @@ through a matrix) reduce each result row by one gcd over the whole row, and
 
 `fractions` is imported only where a `Fraction` is built: by
 `Sqrt2Scalar(p, q)`, `.p`, `.q`, `as_fraction` and a scalar's `repr`.
-Arithmetic, the row kernels, `float`, `complex` and `parse_exact` work on the
-ints alone, so propagating and checking an exact network loads neither
-`fractions` nor `decimal`.  Both value types are `epiq.Record`s with the one
-field `_k`.
+A scalar's arithmetic, the row kernels, `float`, `complex` and `parse_exact`
+work on the ints alone, so propagating and checking an exact network loads
+neither `fractions` nor `decimal`.  Both value types are `epiq.Record`s with
+the one field `_k`.
 """
 from __future__ import annotations
 
@@ -87,12 +89,8 @@ class Sqrt2Scalar(_Value):
             return _scalar(value, 0, 1)
         return Sqrt2Scalar(value)
 
-    # each binary method returns NotImplemented for an ExactAmplitude, whose
-    # reflected method then answers with an amplitude
     def __add__(self, other):
         if type(other) is not Sqrt2Scalar:
-            if type(other) is ExactAmplitude:
-                return NotImplemented
             other = Sqrt2Scalar.of(other)
         (a, b, d), (c, e, f) = self._k, other._k
         return _scalar(a * f + c * d, b * f + e * d, d * f)
@@ -100,13 +98,9 @@ class Sqrt2Scalar(_Value):
     __radd__ = __add__
 
     def __sub__(self, other):
-        if type(other) is ExactAmplitude:
-            return NotImplemented
         return self + -Sqrt2Scalar.of(other)
 
     def __rsub__(self, other):
-        if type(other) is ExactAmplitude:
-            return NotImplemented
         return Sqrt2Scalar.of(other) + -self
 
     def __neg__(self):
@@ -115,8 +109,6 @@ class Sqrt2Scalar(_Value):
 
     def __mul__(self, other):
         if type(other) is not Sqrt2Scalar:
-            if type(other) is ExactAmplitude:
-                return NotImplemented
             other = Sqrt2Scalar.of(other)
         (a, b, d), (c, e, f) = self._k, other._k
         # (a + b*s)(c + e*s) with s^2 = 2
@@ -155,7 +147,8 @@ ONE = _scalar(1, 0, 1)
 
 
 class ExactAmplitude(_Value):
-    """Complex number with real and imaginary parts in Q(sqrt2)."""
+    """Complex number with real and imaginary parts in Q(sqrt2); it is read,
+    compared and hashed, and the row kernels do its arithmetic."""
 
     __slots__ = ()
 
@@ -172,41 +165,6 @@ class ExactAmplitude(_Value):
             return value
         a, b, d = Sqrt2Scalar.of(value)._k
         return _make(ExactAmplitude, (a, b, 0, 0, d))
-
-    def __add__(self, other):
-        if type(other) is not ExactAmplitude:
-            other = ExactAmplitude.of(other)
-        (a, b, c, e, d), (f, g, h, k, n) = self._k, other._k
-        return _amplitude(a * n + f * d, b * n + g * d, c * n + h * d, e * n + k * d, d * n)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + -ExactAmplitude.of(other)
-
-    def __rsub__(self, other):
-        return ExactAmplitude.of(other) + -self
-
-    def __neg__(self):
-        a, b, c, e, d = self._k
-        return _make(ExactAmplitude, (-a, -b, -c, -e, d))
-
-    def __mul__(self, other):
-        if type(other) is not ExactAmplitude:
-            other = ExactAmplitude.of(other)
-        (a, b, c, e, d), (f, g, h, k, n) = self._k, other._k
-        # (x + iy)(u + iv) with x = a + b*s, y = c + e*s, u = f + g*s,
-        # v = h + k*s and s^2 = 2
-        return _amplitude(a * f + 2 * b * g - c * h - 2 * e * k,
-                          a * g + b * f - c * k - e * h,
-                          a * h + 2 * b * k + c * f + 2 * e * g,
-                          a * k + b * h + c * g + e * f, d * n)
-
-    __rmul__ = __mul__
-
-    def abs2(self) -> Sqrt2Scalar:
-        a, b, c, e, d = self._k
-        return _scalar(a * a + 2 * b * b + c * c + 2 * e * e, 2 * (a * b + c * e), d * d)
 
     def __complex__(self) -> complex:
         a, b, c, e, d = self._k
@@ -239,14 +197,6 @@ def parse_exact(token: str) -> ExactAmplitude:
     if m.group(3):
         return ExactAmplitude.of(_scalar(0, num, 2 * den))
     return ExactAmplitude.of(_scalar(num, 0, den))
-
-
-def abs2(a):
-    """Squared modulus for either exact or floating amplitudes."""
-    if isinstance(a, ExactAmplitude):
-        return a.abs2()
-    a = complex(a)
-    return a.real * a.real + a.imag * a.imag
 
 
 def _lowest(d: int, x: list) -> tuple:

@@ -29,7 +29,7 @@ from collections.abc import Sequence
 from operator import mul
 
 from . import Knowability, Record, _set
-from .context import ContextError, ContextNetwork, Layer, _complex, _complex_rows
+from .context import ContextError, ContextNetwork, Layer, _complex, _complex_rows, validate_context
 
 ORTHO_TOL = 1e-12
 NEUTRAL_TOL = 1e-9
@@ -175,8 +175,7 @@ def _vector_space(net: ContextNetwork, kind: str, w) -> ContextSpace:
 
 def _build_interference(net: ContextNetwork, m: int, mp: int) -> ContextSpace:
     if m > mp:
-        raise SpaceConstructionError(
-            "pad virtual values first: interference space needs M <= M'")
+        raise SpaceConstructionError("interference space covers only M <= M'")
     # second-basis vector k has component conj(a[j][k]) on first-basis vector j,
     # so that <first_j, second_k> equals the amplitude a[j][k]; when M < M' the
     # remaining coordinates are an orthonormal completion.
@@ -478,8 +477,16 @@ def principle4_probabilities(space: ContextSpace, net: ContextNetwork) -> tuple:
 
     The first property's basis is the standard basis, so <first_j, second_k>
     is the conjugate of entry j of second-basis vector k; rows past the
-    first property's values (an interference completion) never enter.
+    first property's values (an interference completion) never enter.  A
+    network that `validate_context` refuses is refused with its messages.
     """
+    if errors := validate_context(net):
+        raise ContextError("; ".join(errors))
+    return _principle4(space, net)
+
+
+def _principle4(space: ContextSpace, net: ContextNetwork) -> tuple:
+    """principle4_probabilities for a network already checked."""
     w = space.basis(space.property_order[-1])
     init = tuple(map(_complex, net.initial))
     rows = w[:len(init)]

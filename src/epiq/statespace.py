@@ -289,8 +289,9 @@ class EpistemicState(Record):
     def __len__(self):
         return self.mask.bit_count()
 
-    def __contains__(self, z: ExactState):
-        return ((type(z) is self.registry._state_type or z.registry == self.registry)
+    def __contains__(self, z) -> bool:
+        return (isinstance(z, ExactState)
+                and (type(z) is self.registry._state_type or z.registry == self.registry)
                 and bool(self.mask >> z & 1))
 
     def _meet(self, other: EpistemicState) -> int:

@@ -23,6 +23,7 @@ from epiq.uniqueness import (BORN, QUARTIC, REAL_QUADRATIC, build_constraints, e
                              property_independence_conditions)
 
 from dof_search import estimate_dof
+from exact_oracle import abs2
 
 H = parse_exact("1/sqrt2")
 HN = parse_exact("-1/sqrt2")
@@ -210,11 +211,11 @@ def test_criterion_8_cross_module_oracle():
         # independent oracle: exhaustive path enumeration with Fractions
         totals = [Fraction(0)] * sizes[-1]
         for j in range(sizes[0]):
-            w0 = initial[j].abs2().as_fraction()
+            w0 = abs2(initial[j]).as_fraction()
             for k in range(sizes[1]):
-                w1 = w0 * edges[0][j][k].abs2().as_fraction()
+                w1 = w0 * abs2(edges[0][j][k]).as_fraction()
                 for l in range(sizes[2]):
-                    totals[l] += w1 * edges[1][k][l].abs2().as_fraction()
+                    totals[l] += w1 * abs2(edges[1][k][l]).as_fraction()
         ok = ok and [x.as_fraction() for x in dist.exact] == totals
 
     for level, jv in ((1, None), (3, JointVolumeTable(v=((0.25,) * 2,) * 2))):
@@ -299,7 +300,7 @@ def _ticket_tables(boundaries):
     denominator D of |a|^2 and, per row, the value that each of the D tickets
     falls on: value k owns D*|a_k|^2 consecutive tickets.  None when the
     product of the D exceeds ``BRIDGE_MAX_STATES``."""
-    squares = [[[a.abs2().as_fraction() for a in row] for row in rows] for rows in boundaries]
+    squares = [[[abs2(a).as_fraction() for a in row] for row in rows] for rows in boundaries]
     dens = [max(2, math.lcm(*(p.denominator for row in rows for p in row))) for rows in squares]
     if math.prod(dens) > BRIDGE_MAX_STATES:
         return None

@@ -5,7 +5,8 @@ import pytest
 from epiq.context import (ContextError, ContextNetwork, Layer, pad_virtual_values, propagate, reduce_by_consistency,
                           reduce_by_observation, validate_context)
 from epiq.evolution import Knowability
-from epiq.exactnum import ExactAmplitude, Sqrt2Scalar, abs2, parse_exact
+from epiq.exactnum import ExactAmplitude, Sqrt2Scalar, parse_exact
+from exact_oracle import abs2, add
 
 H = parse_exact("1/sqrt2")
 HN = parse_exact("-1/sqrt2")
@@ -43,7 +44,7 @@ class TestValidation:
         net = ContextNetwork(
             layers=(Layer("p", Knowability.NEVER, (1.0, 2.0)),
                     Layer("q", Knowability.DECIDED, (1.0, 2.0))),
-            initial=(H, H), edges=(((H, H), (H, H + H)),))
+            initial=(H, H), edges=(((H, H), (H, add(H, H))),))
         assert any("row not normalized" in msg for msg in validate_context(net))
 
     def test_matrix_shape(self):
@@ -231,6 +232,19 @@ class TestReduction:
             edges=(((ONE, ZERO), (ZERO, ONE)),))
         assert propagate(net).exact[1] == Sqrt2Scalar(Fraction(1, 10**800))
         assert reduce_by_observation(net, outcome=1).initial == (ZERO, ONE)
+
+    def test_tiny_exact_amplitude_in_a_mixed_network_is_impossible(self):
+        # a float matrix makes the network mixed, so it is checked and folded
+        # in floats, where |tiny|^2 is 0.0: the outcome is impossible there
+        tiny = ExactAmplitude.of(Fraction(1, 10**400))
+        net = ContextNetwork(
+            layers=(Layer("path", Knowability.DECIDED, (1.0, 2.0)),
+                    Layer("detector", Knowability.DECIDED, (1.0, 2.0))),
+            initial=(ONE, tiny),
+            edges=(((1.0, 0.0), (0.0, 1.0)),))
+        assert propagate(net).probabilities == (1.0, 0.0)
+        with pytest.raises(ContextError, match="impossible"):
+            reduce_by_observation(net, outcome=1)
 
     def test_impossible_float_outcome_rejected(self):
         net = ContextNetwork(mz(3).layers, (1 + 0j, 0j), mz(3).edges)

@@ -1,6 +1,9 @@
 """Q(sqrt2) arithmetic against a plain (Fraction, Fraction) pair oracle, and
 the value-object contract of Sqrt2Scalar, ExactAmplitude and the records
-built on the same base (epiq.Record)."""
+built on the same base (epiq.Record).  An ExactAmplitude has no arithmetic
+of its own; the amplitude tests check the per-entry reference in
+`exact_oracle`, and with it the amplitudes' construction, `complex()` and
+canonical coordinates."""
 import copy
 import inspect
 import pickle
@@ -17,6 +20,7 @@ from epiq.context import (ContextNetwork, Distribution, Layer, propagate,
                           reduce_by_observation)
 from epiq.exactnum import ONE, ZERO, ExactAmplitude, Sqrt2Scalar, _make, parse_exact
 from epiq.scenario import Scenario, bundled_scenario_path, load_scenario_file
+from exact_oracle import abs2, add, mul, neg, sub
 
 ROOT2 = 2 ** 0.5
 
@@ -83,14 +87,20 @@ def test_mixed_int_and_fraction_operands(x, r):
 @given(pairs, pairs, rationals, pairs, pairs)
 @settings(max_examples=200, deadline=None)
 def test_reflected_subtraction(x, y, r, u, v):
-    """k - x == -(x - k) for an int or Fraction k and for an exact k of x's type."""
-    for value, exact in ((scalar(x), scalar(u)), (amplitude(x, y), amplitude(u, v))):
-        for k in (r, exact):
-            got = k - value
-            assert type(got) is type(value)
-            assert got == -(value - k)
+    """k - x == -(x - k) for an int or Fraction k and for an exact k of x's
+    type: a scalar's operators, and the oracle's sub and neg for amplitudes."""
+    value = scalar(x)
+    for k in (r, scalar(u)):
+        got = k - value
+        assert type(got) is Sqrt2Scalar
+        assert got == -(value - k)
+    value = amplitude(x, y)
+    for k in (r, amplitude(u, v)):
+        got = sub(k, value)
+        assert type(got) is ExactAmplitude
+        assert got == neg(sub(value, k))
     assert 1 - Sqrt2Scalar(1, 1) == Sqrt2Scalar(0, -1)
-    assert 1 - ExactAmplitude(ONE, ONE) == ExactAmplitude(ZERO, -ONE)
+    assert sub(1, ExactAmplitude(ONE, ONE)) == ExactAmplitude(ZERO, -ONE)
 
 
 _A, _S = parse_exact("1/sqrt2"), Sqrt2Scalar(1, 1)
@@ -103,23 +113,25 @@ _A, _S = parse_exact("1/sqrt2"), Sqrt2Scalar(1, 1)
     (lambda: _S * _A, lambda: _A * _S),
 ], ids=["int*a", "s+a", "s-a", "s*a"])
 def test_reflected_mixed_operands(expression, mirror):
-    """An int or scalar on the left of an amplitude gives the amplitude its mirror gives."""
-    got = expression()
-    assert type(got) is ExactAmplitude and got == mirror()
+    """An amplitude has no arithmetic: an int or scalar on either side of it
+    is refused."""
+    for operation in (expression, mirror):
+        with pytest.raises(TypeError):
+            operation()
 
 
 @given(pairs, pairs, pairs, pairs)
 @settings(max_examples=200, deadline=None)
 def test_amplitude_arithmetic_matches_pair_oracle(zr, zi, wr, wi):
     z, w = amplitude(zr, zi), amplitude(wr, wi)
-    for got, want in ((z + w, (o_add(zr, wr), o_add(zi, wi))),
-                      (z - w, (o_sub(zr, wr), o_sub(zi, wi))),
-                      (-z, ((-zr[0], -zr[1]), (-zi[0], -zi[1]))),
-                      (z * w, o_cmul((zr, zi), (wr, wi)))):
+    for got, want in ((add(z, w), (o_add(zr, wr), o_add(zi, wi))),
+                      (sub(z, w), (o_sub(zr, wr), o_sub(zi, wi))),
+                      (neg(z), ((-zr[0], -zr[1]), (-zi[0], -zi[1]))),
+                      (mul(z, w), o_cmul((zr, zi), (wr, wi)))):
         assert type(got) is ExactAmplitude
         assert (coords(got.re), coords(got.im)) == want
-    assert coords(z.abs2()) == o_add(o_mul(zr, zr), o_mul(zi, zi))
-    assert 0 + z == z + 0 == z
+    assert coords(abs2(z)) == o_add(o_mul(zr, zr), o_mul(zi, zi))
+    assert add(0, z) == add(z, 0) == z
 
 
 def o_float(x):
@@ -134,13 +146,13 @@ def bits(*values):
 @settings(max_examples=200, deadline=None)
 def test_amplitude_floats_match_pair_oracle(zr, zi, wr, wi):
     z, w = amplitude(zr, zi), amplitude(wr, wi)
-    for got, (re, im) in ((z + w, (o_add(zr, wr), o_add(zi, wi))),
-                          (z - w, (o_sub(zr, wr), o_sub(zi, wi))),
-                          (z * w, o_cmul((zr, zi), (wr, wi)))):
+    for got, (re, im) in ((add(z, w), (o_add(zr, wr), o_add(zi, wi))),
+                          (sub(z, w), (o_sub(zr, wr), o_sub(zi, wi))),
+                          (mul(z, w), o_cmul((zr, zi), (wr, wi)))):
         c = complex(got)
         assert bits(c.real, c.imag) == bits(float(got.re), float(got.im)) == \
             bits(o_float(re), o_float(im))
-    assert bits(float(z.abs2())) == bits(o_float(o_add(o_mul(zr, zr), o_mul(zi, zi))))
+    assert bits(float(abs2(z))) == bits(o_float(o_add(o_mul(zr, zr), o_mul(zi, zi))))
 
 
 @given(pairs, pairs, st.integers(1, 10**12))
@@ -148,12 +160,12 @@ def test_amplitude_floats_match_pair_oracle(zr, zi, wr, wi):
 def test_equal_amplitudes_by_different_routes_share_coordinates(x, y, k):
     z, w = amplitude(x, y), amplitude(y, x)
     routes = [
-        ExactAmplitude.of(scalar(x)) + ExactAmplitude(ZERO, scalar(y)),
-        (z + w) - w,
-        z * ExactAmplitude.of(ONE) + 0,
-        (z * k) * ExactAmplitude.of(F(1, k)),
-        (z * ExactAmplitude(ZERO, ONE)) * ExactAmplitude(ZERO, -ONE),
-        -(-z),
+        add(ExactAmplitude.of(scalar(x)), ExactAmplitude(ZERO, scalar(y))),
+        sub(add(z, w), w),
+        add(mul(z, ExactAmplitude.of(ONE)), 0),
+        mul(mul(z, k), ExactAmplitude.of(F(1, k))),
+        mul(mul(z, ExactAmplitude(ZERO, ONE)), ExactAmplitude(ZERO, -ONE)),
+        neg(neg(z)),
         ExactAmplitude(z.re, z.im),
         pickle.loads(pickle.dumps(z)),
     ]
@@ -197,7 +209,7 @@ def test_equal_values_by_different_routes(x, y, k):
         assert route == a
         assert hash(route) == hash(a)
         assert repr(route) == repr(a)
-    z, w = amplitude(x, y), ExactAmplitude(scalar(x)) + ExactAmplitude(ZERO, scalar(y))
+    z, w = amplitude(x, y), add(ExactAmplitude(scalar(x)), ExactAmplitude(ZERO, scalar(y)))
     assert z == w and hash(z) == hash(w)
     assert a * b == b * a and hash(a * b) == hash(b * a)
 
@@ -260,14 +272,14 @@ class TestValueObject:
 
 H = parse_exact("1/sqrt2")
 LAYERS = (Layer("path", Knowability.NEVER, (1, 2)), Layer("detector", 3, [1.0, 2]))
-NETWORK = ContextNetwork(LAYERS, (H, H), [[(H, H), (H, -H)]])
+NETWORK = ContextNetwork(LAYERS, (H, H), [[(H, H), (H, neg(H))]])
 SCENARIO = load_scenario_file(bundled_scenario_path("twin-eraser"))
 RECORDS = {
     "layer": LAYERS[0],
     "network": NETWORK,
     # a start state is a network: one superposed at the path layer, and the one
     # left once a decided path is observed
-    "superposed": ContextNetwork(LAYERS, (H, -H), NETWORK.edges),
+    "superposed": ContextNetwork(LAYERS, (H, neg(H)), NETWORK.edges),
     "reduced": reduce_by_observation(
         ContextNetwork((Layer("path", 3, (1, 2)), LAYERS[1]), (H, H), NETWORK.edges), 0),
     "distribution": propagate(NETWORK),
@@ -363,7 +375,7 @@ class TestRecord:
                                                  property_id="path") == layer
         assert type(layer.level) is Knowability and type(layer.labels[0]) is float
         assert ContextNetwork(list(LAYERS), [H, H], NETWORK.edges) == ContextNetwork(
-            edges=[[[H, H], [H, -H]]], initial=(H, H), layers=LAYERS) == NETWORK
+            edges=[[[H, H], [H, neg(H)]]], initial=(H, H), layers=LAYERS) == NETWORK
         dist = Distribution((1.0, 2.0), (0.5, 0.5))
         assert dist.exact is None and dist.rules == ()
         assert dist == Distribution(probabilities=(0.5, 0.5), labels=(1.0, 2.0),

@@ -86,6 +86,17 @@ class TestInterferenceSpace:
         probs = principle4_probabilities(space, net)
         assert probs == pytest.approx(propagate(net).probabilities, abs=1e-12)
 
+    @pytest.mark.parametrize("entry", [2.0, ExactAmplitude.of(10**400)],
+                             ids=["float", "exact-past-float-range"])
+    def test_principle4_refuses_what_validate_refuses(self, entry):
+        net = interference_net()
+        bad = ContextNetwork(net.layers, (entry, 0), net.edges)
+        space = build_space(bad)
+        assert validate_context(bad) == ["row not normalized: initial amplitudes"]
+        with pytest.raises(ContextError) as refused:
+            principle4_probabilities(space, bad)
+        assert str(refused.value) == "row not normalized: initial amplitudes"
+
     def test_wider_second_layer_completion(self):
         s = math.sqrt(0.5)
         net = ContextNetwork(
@@ -106,7 +117,7 @@ class TestInterferenceSpace:
                     Layer("detector", Knowability.DECIDED, (1.0, 2.0))),
             initial=(1 + 0j, 0j, 0j),
             edges=(((H, H), (H, -H), (1 + 0j, 0j)),))
-        with pytest.raises(SpaceConstructionError, match="pad virtual values"):
+        with pytest.raises(SpaceConstructionError, match="covers only M <= M'"):
             build_space(net)
 
     def test_nonunitary_matrix_rejected(self):

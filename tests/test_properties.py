@@ -14,11 +14,12 @@ from epiq import context
 from epiq.context import (ContextError, ContextNetwork, Distribution, Layer, pad_virtual_values,
                           propagate, reduce_by_observation, validate_context)
 from epiq.evolution import EvolutionRule, Knowability, make_alternatives, probability
-from epiq.exactnum import (ONE, ZERO, ExactAmplitude, Sqrt2Scalar, abs2, checked_rows,
-                           parse_exact, scalars)
+from epiq.exactnum import ONE, ZERO, ExactAmplitude, Sqrt2Scalar, checked_rows, parse_exact, scalars
+from epiq.hilbert import build_space, commutator, make_operator, principle4_probabilities
 from epiq.statespace import (AttributeDef, EpistemicState, ExactState, ObjectRegistry,
                              PropertySpec, VoidStateError, all_exact_states, combine,
                              full_state, relative_volume, state_slice, volume)
+from exact_oracle import abs2, add, mul, neg, sub
 
 
 def small_registry(n_positions: int, n_marks: int) -> ObjectRegistry:
@@ -239,7 +240,7 @@ EXACT_ROTATIONS = tuple(
     for c, s in (("3/5", "4/5"), ("5/13", "12/13"), ("1/sqrt2", "1/sqrt2"),
                  ("-4/5", "3/5"), ("0", "1")))
 I = ExactAmplitude(Sqrt2Scalar.of(0), Sqrt2Scalar.of(1))
-EXACT_PHASES = (parse_exact("1"), I, parse_exact("-1"), -I)
+EXACT_PHASES = (parse_exact("1"), I, parse_exact("-1"), neg(I))
 
 
 @st.composite
@@ -256,12 +257,13 @@ def unitaries(draw, n, exact):
             theta = draw(st.floats(0.0, 2 * math.pi))
             c, s = complex(math.cos(theta)), complex(math.sin(theta))
         for row in u:
-            row[p], row[q] = c * row[p] - s * row[q], s * row[p] + c * row[q]
+            row[p], row[q] = (sub(mul(c, row[p]), mul(s, row[q])),
+                              add(mul(s, row[p]), mul(c, row[q])))
     if exact:
         phases = [draw(st.sampled_from(EXACT_PHASES)) for _ in range(n)]
     else:
         phases = [cmath.exp(1j * draw(st.floats(0.0, 2 * math.pi))) for _ in range(n)]
-    return [tuple(a * ph for a, ph in zip(row, phases)) for row in u]
+    return [tuple(mul(a, ph) for a, ph in zip(row, phases)) for row in u]
 
 
 @st.composite
@@ -338,8 +340,8 @@ def path_oracle(net):
             path = dict(zip(decided, dvals)) | dict(zip(never, nvals))
             amp = net.initial[path[0]]
             for i in range(len(layers) - 1):
-                amp = net.edges[i][path[i]][path[i + 1]] * amp
-            coherent = coherent + amp
+                amp = mul(net.edges[i][path[i]][path[i + 1]], amp)
+            coherent = add(coherent, amp)
         totals[path[len(layers) - 1]] += abs2(coherent)
     return totals
 
@@ -515,10 +517,11 @@ class TestIntegerRowFold:
             raise AssertionError("per-entry arithmetic in the exact fold")
 
         with monkeypatch.context() as m:
-            for cls, names in ((ExactAmplitude, ("__add__", "__radd__", "__mul__", "abs2")),
-                               (Sqrt2Scalar, ("__add__", "__radd__", "__mul__", "__rmul__"))):
-                for name in names:
-                    m.setattr(cls, name, refuse)
+            for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__",
+                         "__rmul__"):
+                assert not hasattr(ExactAmplitude, name)
+                m.setattr(Sqrt2Scalar, name, refuse)
+            assert not hasattr(ExactAmplitude, "abs2")
             got = [(propagate(net), validate_context(net)) for net in nets]
         assert got == [(dist, []) for dist in want]
 
@@ -531,13 +534,13 @@ def padded_exact_network():
     one, quarter = parse_exact("1"), Fraction(1, 4)
     cancelling = (ExactAmplitude(Sqrt2Scalar(quarter, quarter)),
                   ExactAmplitude(Sqrt2Scalar(quarter, -quarter)),
-                  ExactAmplitude(ZERO, Sqrt2Scalar(0, quarter)) + r)
+                  add(ExactAmplitude(ZERO, Sqrt2Scalar(0, quarter)), r))
     net = ContextNetwork(
         layers=(Layer("a", Knowability.NEVER, (1.0, 2.0, 3.0)),
                 Layer("b", Knowability.DECIDED, (1.0, 2.0)),
                 Layer("c", Knowability.DECIDED, (1.0, 2.0, 3.0))),
         initial=(r, r, z),
-        edges=(((r, r), (r, -r), (one, z)), ((h, h, r), cancelling)))
+        edges=(((r, r), (r, neg(r)), (one, z)), ((h, h, r), cancelling)))
     return pad_virtual_values(net, 0)
 
 
@@ -552,13 +555,13 @@ def per_entry_messages(net):
 PERTURBATIONS = (
     lambda a: ExactAmplitude.of(10**200),
     lambda a: ExactAmplitude.of(0),
-    lambda a: -a,
-    lambda a: a * I,
+    neg,
+    lambda a: mul(a, I),
     # a row off by 1e-14 passes the float test, one off by 1e-6 does not
-    lambda a: a * (1 + Sqrt2Scalar(Fraction(1, 10**14))),
-    lambda a: a * (1 + Sqrt2Scalar(Fraction(1, 10**6))),
-    lambda a: a + parse_exact("3/5"),
-    lambda a: a * parse_exact("1/sqrt2"),
+    lambda a: mul(a, 1 + Sqrt2Scalar(Fraction(1, 10**14))),
+    lambda a: mul(a, 1 + Sqrt2Scalar(Fraction(1, 10**6))),
+    lambda a: add(a, parse_exact("3/5")),
+    lambda a: mul(a, parse_exact("1/sqrt2")),
 )
 
 
@@ -624,7 +627,8 @@ def exact_matrices(draw):
         k = draw(st.integers(0, width - 1))
         if kind == "off":
             amount = Fraction(draw(st.sampled_from((-1, 1))), 10 ** draw(st.integers(1, 30)))
-            row[k] = row[k] * (1 + Sqrt2Scalar(*draw(st.sampled_from(((amount, 0), (0, amount))))))
+            scale = 1 + Sqrt2Scalar(*draw(st.sampled_from(((amount, 0), (0, amount)))))
+            row[k] = mul(row[k], scale)
         elif kind == "random":
             row = exact_entries(draw, width)
         elif kind == "big":
@@ -632,7 +636,7 @@ def exact_matrices(draw):
         elif kind == "sqrt2":
             row = [ExactAmplitude.of(0)] * width
             phase = draw(st.sampled_from(EXACT_PHASES))
-            row[k] = phase * Sqrt2Scalar(Fraction(1, 3), Fraction(2, 3))
+            row[k] = mul(phase, Sqrt2Scalar(Fraction(1, 3), Fraction(2, 3)))
         rows.append(tuple(row))
     return tuple(rows)
 
@@ -651,13 +655,13 @@ class TestFusedRowKernel:
             assert [ExactAmplitude(Sqrt2Scalar(Fraction(x[k], d), Fraction(x[k + 1], d)),
                                    Sqrt2Scalar(Fraction(x[k + 2], d), Fraction(x[k + 3], d)))
                     for k in range(0, len(x), 4)] == list(entries)
-            assert scalars((dy, y)) == tuple(a.abs2() for a in entries)
+            assert scalars((dy, y)) == tuple(map(abs2, entries))
         assert off == [j for j, entries in enumerate(matrix)
-                       if sum((a.abs2() for a in entries), ZERO) != ONE]
+                       if sum(map(abs2, entries), ZERO) != ONE]
 
     def test_a_shared_denominator_is_kept(self):
         h = parse_exact("1/sqrt2")
-        rows, squares, off = checked_rows(((h, h), (h, -h)))
+        rows, squares, off = checked_rows(((h, h), (h, neg(h))))
         assert rows == [(2, [0, 1, 0, 0, 0, 1, 0, 0]), (2, [0, 1, 0, 0, 0, -1, 0, 0])]
         assert squares == [(4, [2, 0, 2, 0])] * 2 and off == []
 
@@ -665,7 +669,7 @@ class TestFusedRowKernel:
 def nudged(a):
     """a scaled by 1 + 1e-6: a row with a nonzero a is then off by more than NORM_TOL."""
     if isinstance(a, ExactAmplitude):
-        return a * (1 + Sqrt2Scalar(Fraction(1, 10**6)))
+        return mul(a, 1 + Sqrt2Scalar(Fraction(1, 10**6)))
     return a * (1 + 1e-6)
 
 
@@ -793,19 +797,21 @@ class TestFloatFold:
             [bits(row) for row in sum_carry([row[:len(matrix)] for row in rows], matrix)]
 
 
-PHASES = {"exact": (parse_exact("1"), parse_exact("-1"), I, -I), "float": (1, -1, 1j, -1j)}
+PHASES = {"exact": (parse_exact("1"), parse_exact("-1"), I, neg(I)), "float": (1, -1, 1j, -1j)}
 
 
 def rephased(net, i, j, phase, inverse):
-    """Value j of layer i rephased: row j of its outgoing matrix times `phase`,
-    column j of its incoming matrix (or initial[j]) times `inverse`."""
+    """Value j of layer i rephased: row j of its outgoing matrix (if it has
+    one) times `phase`, column j of its incoming matrix (or initial[j]) times
+    `inverse`."""
     edges = [list(m) for m in net.edges]
-    edges[i][j] = tuple(a * phase for a in edges[i][j])
+    if i < len(edges):
+        edges[i][j] = tuple(mul(a, phase) for a in edges[i][j])
     initial = list(net.initial)
     if i == 0:
-        initial[j] *= inverse
+        initial[j] = mul(initial[j], inverse)
     else:
-        edges[i - 1] = [row[:j] + (row[j] * inverse,) + row[j + 1:] for row in edges[i - 1]]
+        edges[i - 1] = [row[:j] + (mul(row[j], inverse),) + row[j + 1:] for row in edges[i - 1]]
     return ContextNetwork(net.layers, tuple(initial), tuple(map(tuple, edges)))
 
 
@@ -853,6 +859,29 @@ class TestPropagateMetamorphic:
         assert_same_distribution(propagate(other), propagate(net), field == "exact")
 
     @given(st.sampled_from(("exact", "float")), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_rephasing_a_final_matrix_column(self, field, data):
+        net = data.draw(mixed_networks(exact=field == "exact"))
+        last = len(net.layers) - 1
+        k = data.draw(st.integers(0, net.layers[last].size - 1))
+        one, *phases = PHASES[field]
+        other = rephased(net, last, k, one, data.draw(st.sampled_from(phases)))
+        assert_same_distribution(propagate(other), propagate(net), field == "exact")
+
+    @given(st.sampled_from(("exact", "float")), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_rephasing_a_whole_row_after_a_decided_layer(self, field, data):
+        net = data.draw(mixed_networks(exact=field == "exact"))
+        decided = [i for i, layer in enumerate(net.layers[:-1])
+                   if layer.level is Knowability.DECIDED]
+        assume(decided)
+        i = data.draw(st.sampled_from(decided))
+        j = data.draw(st.integers(0, net.layers[i].size - 1))
+        one, *phases = PHASES[field]
+        other = rephased(net, i, j, data.draw(st.sampled_from(phases)), one)
+        assert_same_distribution(propagate(other), propagate(net), field == "exact")
+
+    @given(st.sampled_from(("exact", "float")), st.data())
     @settings(max_examples=80, deadline=None)
     def test_permuting_a_decided_layer(self, field, data):
         net = data.draw(mixed_networks(exact=field == "exact"))
@@ -865,3 +894,82 @@ class TestPropagateMetamorphic:
                                 tuple(want.probabilities[k] for k in order),
                                 want.exact and tuple(want.exact[k] for k in order), want.rules)
         assert_same_distribution(propagate(permuted(net, i, order)), want, field == "exact")
+
+
+def renamed(messages, i, order):
+    """validate_context's messages once the values of layer i are put in
+    `order` (as `permuted` puts them): matrix i's unnormalized rows move with
+    their values, and every other message stays as it is."""
+    prefix = f"row not normalized: matrix {i} row "
+    moved = iter(sorted(order.index(int(m.removeprefix(prefix)))
+                        for m in messages if m.startswith(prefix)))
+    return [f"{prefix}{next(moved)}" if m.startswith(prefix) else m for m in messages]
+
+
+class TestValidateMetamorphic:
+    @given(st.sampled_from(("exact", "float")), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_permuting_a_layer_names_the_permuted_rows(self, field, data):
+        net = data.draw(mixed_networks(exact=field == "exact"))
+        rows = [(i, j) for i, m in enumerate(net.edges) for j in range(len(m))]
+        edges = [list(m) for m in net.edges]
+        for i, j in data.draw(st.lists(st.sampled_from(rows), min_size=1, unique=True)):
+            edges[i][j] = tuple(mul(a, 2) for a in edges[i][j])  # its |a|^2 sum to 4
+        bad = ContextNetwork(net.layers, net.initial, tuple(map(tuple, edges)))
+        i = data.draw(st.integers(0, len(net.layers) - 1))
+        order = data.draw(st.permutations(range(net.layers[i].size)))
+        messages = validate_context(bad)
+        assert messages
+        assert validate_context(permuted(bad, i, order)) == renamed(messages, i, order)
+
+
+@st.composite
+def interference_contexts(draw, exact):
+    """A level-1 property of M = 2-3 values before a decided one of M' = M-4
+    values, joined by M orthonormal rows."""
+    m = draw(st.integers(2, 3))
+    mp = draw(st.integers(m, 4))
+    layers = (Layer("P", Knowability.NEVER, tuple(float(k + 1) for k in range(m))),
+              Layer("Q", Knowability.DECIDED, tuple(float(k + 1) for k in range(mp))))
+    return ContextNetwork(layers, draw(unitaries(m, exact))[0],
+                          (tuple(draw(unitaries(mp, exact))[:m]),))
+
+
+def hilbert_readout(net):
+    """The hilbert command's numbers: the commutator's norm and verdict, and
+    the principle-4 probabilities."""
+    space = build_space(net)
+    first, second = net.layers
+    comm = commutator(make_operator(space, first.property_id, labels=first.labels),
+                      make_operator(space, second.property_id, labels=second.labels))
+    return comm.norm, comm.commuting, principle4_probabilities(space, net)
+
+
+class TestHilbertMetamorphic:
+    """The operators and the principle-4 probabilities belong to the context,
+    not to the order of its values or the phase of each basis vector.  The
+    space is built in floats for exact networks too, so every comparison is
+    within 1e-12."""
+
+    @given(st.sampled_from(("exact", "float")),
+           st.sampled_from(("permute P", "permute Q", "rephase P", "rephase Q")), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_relabelling_keeps_the_commutator_and_moves_the_probabilities(
+            self, field, change, data):
+        net = data.draw(interference_contexts(exact=field == "exact"))
+        i = 0 if change.endswith("P") else 1
+        size = net.layers[i].size
+        if change.startswith("permute"):
+            order = data.draw(st.permutations(range(size)))
+            other = permuted(net, i, order)
+        else:
+            j, k = data.draw(st.integers(0, size - 1)), data.draw(st.integers(0, 3))
+            phases = PHASES[field]
+            other = rephased(net, i, j, phases[k], phases[k ^ (k >> 1)])
+        norm, commuting, probs = hilbert_readout(net)
+        got_norm, got_commuting, got_probs = hilbert_readout(other)
+        assert abs(got_norm - norm) <= 1e-12 * max(1.0, norm)
+        assert got_commuting is commuting
+        if change == "permute Q":
+            probs = [probs[k] for k in order]
+        assert all(abs(p - q) <= 1e-12 for p, q in zip(got_probs, probs, strict=True))

@@ -129,6 +129,10 @@ class TestExactStateCode:
         assert EpistemicState(registry, whole.members, physical=True) == whole
         assert up in {rebuilt}
 
+    @pytest.mark.parametrize("value", [3, "a", None, 3.0])
+    def test_membership_of_a_non_state_is_false(self, whole, value):
+        assert value not in whole and value not in whole.members
+
     def test_unknown_slot_rejected(self, registry, whole):
         z = next(all_exact_states(registry))
         with pytest.raises(ValueError, match="no slot"):
