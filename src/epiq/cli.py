@@ -5,9 +5,11 @@ scenario's content), 2 on a schema error (the document itself is malformed)
 or an invalid command-line option.
 Outputs are written as JSON (full doubles) and CSV (12 significant digits)
 into the output directory; serialization is deterministic for a fixed
-scenario file and seed.  Options are parsed with the standard library's
-``argparse``, and scenario files are checked against the bundled schema by
-``epiq.scenario``'s own interpreter, so no third-party library is loaded.
+scenario file and seed; files are read and written as UTF-8.  Options are
+read by a small table-driven parser that follows ``argparse``'s rules and
+messages without loading ``argparse``, ``gettext`` or ``locale``, and scenario
+files are checked against the bundled schema by ``epiq.scenario``'s own
+interpreter, so no third-party library is loaded.
 ``borel_trial`` lives in the package root and samples with the standard
 library's ``random``; ``epiq.hilbert`` and ``epiq.uniqueness`` are plain
 Python, imported inside the command that uses them.  So no command loads
@@ -21,11 +23,11 @@ are written through ``os.path``, and a result file that cannot be written
 """
 from __future__ import annotations
 
-import argparse
 import csv
 import json
 import math
 import os
+import re
 import sys
 
 from . import Knowability, __version__, borel_trial
@@ -47,14 +49,18 @@ def _resolved_network(scenario: Scenario, eraser):
     return net, eraser
 
 
+class _Refused(Exception):
+    """A value its option's own rule refuses; the message is the whole complaint."""
+
+
 def _checked(kind, problem):
-    """An argparse type: ``kind`` of the text, refused by a message from ``problem``."""
+    """A conversion: ``kind`` of the text, refused by a message from ``problem``."""
     def convert(text):
         value = kind(text)
         if message := problem(value):
-            raise argparse.ArgumentTypeError(message)
+            raise _Refused(message)
         return value
-    convert.__name__ = kind.__name__  # argparse's "invalid int value: ..." names it
+    convert.__name__ = kind.__name__  # "invalid int value: ..." names it
     return convert
 
 
@@ -62,7 +68,7 @@ def _readable_file(path):
     try:  # refuses a missing, unreadable or directory path, as argparse.FileType does
         open(path, "rb").close()
     except OSError as e:
-        raise argparse.ArgumentTypeError(f"can't open {path!r}: {e.strerror}") from None
+        raise _Refused(f"can't open {path!r}: {e.strerror}") from None
     return path
 
 
@@ -71,30 +77,39 @@ def _range_problem(lo, hi=math.inf):
     return lambda v: None if lo <= v <= hi else f"{v} is not in the range {bounds}"
 
 
-def _parser(prog):
-    parser = argparse.ArgumentParser(prog=prog, allow_abbrev=False, add_help=False,
-                                     description=main.__doc__)
-    add = parser.add_argument
-    add("scenario_path", type=_readable_file)
-    add("--command", choices=COMMANDS, help="Override the scenario's run command.")
-    add("--n", type=_checked(int, _range_problem(1, MAX_SAMPLES)), help="Monte Carlo sample count.")
-    add("--seed", type=_checked(int, _range_problem(0)),
-        help="Random seed for Monte Carlo sampling (uniqueness accepts it and "
-             "decides its table without one).")
-    # read per call, not at import; a string default is checked by its type too
-    add("--out-dir", default=os.environ.get("EPIQ_OUT_DIR"), type=_checked(
-        str, lambda v: f"directory {v!r} is a file" if os.path.isfile(v) else None),
-        help="Output directory for CSV/JSON results (default: $EPIQ_OUT_DIR).")
-    # the schema's run.tolerance rule (a number above 0), also finite
-    add("--tolerance", type=_checked(float, lambda v: None if math.isfinite(v) and v > 0
-                                     else "must be a finite number above 0"),
-        help="Numerical tolerance for result checks.")
-    add("--eraser", action=argparse.BooleanOptionalAction,
-        help="Resolve contingent layers as erased (interference) or recorded.")
-    add("--help", action="help", help="Show this message and exit.")
-    add("--version", action="version", version=f"%(prog)s, version {__version__}",
-        help="Show the version and exit.")
-    return parser
+# The usage and help that argparse printed for these options at 80 columns.
+_USAGE_LINES = ("[--command {propagate,montecarlo,hilbert,uniqueness,validate}]",
+                "[--n N] [--seed SEED] [--out-dir OUT_DIR] [--tolerance TOLERANCE]",
+                "[--eraser | --no-eraser] [--help] [--version]",
+                "scenario_path")
+_HELP = """
+Run a scenario file through the epistemic-context engine.
+
+positional arguments:
+  scenario_path
+
+options:
+  --command {propagate,montecarlo,hilbert,uniqueness,validate}
+                        Override the scenario's run command.
+  --n N                 Monte Carlo sample count.
+  --seed SEED           Random seed for Monte Carlo sampling (uniqueness
+                        accepts it and decides its table without one).
+  --out-dir OUT_DIR     Output directory for CSV/JSON results (default:
+                        $EPIQ_OUT_DIR).
+  --tolerance TOLERANCE
+                        Numerical tolerance for result checks.
+  --eraser, --no-eraser
+                        Resolve contingent layers as erased (interference) or
+                        recorded.
+  --help                Show this message and exit.
+  --version             Show the version and exit.
+"""
+# argparse reads a token like this as a value, not as an option
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _usage(prog):
+    return f"usage: {prog} " + ("\n" + " " * (len(prog) + 8)).join(_USAGE_LINES) + "\n"
 
 
 def _fmt(x: float) -> str:
@@ -105,9 +120,9 @@ def _write_outputs(out_dir: str, name: str, command: str, result: dict, rows, he
     text = json.dumps(result, indent=2, sort_keys=True, allow_nan=False)
     os.makedirs(out_dir, exist_ok=True)
     stem = os.path.join(out_dir, f"{name}-{command}")
-    with open(f"{stem}.json", "w") as fh:
+    with open(f"{stem}.json", "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
-    with open(f"{stem}.csv", "w", newline="") as fh:
+    with open(f"{stem}.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -224,14 +239,110 @@ COMMANDS = {"propagate": _cmd_propagate, "montecarlo": _cmd_montecarlo, "hilbert
             "uniqueness": _cmd_uniqueness, "validate": _cmd_validate}
 
 
+# Each value option's key among the parsed values and its conversion; None
+# marks an option that takes no value.
+_OPTIONS = {
+    "--command": ("command", _checked(str, lambda v: None if v in COMMANDS else (
+        f"invalid choice: {v!r} (choose from {', '.join(map(repr, COMMANDS))})"))),
+    "--n": ("n", _checked(int, _range_problem(1, MAX_SAMPLES))),
+    "--seed": ("seed", _checked(int, _range_problem(0))),
+    "--out-dir": ("out_dir", _checked(
+        str, lambda v: f"directory {v!r} is a file" if os.path.isfile(v) else None)),
+    # the schema's run.tolerance rule (a number above 0), also finite
+    "--tolerance": ("tolerance", _checked(float, lambda v: None if math.isfinite(v) and v > 0
+                                          else "must be a finite number above 0")),
+    "--eraser": None, "--no-eraser": None, "--help": None, "--version": None,
+}
+
+
+def _option(token):
+    """(name, text after "=" or None) if ``token`` reads as an option, with
+    name None for an unknown one; None if it reads as a value."""
+    if token in _OPTIONS:
+        return token, None
+    if len(token) < 2 or token[0] != "-" or _NEGATIVE_NUMBER.match(token):
+        return None
+    name, eq, text = token.partition("=")
+    if eq and name in _OPTIONS:
+        return name, text
+    return None if " " in token else (None, None)
+
+
+def _parse(args, prog):
+    """The values that ``args`` give, read by argparse's rules for these
+    options: each option's last occurrence wins, an option is spelled in
+    full, and after the first "--" every token is a value.  A usage error
+    exits 2 with argparse's message; --help and --version exit 0."""
+    def fail(message):
+        sys.stderr.write(f"{_usage(prog)}{prog}: error: {message}\n")
+        sys.exit(2)
+
+    def convert(name, conversion, text):
+        try:
+            return conversion(text)
+        except _Refused as e:
+            fail(f"argument {name}: {e}")
+        except ValueError:
+            fail(f"argument {name}: invalid {conversion.__name__} value: {text!r}")
+
+    opts = dict.fromkeys(("scenario_path", "command", "n", "seed", "out_dir", "tolerance",
+                          "eraser"))
+    extras, path_at, values_only, i = [], None, False, 0
+    while i < len(args):
+        token, at = args[i], i
+        i += 1
+        if token == "--" and not values_only:
+            values_only = True
+            # a "--" next to the path ("path --" or "-- path") goes with it
+            if path_at != at - 1 and (path_at is not None or i == len(args)):
+                extras.append(token)
+            continue
+        option = None if values_only else _option(token)
+        if option is None:
+            if path_at is None:
+                opts["scenario_path"], path_at = convert("scenario_path", _readable_file, token), at
+            else:
+                extras.append(token)
+            continue
+        name, text = option
+        if name is None:
+            extras.append(token)
+        elif _OPTIONS[name] is None:
+            if text is not None:
+                shown = "--eraser/--no-eraser" if name.endswith("eraser") else name
+                fail(f"argument {shown}: ignored explicit argument {text!r}")
+            if name == "--help":
+                sys.stdout.write(_usage(prog) + _HELP)
+                sys.exit(0)
+            if name == "--version":
+                sys.stdout.write(f"{prog}, version {__version__}\n")
+                sys.exit(0)
+            opts["eraser"] = name == "--eraser"
+        else:
+            if text is None:
+                if i == len(args) or _option(args[i]) is not None:  # "--" too
+                    fail(f"argument {name}: expected one argument")
+                text, i = args[i], i + 1
+            key, conversion = _OPTIONS[name]
+            opts[key] = convert(name, conversion, text)
+    # read per call, not at import, and checked only when --out-dir is absent
+    if opts["out_dir"] is None and (env := os.environ.get("EPIQ_OUT_DIR")) is not None:
+        opts["out_dir"] = convert("--out-dir", _OPTIONS["--out-dir"][1], env)
+    if path_at is None:
+        fail("the following arguments are required: scenario_path")
+    if extras:
+        fail(f"unrecognized arguments: {' '.join(extras)}")
+    return opts
+
+
 def main(args=None, prog_name="epiq", standalone_mode=True):
     """Run a scenario file through the epistemic-context engine."""
     # standalone_mode stays for callers of the click-era signature; every run
     # ends in sys.exit, so it has nothing to change
-    opts = _parser(prog_name).parse_args(args)
-    command, n, seed, tolerance = opts.command, opts.n, opts.seed, opts.tolerance
+    opts = _parse(sys.argv[1:] if args is None else list(args), prog_name)
+    command, n, seed, tolerance = opts["command"], opts["n"], opts["seed"], opts["tolerance"]
     try:
-        scenario = load_scenario_file(opts.scenario_path)
+        scenario = load_scenario_file(opts["scenario_path"])
     except ScenarioSchemaError as e:
         print(f"schema error: {e}", file=sys.stderr)
         sys.exit(2)
@@ -248,10 +359,10 @@ def main(args=None, prog_name="epiq", standalone_mode=True):
         if command == "uniqueness":
             seed = (scenario.uniqueness or {}).get("seed", seed)
     tolerance = tolerance if tolerance is not None else run.get("tolerance", DEFAULT_TOLERANCE)
-    out_dir = opts.out_dir or "."
+    out_dir = opts["out_dir"] or "."
 
     try:
-        result, rows, header, ok = COMMANDS[command](scenario, opts.eraser, n, seed, tolerance)
+        result, rows, header, ok = COMMANDS[command](scenario, opts["eraser"], n, seed, tolerance)
         payload = {"command": command, "scenario": scenario.name, "seed": seed,
                    "version": __version__, "result": result}
         # a non-finite result is refused here, before any file is opened

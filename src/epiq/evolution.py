@@ -21,8 +21,8 @@ from operator import itemgetter, or_
 
 from . import Knowability, borel_trial  # re-exported: epiq.evolution.<name>
 from . import Record, _set
-from .statespace import (_DIGIT_FLAGS, EpistemicState, ObjectRegistry, PropertySpec, _mask,
-                         relative_volume)
+from .statespace import (_DIGIT_FLAGS, EpistemicState, ObjectRegistry, PropertySpec,
+                         _in_registry, _mask, relative_volume)
 
 
 class EvolutionContractError(ValueError):
@@ -58,10 +58,10 @@ class EvolutionRule(Record):
             owners, rest, rest_targets = [], [], []
             state_type = registry._state_type  # a state is its code
             for z, img in self.images.items():
-                if type(z) is state_type or z.registry == registry:
+                if type(z) is state_type or _in_registry(z, registry):
                     owners.append(z)
                     for w in img:
-                        if type(w) is not state_type and w.registry != registry:
+                        if type(w) is not state_type and not _in_registry(w, registry):
                             raise ValueError("image from a different registry")
                         if first[w] == size:
                             first[w] = z

@@ -260,11 +260,11 @@ def _integer(token: str) -> int:
 
 
 def load_scenario_file(path) -> Scenario:
-    with open(path, "r") as fh:
+    with open(path, "r", encoding="utf-8") as fh:  # JSON text is UTF-8, whatever the locale
         try:
             doc = json.load(fh, parse_float=_finite, parse_int=_integer,
                             parse_constant=_finite)
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
             raise ScenarioSchemaError(f"not valid JSON: {e}") from e
     return load_scenario(doc)
 

@@ -228,6 +228,14 @@ def _state(registry: ObjectRegistry, code: int) -> ExactState:
     return int.__new__(registry._state_type, code)
 
 
+def _in_registry(z, registry: ObjectRegistry) -> bool:
+    """Whether ``z``, not of ``registry``'s own state type, is a state of an
+    equal registry; refuses a value that is no exact state."""
+    if not isinstance(z, ExactState):
+        raise ValueError(f"{z!r} is not an exact state")
+    return z.registry == registry
+
+
 def _exact_states(registry: ObjectRegistry, codes: Iterable[int]) -> Iterator[ExactState]:
     """The exact states of ``codes``, built unchecked."""
     return map(int.__new__, itertools.repeat(registry._state_type), codes)
@@ -264,6 +272,8 @@ class EpistemicState(Record):
                 physical: bool = False):
         members = list(members)  # the states are their codes
         for state_type in set(map(type, members)) - {registry._state_type}:
+            if not issubclass(state_type, ExactState):
+                raise ValueError(f"member of type {state_type.__name__} is not an exact state")
             if state_type.registry != registry:
                 raise ValueError("member from a different registry")
         return cls._of(registry, _mask(members, registry._size), physical)

@@ -16,12 +16,17 @@ from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
+from unittest import mock
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import cli_oracle
 import epiq
+import epiq.cli
 import epiq.context
 import epiq.scenario
 import epiq.uniqueness
@@ -348,6 +353,101 @@ class TestOptions:
         assert (tmp_path / "flag" / "mach-zehnder-open-validate.json").is_file()
         assert not (tmp_path / "env" / "mach-zehnder-open-validate.json").exists()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["env", "flag"]
+
+
+VALUE_OPTIONS = ("--command", "--n", "--seed", "--tolerance", "--out-dir")
+# a value each option takes, so that most drawn lists parse up to their odd
+# tokens; --out-dir takes a path drawn in the test
+GOOD_VALUES = {"--command": "validate", "--n": "7", "--seed": "0", "--tolerance": "1e-3"}
+# values that options refuse or that read as options, negative numbers among
+# them; "--" never follows "=" (see test_dashes_after_equals_are_a_value)
+ODD_VALUES = ("propagate", "bogus", "1", " 3 ", "1_000", "0x10", str(2**63), "-1", "-0.5",
+              "-.5", "-1e3", "nan", "-inf", "", "-x", "a b", "-a b", "-5\n")
+OTHER_TOKENS = ("--eraser", "--no-eraser", "--tol", "-h", "-", "--bogus", "--eraser=1",
+                "--no-eraser=", "--help", "--version", "--help=x")
+
+
+def _outcome(parse, argv, env):
+    """(exit code or None, stdout, stderr, parsed values or None) of ``parse``
+    on ``argv`` at 80 columns, with ``$EPIQ_OUT_DIR`` set to ``env`` (unset
+    for None)."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        os.environ.pop("EPIQ_OUT_DIR", None)
+        if env is not None:
+            os.environ["EPIQ_OUT_DIR"] = env
+        try:
+            values = parse(argv)
+        except SystemExit as e:
+            return e.code, out.getvalue(), err.getvalue(), None
+    return None, out.getvalue(), err.getvalue(), values
+
+
+@pytest.fixture(scope="module")
+def option_dir(tmp_path_factory):
+    """A directory holding the file ``taken`` and nothing else."""
+    root = tmp_path_factory.mktemp("options")
+    (root / "taken").write_text("")
+    return root
+
+
+class TestOptionGrammar:
+    """epiq.cli reads its options by the rules of the argparse parser it
+    replaced (tests/cli_oracle.py): the same values, the same usage errors
+    and the same help, without loading argparse."""
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_options_read_as_argparse_read_them(self, option_dir, data):
+        paths = (str(bundled_scenario_path("branching")), str(option_dir / "missing.json"),
+                 str(option_dir), str(option_dir / "taken"), str(option_dir / "out"))
+        values = ODD_VALUES + paths
+        chunk = st.one_of(  # each a short list of tokens
+            st.sampled_from(VALUE_OPTIONS).map(lambda o: [o, GOOD_VALUES.get(o, paths[4])]),
+            st.tuples(st.sampled_from(VALUE_OPTIONS), st.sampled_from(values)).map(list),
+            st.builds(lambda o, v: [f"{o}={v}"], st.sampled_from(VALUE_OPTIONS),
+                      st.sampled_from(values + tuple(GOOD_VALUES.values()))),
+            st.sampled_from(values + VALUE_OPTIONS + OTHER_TOKENS).map(lambda t: [t]),
+            st.sampled_from(paths).map(lambda p: [p]), st.just(["--"]))
+        argv = data.draw(st.lists(chunk, max_size=6).map(lambda c: sum(c, [])), label="argv")
+        env = data.draw(st.sampled_from((None, "", paths[3], paths[4])), label="env")
+        got = _outcome(lambda a: epiq.cli._parse(a, "epiq"), argv, env)
+        want = _outcome(lambda a: vars(cli_oracle.parser("epiq").parse_args(a)), argv, env)
+        assert got == want
+
+    def test_help_is_argparse_help_at_80_columns(self):
+        # the scenario path named after --help is never opened
+        got = _outcome(lambda a: epiq.cli._parse(a, "epiq"), ["--help", "missing.json"], None)
+        assert got == (0, cli_oracle.parser("epiq").format_help(), "", None)
+
+    @pytest.mark.parametrize("option, message", [
+        ("--n", "argument --n: invalid int value: '--'"),
+        ("--command", "argument --command: invalid choice: '--' (choose from 'propagate', "
+                      "'montecarlo', 'hilbert', 'uniqueness', 'validate')"),
+    ])
+    def test_dashes_after_equals_are_a_value(self, tmp_path, option, message):
+        # argparse dropped the "--" of "--n=--" and stored an empty list, which
+        # montecarlo then compared with an int
+        result = run_cli(tmp_path, str(bundled_scenario_path("mach-zehnder-open")),
+                         "--command", "montecarlo", f"{option}=--")
+        assert result.exit_code == 2
+        assert error_line(result.output) == f"epiq: error: {message}"
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command, scenario", [
+        ("propagate", "mach-zehnder-open"), ("validate", "branching"), ("hilbert", "branching"),
+        ("montecarlo", "mach-zehnder-detected"), ("uniqueness", "born-uniqueness")])
+    def test_files_are_opened_as_utf8(self, tmp_path, command, scenario):
+        """No file is read or written in the locale's encoding: a fresh
+        interpreter that turns EncodingWarning into an error runs every command."""
+        proc = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+             "-m", "epiq.cli", str(bundled_scenario_path(scenario)), "--command", command,
+             "--out-dir", str(tmp_path)],
+            env=src_env(), capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert sorted(p.suffix for p in tmp_path.iterdir()) == [".csv", ".json"]
 
 
 class TestCli:
@@ -774,6 +874,15 @@ class TestCli:
         result = run_cli(tmp_path, str(bad))
         assert result.exit_code == 2
 
+    def test_scenario_not_in_utf8_exit_code_2(self, tmp_path):
+        bad = tmp_path / "latin-1.json"
+        bad.write_bytes(json.dumps(minimal_doc(description="caf\xe9"),
+                                   ensure_ascii=False).encode("latin-1"))
+        result = run_cli(tmp_path, str(bad))
+        assert result.exit_code == 2
+        assert "schema error: not valid JSON: 'utf-8' codec can't decode" in result.output
+        assert not list(tmp_path.glob("minimal-*"))
+
     @pytest.mark.parametrize("command", ["validate", "propagate"])
     @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity", "1e400"])
     def test_non_finite_input_exit_code_2(self, tmp_path, command, constant):
@@ -871,8 +980,8 @@ def _cli_call(name, command):
 
 
 # loaded by no command: the schema is interpreted in epiq.scenario, options
-# are parsed by argparse
-NO_LIBRARY = ("scipy", "jsonschema", "click")
+# are read by epiq.cli's own parser
+NO_LIBRARY = ("scipy", "jsonschema", "click", "argparse", "gettext", "locale")
 # no command loads numpy or the state-space modules; borel_trial is in the
 # package root
 LIGHT = ("numpy", *NO_LIBRARY, "epiq.statespace", "epiq.evolution")
@@ -885,7 +994,8 @@ NO_STDLIB_EXTRAS = ("dataclasses", "inspect", "fractions", "decimal", "numbers")
 class TestImportCost:
     """A module-level import on the CLI path is only for what every command
     uses, and no command loads numpy, epiq.evolution, the state space under
-    it, scipy, jsonschema or click.  Importing the CLI, epiq.hilbert or
+    it, scipy, jsonschema or click, nor argparse, gettext or locale, which the
+    CLI's option parser once cost every run.  Importing the CLI, epiq.hilbert or
     epiq.uniqueness, and running any command, load neither dataclasses (nor
     inspect under it) nor fractions (nor decimal) nor numbers."""
 

@@ -86,6 +86,16 @@ class TestEvolve:
         with pytest.raises(ValueError, match="different registry"):
             rule.apply(whole)
 
+    @pytest.mark.parametrize("value", [3, "a"], ids=["int", "str"])
+    @pytest.mark.parametrize("place", ["image", "key"])
+    def test_image_or_key_that_is_no_state_is_refused(self, registry, whole, place, value):
+        states = list(all_exact_states(registry))
+        images = {z: frozenset([value if place == "image" else z]) for z in states}
+        if place == "key":
+            images[value] = images.pop(states[0])
+        with pytest.raises(ValueError, match=f"{value!r} is not an exact state"):
+            EvolutionRule(images).apply(whole)
+
     def test_rule_equality_and_hash_are_identity(self, registry):
         rule, twin = shift_rule(registry), shift_rule(registry)
         assert rule == rule and hash(rule) == hash(rule)

@@ -5,7 +5,8 @@ library and the checkout's ``src`` and nothing else, so no installed package
 (numpy included) can be imported.  The state space and its evolution load
 neither numpy nor ``dataclasses`` (nor ``inspect`` under it), and no CLI
 command loads any of them, or the ``typing``, ``pathlib`` and
-``importlib.resources`` that a ``site`` hook would otherwise have paid for.
+``importlib.resources`` that a ``site`` hook would otherwise have paid for,
+or the ``argparse``, ``gettext`` and ``locale`` of an option parser.
 Checking and propagating an exact network loads neither ``fractions`` nor
 ``decimal``, and neither does one that mixes exact and float amplitudes.
 """
@@ -21,7 +22,8 @@ import epiq
 from epiq.scenario import bundled_scenario_path
 
 SRC = str(Path(epiq.__file__).resolve().parents[1])
-FORBIDDEN = ("numpy", "dataclasses", "inspect", "typing", "pathlib", "importlib.resources")
+FORBIDDEN = ("numpy", "dataclasses", "inspect", "typing", "pathlib", "importlib.resources",
+             "argparse", "gettext", "locale")
 
 # four positions, halved: codes 0, 1 go to 0 and codes 2, 3 to 1
 STATE_SPACE = """

@@ -81,6 +81,12 @@ class TestExactStateCode:
         with pytest.raises(ValueError, match="different registry"):
             EpistemicState(r1, frozenset([ExactState(r2, (3, "down"))]))
 
+    @pytest.mark.parametrize("member", [0, 1.0, "a", True], ids=["int", "float", "str", "bool"])
+    def test_member_that_is_no_state_is_refused(self, registry, member):
+        z = ExactState(registry, (3, "down"))
+        with pytest.raises(ValueError, match=f"type {type(member).__name__} is not an exact state"):
+            EpistemicState(registry, [z, member])
+
     def test_state_is_its_registry_and_code(self, registry):
         assert ExactState._fields == ("registry", "code")
         z = ExactState(registry, (2, "down"))
