@@ -2,8 +2,9 @@
 
 Every bundled scenario runs under every command with each eraser flag (none,
 ``--eraser``, ``--no-eraser``): 75 runs through ``epiq.cli.main`` in-process.
-Each run's exit code and the SHA-256 of each JSON and CSV result file must
-match ``cli_digests.json``.  A change that alters an output on purpose
+Each run's exit code, the SHA-256 of each JSON and CSV result file, and the
+SHA-256 of what it prints to stdout and to stderr must match
+``cli_digests.json``.  A change that alters an output on purpose
 regenerates that file with
 
     PYTHONPATH=src python tests/test_cli_digests.py
@@ -31,20 +32,26 @@ FLAGS = {"default": [], "eraser": ["--eraser"], "no-eraser": ["--no-eraser"]}
 RUNS = [f"{s}.{c}.{f}" for s in SCENARIOS for c in COMMANDS for f in FLAGS]
 
 
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
 def digest(run, out_dir):
-    """A run's exit code and the SHA-256 of each file it writes into the
-    empty directory ``out_dir``."""
+    """A run's exit code, the SHA-256 of each file it writes into the empty
+    directory ``out_dir``, and the SHA-256 of its stdout and stderr text."""
     scenario, command, flag = run.split(".")
     argv = [str(bundled_scenario_path(scenario)), "--command", command,
             *FLAGS[flag], "--out-dir", str(out_dir)]
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         try:
             main(argv)
         except SystemExit as e:
             code = e.code
-    files = {name: hashlib.sha256((Path(out_dir) / name).read_bytes()).hexdigest()
+    files = {name: _sha256((Path(out_dir) / name).read_bytes())
              for name in sorted(os.listdir(out_dir))}
-    return {"exit": code, "files": files}
+    return {"exit": code, "files": files, "stdout": _sha256(stdout.getvalue().encode()),
+            "stderr": _sha256(stderr.getvalue().encode())}
 
 
 @pytest.fixture(scope="module")
