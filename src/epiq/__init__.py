@@ -111,10 +111,13 @@ def borel_trial(probabilities: Sequence[float], n: int, seed: int) -> tuple[floa
     p = [min(1.0, max(0.0, x)) for x in p]
     if not abs(math.fsum(p) - 1.0) <= 1e-12:
         raise ValueError("probabilities must sum to one")
+    # a float count gives frequencies of no whole number of draws; True is one draw
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError(f"draw count must be an int, not {n!r}")
     if n < 1:
         raise ValueError("need at least one draw")
     # Random would take a negative seed as its absolute value, a float by its hash
-    if not isinstance(seed, int) or seed < 0:
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise ValueError("seed must be an integer >= 0")
     # p_left for outcome j, summed from the end: never below p_j, so each
     # ratio is at most 1, and exactly 1 when no later outcome can occur

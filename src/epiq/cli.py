@@ -32,7 +32,7 @@ import sys
 
 from . import Knowability, __version__, borel_trial
 from .context import ContextError, propagate, reduce_by_consistency, validate_context
-from .scenario import Scenario, ScenarioDomainError, ScenarioSchemaError, load_scenario_file
+from .scenario import Scenario, ScenarioSchemaError, load_scenario_file
 
 DEFAULT_TOLERANCE = 1e-9
 MAX_SAMPLES = 2**63 - 1  # the schema's run.n maximum
@@ -346,9 +346,6 @@ def main(args=None, prog_name="epiq", standalone_mode=True):
     except ScenarioSchemaError as e:
         print(f"schema error: {e}", file=sys.stderr)
         sys.exit(2)
-    except ScenarioDomainError as e:
-        print(f"error: {e}", file=sys.stderr)
-        sys.exit(1)
 
     run = scenario.run
     command = command or run.get("command", "propagate")

@@ -60,14 +60,18 @@ class EvolutionRule(Record):
             for z, img in self.images.items():
                 if type(z) is state_type or _in_registry(z, registry):
                     owners.append(z)
-                    for w in img:
-                        if type(w) is not state_type and not _in_registry(w, registry):
-                            raise ValueError("image from a different registry")
-                        if first[w] == size:
-                            first[w] = z
-                        else:
-                            rest.append(z)
-                            rest_targets.append(w)
+                    try:
+                        for w in img:
+                            if type(w) is not state_type and not _in_registry(w, registry):
+                                raise ValueError("image from a different registry")
+                            if first[w] == size:
+                                first[w] = z
+                            else:
+                                rest.append(z)
+                                rest_targets.append(w)
+                    except TypeError:  # only iterating an image that is no collection raises it
+                        raise ValueError(
+                            f"image of state {z.values} is not a collection of states") from None
             # owners are distinct codes, so as many owners as codes are all codes
             domain = (1 << size) - 1 if len(owners) == size else _mask(owners, size)
             # the gather holds plain ints, copied from the owners by the array in gather order

@@ -73,7 +73,7 @@ class AttributeDef(Record):
         if kind is AttributeKind.CIRCULAR and len(values) < 3:
             raise ValueError(f"attribute {id}: circular kind needs >= 3 values")
         if kind in (AttributeKind.ORDERED, AttributeKind.DIRECTED) and len(values) < 2:
-            raise ValueError(f"attribute {id}: ordered kind needs >= 2 values")
+            raise ValueError(f"attribute {id}: {kind.value} kind needs >= 2 values")
         _set(self, "id", id)
         _set(self, "kind", kind)
         _set(self, "values", values)

@@ -261,7 +261,7 @@ def evaluate_candidate(candidate: CandidateMap, m: int, mp: int,
     ``samples`` and ``seed`` configured the search that used to decide the
     row; they are still accepted (samples >= 1) and change nothing.
     """
-    # Virtual-value padding (context.pad_virtual_values) widens P' to m.
+    # Virtual-value padding (zero columns for M - M' fresh values) widens P' to m.
     padded = (m, m) if m > mp else None
     system = build_constraints(m, max(m, mp), Knowability.NEVER, candidate)
     if samples < 1:

@@ -32,7 +32,7 @@ import epiq.scenario
 import epiq.uniqueness
 from epiq.cli import main
 from epiq.exactnum import ExactAmplitude
-from epiq.scenario import (ScenarioSchemaError, bundled_scenario_path, check_schema,
+from epiq.scenario import (_TYPES, ScenarioSchemaError, _resolve, bundled_scenario_path,
                            load_scenario, load_scenario_file, parse_amplitude,
                            validate_document)
 
@@ -113,6 +113,35 @@ class TestSchema:
 # targeted documents and on a fixed-seed sample of mutated bundled scenarios.
 SCHEMA = json.loads(resources.files("epiq").joinpath("schema/scenario.schema.json").read_text())
 ORACLE = jsonschema.Draft202012Validator(SCHEMA)
+# the keywords epiq.scenario._errors checks, then those that assert nothing
+KEYWORDS = {"type", "enum", "required", "properties", "additionalProperties", "items",
+            "minItems", "maxItems", "minLength", "pattern", "minimum", "maximum",
+            "exclusiveMinimum", "oneOf", "$ref", "$schema", "$id", "title", "description",
+            "$defs"}
+
+
+def check_schema(schema: dict, root: dict | None = None) -> dict:
+    """Return ``schema`` once every keyword in it is one ``_errors`` interprets.
+
+    Raises ``ValueError`` naming the first keyword (or keyword value) that is
+    not, such as ``uniqueItems`` or ``additionalProperties`` given a schema.
+    """
+    root = schema if root is None else root
+    if not isinstance(schema, dict):
+        raise ValueError(f"unsupported subschema {schema!r}")
+    for key, value in schema.items():
+        if (key not in KEYWORDS
+                or key == "type" and not (isinstance(value, str) and value in _TYPES)
+                or key == "additionalProperties" and value is not False
+                or key == "enum" and not all(isinstance(v, (str, int, float)) for v in value)
+                or key == "$ref" and not value.startswith("#/")):
+            raise ValueError(f"unsupported schema keyword {key!r}: {value!r}")
+        if key == "$ref":
+            _resolve(root, value)  # must resolve; the walk reaches and checks its target
+        for sub in (value.values() if key in ("properties", "$defs")
+                    else value if key == "oneOf" else [value] if key == "items" else ()):
+            check_schema(sub, root)
+    return schema
 
 
 def oracle_message(doc, oracle=ORACLE):
@@ -652,6 +681,27 @@ class TestCli:
         assert result.exit_code == 1
         assert result.output.startswith("error: row not normalized: ")
         assert not list(tmp_path.glob("minimal-hilbert.*"))
+
+    def test_hilbert_vector_and_network_disagreement_exits_1(self, tmp_path):
+        """A decided/decided pair whose rows sit 5e-10 off the neutral table's:
+        inside the neutrality check, so the space builds, and its principle-4
+        probabilities then miss propagate's by 5e-10, past a 1e-12 tolerance."""
+        a, b = math.sqrt(0.5 + 5e-10), math.sqrt(0.5 - 5e-10)
+        doc = minimal_doc(jointVolumes=[[0.25, 0.25], [0.25, 0.25]])
+        doc["context"] = {
+            "layers": [{"property": "a", "level": 3, "labels": [1, 2]},
+                       {"property": "b", "level": 3, "labels": [1, 2]}],
+            "initial": [1, 0], "matrices": [[[a, b], [b, a]]]}
+        path = tmp_path / "off.json"
+        path.write_text(json.dumps(doc))
+        result = run_cli(tmp_path, str(path), "--command", "hilbert", "--tolerance", "1e-12")
+        assert result.exit_code == 1
+        assert result.output == "error: vector representation disagrees with network propagation\n"
+        assert not list(tmp_path.glob("minimal-hilbert.*"))
+        result = run_cli(tmp_path, str(path), "--command", "hilbert")
+        assert result.exit_code == 0, result.output
+        payload = json.loads((tmp_path / "minimal-hilbert.json").read_text())["result"]
+        assert 1e-12 < payload["principle4_max_deviation"] < 1e-9
 
     def test_hilbert_checks_the_network_once(self, tmp_path, monkeypatch):
         calls, check = [], epiq.context._check

@@ -2,11 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from epiq.context import (ContextError, ContextNetwork, Layer, pad_virtual_values, propagate, reduce_by_consistency,
+from epiq.context import (ContextError, ContextNetwork, Layer, propagate, reduce_by_consistency,
                           reduce_by_observation, validate_context)
 from epiq.evolution import Knowability
 from epiq.exactnum import ExactAmplitude, Sqrt2Scalar, parse_exact
 from exact_oracle import abs2, add
+from padding import pad_virtual_values
 
 H = parse_exact("1/sqrt2")
 HN = parse_exact("-1/sqrt2")
@@ -84,6 +85,13 @@ class TestValidation:
                                          "row not normalized: matrix 0 row 1"]
         with pytest.raises(ContextError, match="not normalized"):
             propagate(net)
+
+    def test_layer_of_one_value_is_no_complete_set(self):
+        net = ContextNetwork(
+            layers=(Layer("p", Knowability.NEVER, (1.0,)),
+                    Layer("q", Knowability.DECIDED, (1.0, 2.0))),
+            initial=(ONE,), edges=(((H, H),),))
+        assert validate_context(net) == ["layer p: a complete set needs at least 2 alternatives"]
 
     def test_duplicate_labels(self):
         net = ContextNetwork(

@@ -96,6 +96,20 @@ class TestEvolve:
         with pytest.raises(ValueError, match=f"{value!r} is not an exact state"):
             EvolutionRule(images).apply(whole)
 
+    def test_empty_image_refused(self, registry):
+        states = list(all_exact_states(registry))
+        with pytest.raises(ValueError) as refused:
+            EvolutionRule(images={states[0]: frozenset()})
+        assert str(refused.value) == "every exact state needs a nonempty image"
+
+    def test_image_that_is_no_collection_refused(self, registry, whole):
+        # a bare state is true, so the rule constructs; its table refuses it
+        states = list(all_exact_states(registry))
+        rule = EvolutionRule(images={z: states[0] for z in states})
+        with pytest.raises(ValueError) as refused:
+            rule.apply(whole)
+        assert str(refused.value) == "image of state (1, 'up') is not a collection of states"
+
     def test_rule_equality_and_hash_are_identity(self, registry):
         rule, twin = shift_rule(registry), shift_rule(registry)
         assert rule == rule and hash(rule) == hash(rule)
@@ -211,6 +225,12 @@ class TestAlternatives:
                 property_id=alt.property_id, value_index=alt.value_index, level=alt.level)
             assert rebuilt == alt and hash(rebuilt) == hash(alt)
 
+    def test_region_outside_the_parent_rejected(self, whole, spin_alternatives):
+        left = state_slice(whole, "particle", "position", 1)
+        with pytest.raises(ValueError) as refused:
+            CompleteAlternativeSet(parent=left, alternatives=spin_alternatives.alternatives)
+        assert str(refused.value) == "alternative region outside parent state"
+
     def test_overlapping_alternatives_rejected(self, whole, spin_alternatives):
         a = spin_alternatives.alternatives[0]
         with pytest.raises(ValueError):
@@ -240,6 +260,11 @@ class TestInvariance:
                             lambda rule, s: calls.append(s) or apply(rule, s))
         check_invariance(whole, spin_alternatives, shift_rule(registry), steps=3)
         assert len(calls) == 3 * len(spin_alternatives.alternatives)
+
+    def test_steps_must_be_positive(self, registry, whole, spin_alternatives):
+        with pytest.raises(ValueError) as refused:
+            check_invariance(whole, spin_alternatives, shift_rule(registry), steps=0)
+        assert str(refused.value) == "steps must be positive"
 
     def test_parent_must_be_the_alternative_sets(self, registry, whole, spin_property):
         # the alternatives cut position 1 alone; whole contains it, but is not their parent
@@ -320,7 +345,14 @@ class TestBorelTrial:
         with pytest.raises(ValueError, match="at least one draw"):
             borel_trial([0.5, 0.5], n=0, seed=0)
 
-    @pytest.mark.parametrize("seed", [-1, 1.5], ids=["negative", "float"])
+    @pytest.mark.parametrize("n", [2.5, True], ids=["float", "bool"])
+    def test_rejects_a_draw_count_that_is_not_an_int(self, n):
+        # a float count gave frequencies of no whole number of draws, and True one draw
+        with pytest.raises(ValueError) as refused:
+            borel_trial([0.5, 0.5], n=n, seed=1)
+        assert str(refused.value) == f"draw count must be an int, not {n!r}"
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True], ids=["negative", "float", "bool"])
     def test_rejects_a_seed_that_is_not_a_natural_number(self, seed):
         with pytest.raises(ValueError, match="seed must be an integer >= 0"):
             borel_trial([0.5, 0.5], n=10, seed=seed)

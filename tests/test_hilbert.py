@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epiq.context import (ContextError, ContextNetwork, Layer, pad_virtual_values, propagate,
-                          validate_context)
+from epiq.context import ContextError, ContextNetwork, Layer, propagate, validate_context
 from epiq.evolution import Knowability
 from epiq.exactnum import ExactAmplitude
 from epiq.hilbert import (JointVolumeTable, SpaceConstructionError, _completion, _orthonormal,
                           build_space, commutator, inner, make_operator,
                           principle4_probabilities, reciprocal, spectral_norm)
+from padding import pad_virtual_values
 
 H = 1 / math.sqrt(2)
 
@@ -63,6 +63,11 @@ class TestJointVolumeTable:
         # symmetric with equal diagonal: holds
         assert JointVolumeTable(v=((0.4, 0.1), (0.1, 0.4))).symmetric_pair_conditions_hold()
         assert not JointVolumeTable(v=((0.4, 0.2), (0.1, 0.3))).symmetric_pair_conditions_hold()
+
+    def test_symmetric_pair_conditions_fail_on_a_rectangular_table(self):
+        table = JointVolumeTable(v=((0.25, 0.0, 0.25), (0.25, 0.0, 0.25)))
+        assert table.shape == (2, 3)
+        assert table.symmetric_pair_conditions_hold() is False
 
 
 class TestInterferenceSpace:
@@ -341,6 +346,15 @@ class TestReciprocal:
         assert np.max(np.abs(np.array(rr.edges[0]) -
                              np.array([[H, H], [H, -H]]))) < 1e-12
         assert np.array(rr.initial) == pytest.approx(np.array([H, H]))
+
+    def test_three_layers_rejected(self):
+        net = interference_net()
+        three = ContextNetwork(net.layers + (Layer("screen", Knowability.DECIDED, (1.0, 2.0)),),
+                               net.initial, net.edges + (((1 + 0j, 0j), (0j, 1 + 0j)),))
+        assert validate_context(three) == []
+        with pytest.raises(ContextError) as refused:
+            reciprocal(three)
+        assert str(refused.value) == "reciprocal context is defined for two-layer networks"
 
     def test_rectangular_rejected(self):
         s = math.sqrt(1 / 3)

@@ -11,15 +11,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from epiq import context
-from epiq.context import (ContextError, ContextNetwork, Distribution, Layer, pad_virtual_values,
-                          propagate, reduce_by_observation, validate_context)
+from epiq.context import (ContextError, ContextNetwork, Distribution, Layer, propagate,
+                          reduce_by_observation, validate_context)
 from epiq.evolution import EvolutionRule, Knowability, make_alternatives, probability
 from epiq.exactnum import ONE, ZERO, ExactAmplitude, Sqrt2Scalar, checked_rows, parse_exact, scalars
-from epiq.hilbert import build_space, commutator, make_operator, principle4_probabilities
+from epiq.hilbert import (JointVolumeTable, build_space, commutator, make_operator,
+                          principle4_probabilities)
 from epiq.statespace import (AttributeDef, EpistemicState, ExactState, ObjectRegistry,
                              PropertySpec, VoidStateError, all_exact_states, combine,
                              full_state, relative_volume, state_slice, volume)
 from exact_oracle import abs2, add, mul, neg, sub
+from padding import pad_virtual_values
 
 
 def small_registry(n_positions: int, n_marks: int) -> ObjectRegistry:
@@ -935,10 +937,10 @@ def interference_contexts(draw, exact):
                           (tuple(draw(unitaries(mp, exact))[:m]),))
 
 
-def hilbert_readout(net):
+def hilbert_readout(net, joint_volumes=None):
     """The hilbert command's numbers: the commutator's norm and verdict, and
     the principle-4 probabilities."""
-    space = build_space(net)
+    space = build_space(net, joint_volumes=joint_volumes)
     first, second = net.layers
     comm = commutator(make_operator(space, first.property_id, labels=first.labels),
                       make_operator(space, second.property_id, labels=second.labels))
@@ -973,3 +975,66 @@ class TestHilbertMetamorphic:
         if change == "permute Q":
             probs = [probs[k] for k in order]
         assert all(abs(p - q) <= 1e-12 for p, q in zip(got_probs, probs, strict=True))
+
+
+@st.composite
+def block_unitaries(draw, exact, sizes=(2, 5)):
+    """An M x M unitary: a direct sum of 1x1 blocks and 2x2 Hadamard blocks,
+    each times a phase from +-1, +-i, with its rows and columns permuted."""
+    m = draw(st.integers(*sizes))
+    phases = PHASES["exact" if exact else "float"]
+    r = parse_exact("1/sqrt2") if exact else 1 / math.sqrt(2)
+    zero = parse_exact("0") if exact else 0j
+    u = [[zero] * m for _ in range(m)]
+    j = 0
+    while j < m:
+        phase = draw(st.sampled_from(phases))
+        if j + 1 < m and draw(st.booleans()):
+            h = mul(r, phase)
+            u[j][j], u[j][j + 1], u[j + 1][j], u[j + 1][j + 1] = h, h, h, neg(h)
+            j += 2
+        else:
+            u[j][j] = phase
+            j += 1
+    rows, cols = draw(st.permutations(range(m))), draw(st.permutations(range(m)))
+    return tuple(tuple(u[i][k] for k in cols) for i in rows)
+
+
+def distinct_labels(m):
+    return st.lists(st.integers(-9, 9).filter(bool), min_size=m, max_size=m,
+                    unique=True).map(lambda xs: tuple(map(float, xs)))
+
+
+def fixes_the_second_value(matrix) -> bool:
+    """Whether every row of |a_jk|^2 has one nonzero entry: each value of P
+    fixes the value of P'."""
+    return all(sum(complex(a) != 0 for a in row) == 1 for row in matrix)
+
+
+class TestCommutationFromTheNetwork:
+    """A pair is commuting exactly when each value of P fixes the value of P',
+    read off the network as a |a_jk|^2 with one nonzero entry per row."""
+
+    @given(st.sampled_from(("exact", "float")), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_interference_pair(self, field, data):
+        matrix = data.draw(block_unitaries(exact=field == "exact"))
+        m = len(matrix)
+        net = ContextNetwork(
+            (Layer("P", Knowability.NEVER, data.draw(distinct_labels(m))),
+             Layer("Q", Knowability.DECIDED, data.draw(distinct_labels(m)))),
+            matrix[0], (matrix,))
+        assert hilbert_readout(net)[1] is fixes_the_second_value(matrix)
+
+    @given(st.sampled_from(("exact", "float")), st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_sequential_pair_with_a_table(self, field, data):
+        # a sequential space is built from a table with equal entries, or at
+        # M = 2 from a symmetric one: of these blocks, only M = 2 has a space
+        matrix = data.draw(block_unitaries(exact=field == "exact", sizes=(2, 2)))
+        table = JointVolumeTable([[abs(complex(a)) ** 2 / 2 for a in row] for row in matrix])
+        net = ContextNetwork(
+            (Layer("P", Knowability.DECIDED, data.draw(distinct_labels(2))),
+             Layer("Q", Knowability.DECIDED, data.draw(distinct_labels(2)))),
+            matrix[0], (matrix,))
+        assert hilbert_readout(net, table)[1] is fixes_the_second_value(matrix)

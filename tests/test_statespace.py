@@ -22,6 +22,12 @@ class TestAttributeDef:
         with pytest.raises(ValueError, match="circular"):
             AttributeDef(id="c", kind="circular", values=(1, 2))
 
+    @pytest.mark.parametrize("kind", ["directed", "ordered"])
+    def test_too_few_values_names_the_kind(self, kind):
+        with pytest.raises(ValueError) as refused:
+            AttributeDef(id="a", kind=kind, values=(1,))
+        assert str(refused.value) == f"attribute a: {kind} kind needs >= 2 values"
+
     def test_duplicate_values_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             AttributeDef(id="o", kind="ordered", values=(1, 1, 2))
@@ -40,6 +46,18 @@ class TestRegistryAndStates:
             ObjectRegistry.build(
                 [AttributeDef(id="a", kind="binary", values=(0, 1))],
                 {"o": ["a", "b"]})
+
+    def test_duplicate_attribute_ids_rejected(self):
+        a = AttributeDef(id="a", kind="binary", values=(0, 1))
+        with pytest.raises(ValueError) as refused:
+            ObjectRegistry.build([a, a], {"o": ["a"]})
+        assert str(refused.value) == "duplicate attribute ids"
+
+    def test_object_with_a_duplicate_attribute_rejected(self):
+        with pytest.raises(ValueError) as refused:
+            ObjectRegistry.build([AttributeDef(id="a", kind="binary", values=(0, 1))],
+                                 {"o": ["a", "a"]})
+        assert str(refused.value) == "object o: duplicate attribute"
 
     def test_exact_state_totality(self, registry):
         with pytest.raises(ValueError, match="total"):
@@ -138,6 +156,15 @@ class TestExactStateCode:
     @pytest.mark.parametrize("value", [3, "a", None, 3.0])
     def test_membership_of_a_non_state_is_false(self, whole, value):
         assert value not in whole and value not in whole.members
+
+    def test_membership_of_a_member_and_of_a_twin_registrys_state(self, registry, whole):
+        up = state_slice(whole, "particle", "spin", "up")
+        twin = ObjectRegistry(registry.attributes, registry.objects)
+        z, z_twin = ExactState(registry, (2, "up")), ExactState(twin, (2, "up"))
+        assert type(z_twin) is not type(z)
+        assert z in up and z_twin in up
+        assert ExactState(registry, (2, "down")) not in up
+        assert ExactState(twin, (2, "down")) not in up
 
     def test_unknown_slot_rejected(self, registry, whole):
         z = next(all_exact_states(registry))
@@ -273,6 +300,33 @@ class TestCombination:
         down = state_slice(whole, "particle", "spin", "down")
         with pytest.raises(ContradictionError, match="contradict"):
             collective_state([up, down])
+
+    @staticmethod
+    def other_registrys_up(registry):
+        other = ObjectRegistry(registry.attributes, (("atom", ("position", "spin")),))
+        return state_slice(full_state(other), "atom", "spin", "up")
+
+    def test_combine_across_registries_refused(self, registry, whole):
+        up = state_slice(whole, "particle", "spin", "up")
+        with pytest.raises(ValueError) as refused:
+            combine(up, self.other_registrys_up(registry), "OR")
+        assert str(refused.value) == "states are over different registries"
+
+    def test_unknown_connective_refused(self, whole):
+        up = state_slice(whole, "particle", "spin", "up")
+        with pytest.raises(ValueError) as refused:
+            combine(up, up, "XOR")
+        assert str(refused.value) == "unknown connective 'XOR'"
+
+    def test_collective_state_of_no_subjects_refused(self):
+        with pytest.raises(ValueError) as refused:
+            collective_state([])
+        assert str(refused.value) == "need at least one subject state"
+
+    def test_collective_state_across_registries_refused(self, registry, whole):
+        with pytest.raises(ValueError) as refused:
+            collective_state([whole, self.other_registrys_up(registry)])
+        assert str(refused.value) == "states are over different registries"
 
 
 class TestPropertySpec:
