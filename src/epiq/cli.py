@@ -49,27 +49,11 @@ def _resolved_network(scenario: Scenario, eraser):
     return net, eraser
 
 
-class _Refused(Exception):
-    """A value its option's own rule refuses; the message is the whole complaint."""
-
-
-def _checked(kind, problem):
-    """A conversion: ``kind`` of the text, refused by a message from ``problem``."""
-    def convert(text):
-        value = kind(text)
-        if message := problem(value):
-            raise _Refused(message)
-        return value
-    convert.__name__ = kind.__name__  # "invalid int value: ..." names it
-    return convert
-
-
-def _readable_file(path):
-    try:  # refuses a missing, unreadable or directory path, as argparse.FileType does
+def _unreadable(path):
+    try:  # a missing, unreadable or directory path, as argparse.FileType refuses it
         open(path, "rb").close()
     except OSError as e:
-        raise _Refused(f"can't open {path!r}: {e.strerror}") from None
-    return path
+        return f"can't open {path!r}: {e.strerror}"
 
 
 def _range_problem(lo, hi=math.inf):
@@ -239,18 +223,19 @@ COMMANDS = {"propagate": _cmd_propagate, "montecarlo": _cmd_montecarlo, "hilbert
             "uniqueness": _cmd_uniqueness, "validate": _cmd_validate}
 
 
-# Each value option's key among the parsed values and its conversion; None
+# Each value option's key among the parsed values, the type its text converts
+# to and the rule that names a problem with the value (None for none); None
 # marks an option that takes no value.
 _OPTIONS = {
-    "--command": ("command", _checked(str, lambda v: None if v in COMMANDS else (
-        f"invalid choice: {v!r} (choose from {', '.join(map(repr, COMMANDS))})"))),
-    "--n": ("n", _checked(int, _range_problem(1, MAX_SAMPLES))),
-    "--seed": ("seed", _checked(int, _range_problem(0))),
-    "--out-dir": ("out_dir", _checked(
-        str, lambda v: f"directory {v!r} is a file" if os.path.isfile(v) else None)),
+    "--command": ("command", str, lambda v: None if v in COMMANDS else (
+        f"invalid choice: {v!r} (choose from {', '.join(map(repr, COMMANDS))})")),
+    "--n": ("n", int, _range_problem(1, MAX_SAMPLES)),
+    "--seed": ("seed", int, _range_problem(0)),
+    "--out-dir": ("out_dir", str,
+                  lambda v: f"directory {v!r} is a file" if os.path.isfile(v) else None),
     # the schema's run.tolerance rule (a number above 0), also finite
-    "--tolerance": ("tolerance", _checked(float, lambda v: None if math.isfinite(v) and v > 0
-                                          else "must be a finite number above 0")),
+    "--tolerance": ("tolerance", float, lambda v: None if math.isfinite(v) and v > 0
+                    else "must be a finite number above 0"),
     "--eraser": None, "--no-eraser": None, "--help": None, "--version": None,
 }
 
@@ -277,13 +262,15 @@ def _parse(args, prog):
         sys.stderr.write(f"{_usage(prog)}{prog}: error: {message}\n")
         sys.exit(2)
 
-    def convert(name, conversion, text):
-        try:
-            return conversion(text)
-        except _Refused as e:
-            fail(f"argument {name}: {e}")
+    def convert(name, text, kind, problem):
+        try:  # a ValueError from either step makes the text invalid, as in argparse
+            value = kind(text)
+            message = problem(value)
         except ValueError:
-            fail(f"argument {name}: invalid {conversion.__name__} value: {text!r}")
+            fail(f"argument {name}: invalid {kind.__name__} value: {text!r}")
+        if message:
+            fail(f"argument {name}: {message}")
+        return value
 
     opts = dict.fromkeys(("scenario_path", "command", "n", "seed", "out_dir", "tolerance",
                           "eraser"))
@@ -300,7 +287,8 @@ def _parse(args, prog):
         option = None if values_only else _option(token)
         if option is None:
             if path_at is None:
-                opts["scenario_path"], path_at = convert("scenario_path", _readable_file, token), at
+                opts["scenario_path"] = convert("scenario_path", token, str, _unreadable)
+                path_at = at
             else:
                 extras.append(token)
             continue
@@ -323,11 +311,11 @@ def _parse(args, prog):
                 if i == len(args) or _option(args[i]) is not None:  # "--" too
                     fail(f"argument {name}: expected one argument")
                 text, i = args[i], i + 1
-            key, conversion = _OPTIONS[name]
-            opts[key] = convert(name, conversion, text)
+            key, kind, problem = _OPTIONS[name]
+            opts[key] = convert(name, text, kind, problem)
     # read per call, not at import, and checked only when --out-dir is absent
     if opts["out_dir"] is None and (env := os.environ.get("EPIQ_OUT_DIR")) is not None:
-        opts["out_dir"] = convert("--out-dir", _OPTIONS["--out-dir"][1], env)
+        opts["out_dir"] = convert("--out-dir", env, *_OPTIONS["--out-dir"][1:])
     if path_at is None:
         fail("the following arguments are required: scenario_path")
     if extras:

@@ -160,9 +160,22 @@ def build_space(net: ContextNetwork,
 
     if first.level is Knowability.NEVER:
         return _build_interference(net, m, mp)
+    if first.level is not Knowability.DECIDED or second.level is not Knowability.DECIDED:
+        kind = "joint" if simultaneous else "sequential"
+        raise SpaceConstructionError(f"{kind} space needs both properties decided")
     if simultaneous:
         return _build_joint(net, m, mp)
     return _build_sequential(net, joint_volumes, m, mp)
+
+
+def _first_matrix(net: ContextNetwork, error: type) -> list:
+    """The one M x M' matrix's complex rows, or ``error`` with validate_context's message."""
+    first, second = net.layers
+    if len(net.edges) != 1:
+        raise error("need exactly one amplitude matrix per consecutive layer pair")
+    if [*map(len, net.edges[0])] != [second.size] * first.size:
+        raise error(f"matrix 0: expected shape {first.size}x{second.size}")
+    return _complex_rows(net.edges[0])
 
 
 def _vector_space(net: ContextNetwork, kind: str, w) -> ContextSpace:
@@ -179,7 +192,7 @@ def _build_interference(net: ContextNetwork, m: int, mp: int) -> ContextSpace:
     # second-basis vector k has component conj(a[j][k]) on first-basis vector j,
     # so that <first_j, second_k> equals the amplitude a[j][k]; when M < M' the
     # remaining coordinates are an orthonormal completion.
-    w = [[x.conjugate() for x in row] for row in _complex_rows(net.edges[0])]
+    w = [[x.conjugate() for x in row] for row in _first_matrix(net, SpaceConstructionError)]
     if not _orthonormal(w):
         raise SpaceConstructionError("amplitude matrix rows are not orthonormal")
     if m < mp:
@@ -233,8 +246,6 @@ def _reflect(y: list, j: int, v, beta: float):
 
 def _build_joint(net: ContextNetwork, m: int, mp: int) -> ContextSpace:
     first, second = net.layers
-    if first.level is not Knowability.DECIDED or second.level is not Knowability.DECIDED:
-        raise SpaceConstructionError("joint space needs both properties decided")
     # product basis index (j, k) -> j * mp + k; both properties keep the
     # standard basis, each value owning a set of its coordinates
     first_blocks = [[j * mp + k for k in range(mp)] for j in range(m)]
@@ -253,7 +264,7 @@ def _build_sequential(net: ContextNetwork, joint_volumes: JointVolumeTable | Non
         raise SpaceConstructionError("joint volume table has the wrong shape")
     v = joint_volumes.v
 
-    a = _complex_rows(net.edges[0])
+    a = _first_matrix(net, SpaceConstructionError)
     # network rows are unit vectors, i.e. conditional amplitudes; a neutral
     # apparatus means their squared moduli reproduce the joint volumes once
     # those are conditioned on the first observed value (a row of zero volume
@@ -298,7 +309,7 @@ def reciprocal(net: ContextNetwork) -> ContextNetwork:
     first, second = net.layers
     if first.size != second.size:
         raise ContextError("reciprocal context exists if and only if M = M'")
-    a = _complex_rows(net.edges[0])
+    a = _first_matrix(net, ContextError)
     if not _orthonormal(a):
         raise ContextError("reciprocal undefined")
     init = tuple(map(_complex, net.initial))
@@ -478,10 +489,14 @@ def principle4_probabilities(space: ContextSpace, net: ContextNetwork) -> tuple:
     The first property's basis is the standard basis, so <first_j, second_k>
     is the conjugate of entry j of second-basis vector k; rows past the
     first property's values (an interference completion) never enter.  A
-    network that `validate_context` refuses is refused with its messages.
+    network that `validate_context` refuses is refused with its messages, and
+    one whose property ids or value counts are not the space's as well.
     """
     if errors := validate_context(net):
         raise ContextError("; ".join(errors))
+    if (space.property_order != tuple(layer.property_id for layer in net.layers)
+            or tuple(map(len, space.blocks)) != tuple(layer.size for layer in net.layers)):
+        raise SpaceConstructionError("space was built for another network")
     return _principle4(space, net)
 
 

@@ -91,10 +91,18 @@ class ObjectRegistry(Record):
     _fields = ("attributes", "objects")  # the other slots are derived from these
 
     def __init__(self, attributes: tuple, objects: tuple):
+        table = {a.id: a for a in attributes}
+        if len(table) != len(attributes):
+            raise ValueError("duplicate attribute ids")
+        for oid, attr_ids in objects:
+            if len(set(attr_ids)) != len(attr_ids):
+                raise ValueError(f"object {oid}: duplicate attribute")
+            for aid in attr_ids:
+                if aid not in table:
+                    raise ValueError(f"object {oid}: unknown attribute {aid}")
         _set(self, "attributes", attributes)
         _set(self, "objects", objects)
         slots = tuple((oid, aid) for oid, attr_ids in objects for aid in attr_ids)
-        table = {a.id: a for a in attributes}
         slot_values = tuple(table[aid].values for _, aid in slots)
         radices = [len(legal) for legal in slot_values]
         _set(self, "_slots", slots)
@@ -114,21 +122,8 @@ class ObjectRegistry(Record):
 
     @staticmethod
     def build(attributes: Sequence[AttributeDef], objects: dict) -> ObjectRegistry:
-        attrs = tuple(attributes)
-        ids = [a.id for a in attrs]
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate attribute ids")
-        table = dict(zip(ids, attrs))
-        objs = []
-        for oid, attr_ids in objects.items():
-            attr_ids = tuple(attr_ids)
-            if len(set(attr_ids)) != len(attr_ids):
-                raise ValueError(f"object {oid}: duplicate attribute")
-            for aid in attr_ids:
-                if aid not in table:
-                    raise ValueError(f"object {oid}: unknown attribute {aid}")
-            objs.append((oid, attr_ids))
-        return ObjectRegistry(attributes=attrs, objects=tuple(objs))
+        return ObjectRegistry(tuple(attributes),
+                              tuple((oid, tuple(attr_ids)) for oid, attr_ids in objects.items()))
 
     @property
     def _size(self) -> int:

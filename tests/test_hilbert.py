@@ -36,6 +36,13 @@ def quarter_volumes():
     return JointVolumeTable(v=((0.25, 0.25), (0.25, 0.25)))
 
 
+def wide_matrix_net(level=Knowability.NEVER, edges=(((1 + 0j, 0j, 0j), (0j, 1 + 0j, 0j)),)):
+    """Two-valued layers whose one matrix is 2x3 (or ``edges`` instead)."""
+    return ContextNetwork(layers=(Layer("P", level, (1.0, 2.0)),
+                                  Layer("Q", Knowability.DECIDED, (1.0, 2.0))),
+                          initial=(1 + 0j, 0j), edges=edges)
+
+
 class TestJointVolumeTable:
     def test_must_sum_to_one(self):
         with pytest.raises(ValueError, match="sum to one"):
@@ -254,7 +261,18 @@ class TestSequentialSpace:
                             Layer("Q", Knowability.DECIDED, (1.0, 2.0))),
                     initial=(H + 0j, H + 0j), edges=(((1 + 0j, 0j), (0j, 1 + 0j)),)),
      {"simultaneous": True}, "joint space needs both properties decided"),
-], ids=["no-table", "wrong-shape", "joint-undecided"])
+    (ContextNetwork(layers=(Layer("P", Knowability.CONTINGENT, (1.0, 2.0)),
+                            Layer("Q", Knowability.DECIDED, (1.0, 2.0))),
+                    initial=(H + 0j, H + 0j), edges=(((1 + 0j, 0j), (0j, 1 + 0j)),)),
+     {"joint_volumes": JointVolumeTable(v=((0.5, 0.0), (0.0, 0.5)))},
+     "sequential space needs both properties decided"),
+    (wide_matrix_net(), {}, "matrix 0: expected shape 2x2"),
+    (wide_matrix_net(Knowability.DECIDED), {"joint_volumes": quarter_volumes()},
+     "matrix 0: expected shape 2x2"),
+    (wide_matrix_net(edges=()), {},
+     "need exactly one amplitude matrix per consecutive layer pair"),
+], ids=["no-table", "wrong-shape", "joint-undecided", "sequential-undecided",
+        "interference-matrix-shape", "sequential-matrix-shape", "no-matrix"])
 def test_build_space_refusals(net, kwargs, message):
     with pytest.raises(SpaceConstructionError, match=message):
         build_space(net, **kwargs)
@@ -652,6 +670,14 @@ def joint_space():
     return build_space(sequential_net(), simultaneous=True)
 
 
+def three_outcome_net():
+    """The interferometer's path feeding a three-valued detector."""
+    s = math.sqrt(0.5)
+    return ContextNetwork(interference_net().layers[:1]
+                          + (Layer("detector", Knowability.DECIDED, (1.0, 2.0, 3.0)),),
+                          (1 + 0j, 0j), (((s, s, 0j), (s, -s, 0j)),))
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: propagate(contingent_net()), "unresolved contingent knowability"),
     (lambda: propagate(drifting_chain()), "distribution does not normalize"),
@@ -663,8 +689,18 @@ def joint_space():
                         make_operator(build_space(interference_net()), "path")),
      "operators act on different spaces"),
     (lambda: joint_space().basis("P"), "P is represented by subspaces, not vectors"),
+    (lambda: reciprocal(wide_matrix_net()), "matrix 0: expected shape 2x2"),
+    (lambda: reciprocal(wide_matrix_net(edges=())),
+     "need exactly one amplitude matrix per consecutive layer pair"),
+    (lambda: principle4_probabilities(build_space(interference_net()), three_outcome_net()),
+     "space was built for another network"),
+    (lambda: principle4_probabilities(build_space(sequential_net(),
+                                                  joint_volumes=quarter_volumes()),
+                                      interference_net()),
+     "space was built for another network"),
 ], ids=["contingent", "drift", "padding", "label-count", "label-distinct", "spaces",
-        "subspaces"])
+        "subspaces", "reciprocal-matrix-shape", "reciprocal-no-matrix",
+        "principle4-value-counts", "principle4-property-ids"])
 def test_refusals_carry_their_messages(call, message):
     with pytest.raises(ValueError) as refused:
         call()

@@ -13,6 +13,9 @@ from epiq.statespace import (MAX_STATES, AttributeDef, ContradictionError, Epist
                              full_state, relative_volume, state_slice, volume)
 
 
+SPIN = AttributeDef(id="spin", kind="binary", values=("up", "down"))
+
+
 class TestAttributeDef:
     def test_binary_needs_two_values(self):
         with pytest.raises(ValueError, match="binary"):
@@ -58,6 +61,16 @@ class TestRegistryAndStates:
             ObjectRegistry.build([AttributeDef(id="a", kind="binary", values=(0, 1))],
                                  {"o": ["a", "a"]})
         assert str(refused.value) == "object o: duplicate attribute"
+
+    @pytest.mark.parametrize("attributes, objects, message", [
+        ((SPIN,), (("o", ("mass",)),), "object o: unknown attribute mass"),
+        ((SPIN,), (("o", ("spin", "spin")),), "object o: duplicate attribute"),
+        ((SPIN, SPIN), (("o", ("spin",)),), "duplicate attribute ids"),
+    ], ids=["unknown-attribute", "duplicate-attribute", "duplicate-attribute-ids"])
+    def test_constructor_refuses_what_build_refuses(self, attributes, objects, message):
+        with pytest.raises(ValueError) as refused:
+            ObjectRegistry(attributes, objects)
+        assert str(refused.value) == message
 
     def test_exact_state_totality(self, registry):
         with pytest.raises(ValueError, match="total"):
