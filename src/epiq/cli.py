@@ -149,12 +149,12 @@ def _cmd_montecarlo(scenario, eraser, n, seed, tolerance):
 
 
 def _cmd_hilbert(scenario, eraser, n, seed, tolerance):
-    from .hilbert import (JointVolumeTable, SpaceConstructionError, _principle4, build_space,
+    from .hilbert import (JointVolumeTable, SpaceConstructionError, _principle4, _space,
                           commutator, make_operator)
     net, eraser = _resolved_network(scenario, eraser)
-    dist = propagate(net)  # checks the network, which build_space checks only as its kind needs
+    dist = propagate(net)  # the one check of the network; _space and _principle4 skip it
     jv = JointVolumeTable(v=scenario.joint_volumes) if scenario.joint_volumes else None
-    space = build_space(net, joint_volumes=jv, simultaneous=scenario.simultaneous)
+    space = _space(net, jv, scenario.simultaneous)
     result = {"dimension": space.dimension, "kind": space.kind, "properties": {
         pid: list(space.subspace_dimensions(pid)) for pid in space.property_order}}
     rows = [(space.kind, str(space.dimension), "", "")]

@@ -97,6 +97,14 @@ def validate_context(net: ContextNetwork) -> list:
     return _check(net)[0]
 
 
+def _checked(net: ContextNetwork) -> tuple:
+    """`_check`'s (exact, rows, squares), or its messages as one ContextError."""
+    errors, exact, rows, squares = _check(net)
+    if errors:
+        raise ContextError("; ".join(errors))
+    return exact, rows, squares
+
+
 def _check(net: ContextNetwork) -> tuple:
     """validate_context's messages for `net`, whether it is exact, and its
     rows: the initial vector as a one-row matrix, then each matrix, in the
@@ -178,9 +186,7 @@ def propagate(net: ContextNetwork) -> Distribution:
     network is folded on the integer rows `exactnum.checked_rows` made, with
     one gcd per result row; any other network on complex rows.
     """
-    errors, exact, rows, squares = _check(net)
-    if errors:
-        raise ContextError("; ".join(errors))
+    exact, rows, squares = _checked(net)
     if exact:
         squared, merge, carry, weights = squared_moduli, merge_rows, carry_rows, ONE_ROW
     else:
@@ -253,9 +259,7 @@ def reduce_by_observation(net: ContextNetwork, outcome: int) -> ContextNetwork:
     What is then known is again a context: the remaining layers, fed by the
     observed value's row of the first matrix.
     """
-    errors, exact, _, squares = _check(net)
-    if errors:
-        raise ContextError("; ".join(errors))
+    exact, _, squares = _checked(net)
     layer = net.layers[0]
     if layer.level is not Knowability.DECIDED:
         raise ContextError("reduction forbidden at unknowable property")

@@ -29,7 +29,7 @@ from collections.abc import Sequence
 from operator import mul
 
 from . import Knowability, Record, _set
-from .context import ContextError, ContextNetwork, Layer, _complex, _complex_rows, validate_context
+from .context import ContextError, ContextNetwork, Layer, _checked, _complex, _complex_rows
 
 ORTHO_TOL = 1e-12
 NEUTRAL_TOL = 1e-9
@@ -147,7 +147,14 @@ def _adjoint(rows) -> tuple:
 def build_space(net: ContextNetwork,
                 joint_volumes: JointVolumeTable | None = None,
                 simultaneous: bool = False) -> ContextSpace:
-    """Construct the contextual space for a one- or two-property network."""
+    """Construct the contextual space for a one- or two-property context; a
+    network that `validate_context` refuses raises its messages as one ContextError."""
+    _checked(net)
+    return _space(net, joint_volumes, simultaneous)
+
+
+def _space(net: ContextNetwork, joint_volumes, simultaneous: bool) -> ContextSpace:
+    """build_space for a network already checked."""
     if len(net.layers) == 1:
         layer = net.layers[0]
         return ContextSpace(layer.size, "single", (layer.property_id,), (None,),
@@ -157,25 +164,14 @@ def build_space(net: ContextNetwork,
 
     first, second = net.layers
     m, mp = first.size, second.size
-
     if first.level is Knowability.NEVER:
-        return _build_interference(net, m, mp)
+        return _build_interference(net, _complex_rows(net.edges[0]), m, mp)
     if first.level is not Knowability.DECIDED or second.level is not Knowability.DECIDED:
         kind = "joint" if simultaneous else "sequential"
         raise SpaceConstructionError(f"{kind} space needs both properties decided")
     if simultaneous:
         return _build_joint(net, m, mp)
-    return _build_sequential(net, joint_volumes, m, mp)
-
-
-def _first_matrix(net: ContextNetwork, error: type) -> list:
-    """The one M x M' matrix's complex rows, or ``error`` with validate_context's message."""
-    first, second = net.layers
-    if len(net.edges) != 1:
-        raise error("need exactly one amplitude matrix per consecutive layer pair")
-    if [*map(len, net.edges[0])] != [second.size] * first.size:
-        raise error(f"matrix 0: expected shape {first.size}x{second.size}")
-    return _complex_rows(net.edges[0])
+    return _build_sequential(net, joint_volumes, _complex_rows(net.edges[0]), m, mp)
 
 
 def _vector_space(net: ContextNetwork, kind: str, w) -> ContextSpace:
@@ -186,13 +182,11 @@ def _vector_space(net: ContextNetwork, kind: str, w) -> ContextSpace:
                         (_singletons(first.size), _singletons(second.size)))
 
 
-def _build_interference(net: ContextNetwork, m: int, mp: int) -> ContextSpace:
-    if m > mp:
-        raise SpaceConstructionError("interference space covers only M <= M'")
+def _build_interference(net: ContextNetwork, a, m: int, mp: int) -> ContextSpace:
     # second-basis vector k has component conj(a[j][k]) on first-basis vector j,
     # so that <first_j, second_k> equals the amplitude a[j][k]; when M < M' the
-    # remaining coordinates are an orthonormal completion.
-    w = [[x.conjugate() for x in row] for row in _first_matrix(net, SpaceConstructionError)]
+    # remaining coordinates are an orthonormal completion (_check refuses M > M').
+    w = [[x.conjugate() for x in row] for row in a]
     if not _orthonormal(w):
         raise SpaceConstructionError("amplitude matrix rows are not orthonormal")
     if m < mp:
@@ -254,7 +248,7 @@ def _build_joint(net: ContextNetwork, m: int, mp: int) -> ContextSpace:
                         (None, None), (first_blocks, second_blocks))
 
 
-def _build_sequential(net: ContextNetwork, joint_volumes: JointVolumeTable | None,
+def _build_sequential(net: ContextNetwork, joint_volumes: JointVolumeTable | None, a,
                       m: int, mp: int) -> ContextSpace:
     if m != mp:
         raise SpaceConstructionError("no reciprocal basis: sequential space needs M = M'")
@@ -264,7 +258,6 @@ def _build_sequential(net: ContextNetwork, joint_volumes: JointVolumeTable | Non
         raise SpaceConstructionError("joint volume table has the wrong shape")
     v = joint_volumes.v
 
-    a = _first_matrix(net, SpaceConstructionError)
     # network rows are unit vectors, i.e. conditional amplitudes; a neutral
     # apparatus means their squared moduli reproduce the joint volumes once
     # those are conditioned on the first observed value (a row of zero volume
@@ -301,15 +294,17 @@ def reciprocal(net: ContextNetwork) -> ContextNetwork:
     second property's basis.  The matrix relating two orthonormal bases is
     unitary, so the reversed matrix is its adjoint.  Levels stay by position
     (a never/decided pair stays one), and applying the construction twice
-    restores the network; a matrix that is not unitary (within 1e-9 in each
-    entry of its Gram matrix) is refused.
+    restores the network.  `validate_context`'s refusals come first, then a
+    network that is not square and two-layer, or whose matrix is not unitary
+    (within 1e-9 in each entry of its Gram matrix).
     """
+    _checked(net)
     if len(net.layers) != 2:
         raise ContextError("reciprocal context is defined for two-layer networks")
     first, second = net.layers
     if first.size != second.size:
         raise ContextError("reciprocal context exists if and only if M = M'")
-    a = _first_matrix(net, ContextError)
+    a = _complex_rows(net.edges[0])
     if not _orthonormal(a):
         raise ContextError("reciprocal undefined")
     init = tuple(map(_complex, net.initial))
@@ -492,8 +487,7 @@ def principle4_probabilities(space: ContextSpace, net: ContextNetwork) -> tuple:
     network that `validate_context` refuses is refused with its messages, and
     one whose property ids or value counts are not the space's as well.
     """
-    if errors := validate_context(net):
-        raise ContextError("; ".join(errors))
+    _checked(net)
     if (space.property_order != tuple(layer.property_id for layer in net.layers)
             or tuple(map(len, space.blocks)) != tuple(layer.size for layer in net.layers)):
         raise SpaceConstructionError("space was built for another network")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import epiq.context
 from epiq.context import ContextError, ContextNetwork, Layer, propagate, validate_context
 from epiq.evolution import Knowability
 from epiq.exactnum import ExactAmplitude
@@ -103,11 +104,12 @@ class TestInterferenceSpace:
     def test_principle4_refuses_what_validate_refuses(self, entry):
         net = interference_net()
         bad = ContextNetwork(net.layers, (entry, 0), net.edges)
-        space = build_space(bad)
+        space = build_space(net)
         assert validate_context(bad) == ["row not normalized: initial amplitudes"]
-        with pytest.raises(ContextError) as refused:
-            principle4_probabilities(space, bad)
-        assert str(refused.value) == "row not normalized: initial amplitudes"
+        for call in (lambda: principle4_probabilities(space, bad), lambda: build_space(bad)):
+            with pytest.raises(ContextError) as refused:
+                call()
+            assert str(refused.value) == "row not normalized: initial amplitudes"
 
     def test_wider_second_layer_completion(self):
         s = math.sqrt(0.5)
@@ -129,8 +131,9 @@ class TestInterferenceSpace:
                     Layer("detector", Knowability.DECIDED, (1.0, 2.0))),
             initial=(1 + 0j, 0j, 0j),
             edges=(((H, H), (H, -H), (1 + 0j, 0j)),))
-        with pytest.raises(SpaceConstructionError, match="covers only M <= M'"):
+        with pytest.raises(ContextError) as refused:
             build_space(net)
+        assert str(refused.value) == "layer path: requires virtual-value padding"
 
     def test_nonunitary_matrix_rejected(self):
         net = ContextNetwork(
@@ -253,28 +256,33 @@ class TestSequentialSpace:
                 v=tuple(tuple(r) for r in lopsided)))
 
 
-@pytest.mark.parametrize("net, kwargs, message", [
-    (sequential_net(), {}, "sequential space needs a joint volume table"),
+@pytest.mark.parametrize("net, kwargs, error, message", [
+    (sequential_net(), {}, SpaceConstructionError, "sequential space needs a joint volume table"),
     (sequential_net(), {"joint_volumes": JointVolumeTable(v=((0.5, 0.5),))},
-     "joint volume table has the wrong shape"),
+     SpaceConstructionError, "joint volume table has the wrong shape"),
     (ContextNetwork(layers=(Layer("P", Knowability.CONTINGENT, (1.0, 2.0)),
                             Layer("Q", Knowability.DECIDED, (1.0, 2.0))),
                     initial=(H + 0j, H + 0j), edges=(((1 + 0j, 0j), (0j, 1 + 0j)),)),
-     {"simultaneous": True}, "joint space needs both properties decided"),
+     {"simultaneous": True}, SpaceConstructionError, "joint space needs both properties decided"),
     (ContextNetwork(layers=(Layer("P", Knowability.CONTINGENT, (1.0, 2.0)),
                             Layer("Q", Knowability.DECIDED, (1.0, 2.0))),
                     initial=(H + 0j, H + 0j), edges=(((1 + 0j, 0j), (0j, 1 + 0j)),)),
      {"joint_volumes": JointVolumeTable(v=((0.5, 0.0), (0.0, 0.5)))},
-     "sequential space needs both properties decided"),
-    (wide_matrix_net(), {}, "matrix 0: expected shape 2x2"),
+     SpaceConstructionError, "sequential space needs both properties decided"),
+    (wide_matrix_net(), {}, ContextError, "matrix 0: expected shape 2x2"),
     (wide_matrix_net(Knowability.DECIDED), {"joint_volumes": quarter_volumes()},
-     "matrix 0: expected shape 2x2"),
+     ContextError, "matrix 0: expected shape 2x2"),
     (wide_matrix_net(edges=()), {},
-     "need exactly one amplitude matrix per consecutive layer pair"),
+     ContextError, "need exactly one amplitude matrix per consecutive layer pair"),
+    # the joint kind reads no matrix, but the network is checked first
+    (ContextNetwork(layers=sequential_net().layers, initial=(2 + 0j, 0j),
+                    edges=(((3 + 0j, 0j), (0j, 5 + 0j)),)), {"simultaneous": True},
+     ContextError, "^row not normalized: initial amplitudes; row not normalized: matrix 0 row 0; "
+                   "row not normalized: matrix 0 row 1$"),
 ], ids=["no-table", "wrong-shape", "joint-undecided", "sequential-undecided",
-        "interference-matrix-shape", "sequential-matrix-shape", "no-matrix"])
-def test_build_space_refusals(net, kwargs, message):
-    with pytest.raises(SpaceConstructionError, match=message):
+        "interference-matrix-shape", "sequential-matrix-shape", "no-matrix", "joint-invalid"])
+def test_build_space_refusals(net, kwargs, error, message):
+    with pytest.raises(error, match=message):
         build_space(net, **kwargs)
 
 
@@ -597,10 +605,13 @@ def test_neutrality_check_fails_a_row_of_zero_volume():
 
 
 def test_unitarity_check_fails_a_nan_amplitude():
+    """A NaN row fails the row check, which comes first, and the unitarity check too."""
+    rows = ((complex(math.nan), H + 0j), (H + 0j, -H + 0j))
     net = ContextNetwork(layers=interference_net().layers, initial=(H + 0j, H + 0j),
-                         edges=(((complex(math.nan), H + 0j), (H + 0j, -H + 0j)),))
-    with pytest.raises(SpaceConstructionError, match="amplitude matrix rows are not orthonormal"):
+                         edges=(rows,))
+    with pytest.raises(ContextError, match="row not normalized: matrix 0 row 0"):
         build_space(net)
+    assert not _orthonormal(rows)
 
 
 def past_float_range(net, initial=False):
@@ -614,23 +625,27 @@ def past_float_range(net, initial=False):
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: reciprocal(past_float_range(interference_net())), "reciprocal undefined"),
+    (lambda: reciprocal(past_float_range(interference_net())),
+     "row not normalized: matrix 0 row 0"),
     (lambda: build_space(past_float_range(interference_net())),
-     "amplitude matrix rows are not orthonormal"),
+     "row not normalized: matrix 0 row 0"),
     (lambda: build_space(past_float_range(sequential_net()), joint_volumes=quarter_volumes()),
-     "context not neutral"),
+     "row not normalized: matrix 0 row 0"),
 ], ids=["reciprocal", "interference", "sequential"])
 def test_an_exact_entry_past_the_float_range_is_refused_with_its_message(call, message):
-    """The entry converts to an infinite complex number, which the unitarity
-    and neutrality checks fail, instead of raising OverflowError."""
+    """The entry converts to an infinite complex number, whose row fails the
+    row check, instead of raising OverflowError."""
     with pytest.raises(ValueError) as refused:
         call()
     assert str(refused.value) == message
 
 
 def test_reciprocal_of_an_initial_entry_past_the_float_range_fails_validation():
-    rec = reciprocal(past_float_range(interference_net(), initial=True))
-    assert validate_context(rec) == ["row not normalized: initial amplitudes"]
+    net = past_float_range(interference_net(), initial=True)
+    assert validate_context(net) == ["row not normalized: initial amplitudes"]
+    with pytest.raises(ContextError) as refused:
+        reciprocal(net)
+    assert str(refused.value) == "row not normalized: initial amplitudes"
 
 
 @settings(max_examples=60, deadline=None)
@@ -692,6 +707,9 @@ def three_outcome_net():
     (lambda: reciprocal(wide_matrix_net()), "matrix 0: expected shape 2x2"),
     (lambda: reciprocal(wide_matrix_net(edges=())),
      "need exactly one amplitude matrix per consecutive layer pair"),
+    (lambda: reciprocal(ContextNetwork(interference_net().layers, (0.6 + 0j, 0.8 + 0j, 0j),
+                                       interference_net().edges)),
+     "initial amplitude vector does not match first layer"),
     (lambda: principle4_probabilities(build_space(interference_net()), three_outcome_net()),
      "space was built for another network"),
     (lambda: principle4_probabilities(build_space(sequential_net(),
@@ -700,8 +718,30 @@ def three_outcome_net():
      "space was built for another network"),
 ], ids=["contingent", "drift", "padding", "label-count", "label-distinct", "spaces",
         "subspaces", "reciprocal-matrix-shape", "reciprocal-no-matrix",
-        "principle4-value-counts", "principle4-property-ids"])
+        "reciprocal-initial-length", "principle4-value-counts", "principle4-property-ids"])
 def test_refusals_carry_their_messages(call, message):
     with pytest.raises(ValueError) as refused:
         call()
     assert str(refused.value) == message
+
+
+@pytest.mark.parametrize("call", [
+    lambda: build_space(interference_net()),
+    lambda: build_space(sequential_net(), simultaneous=True),
+    lambda: build_space(sequential_net(), joint_volumes=quarter_volumes()),
+    lambda: reciprocal(interference_net()),
+], ids=["interference", "joint", "sequential", "reciprocal"])
+def test_each_entry_point_checks_the_network_once(call, monkeypatch):
+    calls, check = [], epiq.context._check
+    monkeypatch.setattr(epiq.context, "_check", lambda *a: calls.append(1) or check(*a))
+    call()
+    assert len(calls) == 1
+
+
+def test_principle4_checks_the_network_once(monkeypatch):
+    net = interference_net()
+    space = build_space(net)
+    calls, check = [], epiq.context._check
+    monkeypatch.setattr(epiq.context, "_check", lambda *a: calls.append(1) or check(*a))
+    principle4_probabilities(space, net)
+    assert len(calls) == 1

@@ -4,6 +4,7 @@ import cmath
 import itertools
 import math
 from fractions import Fraction
+from functools import partial
 from unittest import mock
 
 import pytest
@@ -16,7 +17,7 @@ from epiq.context import (ContextError, ContextNetwork, Distribution, Layer, pro
 from epiq.evolution import EvolutionRule, Knowability, make_alternatives, probability
 from epiq.exactnum import ONE, ZERO, ExactAmplitude, Sqrt2Scalar, checked_rows, parse_exact, scalars
 from epiq.hilbert import (JointVolumeTable, build_space, commutator, make_operator,
-                          principle4_probabilities)
+                          principle4_probabilities, reciprocal)
 from epiq.statespace import (AttributeDef, EpistemicState, ExactState, ObjectRegistry,
                              PropertySpec, VoidStateError, all_exact_states, combine,
                              full_state, relative_volume, state_slice, volume)
@@ -726,6 +727,18 @@ class TestOneCheckPath:
         assume(messages)
         with pytest.raises(ContextError) as refused:
             propagate(net)
+        assert str(refused.value) == "; ".join(messages)
+
+    @given(defective_networks(),
+           st.sampled_from((build_space, partial(build_space, simultaneous=True), reciprocal)))
+    @settings(max_examples=100, deadline=None)
+    def test_hilbert_refuses_with_validate_messages(self, net, entry):
+        """build_space (simultaneous or not) and reciprocal check the network
+        before they look at its shape or kind."""
+        messages = validate_context(net)
+        assume(messages)
+        with pytest.raises(ContextError) as refused:
+            entry(net)
         assert str(refused.value) == "; ".join(messages)
 
 
