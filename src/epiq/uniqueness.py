@@ -8,20 +8,20 @@ row, and the closure row obtained by composing the two stages) together with
 the property-independence rows that let the P-stage and P'-stage of the setup
 be tuned separately.  A candidate is acceptable when that system is feasible
 and its solution manifold leaves at least the experimental-freedom minimum of
-free real parameters: M-1 for the P block, M(M'-1) for the P' block, MM'-1 in
-total.
+free real parameters: M-1 for P, M(n-1) for P', Mn-1 in total, where n =
+max(M, M') since a wide shape is padded to M x M.
 
-No search decides the table.  For the real and |a|^2 candidates the system
-says exactly that a is a unit vector and that the rows of A are orthonormal
-(row norms and orthogonality rows), and the closure row then holds by itself,
-since sum_k f((aA)_k) = |aA|^2 = |a|^2.  So the solution set is a sphere times
-a Stiefel manifold, and each block's freedom is that factor's dimension
-(_manifold_dof); one rational point clear of the degeneracy floor
-(_witness) shows that the set meets the region the study accepts.  Every
-|a|^(2 gamma) with gamma >= 2 is infeasible by a bound on the degeneracy
-floor (_proved_infeasible).  The float search these verdicts replace,
-Levenberg-Marquardt from random starts with a numerical rank vote, is kept
-beside the tests as their oracle.
+No search and no constraint system decides a row: it reads only M, n, the
+candidate's kind and gamma.  For real and |a|^2 the system says exactly that
+a is a unit vector and that the rows of A are orthonormal (row norms and
+orthogonality rows), and the closure row then holds by itself, since
+sum_k f((aA)_k) = |aA|^2 = |a|^2.  So the solution set is a sphere times a
+Stiefel manifold, and each block's freedom is that factor's dimension
+(_manifold_dof); one rational point clear of the degeneracy floor (_witness)
+shows that the set meets the region the study accepts.  Every |a|^(2 gamma)
+with gamma >= 2 is infeasible by a bound on the degeneracy floor
+(_proved_infeasible).  The float search these verdicts replace is the tests'
+oracle; it and the benchmark build the rows with build_constraints.
 """
 from __future__ import annotations
 
@@ -53,7 +53,7 @@ class CandidateMap(Record):
     def __init__(self, name: str, kind: str, gamma: int = 1):
         if kind not in ("real", "modulus-power"):
             raise ValueError(f"unknown candidate kind {kind!r}")
-        if kind == "modulus-power" and gamma < 1:
+        if kind == "modulus-power" and not (type(gamma) is int and gamma >= 1):
             raise ValueError("modulus-power exponent gamma must be a positive integer")
         _set(self, "name", name)
         _set(self, "kind", kind)
@@ -109,9 +109,11 @@ class ConstraintSystem(Record):
 
     @property
     def required_dof(self) -> dict:
-        return {"P": self.m - 1,
-                "P'": self.m * (self.mp - 1),
-                "total": self.m * self.mp - 1}
+        return _required_dof(self.m, self.mp)
+
+
+def _required_dof(m: int, n: int) -> dict:
+    return {"P": m - 1, "P'": m * (n - 1), "total": m * n - 1}
 
 
 def build_constraints(m: int, mp: int, level_of_p: Knowability,
@@ -208,36 +210,35 @@ class UniquenessReport(Record):
                      if all(r.verdict for r in self.rows if r.candidate == n))
 
 
-def _manifold_dof(system: ConstraintSystem) -> dict:
+def _manifold_dof(m: int, n: int, real_only: bool) -> dict:
     """Per-block dimension of the solution set of the real or |a|^2 system:
     the unit sphere of a in R^m or C^m (P), times the Stiefel manifold of m
-    orthonormal rows in R^mp or C^mp (P')."""
-    m, n = system.m, system.mp
-    if system.candidate.real_only:
+    orthonormal rows in R^n or C^n (P')."""
+    if real_only:
         p, pp = m - 1, m * n - m * (m + 1) // 2
     else:
         p, pp = 2 * m - 1, 2 * m * n - m * m
     return {"P": p, "P'": pp, "total": p + pp}
 
 
-def _witness(system: ConstraintSystem, number=float) -> tuple:
+def _witness(m: int, n: int, real_only: bool, number=float) -> tuple:
     """One solution of the real or |a|^2 system, in the parameter layout.
 
     a = e_1 and A is the first m rows of an orthogonal matrix with rational
-    entries: the Householder reflection I - (2/n) 11^T for n = mp >= 3, the
+    entries: the Householder reflection I - (2/n) 11^T for n >= 3, the
     reflection [[3/5, 4/5], [4/5, -3/5]] for n = 2.  Every |A_jk| is then at
     least 1/4 for n <= 8, clear of DEGENERACY_FLOOR.  ``number`` builds the
-    entries (``fractions.Fraction`` for an exact point).
+    entries (``fractions.Fraction`` for an exact point), each distinct one once.
     """
-    m, n = system.m, system.mp
     if n == 2:
-        rows = ((number(3) / 5, number(4) / 5), (number(4) / 5, number(-3) / 5))
+        three, four = number(3) / 5, number(4) / 5
+        big = (three, four, four, -three)
     else:
-        rows = tuple(tuple(number(int(j == k)) - number(2) / n for k in range(n))
-                     for j in range(m))
-    a = tuple(number(int(j == 0)) for j in range(m))
-    big = tuple(x for row in rows for x in row)
-    if system.candidate.real_only:
+        # row j holds 1 - 2/n at column j, so `on` recurs every n + 1 entries
+        on, off = 1 - number(2) / n, number(-2) / n
+        big = (((on,) + (off,) * n) * m)[:m * n]
+    a = (number(1),) + (number(0),) * (m - 1)
+    if real_only:
         return a + big
     return a + (number(0),) * m + big + (number(0),) * (m * n)
 
@@ -256,29 +257,30 @@ def _proved_infeasible(candidate: CandidateMap, mp: int) -> bool:
 
 def evaluate_candidate(candidate: CandidateMap, m: int, mp: int,
                        samples: int = 60, seed: int = 0) -> UniquenessRow:
-    """Full pipeline for one candidate and one context shape.
+    """Decide one candidate at one shape from M = m, n = max(m, mp), its kind
+    and gamma alone, building no constraint system.
 
     ``samples`` and ``seed`` configured the search that used to decide the
     row; they are still accepted (samples >= 1) and change nothing.
     """
-    # Virtual-value padding (zero columns for M - M' fresh values) widens P' to m.
-    padded = (m, m) if m > mp else None
-    system = build_constraints(m, max(m, mp), Knowability.NEVER, candidate)
+    if not (type(m) is int and type(mp) is int and m >= 2 and mp >= 2):
+        raise ValueError("both properties need at least two values")
     if samples < 1:
         raise ValueError("need at least one start")
-    req = system.required_dof
-    if candidate.real_only or candidate.gamma == 1:
-        dof = _manifold_dof(system)
-        verdict = all(dof[k] >= req[k] for k in req)
-        report = DofReport(feasible=True, sample_solutions=(_witness(system),),
-                           dof=dof, required=req, verdict=verdict)
-    elif _proved_infeasible(candidate, system.mp):
+    n = max(m, mp)
+    req = _required_dof(m, n)
+    real = candidate.real_only
+    if real or candidate.gamma == 1:
+        dof = _manifold_dof(m, n, real)
+        report = DofReport(feasible=True, sample_solutions=(_witness(m, n, real),), dof=dof,
+                           required=req, verdict=all(dof[k] >= req[k] for k in req))
+    elif _proved_infeasible(candidate, n):
         report = DofReport(feasible=False, sample_solutions=(), dof={}, required=req,
                            verdict=False)
     else:
-        raise ValueError(f"no proof decides {candidate.name} at width {system.mp}")
+        raise ValueError(f"no proof decides {candidate.name} at width {n}")
     return UniquenessRow(candidate=candidate.name, shape=(m, mp),
-                         padded_shape=padded, report=report)
+                         padded_shape=(m, m) if m > mp else None, report=report)
 
 
 def uniqueness_report(mlist: Sequence[int], mplist: Sequence[int],

@@ -24,6 +24,13 @@ class TestCandidateMap:
         with pytest.raises(ValueError, match="gamma"):
             CandidateMap(name="x", kind="modulus-power", gamma=0)
 
+    @pytest.mark.parametrize("gamma", [1.5, 2.0, True])
+    def test_gamma_must_be_an_int(self, gamma):
+        # the proof of infeasibility needs an integer gamma >= 2, and a bool
+        # is not an exponent
+        with pytest.raises(ValueError, match="must be a positive integer"):
+            CandidateMap(name="x", kind="modulus-power", gamma=gamma)
+
     def test_born_map_values(self):
         assert apply(BORN, np.array([0.6 + 0.8j]))[0] == pytest.approx(1.0)
         assert apply(QUARTIC, np.array([0.6 + 0.8j]))[0] == pytest.approx(1.0)
@@ -374,11 +381,11 @@ class TestInfeasibilityProof:
         assert any(np.isnan(step).all() for step in fallbacks)
         assert not report.feasible and report.sample_solutions == ()
 
-    @pytest.mark.parametrize("candidate", [QUARTIC, SEXTIC], ids=lambda c: c.name)
+    @pytest.mark.parametrize("candidate", DEFAULT_CANDIDATES, ids=lambda c: c.name)
     def test_input_checks_hold_on_proved_rows(self, lm_outputs, candidate):
         with pytest.raises(ValueError, match="need at least one start"):
             uniqueness_report([2], [2], candidates=[candidate], samples=0)
-        for m, mp in ((1, 2), (1, 1)):
+        for m, mp in ((1, 2), (1, 1), (2, 1), (3, 1), (2.5, 3), (3, 2.5), (True, 2)):
             with pytest.raises(ValueError, match="at least two values"):
                 evaluate_candidate(candidate, m, mp, samples=4)
         assert lm_outputs == []
@@ -461,7 +468,7 @@ class TestClosedForm:
     def test_witness_zeroes_every_row_exactly(self, candidate):
         for m, mp in WIDE_SHAPES:
             system = full_system(candidate, m, max(m, mp))
-            x = uniqueness._witness(system, Fraction)
+            x = uniqueness._witness(m, max(m, mp), candidate.real_only, Fraction)
             assert all(type(v) is Fraction for v in x)
             assert all(row == 0 for row in exact_rows(system, x)), (m, mp)
             _, big = unpack(system, np.array(x, dtype=float))
@@ -471,9 +478,26 @@ class TestClosedForm:
     def test_search_ranks_at_the_witness_give_the_closed_form(self, candidate):
         for m, mp in WIDE_SHAPES:
             system = full_system(candidate, m, max(m, mp))
-            _, jac = evaluate(system, np.array([uniqueness._witness(system)]))
+            x = uniqueness._witness(m, max(m, mp), candidate.real_only)
+            _, jac = evaluate(system, np.array([x]))
             ranked = {k: int(v[0]) for k, v in block_dof(system, jac).items()}
-            assert ranked == uniqueness._manifold_dof(system), (m, mp)
+            assert ranked == uniqueness._manifold_dof(m, max(m, mp), candidate.real_only), (m, mp)
+
+    def test_rows_build_no_constraint_system(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a row built a constraint system")
+        monkeypatch.setattr(uniqueness, "build_constraints", refuse)
+        monkeypatch.setattr(uniqueness, "ConstraintSystem", refuse)
+        mlist, mplist = zip(*WIDE_SHAPES)
+        report = uniqueness_report(mlist, mplist)
+        assert len(report.rows) == len(DEFAULT_CANDIDATES) * len(WIDE_SHAPES)
+        assert report.passing_candidates() == (BORN.name,)
+        by_name = {c.name: c for c in DEFAULT_CANDIDATES}
+        monkeypatch.undo()
+        for row in report.rows:
+            (m, mp), candidate = row.shape, by_name[row.candidate]
+            system = build_constraints(m, max(m, mp), Knowability.NEVER, candidate)
+            assert row.report.required == system.required_dof, (row.candidate, m, mp)
 
     def test_report_carries_the_float_witness(self):
         row = evaluate_candidate(BORN, 3, 2)
