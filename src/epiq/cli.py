@@ -5,11 +5,11 @@ scenario's content), 2 on a schema error (the document itself is malformed)
 or an invalid command-line option.
 Outputs are written as JSON (full doubles) and CSV (12 significant digits)
 into the output directory; serialization is deterministic for a fixed
-scenario file and seed; files are read and written as UTF-8.  Options are
-read by a small table-driven parser that follows ``argparse``'s rules and
-messages without loading ``argparse``, ``gettext`` or ``locale``, and scenario
-files are checked against the bundled schema by ``epiq.scenario``'s own
-interpreter, so no third-party library is loaded.
+scenario file and seed; files are read and written as UTF-8.  Options in
+the plain form are read without loading ``argparse``, ``gettext`` or
+``locale``, and any other list goes to ``argparse`` (see ``_parse``).
+Scenario files are checked against the bundled schema by ``epiq.scenario``'s
+own interpreter, so no third-party library is loaded.
 ``borel_trial`` lives in the package root and samples with the standard
 library's ``random``; ``epiq.hilbert`` and ``epiq.uniqueness`` are plain
 Python, imported inside the command that uses them.  So no command loads
@@ -27,7 +27,6 @@ import csv
 import json
 import math
 import os
-import re
 import sys
 
 from . import Knowability, __version__, borel_trial
@@ -59,41 +58,6 @@ def _unreadable(path):
 def _range_problem(lo, hi=math.inf):
     bounds = f"x>={lo}" if hi == math.inf else f"{lo}<=x<={hi}"
     return lambda v: None if lo <= v <= hi else f"{v} is not in the range {bounds}"
-
-
-# The usage and help that argparse printed for these options at 80 columns.
-_USAGE_LINES = ("[--command {propagate,montecarlo,hilbert,uniqueness,validate}]",
-                "[--n N] [--seed SEED] [--out-dir OUT_DIR] [--tolerance TOLERANCE]",
-                "[--eraser | --no-eraser] [--help] [--version]",
-                "scenario_path")
-_HELP = """
-Run a scenario file through the epistemic-context engine.
-
-positional arguments:
-  scenario_path
-
-options:
-  --command {propagate,montecarlo,hilbert,uniqueness,validate}
-                        Override the scenario's run command.
-  --n N                 Monte Carlo sample count.
-  --seed SEED           Random seed for Monte Carlo sampling (uniqueness
-                        accepts it and decides its table without one).
-  --out-dir OUT_DIR     Output directory for CSV/JSON results (default:
-                        $EPIQ_OUT_DIR).
-  --tolerance TOLERANCE
-                        Numerical tolerance for result checks.
-  --eraser, --no-eraser
-                        Resolve contingent layers as erased (interference) or
-                        recorded.
-  --help                Show this message and exit.
-  --version             Show the version and exit.
-"""
-# argparse reads a token like this as a value, not as an option
-_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
-
-
-def _usage(prog):
-    return f"usage: {prog} " + ("\n" + " " * (len(prog) + 8)).join(_USAGE_LINES) + "\n"
 
 
 def _fmt(x: float) -> str:
@@ -224,102 +188,113 @@ COMMANDS = {"propagate": _cmd_propagate, "montecarlo": _cmd_montecarlo, "hilbert
 
 
 # Each value option's key among the parsed values, the type its text converts
-# to and the rule that names a problem with the value (None for none); None
-# marks an option that takes no value.
+# to, the rule that names a problem with the value (None for none) and its
+# help line; a flag has its help line (--no-eraser is shown with --eraser).
 _OPTIONS = {
     "--command": ("command", str, lambda v: None if v in COMMANDS else (
-        f"invalid choice: {v!r} (choose from {', '.join(map(repr, COMMANDS))})")),
-    "--n": ("n", int, _range_problem(1, MAX_SAMPLES)),
-    "--seed": ("seed", int, _range_problem(0)),
+        f"invalid choice: {v!r} (choose from {', '.join(map(repr, COMMANDS))})"),
+        "Override the scenario's run command."),
+    "--n": ("n", int, _range_problem(1, MAX_SAMPLES), "Monte Carlo sample count."),
+    "--seed": ("seed", int, _range_problem(0), "Random seed for Monte Carlo sampling "
+               "(uniqueness accepts it and decides its table without one)."),
     "--out-dir": ("out_dir", str,
-                  lambda v: f"directory {v!r} is a file" if os.path.isfile(v) else None),
+                  lambda v: f"directory {v!r} is a file" if os.path.isfile(v) else None,
+                  "Output directory for CSV/JSON results (default: $EPIQ_OUT_DIR)."),
     # the schema's run.tolerance rule (a number above 0), also finite
     "--tolerance": ("tolerance", float, lambda v: None if math.isfinite(v) and v > 0
-                    else "must be a finite number above 0"),
-    "--eraser": None, "--no-eraser": None, "--help": None, "--version": None,
+                    else "must be a finite number above 0",
+                    "Numerical tolerance for result checks."),
+    "--eraser": "Resolve contingent layers as erased (interference) or recorded.",
+    "--no-eraser": None,
+    "--help": "Show this message and exit.",
+    "--version": "Show the version and exit.",
 }
 
 
-def _option(token):
-    """(name, text after "=" or None) if ``token`` reads as an option, with
-    name None for an unknown one; None if it reads as a value."""
-    if token in _OPTIONS:
-        return token, None
-    if len(token) < 2 or token[0] != "-" or _NEGATIVE_NUMBER.match(token):
-        return None
-    name, eq, text = token.partition("=")
-    if eq and name in _OPTIONS:
-        return name, text
-    return None if " " in token else (None, None)
+def _converted(text, kind, problem):
+    """(``kind`` of ``text``, None), or (None, argparse's message for it)."""
+    try:  # a ValueError from either step makes the text invalid, as in argparse
+        value = kind(text)
+        return value, problem(value)
+    except ValueError:
+        return None, f"invalid {kind.__name__} value: {text!r}"
+
+
+def _parser(prog):
+    """The argparse parser for these options, usage and help at 80 columns."""
+    import argparse
+
+    class Value(argparse.Action):
+        # 3.11's argparse drops the "--" of "--n=--" and passes []: read it as that text
+        def __call__(self, parser, namespace, values, option_string=None):
+            setattr(namespace, self.dest, parser._get_value(self, "--") if values == [] else values)
+
+    def typed(kind, problem):
+        def convert(text):
+            value, message = _converted(text, kind, problem)
+            if message:
+                raise argparse.ArgumentTypeError(message)
+            return value
+        return convert
+
+    flags = {"--eraser": {"action": argparse.BooleanOptionalAction}, "--help": {"action": "help"},
+             "--version": {"action": "version", "version": f"%(prog)s, version {__version__}"}}
+    parser = argparse.ArgumentParser(  # 80 columns, whatever $COLUMNS says
+        prog=prog, description=main.__doc__, allow_abbrev=False, add_help=False,
+        formatter_class=lambda prog: argparse.HelpFormatter(prog, width=78))
+    parser.add_argument("scenario_path", type=typed(str, _unreadable))
+    for name, entry in _OPTIONS.items():
+        if isinstance(entry, tuple):
+            key, kind, problem, text = entry
+            parser.add_argument(name, dest=key, action=Value, type=typed(kind, problem),
+                                choices=COMMANDS if key == "command" else None, help=text)
+        elif entry:  # --no-eraser comes with --eraser
+            parser.add_argument(name, help=entry, **flags[name])
+    # read per call, not at import; a string default is checked by its type too
+    parser.set_defaults(out_dir=os.environ.get("EPIQ_OUT_DIR"))
+    return parser
 
 
 def _parse(args, prog):
-    """The values that ``args`` give, read by argparse's rules for these
-    options: each option's last occurrence wins, an option is spelled in
-    full, and after the first "--" every token is a value.  A usage error
-    exits 2 with argparse's message; --help and --version exit 0."""
-    def fail(message):
-        sys.stderr.write(f"{_usage(prog)}{prog}: error: {message}\n")
-        sys.exit(2)
+    """The values that ``args`` give, as ``_parser(prog)`` reads them.
 
+    The plain form is read here without loading argparse: one scenario path
+    that does not start with "-", each value option as "--opt value" (the
+    value not starting with "-") or "--opt=value", and --eraser or
+    --no-eraser, converted in token order, the last occurrence winning.  At
+    its first other token ("--", --help, --version, an unknown option, a
+    missing or option-like value, a second path), or with no path, the whole
+    list goes to argparse, which reads the tokens before it alike.  A usage
+    error exits 2 through argparse's ``error``."""
     def convert(name, text, kind, problem):
-        try:  # a ValueError from either step makes the text invalid, as in argparse
-            value = kind(text)
-            message = problem(value)
-        except ValueError:
-            fail(f"argument {name}: invalid {kind.__name__} value: {text!r}")
+        value, message = _converted(text, kind, problem)
         if message:
-            fail(f"argument {name}: {message}")
+            _parser(prog).error(f"argument {name}: {message}")
         return value
 
     opts = dict.fromkeys(("scenario_path", "command", "n", "seed", "out_dir", "tolerance",
                           "eraser"))
-    extras, path_at, values_only, i = [], None, False, 0
+    i = 0
     while i < len(args):
-        token, at = args[i], i
-        i += 1
-        if token == "--" and not values_only:
-            values_only = True
-            # a "--" next to the path ("path --" or "-- path") goes with it
-            if path_at != at - 1 and (path_at is not None or i == len(args)):
-                extras.append(token)
-            continue
-        option = None if values_only else _option(token)
-        if option is None:
-            if path_at is None:
-                opts["scenario_path"] = convert("scenario_path", token, str, _unreadable)
-                path_at = at
-            else:
-                extras.append(token)
-            continue
-        name, text = option
-        if name is None:
-            extras.append(token)
-        elif _OPTIONS[name] is None:
-            if text is not None:
-                shown = "--eraser/--no-eraser" if name.endswith("eraser") else name
-                fail(f"argument {shown}: ignored explicit argument {text!r}")
-            if name == "--help":
-                sys.stdout.write(_usage(prog) + _HELP)
-                sys.exit(0)
-            if name == "--version":
-                sys.stdout.write(f"{prog}, version {__version__}\n")
-                sys.exit(0)
-            opts["eraser"] = name == "--eraser"
-        else:
-            if text is None:
-                if i == len(args) or _option(args[i]) is not None:  # "--" too
-                    fail(f"argument {name}: expected one argument")
+        token, i = args[i], i + 1
+        name, eq, text = token.partition("=")
+        if not token.startswith("-") and opts["scenario_path"] is None:
+            opts["scenario_path"] = convert("scenario_path", token, str, _unreadable)
+        elif token in ("--eraser", "--no-eraser"):
+            opts["eraser"] = token == "--eraser"
+        elif isinstance(_OPTIONS.get(name), tuple) and (
+                eq or i < len(args) and not args[i].startswith("-")):
+            if not eq:
                 text, i = args[i], i + 1
-            key, kind, problem = _OPTIONS[name]
+            key, kind, problem, _ = _OPTIONS[name]
             opts[key] = convert(name, text, kind, problem)
+        else:
+            return vars(_parser(prog).parse_args(args))
+    if opts["scenario_path"] is None:
+        return vars(_parser(prog).parse_args(args))
     # read per call, not at import, and checked only when --out-dir is absent
     if opts["out_dir"] is None and (env := os.environ.get("EPIQ_OUT_DIR")) is not None:
-        opts["out_dir"] = convert("--out-dir", env, *_OPTIONS["--out-dir"][1:])
-    if path_at is None:
-        fail("the following arguments are required: scenario_path")
-    if extras:
-        fail(f"unrecognized arguments: {' '.join(extras)}")
+        opts["out_dir"] = convert("--out-dir", env, *_OPTIONS["--out-dir"][1:3])
     return opts
 
 

@@ -265,7 +265,7 @@ def reduce_by_observation(net: ContextNetwork, outcome: int) -> ContextNetwork:
         raise ContextError("reduction forbidden at unknowable property")
     if len(net.layers) == 1:
         raise ContextError("nothing left to propagate")
-    if not 0 <= outcome < layer.size:
+    if type(outcome) is not int or not 0 <= outcome < layer.size:  # a bool is no index
         raise ContextError(f"no value index {outcome} at layer {layer.property_id}")
     # |a|^2 of the initial entries; an exact one's (p, q) has p = 0 only for a = 0
     square = squares[0][0]

@@ -166,7 +166,7 @@ def _space(net: ContextNetwork, joint_volumes, simultaneous: bool) -> ContextSpa
     m, mp = first.size, second.size
     if first.level is Knowability.NEVER:
         return _build_interference(net, _complex_rows(net.edges[0]), m, mp)
-    if first.level is not Knowability.DECIDED or second.level is not Knowability.DECIDED:
+    if first.level is not Knowability.DECIDED:  # _checked has refused an undecided second
         kind = "joint" if simultaneous else "sequential"
         raise SpaceConstructionError(f"{kind} space needs both properties decided")
     if simultaneous:

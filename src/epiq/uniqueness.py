@@ -55,6 +55,8 @@ class CandidateMap(Record):
             raise ValueError(f"unknown candidate kind {kind!r}")
         if kind == "modulus-power" and not (type(gamma) is int and gamma >= 1):
             raise ValueError("modulus-power exponent gamma must be a positive integer")
+        if kind == "real" and not (type(gamma) is int and gamma == 1):
+            raise ValueError("real candidate takes no exponent: gamma must be 1")
         _set(self, "name", name)
         _set(self, "kind", kind)
         _set(self, "gamma", gamma)

@@ -1,10 +1,11 @@
-"""The argparse parser that once read the CLI's options, kept as its oracle.
+"""The argparse parser that first read the CLI's options, kept as its oracle.
 
-``epiq.cli`` reads its options with its own table-driven parser, so that no
-run loads ``argparse``, ``gettext`` or ``locale``.  ``parser(prog)`` builds
-the parser it replaced, from the same command table, sample bound and
-version, so the tests can hold the two to the same values, the same usage
-errors and the same help text.
+``epiq.cli`` reads the plain form of its options itself, so that a run in
+that form loads no ``argparse``, ``gettext`` or ``locale``, and hands any
+other list to an argparse parser built from its own option table.
+``parser(prog)`` builds the original parser independently, from the same
+command table, sample bound and version, so the tests can hold the CLI to
+the same values, the same usage errors and the same help text.
 """
 import argparse
 import math

@@ -396,12 +396,17 @@ OTHER_TOKENS = ("--eraser", "--no-eraser", "--tol", "-h", "-", "--bogus", "--era
                 "--no-eraser=", "--help", "--version", "--help=x")
 
 
-def _outcome(parse, argv, env):
+N_DASHES = "argument --n: invalid int value: '--'"
+COMMAND_DASHES = ("argument --command: invalid choice: '--' (choose from 'propagate', "
+                  "'montecarlo', 'hilbert', 'uniqueness', 'validate')")
+
+
+def _outcome(parse, argv, env, columns="80"):
     """(exit code or None, stdout, stderr, parsed values or None) of ``parse``
-    on ``argv`` at 80 columns, with ``$EPIQ_OUT_DIR`` set to ``env`` (unset
-    for None)."""
+    on ``argv`` at ``columns`` columns, with ``$EPIQ_OUT_DIR`` set to ``env``
+    (unset for None)."""
     out, err = io.StringIO(), io.StringIO()
-    with mock.patch.dict(os.environ, {"COLUMNS": "80"}), \
+    with mock.patch.dict(os.environ, {"COLUMNS": columns}), \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         os.environ.pop("EPIQ_OUT_DIR", None)
         if env is not None:
@@ -422,9 +427,10 @@ def option_dir(tmp_path_factory):
 
 
 class TestOptionGrammar:
-    """epiq.cli reads its options by the rules of the argparse parser it
-    replaced (tests/cli_oracle.py): the same values, the same usage errors
-    and the same help, without loading argparse."""
+    """epiq.cli reads its options as the argparse parser of tests/cli_oracle.py
+    reads them: the same values, the same usage errors and the same help.  It
+    reads the plain form without loading argparse and hands every other list
+    to an argparse parser of its own."""
 
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)
@@ -448,18 +454,35 @@ class TestOptionGrammar:
     def test_help_is_argparse_help_at_80_columns(self):
         # the scenario path named after --help is never opened
         got = _outcome(lambda a: epiq.cli._parse(a, "epiq"), ["--help", "missing.json"], None)
-        assert got == (0, cli_oracle.parser("epiq").format_help(), "", None)
+        with mock.patch.dict(os.environ, {"COLUMNS": "80"}):  # the oracle wraps at $COLUMNS
+            want = cli_oracle.parser("epiq").format_help()
+        assert got == (0, want, "", None)
 
-    @pytest.mark.parametrize("option, message", [
-        ("--n", "argument --n: invalid int value: '--'"),
-        ("--command", "argument --command: invalid choice: '--' (choose from 'propagate', "
-                      "'montecarlo', 'hilbert', 'uniqueness', 'validate')"),
+    @pytest.mark.parametrize("argv", [["--help"], ["{path}", "--n", "0"], ["{path}", "--bogus"]],
+                             ids=["help", "plain-usage-error", "argparse-usage-error"])
+    def test_usage_and_help_ignore_the_terminal_width(self, argv):
+        argv = [a.format(path=bundled_scenario_path("branching")) for a in argv]
+        narrow, wide = (_outcome(lambda a: epiq.cli._parse(a, "epiq"), argv, None, columns)
+                        for columns in ("40", "200"))
+        assert narrow[0] in (0, 2) and "usage: epiq" in narrow[1] + narrow[2]
+        assert narrow == wide
+
+    @pytest.mark.parametrize("args, message", [
+        # the first two keep the ids of the single option they once stood for
+        pytest.param(("--command", "montecarlo", "--n=--"), N_DASHES, id=f"--n-{N_DASHES}"),
+        pytest.param(("--command", "montecarlo", "--command=--"), COMMAND_DASHES,
+                     id=f"--command-{COMMAND_DASHES}"),
+        pytest.param(("--command", "montecarlo", "--n=--", "--"), N_DASHES, id="n-then-dashes"),
+        pytest.param(("--seed=--", "--", "x"), "argument --seed: invalid int value: '--'",
+                     id="seed-then-dashes"),
+        pytest.param(("--n=--", "--seed", "x", "--"), N_DASHES, id="n-then-bad-seed"),
+        # a second path hands the list to argparse before "--n=--" is read
+        pytest.param(("x", "--n=--"), N_DASHES, id="second-path-then-n"),
     ])
-    def test_dashes_after_equals_are_a_value(self, tmp_path, option, message):
+    def test_dashes_after_equals_are_a_value(self, tmp_path, args, message):
         # argparse dropped the "--" of "--n=--" and stored an empty list, which
         # montecarlo then compared with an int
-        result = run_cli(tmp_path, str(bundled_scenario_path("mach-zehnder-open")),
-                         "--command", "montecarlo", f"{option}=--")
+        result = run_cli(tmp_path, str(bundled_scenario_path("mach-zehnder-open")), *args)
         assert result.exit_code == 2
         assert error_line(result.output) == f"epiq: error: {message}"
         assert not list(tmp_path.iterdir())
@@ -1029,8 +1052,8 @@ def _cli_call(name, command):
     return f"main({argv!r})"
 
 
-# loaded by no command: the schema is interpreted in epiq.scenario, options
-# are read by epiq.cli's own parser
+# loaded by no command: the schema is interpreted in epiq.scenario, and
+# epiq.cli reads options in the plain form without argparse
 NO_LIBRARY = ("scipy", "jsonschema", "click", "argparse", "gettext", "locale")
 # no command loads numpy or the state-space modules; borel_trial is in the
 # package root

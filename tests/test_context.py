@@ -264,6 +264,15 @@ class TestReduction:
         with pytest.raises(ContextError, match=f"no value index {outcome} at layer path"):
             reduce_by_observation(mz(3), outcome=outcome)
 
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+    @pytest.mark.parametrize("outcome", [True, False, 1.0, 0.0])
+    def test_outcome_that_is_not_an_int_rejected(self, exact, outcome):
+        # True once read as index 1, and 1.0 raised a bare TypeError
+        net = mz(3) if exact else ContextNetwork(
+            mz(3).layers, (0.6 + 0j, 0.8 + 0j), (((1 + 0j, 0j), (0j, 1 + 0j)),))
+        with pytest.raises(ContextError, match=f"no value index {outcome} at layer path"):
+            reduce_by_observation(net, outcome=outcome)
+
     def test_one_layer_network_leaves_nothing_to_propagate(self):
         with pytest.raises(ContextError, match="nothing left to propagate"):
             reduce_by_observation(reduce_by_observation(mz(3), outcome=0), outcome=0)

@@ -57,7 +57,7 @@ assert dist.probabilities == (0.25, 0.25, 0.5), dist.probabilities
 CLI = """
 from epiq.cli import main
 try:
-    main([{path!r}, "--command", {command!r}, "--out-dir", "."])
+    main([{path!r}, "--command", {command!r}, *{out!r}])
 except SystemExit as e:
     assert e.code == 0, e.code
 """
@@ -75,8 +75,8 @@ def _modules_after(tmp_path, body):
     return json.loads(out.read_text())
 
 
-def _cli(command, scenario):
-    return CLI.format(path=str(bundled_scenario_path(scenario)), command=command)
+def _cli(command, scenario, out=("--out-dir", ".")):
+    return CLI.format(path=str(bundled_scenario_path(scenario)), command=command, out=out)
 
 
 @pytest.mark.parametrize("body", [
@@ -86,8 +86,9 @@ def _cli(command, scenario):
     _cli("hilbert", "branching"),
     _cli("montecarlo", "mach-zehnder-detected"),
     _cli("uniqueness", "born-uniqueness"),
+    _cli("propagate", "mach-zehnder-open", out=("--out-dir=.",)),
 ], ids=["state-space", "cli", "cli-validate", "cli-hilbert", "cli-montecarlo",
-        "cli-uniqueness"])
+        "cli-uniqueness", "cli-out-dir-equals"])
 def test_standard_library_only(tmp_path, body):
     loaded = _modules_after(tmp_path, body)
     assert [m for m in loaded if any(m == f or m.startswith(f + ".") for f in FORBIDDEN)] == []
@@ -110,5 +111,6 @@ MIXED = {"name": "mixed", "context": {
 def test_mixed_network_is_checked_on_complex_rows_without_fractions(tmp_path, command):
     path = tmp_path / "mixed.json"
     path.write_text(json.dumps(MIXED))
-    loaded = _modules_after(tmp_path, CLI.format(path=str(path), command=command))
+    body = CLI.format(path=str(path), command=command, out=("--out-dir", "."))
+    loaded = _modules_after(tmp_path, body)
     assert [m for m in loaded if m in ("fractions", "decimal")] == []

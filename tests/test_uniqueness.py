@@ -31,6 +31,12 @@ class TestCandidateMap:
         with pytest.raises(ValueError, match="must be a positive integer"):
             CandidateMap(name="x", kind="modulus-power", gamma=gamma)
 
+    @pytest.mark.parametrize("gamma", [2.5, 2, 0, 1.0, True])
+    def test_real_candidate_takes_no_gamma(self, gamma):
+        # kind "real" is a**2 whatever gamma says, so a gamma it would ignore is refused
+        with pytest.raises(ValueError, match="gamma must be 1"):
+            CandidateMap(name="x", kind="real", gamma=gamma)
+
     def test_born_map_values(self):
         assert apply(BORN, np.array([0.6 + 0.8j]))[0] == pytest.approx(1.0)
         assert apply(QUARTIC, np.array([0.6 + 0.8j]))[0] == pytest.approx(1.0)
