@@ -179,7 +179,7 @@ def check_invariance(parent: EpistemicState, altset: CompleteAlternativeSet,
     theirs: the rule is applied once per region and step, and never to the
     parent itself.
     """
-    if steps < 1:
+    if type(steps) is not int or steps < 1:  # a bool is no step count
         raise ValueError("steps must be positive")
     if parent != altset.parent:
         raise ValueError("parent is not the alternative set's parent")

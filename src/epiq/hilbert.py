@@ -16,10 +16,11 @@ conjugate-linear in the second.
 
 Everything is plain Python on tuples, built from the structure each kind
 has: the first property's basis is always the standard basis, so its
-operator is diagonal; a joint space's value subspaces are sets of
-coordinates, so both of its operators are diagonal and commute exactly; and
-a commutator's spectral norm is read off a Householder tridiagonal form by
-Sturm-sequence bisection.
+operator is diagonal and each kind differs only in the second basis, which
+one function per kind returns and `_space` alone assembles; a joint space's
+value subspaces are sets of coordinates, so both of its operators are
+diagonal and commute exactly; and a commutator's spectral norm is read off
+a Householder tridiagonal form by Sturm-sequence bisection.
 """
 from __future__ import annotations
 
@@ -109,23 +110,26 @@ class ContextSpace(Record):
         """Property id -> the basis columns spanning each value's subspace."""
         return dict(zip(self.property_order, self.blocks))
 
-    def _basis_rows(self, property_id: str):
-        return dict(zip(self.property_order, self.bases))[property_id]
+    def _property(self, property_id: str) -> tuple:
+        """A property's basis rows and blocks; an id the space lacks is refused."""
+        if property_id not in self.property_order:
+            raise ValueError(f"space has no property {property_id!r}")
+        i = self.property_order.index(property_id)
+        return self.bases[i], self.blocks[i]
 
     def basis(self, property_id: str) -> tuple:
         """A property's value vectors as the columns of a tuple of rows: row i
         holds coordinate i of every value's vector (1-dim blocks only)."""
-        blocks = self.value_spaces[property_id]
+        rows, blocks = self._property(property_id)
         if any(len(b) != 1 for b in blocks):
             raise SpaceConstructionError(f"{property_id} is represented by subspaces, not vectors")
         cols = [b[0] for b in blocks]
-        rows = self._basis_rows(property_id)
         if rows is None:
             return tuple(tuple(complex(i == c) for c in cols) for i in range(self.dimension))
         return tuple(tuple(row[c] for c in cols) for row in rows)
 
     def subspace_dimensions(self, property_id: str) -> tuple:
-        return tuple(len(b) for b in self.value_spaces[property_id])
+        return tuple(len(b) for b in self._property(property_id)[1])
 
 
 def _singletons(n: int) -> tuple:
@@ -140,10 +144,6 @@ def _orthonormal(rows) -> bool:
                for j, row in enumerate(rows) for l in range(j, len(rows)))
 
 
-def _adjoint(rows) -> tuple:
-    return tuple(tuple(x.conjugate() for x in col) for col in zip(*rows))
-
-
 def build_space(net: ContextNetwork,
                 joint_volumes: JointVolumeTable | None = None,
                 simultaneous: bool = False) -> ContextSpace:
@@ -154,7 +154,8 @@ def build_space(net: ContextNetwork,
 
 
 def _space(net: ContextNetwork, joint_volumes, simultaneous: bool) -> ContextSpace:
-    """build_space for a network already checked."""
+    """build_space for a network already checked.  The first property has the
+    standard basis; each kind but the joint one returns the second's, ``w``."""
     if len(net.layers) == 1:
         layer = net.layers[0]
         return ContextSpace(layer.size, "single", (layer.property_id,), (None,),
@@ -164,34 +165,34 @@ def _space(net: ContextNetwork, joint_volumes, simultaneous: bool) -> ContextSpa
 
     first, second = net.layers
     m, mp = first.size, second.size
+    order = (first.property_id, second.property_id)
     if first.level is Knowability.NEVER:
-        return _build_interference(net, _complex_rows(net.edges[0]), m, mp)
-    if first.level is not Knowability.DECIDED:  # _checked has refused an undecided second
+        kind, w = "interference", _interference_basis(_complex_rows(net.edges[0]), mp)
+    elif first.level is not Knowability.DECIDED:  # _checked has refused an undecided second
         kind = "joint" if simultaneous else "sequential"
         raise SpaceConstructionError(f"{kind} space needs both properties decided")
-    if simultaneous:
-        return _build_joint(net, m, mp)
-    return _build_sequential(net, joint_volumes, _complex_rows(net.edges[0]), m, mp)
+    elif simultaneous:
+        # product basis index (j, k) -> j * mp + k; both properties keep the
+        # standard basis, each value owning a set of its coordinates
+        return ContextSpace(m * mp, "joint", order, (None, None),
+                            ([[j * mp + k for k in range(mp)] for j in range(m)],
+                             [[j * mp + k for j in range(m)] for k in range(mp)]))
+    else:
+        kind, w = "sequential", _sequential_basis(joint_volumes, _complex_rows(net.edges[0]),
+                                                  m, mp)
+    return ContextSpace(len(w), kind, order, (None, w), (_singletons(m), _singletons(mp)))
 
 
-def _vector_space(net: ContextNetwork, kind: str, w) -> ContextSpace:
-    """A two-property space in which each value is one basis vector: the
-    first property's are the standard basis, the second's the columns of ``w``."""
-    first, second = net.layers
-    return ContextSpace(len(w), kind, (first.property_id, second.property_id), (None, w),
-                        (_singletons(first.size), _singletons(second.size)))
-
-
-def _build_interference(net: ContextNetwork, a, m: int, mp: int) -> ContextSpace:
+def _interference_basis(a, mp: int) -> tuple:
     # second-basis vector k has component conj(a[j][k]) on first-basis vector j,
     # so that <first_j, second_k> equals the amplitude a[j][k]; when M < M' the
     # remaining coordinates are an orthonormal completion (_check refuses M > M').
     w = [[x.conjugate() for x in row] for row in a]
     if not _orthonormal(w):
         raise SpaceConstructionError("amplitude matrix rows are not orthonormal")
-    if m < mp:
+    if len(w) < mp:
         w += _completion(w, mp)
-    return _vector_space(net, "interference", tuple(map(tuple, w)))
+    return tuple(map(tuple, w))
 
 
 def _completion(rows, n: int) -> list:
@@ -238,18 +239,7 @@ def _reflect(y: list, j: int, v, beta: float):
     y[j:] = [a - s * b for a, b in zip(y[j:], v)]
 
 
-def _build_joint(net: ContextNetwork, m: int, mp: int) -> ContextSpace:
-    first, second = net.layers
-    # product basis index (j, k) -> j * mp + k; both properties keep the
-    # standard basis, each value owning a set of its coordinates
-    first_blocks = [[j * mp + k for k in range(mp)] for j in range(m)]
-    second_blocks = [[j * mp + k for j in range(m)] for k in range(mp)]
-    return ContextSpace(m * mp, "joint", (first.property_id, second.property_id),
-                        (None, None), (first_blocks, second_blocks))
-
-
-def _build_sequential(net: ContextNetwork, joint_volumes: JointVolumeTable | None, a,
-                      m: int, mp: int) -> ContextSpace:
+def _sequential_basis(joint_volumes: JointVolumeTable | None, a, m: int, mp: int) -> tuple:
     if m != mp:
         raise SpaceConstructionError("no reciprocal basis: sequential space needs M = M'")
     if joint_volumes is None:
@@ -276,15 +266,13 @@ def _build_sequential(net: ContextNetwork, joint_volumes: JointVolumeTable | Non
         c = math.sqrt(min(1.0, 2.0 * v[0][0]))
         alpha = math.acos(c)
         cos, sin = complex(math.cos(alpha)), complex(math.sin(alpha))
-        w = ((cos, -sin), (sin, cos))
-    else:
-        if not all(_close(x, v[0][0]) for row in v for x in row):
-            raise SpaceConstructionError("unsupported pair class")
-        # independent pair: all joint volumes equal, realized by the unitary
-        # Fourier matrix (every squared inner product equals 1/M).
-        w = tuple(tuple(cmath.exp(2j * math.pi * j * k / m) / math.sqrt(m)
-                        for k in range(m)) for j in range(m))
-    return _vector_space(net, "sequential", w)
+        return ((cos, -sin), (sin, cos))
+    if not all(_close(x, v[0][0]) for row in v for x in row):
+        raise SpaceConstructionError("unsupported pair class")
+    # independent pair: all joint volumes equal, realized by the unitary
+    # Fourier matrix (every squared inner product equals 1/M).
+    return tuple(tuple(cmath.exp(2j * math.pi * j * k / m) / math.sqrt(m)
+                       for k in range(m)) for j in range(m))
 
 
 def reciprocal(net: ContextNetwork) -> ContextNetwork:
@@ -312,7 +300,7 @@ def reciprocal(net: ContextNetwork) -> ContextNetwork:
         layers=(Layer(second.property_id, first.level, second.labels),
                 Layer(first.property_id, second.level, first.labels)),
         initial=tuple(sum(map(mul, init, col)) for col in zip(*a)),
-        edges=(_adjoint(a),),
+        edges=(tuple(tuple(x.conjugate() for x in col) for col in zip(*a)),),
     )
 
 
@@ -340,7 +328,7 @@ def _recompose(v, spectrum) -> list:
 def make_operator(space: ContextSpace, property_id: str,
                   labels: Sequence[float] | None = None) -> PropertyOperator:
     """Sum of label-weighted projectors onto a property's value subspaces."""
-    blocks = space.value_spaces[property_id]
+    rows, blocks = space._property(property_id)
     if labels is None:
         labels = [float(j + 1) for j in range(len(blocks))]
     labels = [float(x) for x in labels]
@@ -352,7 +340,7 @@ def make_operator(space: ContextSpace, property_id: str,
     for label, cols in zip(labels, blocks):
         for c in cols:
             spectrum[c] = label
-    return PropertyOperator(space._basis_rows(property_id), spectrum, labels)
+    return PropertyOperator(rows, spectrum, labels)
 
 
 class CommutatorResult(Record):
@@ -366,24 +354,22 @@ class CommutatorResult(Record):
 def commutator(a: PropertyOperator, b: PropertyOperator) -> CommutatorResult:
     """[A, B] with its spectral norm; commuting iff the norm vanishes.
 
-    With A = U diag(d) U^H and B = W diag(e) W^H, U^H [A, B] U is the
-    commutator [diag(d), M] with M = V diag(e) V^H and V = U^H W, whose
-    entries are (d_j - d_l) M_jl; a unitary similarity keeps the norm.
-    Operators diagonal in one basis commute exactly.
+    A space's first property has the standard basis, so of two operators of
+    one space, one is diagonal; it is taken as A = diag(d), since [B, A] =
+    -[A, B] has the same norm.  With B = W diag(e) W^H, the commutator's
+    entries are (d_j - d_l) B_jl.  Two operators whose bases are both
+    non-standard act on different spaces, and operators diagonal in one
+    basis commute exactly.
     """
-    n = len(a.spectrum)
-    if len(b.spectrum) != n:
+    if len(b.spectrum) != len(a.spectrum):
         raise ValueError("operators act on different spaces")
     if a.basis == b.basis:
         return CommutatorResult(norm=0.0, commuting=True)
-    if a.basis is None:
-        v = b.basis
-    elif b.basis is None:
-        v = _adjoint(a.basis)
-    else:
-        wt = list(zip(*b.basis))
-        v = [[sum(map(mul, row, col)) for col in wt] for row in _adjoint(a.basis)]
-    m = _recompose(v, b.spectrum)
+    if a.basis is not None:
+        if b.basis is not None:
+            raise ValueError("operators act on different spaces")
+        a, b = b, a
+    m = _recompose(b.basis, b.spectrum)
     d = a.spectrum
     # i [diag(d), M] is Hermitian, and its eigenvalues are i times those of
     # the commutator, so their largest modulus is the commutator's norm

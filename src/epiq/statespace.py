@@ -397,15 +397,15 @@ class PropertySpec(Record):
     def preimages(self, within: EpistemicState) -> dict:
         """``{j: the members of within where the property has value index j}``
         for each j that some member has, calling the valuation once per member
-        and refusing a result that is neither None nor a value index."""
+        and refusing a result that is neither None nor a value index of type
+        int (so a bool or a float is refused)."""
         codes = {j: [] for j in (*range(len(self.labels)), None)}
         for z in _exact_states(within.registry, _codes(within.mask)):
             j = self.valuation(z)
-            try:
-                codes[j].append(z)
-            except (KeyError, TypeError):  # TypeError: an unhashable result
-                raise ValueError(
-                    f"property {self.id}: valuation gave {j!r}, not a value index") from None
+            members = codes.get(j) if j is None or type(j) is int else None
+            if members is None:
+                raise ValueError(f"property {self.id}: valuation gave {j!r}, not a value index")
+            members.append(z)
         del codes[None]  # the members where the property is undefined
         size = within.registry._size
         return {j: EpistemicState._of(within.registry, _mask(c, size))

@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 import time
 from fractions import Fraction
 from random import Random
@@ -41,6 +43,18 @@ class TestEvolve:
         b = state_slice(whole, "particle", "position", 3)
         ab = EpistemicState(registry, a.members | b.members)
         assert evolve(ab, rule).members == evolve(a, rule).members | evolve(b, rule).members
+
+    @pytest.mark.parametrize("clone", [lambda rule: pickle.loads(pickle.dumps(rule)),
+                                       copy.deepcopy], ids=["pickle", "deepcopy"])
+    def test_rule_survives_pickle_and_deepcopy(self, registry, whole, clone):
+        rule = shift_rule(registry)
+        left = state_slice(whole, "particle", "position", 1)
+        want = rule.apply(left)  # the original's table is built before the copy
+        copied = clone(rule)
+        assert copied.images == rule.images
+        assert copied != rule  # rule equality is identity
+        fresh = state_slice(full_state(registry), "particle", "position", 1)
+        assert copied.apply(fresh) == want
 
     def test_physical_state_must_move(self, registry, whole):
         rule = shift_rule(registry)
@@ -264,6 +278,12 @@ class TestInvariance:
     def test_steps_must_be_positive(self, registry, whole, spin_alternatives):
         with pytest.raises(ValueError) as refused:
             check_invariance(whole, spin_alternatives, shift_rule(registry), steps=0)
+        assert str(refused.value) == "steps must be positive"
+
+    @pytest.mark.parametrize("steps", [True, 2.5, "2"], ids=["bool", "float", "str"])
+    def test_steps_must_be_an_int(self, registry, whole, spin_alternatives, steps):
+        with pytest.raises(ValueError) as refused:
+            check_invariance(whole, spin_alternatives, shift_rule(registry), steps=steps)
         assert str(refused.value) == "steps must be positive"
 
     def test_parent_must_be_the_alternative_sets(self, registry, whole, spin_property):

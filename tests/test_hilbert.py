@@ -520,17 +520,20 @@ def random_unit(rng, n):
 
 class TestDenseOracle:
     """commutator and principle4_probabilities against the dense numpy
-    construction, on random interference and sequential spaces."""
+    construction, on random interference and sequential spaces; the
+    commutator's result does not depend on the order of its operators."""
 
     @staticmethod
     def check(net, volumes=None):
         table = JointVolumeTable(v=volumes) if volumes else None
         space = build_space(net, joint_volumes=table)
         first, second = space.property_order
-        norm = commutator(make_operator(space, first, labels=net.layers[0].labels),
-                          make_operator(space, second, labels=net.layers[1].labels)).norm
+        a = make_operator(space, first, labels=net.layers[0].labels)
+        b = make_operator(space, second, labels=net.layers[1].labels)
+        result = commutator(a, b)
+        assert commutator(b, a) == result  # the same floats, bit for bit
         want_norm, want_probs = dense_oracle(net, volumes)
-        assert norm == pytest.approx(want_norm, rel=1e-12, abs=1e-13)
+        assert result.norm == pytest.approx(want_norm, rel=1e-12, abs=1e-13)
         assert principle4_probabilities(space, net) == pytest.approx(want_probs, abs=1e-12)
 
     @settings(max_examples=40, deadline=None)
@@ -685,6 +688,16 @@ def joint_space():
     return build_space(sequential_net(), simultaneous=True)
 
 
+def rotated_q(theta):
+    """Q's operator in the 2x2 interference space whose matrix is a rotation
+    by ``theta``: its basis is not the standard one."""
+    c, s = complex(math.cos(theta)), complex(math.sin(theta))
+    net = ContextNetwork(layers=(Layer("P", Knowability.NEVER, (1.0, 2.0)),
+                                 Layer("Q", Knowability.DECIDED, (1.0, 2.0))),
+                         initial=(1 + 0j, 0j), edges=(((c, s), (-s, c)),))
+    return make_operator(build_space(net), "Q")
+
+
 def three_outcome_net():
     """The interferometer's path feeding a three-valued detector."""
     s = math.sqrt(0.5)
@@ -703,7 +716,12 @@ def three_outcome_net():
     (lambda: commutator(make_operator(joint_space(), "P"),
                         make_operator(build_space(interference_net()), "path")),
      "operators act on different spaces"),
+    # two non-standard bases come from two spaces, which may share a dimension
+    (lambda: commutator(rotated_q(0.3), rotated_q(1.1)), "operators act on different spaces"),
     (lambda: joint_space().basis("P"), "P is represented by subspaces, not vectors"),
+    (lambda: make_operator(joint_space(), "nope"), "space has no property 'nope'"),
+    (lambda: joint_space().basis("nope"), "space has no property 'nope'"),
+    (lambda: joint_space().subspace_dimensions("nope"), "space has no property 'nope'"),
     (lambda: reciprocal(wide_matrix_net()), "matrix 0: expected shape 2x2"),
     (lambda: reciprocal(wide_matrix_net(edges=())),
      "need exactly one amplitude matrix per consecutive layer pair"),
@@ -717,7 +735,8 @@ def three_outcome_net():
                                       interference_net()),
      "space was built for another network"),
 ], ids=["contingent", "drift", "padding", "label-count", "label-distinct", "spaces",
-        "subspaces", "reciprocal-matrix-shape", "reciprocal-no-matrix",
+        "non-standard-bases", "subspaces", "unknown-id-operator", "unknown-id-basis",
+        "unknown-id-subspaces", "reciprocal-matrix-shape", "reciprocal-no-matrix",
         "reciprocal-initial-length", "principle4-value-counts", "principle4-property-ids"])
 def test_refusals_carry_their_messages(call, message):
     with pytest.raises(ValueError) as refused:

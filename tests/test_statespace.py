@@ -368,7 +368,9 @@ class TestPropertySpec:
         spin.preimages(whole)
         assert sorted(z.code for z in calls) == list(range(volume(whole)))
 
-    @pytest.mark.parametrize("result", [2, -1, "0", [0]], ids=["high", "negative", "str", "list"])
+    @pytest.mark.parametrize("result", [2, -1, "0", [0], True, False, 1.0, 0.0],
+                             ids=["high", "negative", "str", "list", "true", "false",
+                                  "float-one", "float-zero"])
     def test_valuation_outside_the_labels_refused(self, whole, result):
         bad = PropertySpec(id="bad", labels=(1.0, 2.0), valuation=lambda z: result)
         with pytest.raises(ValueError, match="property bad: valuation gave"):
