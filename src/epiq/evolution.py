@@ -6,6 +6,9 @@ A rule turns its images into a table once per registry (for each image code,
 one owner's code; an exact state is an int, its code, so the table indexes by
 the states themselves), and applying it gathers the new mask's binary digits
 from the state's, in plain Python.
+A rule that maps the registry's states one-to-one onto themselves keeps every
+relative volume, so ``check_invariance`` decides it from the table alone; a
+rule with set-valued images, merged states or a partial domain is stepped.
 The contracts the rule must honour (a state never overlaps its own future,
 overlaps are preserved both ways) are checked at application time on the
 states a scenario actually exercises.
@@ -31,8 +34,8 @@ class EvolutionContractError(ValueError):
 
 class EvolutionRule(Record):
     """Equality and hash are identity: the image map is a mutable mapping.
-    Each registry's table is built on the first ``apply`` over it, so later
-    changes to ``images`` do not reach it."""
+    Each registry's table is built on the first ``apply`` or
+    ``check_invariance`` over it, so later changes to ``images`` do not reach it."""
 
     __slots__ = ("images", "_tables")  # images: ExactState -> frozenset of ExactState
     _fields = ("images",)  # _tables holds the per-registry tables
@@ -147,9 +150,15 @@ class CompleteAlternativeSet(Record):
 def make_alternatives(parent: EpistemicState, p: PropertySpec,
                       future_preimages: Mapping[int, EpistemicState],
                       levels: Mapping[int, Knowability]) -> CompleteAlternativeSet:
-    """Cut the parent state along caller-supplied future value regions."""
-    alts = [FutureAlternative(EpistemicState._of(parent.registry, cut), p.id, j, levels[j])
-            for j, region in sorted(future_preimages.items()) if (cut := parent._meet(region))]
+    """Cut the parent state along caller-supplied future value regions; each
+    value index with a nonempty cut needs a level."""
+    alts = []
+    for j, region in sorted(future_preimages.items()):
+        if cut := parent._meet(region):
+            if j not in levels:
+                raise ValueError(f"no knowability level for value index {j}")
+            alts.append(FutureAlternative(EpistemicState._of(parent.registry, cut), p.id, j,
+                                          levels[j]))
     return CompleteAlternativeSet(parent, alts)
 
 
@@ -175,15 +184,23 @@ def check_invariance(parent: EpistemicState, altset: CompleteAlternativeSet,
                      rule: EvolutionRule, steps: int) -> InvarianceReport:
     """Verify relative volumes stay fixed while parent and alternatives evolve.
 
-    The regions partition the parent, so the parent's image is the union of
-    theirs: the rule is applied once per region and step, and never to the
-    parent itself.
+    A rule whose table gives every state of the registry exactly one image,
+    shared with no other state, is a permutation: it keeps every volume and
+    maps disjoint regions to disjoint regions (Liouville's theorem, in finite
+    form), so it is decided from the table without being applied.  Any other
+    rule is stepped: the regions partition the parent, so the parent's image
+    is the union of theirs, and the rule is applied once per region and step,
+    never to the parent itself.
     """
     if type(steps) is not int or steps < 1:  # a bool is no step count
         raise ValueError("steps must be positive")
     if parent != altset.parent:
         raise ValueError("parent is not the alternative set's parent")
     initial = tuple(relative_volume(a.region, parent) for a in altset.alternatives)
+    # every code owns a nonempty image and no image code has a second owner
+    domain, _, rest, _ = rule._table(parent.registry)
+    if rest is None and domain == (1 << parent.registry._size) - 1:
+        return InvarianceReport(steps, initial)
     cur_regions = [a.region for a in altset.alternatives]
     for _ in range(steps):
         cur_regions = [rule.apply(r) for r in cur_regions]

@@ -305,14 +305,15 @@ def reciprocal(net: ContextNetwork) -> ContextNetwork:
 
 
 class PropertyOperator(Record):
-    """The self-adjoint operator sum_k label_k P_k of a property, held as its
-    eigendecomposition: the property's basis rows (None for the standard
-    basis, in which the operator is diagonal) and ``spectrum``, the label of
-    each basis column (0 for a column in no value's subspace)."""
+    """The self-adjoint operator sum_k label_k P_k of a property on ``space``,
+    held as its eigendecomposition: the property's basis rows (None for the
+    standard basis, in which the operator is diagonal) and ``spectrum``, the
+    label of each basis column (0 for a column in no value's subspace)."""
 
-    __slots__ = ("basis", "spectrum", "eigenvalues")
+    __slots__ = ("space", "basis", "spectrum", "eigenvalues")
 
-    def __init__(self, basis, spectrum: tuple, eigenvalues: tuple):
+    def __init__(self, space: ContextSpace, basis, spectrum: tuple, eigenvalues: tuple):
+        _set(self, "space", space)
         _set(self, "basis", basis)
         _set(self, "spectrum", tuple(spectrum))
         _set(self, "eigenvalues", tuple(eigenvalues))
@@ -340,7 +341,7 @@ def make_operator(space: ContextSpace, property_id: str,
     for label, cols in zip(labels, blocks):
         for c in cols:
             spectrum[c] = label
-    return PropertyOperator(rows, spectrum, labels)
+    return PropertyOperator(space, rows, spectrum, labels)
 
 
 class CommutatorResult(Record):
@@ -357,17 +358,14 @@ def commutator(a: PropertyOperator, b: PropertyOperator) -> CommutatorResult:
     A space's first property has the standard basis, so of two operators of
     one space, one is diagonal; it is taken as A = diag(d), since [B, A] =
     -[A, B] has the same norm.  With B = W diag(e) W^H, the commutator's
-    entries are (d_j - d_l) B_jl.  Two operators whose bases are both
-    non-standard act on different spaces, and operators diagonal in one
-    basis commute exactly.
+    entries are (d_j - d_l) B_jl.  Operators of unequal spaces are refused,
+    and operators diagonal in one basis commute exactly.
     """
-    if len(b.spectrum) != len(a.spectrum):
+    if a.space != b.space:
         raise ValueError("operators act on different spaces")
     if a.basis == b.basis:
         return CommutatorResult(norm=0.0, commuting=True)
     if a.basis is not None:
-        if b.basis is not None:
-            raise ValueError("operators act on different spaces")
         a, b = b, a
     m = _recompose(b.basis, b.spectrum)
     d = a.spectrum

@@ -12,8 +12,8 @@ from scipy import stats
 
 import epiq
 from epiq.evolution import (CompleteAlternativeSet, EvolutionContractError, EvolutionRule,
-                            FutureAlternative, Knowability, borel_trial, check_invariance,
-                            evolve, make_alternatives, probability)
+                            FutureAlternative, InvarianceReport, Knowability, borel_trial,
+                            check_invariance, evolve, make_alternatives, probability)
 from epiq.statespace import (AttributeDef, EpistemicState, ObjectRegistry, PropertySpec,
                              all_exact_states, full_state, state_slice)
 
@@ -245,6 +245,13 @@ class TestAlternatives:
             CompleteAlternativeSet(parent=left, alternatives=spin_alternatives.alternatives)
         assert str(refused.value) == "alternative region outside parent state"
 
+    def test_missing_level_refused(self, whole, spin_property):
+        pre = {0: state_slice(whole, "particle", "spin", "up"),
+               1: state_slice(whole, "particle", "spin", "down")}
+        with pytest.raises(ValueError) as refused:
+            make_alternatives(whole, spin_property, pre, {0: Knowability.DECIDED})
+        assert str(refused.value) == "no knowability level for value index 1"
+
     def test_overlapping_alternatives_rejected(self, whole, spin_alternatives):
         a = spin_alternatives.alternatives[0]
         with pytest.raises(ValueError):
@@ -267,13 +274,31 @@ class TestInvariance:
         with pytest.raises(EvolutionContractError, match="invariance"):
             check_invariance(whole, spin_alternatives, rule, steps=1)
 
-    def test_rule_applied_once_per_region_and_step(self, registry, whole, spin_alternatives,
-                                                    monkeypatch):
+    @staticmethod
+    def counted_applies(monkeypatch):
         calls, apply = [], EvolutionRule.apply
         monkeypatch.setattr(EvolutionRule, "apply",
                             lambda rule, s: calls.append(s) or apply(rule, s))
-        check_invariance(whole, spin_alternatives, shift_rule(registry), steps=3)
+        return calls
+
+    def test_rule_applied_once_per_region_and_step(self, registry, whole, spin_alternatives,
+                                                    monkeypatch):
+        # each state onto every state of its spin: set-valued images keep the
+        # ratios, but no table decides that, so the rule is stepped
+        states = list(all_exact_states(registry))
+        rule = EvolutionRule(images={z: frozenset(w for w in states if w.values[1] == z.values[1])
+                                     for z in states})
+        calls = self.counted_applies(monkeypatch)
+        report = check_invariance(whole, spin_alternatives, rule, steps=3)
+        assert report.ratios == (Fraction(1, 2), Fraction(1, 2))
         assert len(calls) == 3 * len(spin_alternatives.alternatives)
+
+    def test_permutation_decided_without_applying(self, registry, whole, spin_alternatives,
+                                                  monkeypatch):
+        calls = self.counted_applies(monkeypatch)
+        report = check_invariance(whole, spin_alternatives, shift_rule(registry), steps=3)
+        assert report == InvarianceReport(3, (Fraction(1, 2), Fraction(1, 2)))
+        assert calls == []
 
     def test_steps_must_be_positive(self, registry, whole, spin_alternatives):
         with pytest.raises(ValueError) as refused:

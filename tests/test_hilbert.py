@@ -301,6 +301,13 @@ class TestOperators:
         op = make_operator(self.space(), "P", labels=(1.0, -1.0))
         assert np.max(np.abs(dense(op) - np.diag([1.0, -1.0]))) < 1e-12
 
+    def test_operator_records_its_space_and_hashes(self):
+        space = self.space()
+        op = make_operator(space, "Q", labels=(1.0, -1.0))
+        twin = make_operator(self.space(), "Q", labels=(1.0, -1.0))
+        assert op.space is space
+        assert op == twin and hash(op) == hash(twin)
+
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
             make_operator(self.space(), "P", labels=(1.0, 1.0))
@@ -718,6 +725,10 @@ def three_outcome_net():
      "operators act on different spaces"),
     # two non-standard bases come from two spaces, which may share a dimension
     (lambda: commutator(rotated_q(0.3), rotated_q(1.1)), "operators act on different spaces"),
+    # of one dimension, and one basis standard: only the spaces tell them apart
+    (lambda: commutator(make_operator(build_space(interference_net()), "path"),
+                        rotated_q(1.1)),
+     "operators act on different spaces"),
     (lambda: joint_space().basis("P"), "P is represented by subspaces, not vectors"),
     (lambda: make_operator(joint_space(), "nope"), "space has no property 'nope'"),
     (lambda: joint_space().basis("nope"), "space has no property 'nope'"),
@@ -735,8 +746,8 @@ def three_outcome_net():
                                       interference_net()),
      "space was built for another network"),
 ], ids=["contingent", "drift", "padding", "label-count", "label-distinct", "spaces",
-        "non-standard-bases", "subspaces", "unknown-id-operator", "unknown-id-basis",
-        "unknown-id-subspaces", "reciprocal-matrix-shape", "reciprocal-no-matrix",
+        "non-standard-bases", "standard-basis-other-space", "subspaces", "unknown-id-operator",
+        "unknown-id-basis", "unknown-id-subspaces", "reciprocal-matrix-shape", "reciprocal-no-matrix",
         "reciprocal-initial-length", "principle4-value-counts", "principle4-property-ids"])
 def test_refusals_carry_their_messages(call, message):
     with pytest.raises(ValueError) as refused:

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from epiq import context
 from epiq.context import (ContextError, ContextNetwork, Distribution, Layer, propagate,
                           reduce_by_observation, validate_context)
-from epiq.evolution import EvolutionRule, Knowability, make_alternatives, probability
+from epiq.evolution import (EvolutionContractError, EvolutionRule, InvarianceReport, Knowability,
+                            check_invariance, make_alternatives, probability)
 from epiq.exactnum import ONE, ZERO, ExactAmplitude, Sqrt2Scalar, checked_rows, parse_exact, scalars
 from epiq.hilbert import (JointVolumeTable, build_space, commutator, make_operator,
                           principle4_probabilities, reciprocal)
@@ -217,6 +218,69 @@ class TestEvolutionLaws:
         b = EpistemicState(registry, frozenset(rest or half))
         union = EpistemicState(registry, a.members | b.members)
         assert rule.apply(union).members == rule.apply(a).members | rule.apply(b).members
+
+
+@st.composite
+def property_partitions(draw, whole):
+    """The alternatives cut from ``whole`` by a random three-valued property
+    that takes at least two values on it."""
+    values = draw(st.lists(st.integers(0, 2), min_size=volume(whole), max_size=volume(whole)))
+    prop = PropertySpec(id="p", labels=(1.0, 2.0, 3.0), valuation=lambda z: values[z.code])
+    pre = prop.preimages(whole)
+    assume(len(pre) >= 2)
+    return make_alternatives(whole, prop, pre, dict.fromkeys(pre, Knowability.DECIDED))
+
+
+@st.composite
+def family_images(draw, registry, family):
+    """A random permutation of the registry's states, as images; "merged" sends
+    one state onto another's image, "set-valued" adds that image to its own,
+    and "partial" drops it from the domain."""
+    states = list(all_exact_states(registry))
+    images = {z: frozenset([w]) for z, w in zip(states, draw(st.permutations(states)))}
+    a, b = draw(st.lists(st.sampled_from(states), min_size=2, max_size=2, unique=True))
+    if family == "merged":
+        images[a] = images[b]
+    elif family == "set-valued":
+        images[a] |= images[b]
+    elif family == "partial":
+        del images[a]
+    return images
+
+
+def stepped_invariance(parent, altset, rule, steps):
+    """check_invariance by brute force: every region is stepped with
+    ``rule.apply``, and the ratios are read from member sets."""
+    initial = tuple(relative_volume(a.region, parent) for a in altset.alternatives)
+    regions = [a.region for a in altset.alternatives]
+    for _ in range(steps):
+        regions = [rule.apply(r) for r in regions]
+        total = len(frozenset().union(*(r.members for r in regions)))
+        if tuple(Fraction(len(r.members), total) for r in regions) != initial:
+            raise EvolutionContractError("evolution rule breaks volume invariance")
+    return initial
+
+
+class TestInvarianceOracle:
+    """check_invariance decides a permutation from its table and steps every
+    other rule; both must give the stepped oracle's ratios or refusal."""
+
+    @given(registries, st.sampled_from(("permutation", "merged", "set-valued", "partial")),
+           st.integers(1, 4), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_verdict_matches_the_stepped_oracle(self, registry, family, steps, data):
+        whole = full_state(registry)
+        altset = data.draw(property_partitions(whole))
+        images = data.draw(family_images(registry, family))
+        try:
+            want = stepped_invariance(whole, altset, EvolutionRule(images), steps)
+        except ValueError as refused:
+            with pytest.raises(ValueError) as got:
+                check_invariance(whole, altset, EvolutionRule(images), steps)
+            assert type(got.value) is type(refused) and str(got.value) == str(refused)
+        else:
+            report = check_invariance(whole, altset, EvolutionRule(images), steps)
+            assert report == InvarianceReport(steps, want)
 
 
 class TestKolmogorov:
