@@ -1,26 +1,30 @@
 """Contextual vector spaces, property operators, and commutation checks.
 
 A two-property context gets a finite complex inner-product space with one
-orthonormal basis (or subspace family) per observed property:
+orthonormal family of value vectors (or subspaces) per observed property:
 
 * interference type  -- first property never knowable: the amplitude matrix
-  itself relates the two bases, so it must be unitary;
+  itself relates the two bases, so its rows must be orthonormal;
 * joint type         -- both decided and simultaneously knowable: product
   space of dimension M*M' with complementary subspace families;
 * sequential type    -- both decided but not simultaneously knowable: the
-  second basis is rebuilt from the declared joint volume table, and the
+  first basis is rebuilt from the declared joint volume table, and the
   context must be neutral (amplitudes must match those volumes).
 
 The inner product used throughout is linear in its first argument and
 conjugate-linear in the second.
 
 Everything is plain Python on tuples, built from the structure each kind
-has: the first property's basis is always the standard basis, so its
-operator is diagonal and each kind differs only in the second basis, which
-one function per kind returns and `_space` alone assembles; a joint space's
-value subspaces are sets of coordinates, so both of its operators are
-diagonal and commute exactly; and a commutator's spectral norm is read off
-a Householder tridiagonal form by Sturm-sequence bisection.
+has: the last property's basis is always the standard basis, so its
+operator is diagonal, and each kind differs only in the first property's
+value vectors, ``u[k][j] = <first_j, second_k>`` in the last property's
+coordinates, which one function per kind returns and `_space` alone
+assembles.  Those vectors span only the part of the space where the first
+property has a value; its operator is 0 elsewhere, so no basis is ever
+completed.  A joint space's value subspaces are sets of coordinates, so
+both of its operators are diagonal and commute exactly; and a commutator's
+spectral norm is read off a Householder tridiagonal form by Sturm-sequence
+bisection.
 """
 from __future__ import annotations
 
@@ -41,8 +45,9 @@ class SpaceConstructionError(ValueError):
 
 
 def inner(x: Sequence[complex], y: Sequence[complex]) -> complex:
-    """<x, y> with conjugation on the second argument."""
-    return complex(sum(a * b.conjugate() for a, b in zip(x, y)))
+    """<x, y> with conjugation on the second argument; vectors of unequal
+    length raise ValueError."""
+    return complex(sum(a * b.conjugate() for a, b in zip(x, y, strict=True)))
 
 
 def _close(x: float, y: float) -> bool:
@@ -86,12 +91,14 @@ class JointVolumeTable(Record):
 class ContextSpace(Record):
     """Finite complex space with per-property value subspaces.
 
-    ``bases`` holds one orthonormal basis per property, in ``property_order``:
-    its rows, so that column k is basis vector k, or None for the standard
-    basis, which the first property always has.  ``blocks`` gives each
-    value's subspace as the basis columns that span it: one column per value
-    except in the joint (simultaneous) case, where a value owns a set of
-    coordinates.
+    ``bases`` holds one orthonormal family per property, in
+    ``property_order``: its rows, so that column k is vector k, or None for
+    the standard basis, which the last property always has.  An earlier
+    property's columns span only the part of the space where it has a value
+    (fewer than the dimension when M < M'), and nothing completes them.
+    ``blocks`` gives each value's subspace as the columns that span it, each
+    column in exactly one block: one column per value except in the joint
+    (simultaneous) case, where a value owns a set of coordinates.
     """
 
     __slots__ = ("dimension", "kind", "property_order", "bases", "blocks")
@@ -154,8 +161,8 @@ def build_space(net: ContextNetwork,
 
 
 def _space(net: ContextNetwork, joint_volumes, simultaneous: bool) -> ContextSpace:
-    """build_space for a network already checked.  The first property has the
-    standard basis; each kind but the joint one returns the second's, ``w``."""
+    """build_space for a network already checked.  The last property has the
+    standard basis; each kind but the joint one returns the first's, ``u``."""
     if len(net.layers) == 1:
         layer = net.layers[0]
         return ContextSpace(layer.size, "single", (layer.property_id,), (None,),
@@ -167,7 +174,7 @@ def _space(net: ContextNetwork, joint_volumes, simultaneous: bool) -> ContextSpa
     m, mp = first.size, second.size
     order = (first.property_id, second.property_id)
     if first.level is Knowability.NEVER:
-        kind, w = "interference", _interference_basis(_complex_rows(net.edges[0]), mp)
+        kind, u = "interference", _interference_basis(_complex_rows(net.edges[0]))
     elif first.level is not Knowability.DECIDED:  # _checked has refused an undecided second
         kind = "joint" if simultaneous else "sequential"
         raise SpaceConstructionError(f"{kind} space needs both properties decided")
@@ -178,65 +185,18 @@ def _space(net: ContextNetwork, joint_volumes, simultaneous: bool) -> ContextSpa
                             ([[j * mp + k for k in range(mp)] for j in range(m)],
                              [[j * mp + k for j in range(m)] for k in range(mp)]))
     else:
-        kind, w = "sequential", _sequential_basis(joint_volumes, _complex_rows(net.edges[0]),
+        kind, u = "sequential", _sequential_basis(joint_volumes, _complex_rows(net.edges[0]),
                                                   m, mp)
-    return ContextSpace(len(w), kind, order, (None, w), (_singletons(m), _singletons(mp)))
+    return ContextSpace(mp, kind, order, (u, None), (_singletons(m), _singletons(mp)))
 
 
-def _interference_basis(a, mp: int) -> tuple:
-    # second-basis vector k has component conj(a[j][k]) on first-basis vector j,
-    # so that <first_j, second_k> equals the amplitude a[j][k]; when M < M' the
-    # remaining coordinates are an orthonormal completion (_check refuses M > M').
-    w = [[x.conjugate() for x in row] for row in a]
-    if not _orthonormal(w):
+def _interference_basis(a) -> tuple:
+    # first-basis vector j has component a[j][k] on second-basis vector k,
+    # so that <first_j, second_k> equals the amplitude a[j][k]; when M < M'
+    # its M vectors span only the part of the space where it has a value.
+    if not _orthonormal(a):
         raise SpaceConstructionError("amplitude matrix rows are not orthonormal")
-    if len(w) < mp:
-        w += _completion(w, mp)
-    return tuple(map(tuple, w))
-
-
-def _completion(rows, n: int) -> list:
-    """Rows that extend orthonormal ``rows`` of length n to an orthonormal basis.
-
-    They are the trailing columns of the unitary factor Q = P_1 ... P_M of a
-    Householder QR of the matrix whose columns are ``rows``; Q's leading
-    columns span ``rows``.  That costs O(M n^2), against O(n^3) for
-    Gram-Schmidt from the standard basis.
-    """
-    reduced, reflectors = [list(r) for r in rows], []
-    for j, x in enumerate(reduced):
-        v, beta, _ = _reflector(x[j:])
-        if v is not None:
-            reflectors.append((j, v, beta))
-            for y in reduced[j + 1:]:
-                _reflect(y, j, v, beta)
-    completion = []
-    for l in range(len(rows), n):
-        y = [complex(c == l) for c in range(n)]
-        for j, v, beta in reversed(reflectors):
-            _reflect(y, j, v, beta)
-        completion.append(y)
-    return completion
-
-
-def _reflector(x) -> tuple:
-    """(v, beta, alpha): the Householder reflection I - beta v v^H maps x to
-    a multiple of e_0 of modulus alpha = |x|.  v is None when the entries
-    past the first have a norm under 1e-30: x is taken as that multiple."""
-    x0 = abs(x[0])
-    rest = math.sqrt(sum(abs(z) ** 2 for z in x[1:]))
-    alpha = math.hypot(x0, rest)
-    if rest <= 1e-30:
-        return None, 0.0, alpha
-    v = list(x)
-    v[0] += (x[0] / x0 if x0 else 1.0) * alpha
-    return v, 1.0 / (alpha * (alpha + x0)), alpha
-
-
-def _reflect(y: list, j: int, v, beta: float):
-    """Apply I - beta v v^H to the entries of y from j on, in place."""
-    s = beta * sum(map(mul, (c.conjugate() for c in v), y[j:]))
-    y[j:] = [a - s * b for a, b in zip(y[j:], v)]
+    return tuple(zip(*a))
 
 
 def _sequential_basis(joint_volumes: JointVolumeTable | None, a, m: int, mp: int) -> tuple:
@@ -266,12 +226,12 @@ def _sequential_basis(joint_volumes: JointVolumeTable | None, a, m: int, mp: int
         c = math.sqrt(min(1.0, 2.0 * v[0][0]))
         alpha = math.acos(c)
         cos, sin = complex(math.cos(alpha)), complex(math.sin(alpha))
-        return ((cos, -sin), (sin, cos))
+        return ((cos, sin), (-sin, cos))
     if not all(_close(x, v[0][0]) for row in v for x in row):
         raise SpaceConstructionError("unsupported pair class")
     # independent pair: all joint volumes equal, realized by the unitary
     # Fourier matrix (every squared inner product equals 1/M).
-    return tuple(tuple(cmath.exp(2j * math.pi * j * k / m) / math.sqrt(m)
+    return tuple(tuple(cmath.exp(-2j * math.pi * j * k / m) / math.sqrt(m)
                        for k in range(m)) for j in range(m))
 
 
@@ -307,8 +267,11 @@ def reciprocal(net: ContextNetwork) -> ContextNetwork:
 class PropertyOperator(Record):
     """The self-adjoint operator sum_k label_k P_k of a property on ``space``,
     held as its eigendecomposition: the property's basis rows (None for the
-    standard basis, in which the operator is diagonal) and ``spectrum``, the
-    label of each basis column (0 for a column in no value's subspace)."""
+    standard basis, which the space's last property has and in which the
+    operator is diagonal) and ``spectrum``, the label of each basis column.
+    Every column lies in one value's subspace; where an earlier property has
+    fewer columns than the dimension, its operator is 0 on the rest of the
+    space, which is not completed."""
 
     __slots__ = ("space", "basis", "spectrum", "eigenvalues")
 
@@ -337,7 +300,7 @@ def make_operator(space: ContextSpace, property_id: str,
         raise ValueError("one label per value required")
     if len(set(labels)) != len(labels):
         raise ValueError("property values must be distinct")
-    spectrum = [0.0] * space.dimension
+    spectrum = [0.0] * sum(map(len, blocks))  # the blocks partition the columns
     for label, cols in zip(labels, blocks):
         for c in cols:
             spectrum[c] = label
@@ -355,11 +318,13 @@ class CommutatorResult(Record):
 def commutator(a: PropertyOperator, b: PropertyOperator) -> CommutatorResult:
     """[A, B] with its spectral norm; commuting iff the norm vanishes.
 
-    A space's first property has the standard basis, so of two operators of
+    A space's last property has the standard basis, so of two operators of
     one space, one is diagonal; it is taken as A = diag(d), since [B, A] =
-    -[A, B] has the same norm.  With B = W diag(e) W^H, the commutator's
-    entries are (d_j - d_l) B_jl.  Operators of unequal spaces are refused,
-    and operators diagonal in one basis commute exactly.
+    -[A, B] has the same norm.  With B = W diag(e) W^H, where W's columns are
+    only the other property's value vectors (nothing is completed, as B is 0
+    off their span), the commutator's entries are (d_j - d_l) B_jl.
+    Operators of unequal spaces are refused, and operators diagonal in one
+    basis commute exactly.
     """
     if a.space != b.space:
         raise ValueError("operators act on different spaces")
@@ -397,6 +362,20 @@ def spectral_norm(h) -> float:
         return 0.0
     diag, off = _tridiagonal([[x / scale for x in row] for row in h])
     return scale * _largest_modulus(diag, off)
+
+
+def _reflector(x) -> tuple:
+    """(v, beta, alpha): the Householder reflection I - beta v v^H maps x to
+    a multiple of e_0 of modulus alpha = |x|.  v is None when the entries
+    past the first have a norm under 1e-30: x is taken as that multiple."""
+    x0 = abs(x[0])
+    rest = math.sqrt(sum(abs(z) ** 2 for z in x[1:]))
+    alpha = math.hypot(x0, rest)
+    if rest <= 1e-30:
+        return None, 0.0, alpha
+    v = list(x)
+    v[0] += (x[0] / x0 if x0 else 1.0) * alpha
+    return v, 1.0 / (alpha * (alpha + x0)), alpha
 
 
 def _tridiagonal(a) -> tuple:
@@ -465,11 +444,13 @@ def principle4_probabilities(space: ContextSpace, net: ContextNetwork) -> tuple:
     evolved contextual state, each clipped at 1 as propagation clips them;
     must agree with network propagation.
 
-    The first property's basis is the standard basis, so <first_j, second_k>
-    is the conjugate of entry j of second-basis vector k; rows past the
-    first property's values (an interference completion) never enter.  A
-    network that `validate_context` refuses is refused with its messages, and
-    one whose property ids or value counts are not the space's as well.
+    The last property's basis is the standard basis, so <first_j, second_k>
+    is entry k of first-basis vector j, and row k of the first property's
+    basis gives final value k; nothing completes those vectors.  A network
+    that `validate_context` refuses is refused with its messages, and one
+    whose property ids or value counts are not the space's as well; a joint
+    space, whose first property is represented by subspaces, raises
+    SpaceConstructionError naming that property.
     """
     _checked(net)
     if (space.property_order != tuple(layer.property_id for layer in net.layers)
@@ -480,14 +461,11 @@ def principle4_probabilities(space: ContextSpace, net: ContextNetwork) -> tuple:
 
 def _principle4(space: ContextSpace, net: ContextNetwork) -> tuple:
     """principle4_probabilities for a network already checked."""
-    w = space.basis(space.property_order[-1])
+    u = space.basis(space.property_order[0])
     init = tuple(map(_complex, net.initial))
-    rows = w[:len(init)]
     if net.layers[0].level == Knowability.DECIDED:
         # The first property is observed, so the contextual state reduces to
         # one first-basis vector per branch; the outcomes mix classically.
-        return tuple(min(sum(abs(init[j]) ** 2 * abs(row[k]) ** 2
-                             for j, row in enumerate(rows)), 1.0)
-                     for k in range(len(w[0])))
-    return tuple(min(abs(sum(c * row[k].conjugate() for c, row in zip(init, rows))) ** 2, 1.0)
-                 for k in range(len(w[0])))
+        return tuple(min(sum(abs(c) ** 2 * abs(x) ** 2 for c, x in zip(init, row)), 1.0)
+                     for row in u)
+    return tuple(min(abs(sum(map(mul, init, row))) ** 2, 1.0) for row in u)

@@ -9,9 +9,9 @@ import epiq.context
 from epiq.context import ContextError, ContextNetwork, Layer, propagate, validate_context
 from epiq.evolution import Knowability
 from epiq.exactnum import ExactAmplitude
-from epiq.hilbert import (JointVolumeTable, SpaceConstructionError, _completion, _orthonormal,
-                          build_space, commutator, inner, make_operator,
-                          principle4_probabilities, reciprocal, spectral_norm)
+from epiq.hilbert import (JointVolumeTable, SpaceConstructionError, _orthonormal, build_space,
+                          commutator, inner, make_operator, principle4_probabilities,
+                          reciprocal, spectral_norm)
 from padding import pad_virtual_values
 
 H = 1 / math.sqrt(2)
@@ -120,8 +120,13 @@ class TestInterferenceSpace:
             edges=(((s, s, 0j), (s, -s, 0j)),))
         space = build_space(net)
         assert space.dimension == 3
-        w = np.asarray(space.basis("detector"))
-        assert np.max(np.abs(np.conj(w).T @ w - np.eye(3))) < 1e-12
+        p, d = np.asarray(space.basis("path")), np.asarray(space.basis("detector"))
+        assert p.shape == (3, 2)  # two value vectors in C^3, and nothing completes them
+        assert np.max(np.abs(np.conj(p).T @ p - np.eye(2))) < 1e-12
+        assert np.array_equal(d, np.eye(3))
+        for j in range(2):
+            for k in range(3):
+                assert inner(p[:, j], d[:, k]) == net.edges[0][j][k]
         probs = principle4_probabilities(space, net)
         assert probs == pytest.approx(propagate(net).probabilities, abs=1e-12)
 
@@ -298,8 +303,11 @@ class TestOperators:
         return build_space(sequential_net(), joint_volumes=quarter_volumes())
 
     def test_diagonal_in_own_basis(self):
-        op = make_operator(self.space(), "P", labels=(1.0, -1.0))
-        assert np.max(np.abs(dense(op) - np.diag([1.0, -1.0]))) < 1e-12
+        space = self.space()
+        for pid, labels in (("P", (1.0, -1.0)), ("Q", (2.0, -3.0))):
+            v = np.asarray(space.basis(pid))
+            a = dense(make_operator(space, pid, labels=labels))
+            assert np.max(np.abs(np.conj(v).T @ a @ v - np.diag(labels))) < 1e-12
 
     def test_operator_records_its_space_and_hashes(self):
         space = self.space()
@@ -658,24 +666,6 @@ def test_reciprocal_of_an_initial_entry_past_the_float_range_fails_validation():
     assert str(refused.value) == "row not normalized: initial amplitudes"
 
 
-@settings(max_examples=60, deadline=None)
-@given(m=st.integers(1, 7), extra=st.integers(1, 7), permutation=st.booleans(),
-       seed=st.integers(0, 2**32 - 1))
-def test_completion_extends_orthonormal_rows_to_an_orthonormal_basis(m, extra, permutation,
-                                                                      seed):
-    """Random unitary rows, or phased standard basis vectors (whose reflections
-    are skipped), M of them of length M' with M < M' <= 8."""
-    rng = np.random.default_rng(seed)
-    mp = min(m + extra, 8)
-    if permutation:
-        u = np.eye(mp)[rng.permutation(mp)] * np.exp(2j * np.pi * rng.random(size=mp))
-    else:
-        u = np.linalg.qr(rng.normal(size=(mp, mp)) + 1j * rng.normal(size=(mp, mp)))[0]
-    rows = [[complex(x) for x in row] for row in u[:m]]
-    assert _orthonormal(rows)
-    assert _orthonormal(rows + _completion(rows, mp))
-
-
 def drifting_chain():
     """All-decided float layers whose rows each sum to 1 + 9e-13, inside
     NORM_TOL, so the final total drifts to about 1 + 2.7e-12, past it."""
@@ -775,3 +765,65 @@ def test_principle4_checks_the_network_once(monkeypatch):
     monkeypatch.setattr(epiq.context, "_check", lambda *a: calls.append(1) or check(*a))
     principle4_probabilities(space, net)
     assert len(calls) == 1
+
+
+def test_principle4_refuses_a_joint_space():
+    """A joint space represents its first property, P, by subspaces, so it
+    has no value vectors to read the probabilities from."""
+    net = sequential_net()
+    with pytest.raises(SpaceConstructionError) as refused:
+        principle4_probabilities(build_space(net, simultaneous=True), net)
+    assert str(refused.value) == "P is represented by subspaces, not vectors"
+
+
+def test_inner_refuses_vectors_of_unequal_length():
+    assert inner((1, 0), (1, 0)) == 1
+    for x, y in (((1, 0), (1,)), ((1,), (1, 0))):
+        with pytest.raises(ValueError):
+            inner(x, y)
+
+
+def random_interference_net(m, mp, seed):
+    """M rows of a random M' x M' unitary joining a level-1 property to a decided one."""
+    rng = np.random.default_rng(seed)
+    u = np.linalg.qr(rng.normal(size=(mp, mp)) + 1j * rng.normal(size=(mp, mp)))[0]
+    return ContextNetwork((Layer("P", Knowability.NEVER, random_labels(rng, m)),
+                           Layer("Q", Knowability.DECIDED, random_labels(rng, mp))),
+                          random_unit(rng, m), (tuple(map(tuple, u[:m])),))
+
+
+def fourier_space():
+    s = complex(math.sqrt(1 / 3))
+    net = ContextNetwork(tuple(Layer(pid, Knowability.DECIDED, (1.0, 2.0, 3.0)) for pid in "PQ"),
+                         (1 + 0j, 0j, 0j), (((s,) * 3,) * 3,))
+    return build_space(net, joint_volumes=JointVolumeTable(v=((1 / 9,) * 3,) * 3))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_space(ContextNetwork((Layer("P", Knowability.DECIDED, (1.0, 2.0, 3.0)),),
+                                       (0.6 + 0j, 0.8 + 0j, 0j), ())),
+    joint_space,
+    lambda: build_space(interference_net()),
+    lambda: build_space(three_outcome_net()),
+    lambda: build_space(random_interference_net(3, 5, seed=7)),
+    lambda: build_space(sequential_net(), joint_volumes=quarter_volumes()),
+    fourier_space,
+], ids=["single", "joint", "interference", "interference-2x3", "interference-3x5", "sequential",
+        "sequential-fourier"])
+def test_last_property_has_the_standard_basis(make):
+    """The last property's basis is the standard one; each property's blocks
+    use each of its basis columns exactly once, every other basis has
+    orthonormal columns, and an operator has one label per basis column."""
+    space = make()
+    assert space.bases[-1] is None
+    for pid, rows, blocks in zip(space.property_order, space.bases, space.blocks):
+        columns = space.dimension if rows is None else len(rows[0])
+        assert sorted(c for block in blocks for c in block) == list(range(columns))
+        if rows is not None:
+            v = np.asarray(rows)
+            assert v.shape == (space.dimension, columns)
+            assert np.max(np.abs(np.conj(v).T @ v - np.eye(columns))) < 1e-12
+        op = make_operator(space, pid)
+        assert len(op.spectrum) == columns
+        assert all(op.spectrum[c] == label
+                   for label, block in zip(op.eigenvalues, blocks) for c in block)
