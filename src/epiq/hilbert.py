@@ -19,9 +19,7 @@ has: the last property's basis is always the standard basis, so its
 operator is diagonal, and each kind differs only in the first property's
 value vectors, ``u[k][j] = <first_j, second_k>`` in the last property's
 coordinates, which one function per kind returns and `_space` alone
-assembles.  Those vectors span only the part of the space where the first
-property has a value; its operator is 0 elsewhere, so no basis is ever
-completed.  A joint space's value subspaces are sets of coordinates, so
+assembles.  A joint space's value subspaces are sets of coordinates, so
 both of its operators are diagonal and commute exactly; and a commutator's
 spectral norm is read off a Householder tridiagonal form by Sturm-sequence
 bisection.
@@ -95,7 +93,8 @@ class ContextSpace(Record):
     ``property_order``: its rows, so that column k is vector k, or None for
     the standard basis, which the last property always has.  An earlier
     property's columns span only the part of the space where it has a value
-    (fewer than the dimension when M < M'), and nothing completes them.
+    (fewer than the dimension when M < M'); its operator is 0 on the rest,
+    so nothing completes them.
     ``blocks`` gives each value's subspace as the columns that span it, each
     column in exactly one block: one column per value except in the joint
     (simultaneous) case, where a value owns a set of coordinates.
@@ -192,8 +191,7 @@ def _space(net: ContextNetwork, joint_volumes, simultaneous: bool) -> ContextSpa
 
 def _interference_basis(a) -> tuple:
     # first-basis vector j has component a[j][k] on second-basis vector k,
-    # so that <first_j, second_k> equals the amplitude a[j][k]; when M < M'
-    # its M vectors span only the part of the space where it has a value.
+    # so that <first_j, second_k> equals the amplitude a[j][k]
     if not _orthonormal(a):
         raise SpaceConstructionError("amplitude matrix rows are not orthonormal")
     return tuple(zip(*a))
@@ -241,10 +239,11 @@ def reciprocal(net: ContextNetwork) -> ContextNetwork:
     The reversed initial amplitudes re-express the evolved state in the
     second property's basis.  The matrix relating two orthonormal bases is
     unitary, so the reversed matrix is its adjoint.  Levels stay by position
-    (a never/decided pair stays one), and applying the construction twice
-    restores the network.  `validate_context`'s refusals come first, then a
-    network that is not square and two-layer, or whose matrix is not unitary
-    (within 1e-9 in each entry of its Gram matrix).
+    (a never/decided pair stays one).  The result is a float network, also
+    of an exact one, so applying the construction twice gives the entries
+    back only to within rounding.  `validate_context`'s refusals come first,
+    then a network that is not square and two-layer, or whose matrix is not
+    unitary (within 1e-9 in each entry of its Gram matrix).
     """
     _checked(net)
     if len(net.layers) != 2:
@@ -265,71 +264,72 @@ def reciprocal(net: ContextNetwork) -> ContextNetwork:
 
 
 class PropertyOperator(Record):
-    """The self-adjoint operator sum_k label_k P_k of a property on ``space``,
-    held as its eigendecomposition: the property's basis rows (None for the
-    standard basis, which the space's last property has and in which the
-    operator is diagonal) and ``spectrum``, the label of each basis column.
-    Every column lies in one value's subspace; where an earlier property has
-    fewer columns than the dimension, its operator is 0 on the rest of the
-    space, which is not completed."""
+    """The self-adjoint operator sum_j eigenvalues[j] P_j of a property on
+    ``space``, P_j the projector onto value j's subspace.  The labels
+    default to 1, 2, ...; there must be one per value, and distinct.
+    ``basis`` and ``spectrum`` read its eigendecomposition off the space."""
 
-    __slots__ = ("space", "basis", "spectrum", "eigenvalues")
+    __slots__ = ("space", "property_id", "eigenvalues")
 
-    def __init__(self, space: ContextSpace, basis, spectrum: tuple, eigenvalues: tuple):
+    def __init__(self, space: ContextSpace, property_id: str,
+                 labels: Sequence[float] | None = None):
+        blocks = space._property(property_id)[1]
+        labels = tuple(map(float, range(1, len(blocks) + 1) if labels is None else labels))
+        if len(labels) != len(blocks):
+            raise ValueError("one label per value required")
+        if len(set(labels)) != len(labels):
+            raise ValueError("property values must be distinct")
         _set(self, "space", space)
-        _set(self, "basis", basis)
-        _set(self, "spectrum", tuple(spectrum))
-        _set(self, "eigenvalues", tuple(eigenvalues))
+        _set(self, "property_id", property_id)
+        _set(self, "eigenvalues", labels)
+
+    @property
+    def basis(self):
+        """The property's basis rows, None for the standard basis."""
+        return self.space._property(self.property_id)[0]
+
+    @property
+    def spectrum(self) -> tuple:
+        """The label of each basis column."""
+        blocks = self.space._property(self.property_id)[1]
+        label = {c: e for e, cols in zip(self.eigenvalues, blocks) for c in cols}
+        return tuple(label[c] for c in range(len(label)))  # the blocks partition the columns
+
+
+make_operator = PropertyOperator
 
 
 def _recompose(v, spectrum) -> list:
-    """V diag(spectrum) V^H for basis rows V."""
-    scaled = [[x * e for x, e in zip(row, spectrum)] for row in v]
+    """V diag(spectrum) V^H for basis rows V, one label per column."""
+    scaled = [[x * e for x, e in zip(row, spectrum, strict=True)] for row in v]
     conj = [[x.conjugate() for x in row] for row in v]
     return [[sum(map(mul, s, c)) for c in conj] for s in scaled]
 
 
-def make_operator(space: ContextSpace, property_id: str,
-                  labels: Sequence[float] | None = None) -> PropertyOperator:
-    """Sum of label-weighted projectors onto a property's value subspaces."""
-    rows, blocks = space._property(property_id)
-    if labels is None:
-        labels = [float(j + 1) for j in range(len(blocks))]
-    labels = [float(x) for x in labels]
-    if len(labels) != len(blocks):
-        raise ValueError("one label per value required")
-    if len(set(labels)) != len(labels):
-        raise ValueError("property values must be distinct")
-    spectrum = [0.0] * sum(map(len, blocks))  # the blocks partition the columns
-    for label, cols in zip(labels, blocks):
-        for c in cols:
-            spectrum[c] = label
-    return PropertyOperator(space, rows, spectrum, labels)
-
-
 class CommutatorResult(Record):
-    __slots__ = ("norm", "commuting")
+    """A commutator's spectral norm; the operators commute when it is under ORTHO_TOL."""
 
-    def __init__(self, norm: float = 0.0, commuting: bool = False):
+    __slots__ = ("norm",)
+    commuting = property(lambda self: self.norm < ORTHO_TOL)
+
+    def __init__(self, norm: float):
         _set(self, "norm", norm)
-        _set(self, "commuting", commuting)
 
 
 def commutator(a: PropertyOperator, b: PropertyOperator) -> CommutatorResult:
-    """[A, B] with its spectral norm; commuting iff the norm vanishes.
+    """The spectral norm of [A, B], as a CommutatorResult.
 
     A space's last property has the standard basis, so of two operators of
     one space, one is diagonal; it is taken as A = diag(d), since [B, A] =
-    -[A, B] has the same norm.  With B = W diag(e) W^H, where W's columns are
-    only the other property's value vectors (nothing is completed, as B is 0
-    off their span), the commutator's entries are (d_j - d_l) B_jl.
-    Operators of unequal spaces are refused, and operators diagonal in one
-    basis commute exactly.
+    -[A, B] has the same norm.  With B = W diag(e) W^H, W the other
+    property's basis and e its spectrum, the commutator's entries are
+    (d_j - d_l) B_jl.  Operators of unequal spaces are refused, and
+    operators diagonal in one basis commute exactly.
     """
     if a.space != b.space:
         raise ValueError("operators act on different spaces")
     if a.basis == b.basis:
-        return CommutatorResult(norm=0.0, commuting=True)
+        return CommutatorResult(0.0)
     if a.basis is not None:
         a, b = b, a
     m = _recompose(b.basis, b.spectrum)
@@ -340,7 +340,7 @@ def commutator(a: PropertyOperator, b: PropertyOperator) -> CommutatorResult:
                           for dj, row in zip(d, m)])
     if not norm < math.inf:
         raise ValueError("commutator norm lies outside the float range")
-    return CommutatorResult(norm=norm, commuting=norm < ORTHO_TOL)
+    return CommutatorResult(norm)
 
 
 def spectral_norm(h) -> float:
@@ -446,11 +446,11 @@ def principle4_probabilities(space: ContextSpace, net: ContextNetwork) -> tuple:
 
     The last property's basis is the standard basis, so <first_j, second_k>
     is entry k of first-basis vector j, and row k of the first property's
-    basis gives final value k; nothing completes those vectors.  A network
-    that `validate_context` refuses is refused with its messages, and one
-    whose property ids or value counts are not the space's as well; a joint
-    space, whose first property is represented by subspaces, raises
-    SpaceConstructionError naming that property.
+    basis gives final value k.  A network that `validate_context` refuses is
+    refused with its messages, and one whose property ids or value counts
+    are not the space's as well; a joint space, whose first property is
+    represented by subspaces, raises SpaceConstructionError naming that
+    property.
     """
     _checked(net)
     if (space.property_order != tuple(layer.property_id for layer in net.layers)

@@ -24,6 +24,7 @@ from collections import deque
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from enum import Enum
 from fractions import Fraction
+from functools import reduce
 from operator import attrgetter
 
 from . import Record, _record, _set
@@ -364,15 +365,7 @@ def collective_state(subject_states: Sequence[EpistemicState]) -> EpistemicState
     """Intersection of all subjects' states: the abstract's collective knowledge."""
     if not subject_states:
         raise ValueError("need at least one subject state")
-    registry = subject_states[0].registry
-    mask = subject_states[0].mask
-    for s in subject_states[1:]:
-        if s.registry != registry:
-            raise ValueError("states are over different registries")
-        mask &= s.mask
-    if not mask:
-        raise ContradictionError("subjects' knowledge contradicts")
-    return EpistemicState._of(registry, mask)
+    return reduce(lambda a, b: combine(a, b, "AND"), subject_states, subject_states[0])
 
 
 class PropertySpec(Record):

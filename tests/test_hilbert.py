@@ -9,9 +9,10 @@ import epiq.context
 from epiq.context import ContextError, ContextNetwork, Layer, propagate, validate_context
 from epiq.evolution import Knowability
 from epiq.exactnum import ExactAmplitude
-from epiq.hilbert import (JointVolumeTable, SpaceConstructionError, _orthonormal, build_space,
-                          commutator, inner, make_operator, principle4_probabilities,
-                          reciprocal, spectral_norm)
+from epiq.hilbert import (JointVolumeTable, PropertyOperator, SpaceConstructionError,
+                          _orthonormal, _recompose, build_space, commutator, inner,
+                          make_operator, principle4_probabilities, reciprocal, spectral_norm)
+from epiq.scenario import bundled_scenario_path, load_scenario_file
 from padding import pad_virtual_values
 
 H = 1 / math.sqrt(2)
@@ -320,6 +321,19 @@ class TestOperators:
         with pytest.raises(ValueError, match="distinct"):
             make_operator(self.space(), "P", labels=(1.0, 1.0))
 
+    def test_every_operator_checks_its_labels_and_fits_its_basis(self):
+        """The constructor itself refuses a label count other than the
+        property's value count and repeated labels, and `_recompose` refuses
+        a spectrum longer than a basis row instead of truncating it."""
+        space = self.space()
+        with pytest.raises(ValueError, match="one label per value required"):
+            PropertyOperator(space, "P", labels=(1.0, -1.0, 0.0))
+        with pytest.raises(ValueError, match="property values must be distinct"):
+            PropertyOperator(space, "P", labels=(1.0, 1.0))
+        op = PropertyOperator(space, "P")
+        with pytest.raises(ValueError):
+            _recompose(op.basis, op.spectrum + (0.0,))
+
     def test_spectral_reconstruction(self):
         space = self.space()
         op = make_operator(space, "Q", labels=(2.0, -3.0))
@@ -387,6 +401,18 @@ class TestReciprocal:
         assert np.max(np.abs(np.array(rr.edges[0]) -
                              np.array([[H, H], [H, -H]]))) < 1e-12
         assert np.array(rr.initial) == pytest.approx(np.array([H, H]))
+
+    def test_exact_network_comes_back_as_floats(self):
+        """The construction works in floats, so an exact network's reciprocal
+        is not exact, and applying it twice gives back each entry within 1e-12."""
+        net = load_scenario_file(bundled_scenario_path("mach-zehnder-open")).network
+        assert net.is_exact()
+        assert not reciprocal(net).is_exact()
+        rr = reciprocal(reciprocal(net))
+        for got, want in zip((*rr.initial, *(x for row in rr.edges[0] for x in row)),
+                             (*net.initial, *(x for row in net.edges[0] for x in row)),
+                             strict=True):
+            assert abs(got - complex(want)) < 1e-12
 
     def test_three_layers_rejected(self):
         net = interference_net()
