@@ -113,10 +113,10 @@ def _cmd_montecarlo(scenario, eraser, n, seed, tolerance):
 
 
 def _cmd_hilbert(scenario, eraser, n, seed, tolerance):
-    from .hilbert import (JointVolumeTable, SpaceConstructionError, _principle4, _space,
-                          commutator, make_operator)
+    from .hilbert import (JointVolumeTable, SpaceConstructionError, _space, commutator,
+                          make_operator, principle4_probabilities)
     net, eraser = _resolved_network(scenario, eraser)
-    dist = propagate(net)  # the one check of the network; _space and _principle4 skip it
+    dist = propagate(net)  # the one check of the network; the space keeps it checked
     jv = JointVolumeTable(v=scenario.joint_volumes) if scenario.joint_volumes else None
     space = _space(net, jv, scenario.simultaneous)
     result = {"dimension": space.dimension, "kind": space.kind, "properties": {
@@ -124,14 +124,12 @@ def _cmd_hilbert(scenario, eraser, n, seed, tolerance):
     rows = [(space.kind, str(space.dimension), "", "")]
     if len(space.property_order) == 2:
         first, second = space.property_order
-        op_a = make_operator(space, first, labels=net.layers[0].labels)
-        op_b = make_operator(space, second, labels=net.layers[1].labels)
-        comm = commutator(op_a, op_b)
+        comm = commutator(make_operator(space, first), make_operator(space, second))
         result.update(commutator_norm=comm.norm, commuting=comm.commuting)
         rows = [(space.kind, str(space.dimension), _fmt(comm.norm),
                  "commuting" if comm.commuting else "non-commuting")]
         if space.kind in ("interference", "sequential"):
-            probs = _principle4(space, net)  # propagate has checked net
+            probs = principle4_probabilities(space)
             dev = max(abs(p - q) for p, q in zip(probs, dist.probabilities))
             result["principle4_probabilities"] = list(probs)
             result["principle4_max_deviation"] = dev

@@ -30,6 +30,8 @@ the later layers fed by row j of the first matrix (`reduce_by_observation`).
 """
 from __future__ import annotations
 
+import math
+
 from . import Knowability  # re-exported: epiq.context.Knowability
 from . import Record, _set
 from .exactnum import (ONE_ROW, ExactAmplitude, carry_rows, checked_rows, merge_rows,
@@ -48,7 +50,7 @@ class Layer(Record):
     def __init__(self, property_id: str, level: Knowability, labels: tuple):
         _set(self, "property_id", property_id)
         _set(self, "level", Knowability(level))
-        # distinct real value labels, one per alternative
+        # distinct finite real value labels, one per alternative
         _set(self, "labels", tuple(float(x) for x in labels))
 
     @property
@@ -121,6 +123,8 @@ def _check(net: ContextNetwork) -> tuple:
             errors.append(f"layer {layer.property_id}: a complete set needs at least 2 alternatives")
         if len(set(layer.labels)) != size:
             errors.append(f"layer {layer.property_id}: value labels must be distinct")
+        if not all(map(math.isfinite, layer.labels)):
+            errors.append(f"layer {layer.property_id}: value labels must be finite")
     if net.final_layer.level is not Knowability.DECIDED:
         errors.append("final property must be decided")
     if len(net.edges) != len(net.layers) - 1:

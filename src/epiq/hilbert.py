@@ -87,11 +87,11 @@ class JointVolumeTable(Record):
 
 
 class ContextSpace(Record):
-    """Finite complex space with per-property value subspaces.
+    """A checked ``network``'s finite complex space, with per-property value subspaces.
 
-    ``bases`` holds one orthonormal family per property, in
-    ``property_order``: its rows, so that column k is vector k, or None for
-    the standard basis, which the last property always has.  An earlier
+    ``bases`` holds one orthonormal family per property, in the network's
+    layer order: its rows, so that column k is vector k, or None for the
+    standard basis, which the last property always has.  An earlier
     property's columns span only the part of the space where it has a value
     (fewer than the dimension when M < M'); its operator is 0 on the rest,
     so nothing completes them.
@@ -100,33 +100,34 @@ class ContextSpace(Record):
     (simultaneous) case, where a value owns a set of coordinates.
     """
 
-    __slots__ = ("dimension", "kind", "property_order", "bases", "blocks")
+    __slots__ = ("network", "dimension", "kind", "bases", "blocks")
     # kind: "interference" | "joint" | "sequential" | "single"
 
-    def __init__(self, dimension: int, kind: str, property_order: tuple, bases: tuple,
+    def __init__(self, network: ContextNetwork, dimension: int, kind: str, bases: tuple,
                  blocks: tuple):
+        _set(self, "network", network)
         _set(self, "dimension", dimension)
         _set(self, "kind", kind)
-        _set(self, "property_order", tuple(property_order))
         _set(self, "bases", tuple(bases))
         _set(self, "blocks", tuple(tuple(map(tuple, b)) for b in blocks))
 
     @property
-    def value_spaces(self) -> dict:
-        """Property id -> the basis columns spanning each value's subspace."""
-        return dict(zip(self.property_order, self.blocks))
+    def property_order(self) -> tuple:
+        """The property ids, in the network's layer order."""
+        return tuple(layer.property_id for layer in self.network.layers)
 
     def _property(self, property_id: str) -> tuple:
-        """A property's basis rows and blocks; an id the space lacks is refused."""
-        if property_id not in self.property_order:
+        """A property's basis rows, blocks and labels; an unknown id is refused."""
+        ids = self.property_order
+        if property_id not in ids:
             raise ValueError(f"space has no property {property_id!r}")
-        i = self.property_order.index(property_id)
-        return self.bases[i], self.blocks[i]
+        i = ids.index(property_id)
+        return self.bases[i], self.blocks[i], self.network.layers[i].labels
 
     def basis(self, property_id: str) -> tuple:
         """A property's value vectors as the columns of a tuple of rows: row i
         holds coordinate i of every value's vector (1-dim blocks only)."""
-        rows, blocks = self._property(property_id)
+        rows, blocks, _ = self._property(property_id)
         if any(len(b) != 1 for b in blocks):
             raise SpaceConstructionError(f"{property_id} is represented by subspaces, not vectors")
         cols = [b[0] for b in blocks]
@@ -164,14 +165,12 @@ def _space(net: ContextNetwork, joint_volumes, simultaneous: bool) -> ContextSpa
     standard basis; each kind but the joint one returns the first's, ``u``."""
     if len(net.layers) == 1:
         layer = net.layers[0]
-        return ContextSpace(layer.size, "single", (layer.property_id,), (None,),
-                            (_singletons(layer.size),))
+        return ContextSpace(net, layer.size, "single", (None,), (_singletons(layer.size),))
     if len(net.layers) != 2:
         raise SpaceConstructionError("space construction covers one- and two-property contexts")
 
     first, second = net.layers
     m, mp = first.size, second.size
-    order = (first.property_id, second.property_id)
     if first.level is Knowability.NEVER:
         kind, u = "interference", _interference_basis(_complex_rows(net.edges[0]))
     elif first.level is not Knowability.DECIDED:  # _checked has refused an undecided second
@@ -180,13 +179,13 @@ def _space(net: ContextNetwork, joint_volumes, simultaneous: bool) -> ContextSpa
     elif simultaneous:
         # product basis index (j, k) -> j * mp + k; both properties keep the
         # standard basis, each value owning a set of its coordinates
-        return ContextSpace(m * mp, "joint", order, (None, None),
+        return ContextSpace(net, m * mp, "joint", (None, None),
                             ([[j * mp + k for k in range(mp)] for j in range(m)],
                              [[j * mp + k for j in range(m)] for k in range(mp)]))
     else:
         kind, u = "sequential", _sequential_basis(joint_volumes, _complex_rows(net.edges[0]),
                                                   m, mp)
-    return ContextSpace(mp, kind, order, (u, None), (_singletons(m), _singletons(mp)))
+    return ContextSpace(net, mp, kind, (u, None), (_singletons(m), _singletons(mp)))
 
 
 def _interference_basis(a) -> tuple:
@@ -266,17 +265,20 @@ def reciprocal(net: ContextNetwork) -> ContextNetwork:
 class PropertyOperator(Record):
     """The self-adjoint operator sum_j eigenvalues[j] P_j of a property on
     ``space``, P_j the projector onto value j's subspace.  The labels
-    default to 1, 2, ...; there must be one per value, and distinct.
-    ``basis`` and ``spectrum`` read its eigendecomposition off the space."""
+    default to the property's values, its layer's labels; given ones must be
+    one per value, finite and distinct.  ``basis`` and ``spectrum`` read its
+    eigendecomposition off the space."""
 
     __slots__ = ("space", "property_id", "eigenvalues")
 
     def __init__(self, space: ContextSpace, property_id: str,
                  labels: Sequence[float] | None = None):
-        blocks = space._property(property_id)[1]
-        labels = tuple(map(float, range(1, len(blocks) + 1) if labels is None else labels))
+        _, blocks, values = space._property(property_id)
+        labels = values if labels is None else tuple(map(float, labels))
         if len(labels) != len(blocks):
             raise ValueError("one label per value required")
+        if not all(map(math.isfinite, labels)):
+            raise ValueError("property values must be finite")
         if len(set(labels)) != len(labels):
             raise ValueError("property values must be distinct")
         _set(self, "space", space)
@@ -439,28 +441,19 @@ def _largest_modulus(diag, off) -> float:
             lo = mid
 
 
-def principle4_probabilities(space: ContextSpace, net: ContextNetwork) -> tuple:
+def principle4_probabilities(space: ContextSpace) -> tuple:
     """Final-property probabilities via squared inner products with the
-    evolved contextual state, each clipped at 1 as propagation clips them;
-    must agree with network propagation.
+    evolved contextual state of ``space.network``, each clipped at 1 as
+    propagation clips them; must agree with network propagation.
 
     The last property's basis is the standard basis, so <first_j, second_k>
     is entry k of first-basis vector j, and row k of the first property's
-    basis gives final value k.  A network that `validate_context` refuses is
-    refused with its messages, and one whose property ids or value counts
-    are not the space's as well; a joint space, whose first property is
+    basis gives final value k.  The space holds a network already checked,
+    so nothing is checked again; a joint space, whose first property is
     represented by subspaces, raises SpaceConstructionError naming that
     property.
     """
-    _checked(net)
-    if (space.property_order != tuple(layer.property_id for layer in net.layers)
-            or tuple(map(len, space.blocks)) != tuple(layer.size for layer in net.layers)):
-        raise SpaceConstructionError("space was built for another network")
-    return _principle4(space, net)
-
-
-def _principle4(space: ContextSpace, net: ContextNetwork) -> tuple:
-    """principle4_probabilities for a network already checked."""
+    net = space.network
     u = space.basis(space.property_order[0])
     init = tuple(map(_complex, net.initial))
     if net.layers[0].level == Knowability.DECIDED:

@@ -372,8 +372,8 @@ class PropertySpec(Record):
     """A property: a partial valuation of exact states into labelled values.
 
     ``valuation`` maps an exact state to a value index or None (undefined).
-    Disjointness of the value preimages is automatic for a function; label
-    distinctness is enforced here.
+    Disjointness of the value preimages is automatic for a function; finite,
+    distinct labels are enforced here.
     """
 
     __slots__ = ("id", "labels", "valuation")
@@ -383,6 +383,8 @@ class PropertySpec(Record):
         labels = tuple(float(x) for x in labels)
         if len(set(labels)) != len(labels):
             raise ValueError(f"property {id}: value labels must be distinct")
+        if not all(map(math.isfinite, labels)):
+            raise ValueError(f"property {id}: value labels must be finite")
         _set(self, "id", id)
         _set(self, "labels", labels)
         _set(self, "valuation", valuation)

@@ -221,7 +221,7 @@ def test_criterion_8_cross_module_oracle():
     for level, jv in ((1, None), (3, JointVolumeTable(v=((0.25,) * 2,) * 2))):
         net = mz(level)
         space = build_space(net, joint_volumes=jv)
-        probs = principle4_probabilities(space, net)
+        probs = principle4_probabilities(space)
         ok = ok and np.max(np.abs(probs - np.array(propagate(net).probabilities))) <= 1e-12
     report(8, "cross-module-oracle", ok)
 

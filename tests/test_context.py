@@ -100,6 +100,15 @@ class TestValidation:
             initial=(H, H), edges=(((H, H), (H, HN)),))
         assert any("distinct" in msg for msg in validate_context(net))
 
+    def test_non_finite_labels(self):
+        """Two NaN labels are unequal, so distinctness alone lets them through."""
+        net = ContextNetwork(
+            layers=(Layer("a", Knowability.NEVER, (float("nan"), float("nan"))),
+                    Layer("b", Knowability.DECIDED, (1.0, float("inf")))),
+            initial=(H, H), edges=(((H, H), (H, HN)),))
+        assert validate_context(net) == ["layer a: value labels must be finite",
+                                         "layer b: value labels must be finite"]
+
 
 class TestPropagate:
     def test_amplitude_rule_interferes(self):

@@ -1019,9 +1019,10 @@ def hilbert_readout(net, joint_volumes=None):
     the principle-4 probabilities."""
     space = build_space(net, joint_volumes=joint_volumes)
     first, second = net.layers
-    comm = commutator(make_operator(space, first.property_id, labels=first.labels),
-                      make_operator(space, second.property_id, labels=second.labels))
-    return comm.norm, comm.commuting, principle4_probabilities(space, net)
+    a, b = make_operator(space, first.property_id), make_operator(space, second.property_id)
+    assert (a.eigenvalues, b.eigenvalues) == (first.labels, second.labels)
+    comm = commutator(a, b)
+    return comm.norm, comm.commuting, principle4_probabilities(space)
 
 
 class TestHilbertMetamorphic:

@@ -379,3 +379,7 @@ class TestPropertySpec:
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
             PropertySpec(id="p", labels=(1.0, 1.0), valuation=lambda z: 0)
+
+    def test_non_finite_labels_rejected(self):
+        with pytest.raises(ValueError, match="property p: value labels must be finite"):
+            PropertySpec(id="p", labels=("nan", "nan"), valuation=lambda z: 0)
