@@ -111,8 +111,7 @@ def _check(net: ContextNetwork) -> tuple:
     """validate_context's messages for `net`, whether it is exact, and its
     rows: the initial vector as a one-row matrix, then each matrix, in the
     network's number field (amplitude rows when exact, else complex rows),
-    with the squared moduli that the row checks sum (None for both when a
-    matrix has the wrong shape)."""
+    with the squared moduli that the row checks sum."""
     exact = net.is_exact()
     errors, rows, squares = [], [], []
     if not net.layers:
@@ -136,8 +135,6 @@ def _check(net: ContextNetwork) -> tuple:
         if [*map(len, m)] != [width] * height:
             errors.append(f"matrix {i}: expected shape {height}x{width}" if i >= 0
                           else "initial amplitude vector does not match first layer")
-            rows.append(None)
-            squares.append(None)
             continue
         if exact:
             converted, squared, off = checked_rows(m)

@@ -43,7 +43,7 @@ from . import Record
 
 _SQRT2 = 2 ** 0.5
 
-_TOKEN = re.compile(r"^(-?\d+)(?:/(\d+))?(/sqrt2)?$")
+_TOKEN = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?(/sqrt2)?")
 
 
 class _Value(Record):
@@ -188,7 +188,7 @@ def parse_exact(token: str) -> ExactAmplitude:
     "r/sqrt2" is stored as (r/2)*sqrt2.  A malformed token, a zero
     denominator or too many digits for int() raise ValueError.
     """
-    m = _TOKEN.match(token.strip())
+    m = _TOKEN.fullmatch(token)
     if m is None:
         raise ValueError(f"cannot parse amplitude token {token!r}")
     num, den = int(m.group(1)), int(m.group(2) or 1)

@@ -19,10 +19,10 @@ has: the last property's basis is always the standard basis, so its
 operator is diagonal, and each kind differs only in the first property's
 value vectors, ``u[k][j] = <first_j, second_k>`` in the last property's
 coordinates, which one function per kind returns and `_space` alone
-assembles.  A joint space's value subspaces are sets of coordinates, so
-both of its operators are diagonal and commute exactly; and a commutator's
-spectral norm is read off a Householder tridiagonal form by Sturm-sequence
-bisection.
+assembles.  A space is its network, its kind and these bases.  Joint
+coordinate j*M' + k carries the values j and k, so both joint operators
+are diagonal and commute exactly; and a commutator's spectral norm is read
+off a Householder tridiagonal form by Sturm-sequence bisection.
 """
 from __future__ import annotations
 
@@ -93,54 +93,49 @@ class ContextSpace(Record):
     layer order: its rows, so that column k is vector k, or None for the
     standard basis, which the last property always has.  An earlier
     property's columns span only the part of the space where it has a value
-    (fewer than the dimension when M < M'); its operator is 0 on the rest,
-    so nothing completes them.
-    ``blocks`` gives each value's subspace as the columns that span it, each
-    column in exactly one block: one column per value except in the joint
-    (simultaneous) case, where a value owns a set of coordinates.
+    (fewer than the dimension when M < M'), and its operator is 0 on the
+    rest.  Each value owns one column, except in the joint space of
+    dimension M*M' (see `PropertyOperator.spectrum`).
     """
 
-    __slots__ = ("network", "dimension", "kind", "bases", "blocks")
+    __slots__ = ("network", "kind", "bases")
     # kind: "interference" | "joint" | "sequential" | "single"
 
-    def __init__(self, network: ContextNetwork, dimension: int, kind: str, bases: tuple,
-                 blocks: tuple):
+    def __init__(self, network: ContextNetwork, kind: str, bases: tuple):
         _set(self, "network", network)
-        _set(self, "dimension", dimension)
         _set(self, "kind", kind)
         _set(self, "bases", tuple(bases))
-        _set(self, "blocks", tuple(tuple(map(tuple, b)) for b in blocks))
 
     @property
     def property_order(self) -> tuple:
         """The property ids, in the network's layer order."""
         return tuple(layer.property_id for layer in self.network.layers)
 
+    @property
+    def dimension(self) -> int:
+        """M*M' for the joint kind, else the last layer's size."""
+        sizes = [layer.size for layer in self.network.layers]
+        return math.prod(sizes) if self.kind == "joint" else sizes[-1]
+
     def _property(self, property_id: str) -> tuple:
-        """A property's basis rows, blocks and labels; an unknown id is refused."""
+        """A property's basis rows and labels; an unknown id is refused."""
         ids = self.property_order
         if property_id not in ids:
             raise ValueError(f"space has no property {property_id!r}")
         i = ids.index(property_id)
-        return self.bases[i], self.blocks[i], self.network.layers[i].labels
+        return self.bases[i], self.network.layers[i].labels
 
     def basis(self, property_id: str) -> tuple:
         """A property's value vectors as the columns of a tuple of rows: row i
-        holds coordinate i of every value's vector (1-dim blocks only)."""
-        rows, blocks, _ = self._property(property_id)
-        if any(len(b) != 1 for b in blocks):
+        holds coordinate i of every value's vector (not in the joint space)."""
+        rows, n = self._property(property_id)[0], self.dimension
+        if self.kind == "joint":
             raise SpaceConstructionError(f"{property_id} is represented by subspaces, not vectors")
-        cols = [b[0] for b in blocks]
-        if rows is None:
-            return tuple(tuple(complex(i == c) for c in cols) for i in range(self.dimension))
-        return tuple(tuple(row[c] for c in cols) for row in rows)
+        return rows or tuple(tuple(complex(i == c) for c in range(n)) for i in range(n))
 
     def subspace_dimensions(self, property_id: str) -> tuple:
-        return tuple(len(b) for b in self._property(property_id)[1])
-
-
-def _singletons(n: int) -> tuple:
-    return tuple((j,) for j in range(n))
+        size = len(self._property(property_id)[1])
+        return (self.dimension // size if self.kind == "joint" else 1,) * size
 
 
 def _orthonormal(rows) -> bool:
@@ -164,28 +159,21 @@ def _space(net: ContextNetwork, joint_volumes, simultaneous: bool) -> ContextSpa
     """build_space for a network already checked.  The last property has the
     standard basis; each kind but the joint one returns the first's, ``u``."""
     if len(net.layers) == 1:
-        layer = net.layers[0]
-        return ContextSpace(net, layer.size, "single", (None,), (_singletons(layer.size),))
+        return ContextSpace(net, "single", (None,))
     if len(net.layers) != 2:
         raise SpaceConstructionError("space construction covers one- and two-property contexts")
 
-    first, second = net.layers
-    m, mp = first.size, second.size
-    if first.level is Knowability.NEVER:
+    level = net.layers[0].level
+    if level is Knowability.NEVER:
         kind, u = "interference", _interference_basis(_complex_rows(net.edges[0]))
-    elif first.level is not Knowability.DECIDED:  # _checked has refused an undecided second
+    elif level is not Knowability.DECIDED:  # _checked has refused an undecided second
         kind = "joint" if simultaneous else "sequential"
         raise SpaceConstructionError(f"{kind} space needs both properties decided")
-    elif simultaneous:
-        # product basis index (j, k) -> j * mp + k; both properties keep the
-        # standard basis, each value owning a set of its coordinates
-        return ContextSpace(net, m * mp, "joint", (None, None),
-                            ([[j * mp + k for k in range(mp)] for j in range(m)],
-                             [[j * mp + k for j in range(m)] for k in range(mp)]))
+    elif simultaneous:  # both properties keep the standard basis of the product space
+        kind, u = "joint", None
     else:
-        kind, u = "sequential", _sequential_basis(joint_volumes, _complex_rows(net.edges[0]),
-                                                  m, mp)
-    return ContextSpace(net, mp, kind, (u, None), (_singletons(m), _singletons(mp)))
+        kind, u = "sequential", _sequential_basis(joint_volumes, _complex_rows(net.edges[0]))
+    return ContextSpace(net, kind, (u, None))
 
 
 def _interference_basis(a) -> tuple:
@@ -196,7 +184,8 @@ def _interference_basis(a) -> tuple:
     return tuple(zip(*a))
 
 
-def _sequential_basis(joint_volumes: JointVolumeTable | None, a, m: int, mp: int) -> tuple:
+def _sequential_basis(joint_volumes: JointVolumeTable | None, a) -> tuple:
+    m, mp = len(a), len(a[0])
     if m != mp:
         raise SpaceConstructionError("no reciprocal basis: sequential space needs M = M'")
     if joint_volumes is None:
@@ -273,9 +262,9 @@ class PropertyOperator(Record):
 
     def __init__(self, space: ContextSpace, property_id: str,
                  labels: Sequence[float] | None = None):
-        _, blocks, values = space._property(property_id)
+        _, values = space._property(property_id)
         labels = values if labels is None else tuple(map(float, labels))
-        if len(labels) != len(blocks):
+        if len(labels) != len(values):
             raise ValueError("one label per value required")
         if not all(map(math.isfinite, labels)):
             raise ValueError("property values must be finite")
@@ -292,10 +281,14 @@ class PropertyOperator(Record):
 
     @property
     def spectrum(self) -> tuple:
-        """The label of each basis column."""
-        blocks = self.space._property(self.property_id)[1]
-        label = {c: e for e, cols in zip(self.eigenvalues, blocks) for c in cols}
-        return tuple(label[c] for c in range(len(label)))  # the blocks partition the columns
+        """The label of each basis column.  A value's subspace has n columns:
+        the first property's value j owns n consecutive ones (joint coordinate
+        j*M' + k), and the last's value k the columns k, k + M', ..."""
+        e, space = self.eigenvalues, self.space
+        n = space.subspace_dimensions(self.property_id)[0]
+        if self.property_id == space.property_order[0]:
+            return tuple(x for x in e for _ in range(n))
+        return e * n
 
 
 make_operator = PropertyOperator

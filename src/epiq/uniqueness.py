@@ -263,11 +263,11 @@ def evaluate_candidate(candidate: CandidateMap, m: int, mp: int,
     and gamma alone, building no constraint system.
 
     ``samples`` and ``seed`` configured the search that used to decide the
-    row; they are still accepted (samples >= 1) and change nothing.
+    row; they are still accepted (samples a positive int) and change nothing.
     """
     if not (type(m) is int and type(mp) is int and m >= 2 and mp >= 2):
         raise ValueError("both properties need at least two values")
-    if samples < 1:
+    if not (type(samples) is int and samples >= 1):
         raise ValueError("need at least one start")
     n = max(m, mp)
     req = _required_dof(m, n)

@@ -404,7 +404,8 @@ def test_scalar_refuses_what_fraction_refuses(value):
         Sqrt2Scalar(0, value)
 
 
-@pytest.mark.parametrize("token", ["1/0", "-3/0/sqrt2", "1" * 5000, "1/2/3", "sqrt2"])
+@pytest.mark.parametrize("token", ["1/0", "-3/0/sqrt2", "1" * 5000, "1/2/3", "sqrt2", "١/٢",
+                                   " 1/2"])
 def test_unreadable_token_is_value_error(token):
     with pytest.raises(ValueError):
         parse_exact(token)

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -336,8 +338,8 @@ class TestOperators:
         space = self.space()
         op = make_operator(space, "Q", labels=(2.0, -3.0))
         w = np.asarray(space.basis("Q"))
-        rebuilt = sum(val * (w[:, b] @ np.conj(w[:, b]).T)
-                      for val, b in zip(op.eigenvalues, space.blocks[1]))
+        rebuilt = sum(val * np.outer(w[:, k], np.conj(w[:, k]))
+                      for k, val in enumerate(op.eigenvalues))
         assert np.max(np.abs(rebuilt - dense(op))) < 1e-12
 
     def test_commutator_dichotomy(self):
@@ -831,19 +833,37 @@ def fourier_space():
 ], ids=["single", "joint", "interference", "interference-2x3", "interference-3x5", "sequential",
         "sequential-fourier"])
 def test_last_property_has_the_standard_basis(make):
-    """The last property's basis is the standard one; each property's blocks
-    use each of its basis columns exactly once, every other basis has
-    orthonormal columns, and an operator has one label per basis column."""
+    """The last property's basis is the standard one; each property's value
+    subspaces together have as many dimensions as it has basis columns,
+    every other basis has orthonormal columns, and an operator's spectrum
+    holds each label once per dimension of its value's subspace."""
     space = make()
     assert space.bases[-1] is None
-    for pid, rows, blocks in zip(space.property_order, space.bases, space.blocks):
+    for pid, rows in zip(space.property_order, space.bases):
         columns = space.dimension if rows is None else len(rows[0])
-        assert sorted(c for block in blocks for c in block) == list(range(columns))
+        dims = space.subspace_dimensions(pid)
+        assert sum(dims) == columns
         if rows is not None:
             v = np.asarray(rows)
             assert v.shape == (space.dimension, columns)
             assert np.max(np.abs(np.conj(v).T @ v - np.eye(columns))) < 1e-12
         op = make_operator(space, pid)
         assert len(op.spectrum) == columns
-        assert all(op.spectrum[c] == label
-                   for label, block in zip(op.eigenvalues, blocks) for c in block)
+        assert [op.spectrum.count(label) for label in op.eigenvalues] == list(dims)
+
+
+def test_records_survive_pickle_and_copy():
+    """Each hilbert record comes back from pickle, copy and deepcopy equal,
+    with the same hash and repr."""
+    single = build_space(ContextNetwork((Layer("P", Knowability.DECIDED, (1.0, 2.0)),),
+                                        (0.6 + 0j, 0.8 + 0j), ()))
+    spaces = [single, joint_space(), build_space(interference_net()),
+              build_space(sequential_net(), joint_volumes=quarter_volumes())]
+    a = make_operator(spaces[2], "path")
+    records = [*spaces, quarter_volumes(), a, commutator(a, make_operator(spaces[2], "detector"))]
+    for record in records:
+        for clone in (pickle.loads(pickle.dumps(record)), copy.copy(record),
+                      copy.deepcopy(record)):
+            assert clone == record
+            assert hash(clone) == hash(record)
+            assert repr(clone) == repr(record)

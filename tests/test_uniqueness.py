@@ -389,8 +389,9 @@ class TestInfeasibilityProof:
 
     @pytest.mark.parametrize("candidate", DEFAULT_CANDIDATES, ids=lambda c: c.name)
     def test_input_checks_hold_on_proved_rows(self, lm_outputs, candidate):
-        with pytest.raises(ValueError, match="need at least one start"):
-            uniqueness_report([2], [2], candidates=[candidate], samples=0)
+        for samples in (0, True, 1.5, "x"):
+            with pytest.raises(ValueError, match="need at least one start"):
+                uniqueness_report([2], [2], candidates=[candidate], samples=samples)
         for m, mp in ((1, 2), (1, 1), (2, 1), (3, 1), (2.5, 3), (3, 2.5), (True, 2)):
             with pytest.raises(ValueError, match="at least two values"):
                 evaluate_candidate(candidate, m, mp, samples=4)
