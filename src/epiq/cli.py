@@ -113,12 +113,12 @@ def _cmd_montecarlo(scenario, eraser, n, seed, tolerance):
 
 
 def _cmd_hilbert(scenario, eraser, n, seed, tolerance):
-    from .hilbert import (JointVolumeTable, SpaceConstructionError, _space, commutator,
+    from .hilbert import (JointVolumeTable, SpaceConstructionError, build_space, commutator,
                           make_operator, principle4_probabilities)
     net, eraser = _resolved_network(scenario, eraser)
-    dist = propagate(net)  # the one check of the network; the space keeps it checked
+    dist = propagate(net)  # checks the network, which keeps its check for build_space
     jv = JointVolumeTable(v=scenario.joint_volumes) if scenario.joint_volumes else None
-    space = _space(net, jv, scenario.simultaneous)
+    space = build_space(net, jv, scenario.simultaneous)
     result = {"dimension": space.dimension, "kind": space.kind, "properties": {
         pid: list(space.subspace_dimensions(pid)) for pid in space.property_order}}
     rows = [(space.kind, str(space.dimension), "", "")]

@@ -21,7 +21,8 @@ the rows that do not sum to exactly 1; floats enter only for those, which get
 the float test as a fallback.  Any other network, one that mixes exact and
 float entries included, is checked and propagated on complex rows: every entry
 is converted once, and an exact entry past the float range becomes infinite,
-so its row fails the float test.
+so its row fails the float test.  A network is checked once, on first use, and
+keeps the result (`_check`): every entry point called on it shares that check.
 
 A network is its own start state, and every reduction maps networks to
 networks: a superposed state at layer c is `ContextNetwork(layers[c:],
@@ -61,9 +62,12 @@ class Layer(Record):
 class ContextNetwork(Record):
     """Layered network: initial amplitudes feed the first layer, one complex
     matrix links each consecutive pair (entry [j][k]: value j of the earlier
-    layer to value k of the later)."""
+    layer to value k of the later).  Its first check (`_check`), rows and
+    all, stays in a slot that equality, hash, repr, pickle and copy ignore:
+    about 14 MB at the schema's cap of 63 exact 64x64 matrices."""
 
-    __slots__ = ("layers", "initial", "edges")
+    __slots__ = ("layers", "initial", "edges", "_checks")
+    _fields = ("layers", "initial", "edges")
 
     def __init__(self, layers: tuple, initial: tuple, edges: tuple):
         _set(self, "layers", tuple(layers))
@@ -95,8 +99,8 @@ def _squares(rows) -> list:
 
 
 def validate_context(net: ContextNetwork) -> list:
-    """All structural violations of a network, as a list of messages."""
-    return _check(net)[0]
+    """All structural violations of a network, as a new list of messages."""
+    return list(_check(net)[0])
 
 
 def _checked(net: ContextNetwork) -> tuple:
@@ -108,6 +112,13 @@ def _checked(net: ContextNetwork) -> tuple:
 
 
 def _check(net: ContextNetwork) -> tuple:
+    """`_examine(net)`, made on first use and kept in the network's `_checks` slot."""
+    if not hasattr(net, "_checks"):
+        _set(net, "_checks", _examine(net))
+    return net._checks
+
+
+def _examine(net: ContextNetwork) -> tuple:
     """validate_context's messages for `net`, whether it is exact, and its
     rows: the initial vector as a one-row matrix, then each matrix, in the
     network's number field (amplitude rows when exact, else complex rows),
@@ -181,7 +192,7 @@ def propagate(net: ContextNetwork) -> Distribution:
     row's amplitudes linearly through the matrix.  An unpromoted level-2 layer
     is an error: consistency reduction must resolve it first.
 
-    `_check` converts and checks the network once, in its number field, and
+    `_check` checks the network once, on first use, in its number field, and
     keeps every matrix's squared moduli, so a merge straight after a decided
     layer reads them instead of squaring the matrix rows again.  An exact
     network is folded on the integer rows `exactnum.checked_rows` made, with

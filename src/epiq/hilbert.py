@@ -18,7 +18,7 @@ Everything is plain Python on tuples, built from the structure each kind
 has: the last property's basis is always the standard basis, so its
 operator is diagonal, and each kind differs only in the first property's
 value vectors, ``u[k][j] = <first_j, second_k>`` in the last property's
-coordinates, which one function per kind returns and `_space` alone
+coordinates, which one function per kind returns and `build_space` alone
 assembles.  A space is its network, its kind and these bases.  Joint
 coordinate j*M' + k carries the values j and k, so both joint operators
 are diagonal and commute exactly; and a commutator's spectral norm is read
@@ -99,12 +99,20 @@ class ContextSpace(Record):
     """
 
     __slots__ = ("network", "kind", "bases")
-    # kind: "interference" | "joint" | "sequential" | "single"
+    _KINDS = ("interference", "joint", "sequential", "single")
 
     def __init__(self, network: ContextNetwork, kind: str, bases: tuple):
         _set(self, "network", network)
         _set(self, "kind", kind)
         _set(self, "bases", tuple(bases))
+        if kind not in self._KINDS:
+            raise ValueError(f"unknown space kind {kind!r}")
+        if len(self.bases) != len(network.layers):
+            raise ValueError("need one basis per layer")
+        if self.bases[-1:] != (None,):
+            raise ValueError("the last property has the standard basis")
+        if kind == "single" and len(self.bases) > 1:
+            raise ValueError("a single space has one property")
 
     @property
     def property_order(self) -> tuple:
@@ -149,15 +157,11 @@ def _orthonormal(rows) -> bool:
 def build_space(net: ContextNetwork,
                 joint_volumes: JointVolumeTable | None = None,
                 simultaneous: bool = False) -> ContextSpace:
-    """Construct the contextual space for a one- or two-property context; a
-    network that `validate_context` refuses raises its messages as one ContextError."""
+    """The contextual space of a one- or two-property context.  A network
+    that `validate_context` refuses raises its messages as one ContextError;
+    it is checked once, so not again after `propagate`.  The last property
+    has the standard basis, and a basis function gives the first's, ``u``."""
     _checked(net)
-    return _space(net, joint_volumes, simultaneous)
-
-
-def _space(net: ContextNetwork, joint_volumes, simultaneous: bool) -> ContextSpace:
-    """build_space for a network already checked.  The last property has the
-    standard basis; each kind but the joint one returns the first's, ``u``."""
     if len(net.layers) == 1:
         return ContextSpace(net, "single", (None,))
     if len(net.layers) != 2:

@@ -727,8 +727,8 @@ class TestCli:
         assert 1e-12 < payload["principle4_max_deviation"] < 1e-9
 
     def test_hilbert_checks_the_network_once(self, tmp_path, monkeypatch):
-        calls, check = [], epiq.context._check
-        monkeypatch.setattr(epiq.context, "_check", lambda *a: calls.append(1) or check(*a))
+        calls, examine = [], epiq.context._examine
+        monkeypatch.setattr(epiq.context, "_examine", lambda *a: calls.append(1) or examine(*a))
         result = run_cli(tmp_path, str(bundled_scenario_path("branching")), "--command", "hilbert")
         assert result.exit_code == 0, result.output
         assert len(calls) == 1

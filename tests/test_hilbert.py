@@ -8,12 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import epiq.context
-from epiq.context import ContextError, ContextNetwork, Layer, propagate, validate_context
+from epiq.context import (ContextError, ContextNetwork, Layer, propagate, reduce_by_observation,
+                          validate_context)
 from epiq.evolution import Knowability
-from epiq.exactnum import ExactAmplitude
-from epiq.hilbert import (JointVolumeTable, PropertyOperator, SpaceConstructionError,
-                          _orthonormal, _recompose, build_space, commutator, inner,
-                          make_operator, principle4_probabilities, reciprocal, spectral_norm)
+from epiq.exactnum import ExactAmplitude, parse_exact
+from epiq.hilbert import (ContextSpace, JointVolumeTable, PropertyOperator,
+                          SpaceConstructionError, _orthonormal, _recompose, build_space,
+                          commutator, inner, make_operator, principle4_probabilities, reciprocal,
+                          spectral_norm)
 from epiq.scenario import bundled_scenario_path, load_scenario_file
 from padding import pad_virtual_values
 
@@ -757,10 +759,20 @@ def three_outcome_net():
     (lambda: reciprocal(ContextNetwork(interference_net().layers, (0.6 + 0j, 0.8 + 0j, 0j),
                                        interference_net().edges)),
      "initial amplitude vector does not match first layer"),
+    (lambda: ContextSpace(interference_net(), "bogus", (None, None)),
+     "unknown space kind 'bogus'"),
+    (lambda: ContextSpace(interference_net(), "interference", (None,)), "need one basis per layer"),
+    (lambda: ContextSpace(interference_net(), "interference", (None, None, None)),
+     "need one basis per layer"),
+    (lambda: ContextSpace(interference_net(), "interference", (None, ((1 + 0j, 0j), (0j, 1 + 0j)))),
+     "the last property has the standard basis"),
+    (lambda: ContextSpace(interference_net(), "single", (None, None)),
+     "a single space has one property"),
 ], ids=["contingent", "drift", "padding", "label-count", "label-distinct", "label-finite", "spaces",
         "non-standard-bases", "standard-basis-other-space", "subspaces", "unknown-id-operator",
         "unknown-id-basis", "unknown-id-subspaces", "reciprocal-matrix-shape", "reciprocal-no-matrix",
-        "reciprocal-initial-length"])
+        "reciprocal-initial-length", "space-kind", "space-bases-short", "space-bases-long",
+        "space-last-basis", "space-single-kind"])
 def test_refusals_carry_their_messages(call, message):
     with pytest.raises(ValueError) as refused:
         call()
@@ -774,8 +786,8 @@ def test_refusals_carry_their_messages(call, message):
     lambda: reciprocal(interference_net()),
 ], ids=["interference", "joint", "sequential", "reciprocal"])
 def test_each_entry_point_checks_the_network_once(call, monkeypatch):
-    calls, check = [], epiq.context._check
-    monkeypatch.setattr(epiq.context, "_check", lambda *a: calls.append(1) or check(*a))
+    calls, examine = [], epiq.context._examine
+    monkeypatch.setattr(epiq.context, "_examine", lambda *a: calls.append(1) or examine(*a))
     call()
     assert len(calls) == 1
 
@@ -783,10 +795,27 @@ def test_each_entry_point_checks_the_network_once(call, monkeypatch):
 def test_principle4_checks_the_network_once(monkeypatch):
     net = interference_net()
     space = build_space(net)
-    calls, check = [], epiq.context._check
-    monkeypatch.setattr(epiq.context, "_check", lambda *a: calls.append(1) or check(*a))
+    calls, examine = [], epiq.context._examine
+    monkeypatch.setattr(epiq.context, "_examine", lambda *a: calls.append(1) or examine(*a))
     principle4_probabilities(space)
     assert len(calls) == 0
+
+
+def test_entry_points_share_one_check_of_a_network(monkeypatch):
+    """A network is checked on its first use only: every later entry point
+    called on it reads that check.  A copy is checked again."""
+    calls, examine = [], epiq.context._examine
+    monkeypatch.setattr(epiq.context, "_examine", lambda *a: calls.append(1) or examine(*a))
+    net = sequential_net()
+    propagate(net)
+    validate_context(net)
+    build_space(net, joint_volumes=quarter_volumes())
+    reciprocal(net)
+    for j in range(net.layers[0].size):
+        reduce_by_observation(net, j)
+    assert len(calls) == 1
+    propagate(copy.copy(net))
+    assert len(calls) == 2
 
 
 def test_principle4_refuses_a_joint_space():
@@ -853,17 +882,26 @@ def test_last_property_has_the_standard_basis(make):
 
 
 def test_records_survive_pickle_and_copy():
-    """Each hilbert record comes back from pickle, copy and deepcopy equal,
-    with the same hash and repr."""
+    """Each hilbert record, and a network already propagated, comes back from
+    pickle, copy and deepcopy equal, with the same hash and repr; the network
+    propagates to the same distribution."""
     single = build_space(ContextNetwork((Layer("P", Knowability.DECIDED, (1.0, 2.0)),),
                                         (0.6 + 0j, 0.8 + 0j), ()))
     spaces = [single, joint_space(), build_space(interference_net()),
               build_space(sequential_net(), joint_volumes=quarter_volumes())]
     a = make_operator(spaces[2], "path")
-    records = [*spaces, quarter_volumes(), a, commutator(a, make_operator(spaces[2], "detector"))]
+    h, minus_h = parse_exact("1/sqrt2"), parse_exact("-1/sqrt2")
+    exact_net = ContextNetwork(sequential_net().layers, (h, h), (((h, h), (h, minus_h)),))
+    networks = [sequential_net(), exact_net]
+    for net in networks:
+        propagate(net)
+    records = [*spaces, quarter_volumes(), a, commutator(a, make_operator(spaces[2], "detector")),
+               *networks]
     for record in records:
         for clone in (pickle.loads(pickle.dumps(record)), copy.copy(record),
                       copy.deepcopy(record)):
             assert clone == record
             assert hash(clone) == hash(record)
             assert repr(clone) == repr(record)
+            if isinstance(record, ContextNetwork):
+                assert propagate(clone) == propagate(record)

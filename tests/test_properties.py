@@ -1,6 +1,7 @@
 """Property-based suites for the measure, combination, and evolution laws,
 and for context propagation against brute-force path enumeration."""
 import cmath
+import copy
 import itertools
 import math
 from fractions import Fraction
@@ -746,20 +747,28 @@ REPLACEMENTS = (lambda a: ExactAmplitude.of(10**400), lambda a: ExactAmplitude.o
 
 
 @st.composite
-def defective_networks(draw):
-    """An exact, float or mixed network (an exact one with its first initial
-    entry and some others turned into complex numbers) with one defect: a
-    matrix or one matrix row missing, a row one entry short or long, or an
-    entry replaced (`REPLACEMENTS`)."""
+def fielded_networks(draw):
+    """An exact, float or mixed network: a mixed one is an exact one with its
+    first initial entry and some others turned into complex numbers."""
     field = draw(st.sampled_from(("exact", "float", "mixed")))
     net = draw(mixed_networks(exact=field != "float"))
+    if field != "mixed":
+        return net
+    rnd = draw(st.randoms(use_true_random=False))
+    initial = [complex(a) if k == 0 or rnd.random() < 0.5 else a
+               for k, a in enumerate(net.initial)]
+    edges = [[tuple(complex(a) if rnd.random() < 0.5 else a for a in row) for row in m]
+             for m in net.edges]
+    return ContextNetwork(net.layers, initial, edges)
+
+
+@st.composite
+def defective_networks(draw):
+    """A network of `fielded_networks` with one defect: a matrix or one matrix
+    row missing, a row one entry short or long, or an entry replaced
+    (`REPLACEMENTS`)."""
+    net = draw(fielded_networks())
     initial, edges = list(net.initial), [list(m) for m in net.edges]
-    if field == "mixed":
-        rnd = draw(st.randoms(use_true_random=False))
-        initial = [complex(a) if k == 0 or rnd.random() < 0.5 else a
-                   for k, a in enumerate(initial)]
-        edges = [[tuple(complex(a) if rnd.random() < 0.5 else a for a in row) for row in m]
-                 for m in edges]
     defect = draw(st.sampled_from(("matrix", "matrix row", "short", "long", "entry")))
     if defect == "matrix":
         edges.pop()
@@ -804,6 +813,50 @@ class TestOneCheckPath:
         with pytest.raises(ContextError) as refused:
             entry(net)
         assert str(refused.value) == "; ".join(messages)
+
+
+def outcome(call, *args):
+    """What ``call(*args)`` returns, or its refusal's type and message."""
+    try:
+        return call(*args)
+    except ValueError as e:
+        return type(e), str(e)
+
+
+def propagated(net):
+    """propagate's answer on ``net``: labels, probabilities as float.hex,
+    exact values and rules, or its refusal's type and message."""
+    dist = outcome(propagate, net)
+    if not isinstance(dist, Distribution):
+        return dist
+    return dist.labels, bits(dist.probabilities), dist.exact, dist.rules
+
+
+# Entry points that read a network's check; an int j is reduce_by_observation(net, j).
+ENTRY_POINTS = (
+    propagate, validate_context, reciprocal, build_space, partial(build_space, simultaneous=True),
+    partial(build_space, joint_volumes=JointVolumeTable(((0.25, 0.25), (0.25, 0.25)))),
+    lambda net: validate_context(net).append("edited"),
+    lambda net: validate_context(net).clear(),
+)
+
+
+class TestReusedNetwork:
+    """A network keeps its first check, and nothing that reads it may change
+    it: after any calls, a network answers as a fresh copy of itself does."""
+
+    @given(st.one_of(fielded_networks(), defective_networks()),
+           st.lists(st.sampled_from(ENTRY_POINTS) | st.integers(0, 2), max_size=8))
+    @settings(max_examples=150, deadline=None)
+    def test_a_reused_network_answers_as_a_fresh_copy(self, net, calls):
+        for call in calls:
+            if isinstance(call, int):
+                outcome(reduce_by_observation, net, call)
+            else:
+                outcome(call, net)
+        fresh = copy.copy(net)
+        assert validate_context(net) == validate_context(fresh)
+        assert propagated(net) == propagated(fresh)
 
 
 def sum_merge(weights, squared):
