@@ -18,8 +18,9 @@ Everything is plain Python on tuples, built from the structure each kind
 has: the last property's basis is always the standard basis, so its
 operator is diagonal, and each kind differs only in the first property's
 value vectors, ``u[k][j] = <first_j, second_k>`` in the last property's
-coordinates, which one function per kind returns and `build_space` alone
-assembles.  A space is its network, its kind and these bases.  Joint
+coordinates, which one function per kind returns and the one constructor
+``ContextSpace(network, joint_volumes=None, simultaneous=False)`` assembles
+(`build_space` is the same class): a space is its context.  Joint
 coordinate j*M' + k carries the values j and k, so both joint operators
 are diagonal and commute exactly; and a commutator's spectral norm is read
 off a Householder tridiagonal form by Sturm-sequence bisection.
@@ -87,7 +88,12 @@ class JointVolumeTable(Record):
 
 
 class ContextSpace(Record):
-    """A checked ``network``'s finite complex space, with per-property value subspaces.
+    """The space of a one- or two-property context; `build_space` is this
+    class.  A network is checked once (not again after `propagate`), and one
+    that `validate_context` refuses raises its messages as one ContextError.
+    Only the sequential kind keeps ``joint_volumes`` (a JointVolumeTable or
+    None) and only the joint kind ``simultaneous`` (a bool), so equal
+    contexts give equal spaces; ``kind`` and ``bases`` derive from these.
 
     ``bases`` holds one orthonormal family per property, in the network's
     layer order: its rows, so that column k is vector k, or None for the
@@ -98,21 +104,38 @@ class ContextSpace(Record):
     dimension M*M' (see `PropertyOperator.spectrum`).
     """
 
-    __slots__ = ("network", "kind", "bases")
-    _KINDS = ("interference", "joint", "sequential", "single")
+    __slots__ = ("network", "joint_volumes", "simultaneous", "kind", "bases")
+    _fields = ("network", "joint_volumes", "simultaneous")
 
-    def __init__(self, network: ContextNetwork, kind: str, bases: tuple):
+    def __init__(self, network: ContextNetwork, joint_volumes: JointVolumeTable | None = None,
+                 simultaneous: bool = False):
+        if not isinstance(joint_volumes, (JointVolumeTable, type(None))):
+            raise ValueError(f"joint volumes must be a JointVolumeTable, not {joint_volumes!r}")
+        if not isinstance(simultaneous, bool):
+            raise ValueError(f"simultaneous must be a bool, not {simultaneous!r}")
+        _checked(network)
+        if len(network.layers) == 1:
+            kind, u = "single", None
+        elif len(network.layers) != 2:
+            raise SpaceConstructionError("space construction covers one- and two-property contexts")
+        elif network.layers[0].level is Knowability.NEVER:
+            kind, u = "interference", _interference_basis(_complex_rows(network.edges[0]))
+        elif network.layers[0].level is not Knowability.DECIDED:  # a contingent first property
+            kind = "joint" if simultaneous else "sequential"
+            raise SpaceConstructionError(f"{kind} space needs both properties decided")
+        elif simultaneous:  # both properties keep the standard basis of the product space
+            kind, u = "joint", None
+        else:
+            kind = "sequential"
+            u = _sequential_basis(joint_volumes, _complex_rows(network.edges[0]))
         _set(self, "network", network)
+        _set(self, "joint_volumes", joint_volumes if kind == "sequential" else None)
+        _set(self, "simultaneous", kind == "joint")
         _set(self, "kind", kind)
-        _set(self, "bases", tuple(bases))
-        if kind not in self._KINDS:
-            raise ValueError(f"unknown space kind {kind!r}")
-        if len(self.bases) != len(network.layers):
-            raise ValueError("need one basis per layer")
-        if self.bases[-1:] != (None,):
-            raise ValueError("the last property has the standard basis")
-        if kind == "single" and len(self.bases) > 1:
-            raise ValueError("a single space has one property")
+        _set(self, "bases", (None,) if kind == "single" else (u, None))
+
+    def __reduce__(self):
+        return ContextSpace, (self.network, self.joint_volumes, self.simultaneous)
 
     @property
     def property_order(self) -> tuple:
@@ -146,38 +169,15 @@ class ContextSpace(Record):
         return (self.dimension // size if self.kind == "joint" else 1,) * size
 
 
+build_space = ContextSpace
+
+
 def _orthonormal(rows) -> bool:
     """Whether the rows' Gram matrix is within 1e-9 of the identity in every
     entry (NaN fails)."""
     conj = [[x.conjugate() for x in row] for row in rows]
     return all(abs(sum(map(mul, row, conj[l])) - (j == l)) <= 1e-9
                for j, row in enumerate(rows) for l in range(j, len(rows)))
-
-
-def build_space(net: ContextNetwork,
-                joint_volumes: JointVolumeTable | None = None,
-                simultaneous: bool = False) -> ContextSpace:
-    """The contextual space of a one- or two-property context.  A network
-    that `validate_context` refuses raises its messages as one ContextError;
-    it is checked once, so not again after `propagate`.  The last property
-    has the standard basis, and a basis function gives the first's, ``u``."""
-    _checked(net)
-    if len(net.layers) == 1:
-        return ContextSpace(net, "single", (None,))
-    if len(net.layers) != 2:
-        raise SpaceConstructionError("space construction covers one- and two-property contexts")
-
-    level = net.layers[0].level
-    if level is Knowability.NEVER:
-        kind, u = "interference", _interference_basis(_complex_rows(net.edges[0]))
-    elif level is not Knowability.DECIDED:  # _checked has refused an undecided second
-        kind = "joint" if simultaneous else "sequential"
-        raise SpaceConstructionError(f"{kind} space needs both properties decided")
-    elif simultaneous:  # both properties keep the standard basis of the product space
-        kind, u = "joint", None
-    else:
-        kind, u = "sequential", _sequential_basis(joint_volumes, _complex_rows(net.edges[0]))
-    return ContextSpace(net, kind, (u, None))
 
 
 def _interference_basis(a) -> tuple:

@@ -28,6 +28,7 @@ import cli_oracle
 import epiq
 import epiq.cli
 import epiq.context
+import epiq.hilbert
 import epiq.scenario
 import epiq.uniqueness
 from epiq.cli import main
@@ -627,11 +628,36 @@ class TestCli:
                        {"property": "b", "level": 3, "labels": labels}],
             "initial": ["1"] + ["0"] * 63, "matrices": [matrix]}, **overrides)
 
+    @staticmethod
+    def counted(monkeypatch, module, *names):
+        """The calls of each named function of ``module`` from here on, by name."""
+        calls = dict.fromkeys(names, 0)
+        for name in names:
+            def counting(*args, _name=name, _call=getattr(module, name)):
+                calls[_name] += 1
+                return _call(*args)
+            monkeypatch.setattr(module, name, counting)
+        return calls
+
+    def widest_joint(self, tmp_path):
+        path = tmp_path / "joint.json"
+        path.write_text(json.dumps(self.widest_doc(3, [["1/8"] * 64] * 64, simultaneous=True)))
+        return path
+
+    def widest_interference(self, tmp_path):
+        """A 64-wide Sylvester-Hadamard network, and its +-1 matrix."""
+        hadamard = [[1]]
+        for _ in range(6):
+            hadamard = [row + row for row in hadamard] + [row + [-x for x in row] for row in hadamard]
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(self.widest_doc(
+            1, [["1/8" if x > 0 else "-1/8" for x in row] for row in hadamard])))
+        return path, hadamard
+
     def test_hilbert_joint_space_at_the_schema_maximum(self, tmp_path):
         """A 64x64 joint space has dimension 4096; its operators are diagonal,
         so no 4096^2 matrix is built and the run takes well under 2 s."""
-        path = tmp_path / "joint.json"
-        path.write_text(json.dumps(self.widest_doc(3, [["1/8"] * 64] * 64, simultaneous=True)))
+        path = self.widest_joint(tmp_path)
         start = time.perf_counter()
         result = run_cli(tmp_path, str(path), "--command", "hilbert")
         elapsed = time.perf_counter() - start
@@ -641,16 +667,20 @@ class TestCli:
         assert payload["commuting"] is True and payload["commutator_norm"] == 0.0
         assert elapsed < 2.0
 
+    def test_hilbert_joint_space_at_the_schema_maximum_builds_no_matrix(self, tmp_path,
+                                                                         monkeypatch):
+        """The clock-free guard of the bound above: the two diagonal operators
+        commute by their bases alone, so no matrix is recomposed or normed."""
+        calls = self.counted(monkeypatch, epiq.hilbert, "_recompose", "spectral_norm")
+        result = run_cli(tmp_path, str(self.widest_joint(tmp_path)), "--command", "hilbert")
+        assert result.exit_code == 0, result.output
+        assert calls == {"_recompose": 0, "spectral_norm": 0}
+
     def test_hilbert_interference_at_the_schema_maximum(self, tmp_path):
         """A 64-wide interference space (a Sylvester-Hadamard network) runs in
         under 0.41 s, the time numpy's dense construction took as a whole
         subprocess; the norm is that of [diag(1..64), H diag(1..64) H]."""
-        hadamard = [[1]]
-        for _ in range(6):
-            hadamard = [row + row for row in hadamard] + [row + [-x for x in row] for row in hadamard]
-        path = tmp_path / "wide.json"
-        path.write_text(json.dumps(self.widest_doc(
-            1, [["1/8" if x > 0 else "-1/8" for x in row] for row in hadamard])))
+        path, hadamard = self.widest_interference(tmp_path)
         start = time.perf_counter()
         result = run_cli(tmp_path, str(path), "--command", "hilbert")
         elapsed = time.perf_counter() - start
@@ -664,6 +694,16 @@ class TestCli:
         assert payload["commutator_norm"] == pytest.approx(
             np.linalg.norm(d @ b - b @ d, 2), rel=1e-12)
         assert elapsed < 0.41
+
+    def test_hilbert_interference_at_the_schema_maximum_reduces_once(self, tmp_path,
+                                                                     monkeypatch):
+        """The clock-free guard of the bound above: the commutator's norm
+        takes one Householder reduction."""
+        calls = self.counted(monkeypatch, epiq.hilbert, "_tridiagonal")
+        path, _ = self.widest_interference(tmp_path)
+        result = run_cli(tmp_path, str(path), "--command", "hilbert")
+        assert result.exit_code == 0, result.output
+        assert calls == {"_tridiagonal": 1}
 
     def test_hilbert_command_single_property(self, tmp_path):
         doc = minimal_doc()

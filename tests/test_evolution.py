@@ -473,3 +473,11 @@ class TestBinomialSampler:
     def test_certain_outcomes(self, p):
         random = Random(0).random
         assert epiq._binomial(random, 10**6, p) == 10**6 * p
+
+    def test_btrs_draws_again_when_its_uniform_hits_the_edge(self):
+        """A first uniform of 0.0 gives u = -0.5, where BTRS's k is -inf; the
+        draw is thrown away, so the next pair decides as if it came first."""
+        for stream in ([0.0, 0.5, 0.0], [0.5, 0.0]):
+            draws = iter(stream)
+            assert epiq._binomial(draws.__next__, 1000, 0.3) == 300
+            assert next(draws, None) is None

@@ -723,6 +723,11 @@ def rotated_q(theta):
     return make_operator(build_space(net), "Q")
 
 
+def mach_zehnder_open():
+    """The bundled open interferometer: a level-1 ``path`` feeding ``detector``."""
+    return load_scenario_file(bundled_scenario_path("mach-zehnder-open")).network
+
+
 def three_outcome_net():
     """The interferometer's path feeding a three-valued detector."""
     s = math.sqrt(0.5)
@@ -759,20 +764,26 @@ def three_outcome_net():
     (lambda: reciprocal(ContextNetwork(interference_net().layers, (0.6 + 0j, 0.8 + 0j, 0j),
                                        interference_net().edges)),
      "initial amplitude vector does not match first layer"),
-    (lambda: ContextSpace(interference_net(), "bogus", (None, None)),
-     "unknown space kind 'bogus'"),
-    (lambda: ContextSpace(interference_net(), "interference", (None,)), "need one basis per layer"),
-    (lambda: ContextSpace(interference_net(), "interference", (None, None, None)),
-     "need one basis per layer"),
-    (lambda: ContextSpace(interference_net(), "interference", (None, ((1 + 0j, 0j), (0j, 1 + 0j)))),
-     "the last property has the standard basis"),
-    (lambda: ContextSpace(interference_net(), "single", (None, None)),
-     "a single space has one property"),
+    # the (kind, bases) form is gone: a kind or bases in the place of a
+    # table or flag is refused, as are a bare table and a truthy int
+    (lambda: ContextSpace(mach_zehnder_open(), "interference",
+                          (((2 + 0j, 0j), (0j, 2 + 0j)), None)),
+     "joint volumes must be a JointVolumeTable, not 'interference'"),
+    (lambda: ContextSpace(mach_zehnder_open(), "interference", (((1 + 0j,),), None)),
+     "joint volumes must be a JointVolumeTable, not 'interference'"),
+    (lambda: ContextSpace(mach_zehnder_open(), None, (None, None, None)),
+     "simultaneous must be a bool, not (None, None, None)"),
+    (lambda: ContextSpace(mach_zehnder_open(), None, (None, ((1 + 0j, 0j), (0j, 1 + 0j)))),
+     "simultaneous must be a bool, not (None, (((1+0j), 0j), (0j, (1+0j))))"),
+    (lambda: ContextSpace(mach_zehnder_open(), simultaneous=1),
+     "simultaneous must be a bool, not 1"),
+    (lambda: ContextSpace(mach_zehnder_open(), ((0.25, 0.25), (0.25, 0.25))),
+     "joint volumes must be a JointVolumeTable, not ((0.25, 0.25), (0.25, 0.25))"),
 ], ids=["contingent", "drift", "padding", "label-count", "label-distinct", "label-finite", "spaces",
         "non-standard-bases", "standard-basis-other-space", "subspaces", "unknown-id-operator",
         "unknown-id-basis", "unknown-id-subspaces", "reciprocal-matrix-shape", "reciprocal-no-matrix",
         "reciprocal-initial-length", "space-kind", "space-bases-short", "space-bases-long",
-        "space-last-basis", "space-single-kind"])
+        "space-last-basis", "space-single-kind", "space-bare-table"])
 def test_refusals_carry_their_messages(call, message):
     with pytest.raises(ValueError) as refused:
         call()
@@ -883,8 +894,9 @@ def test_last_property_has_the_standard_basis(make):
 
 def test_records_survive_pickle_and_copy():
     """Each hilbert record, and a network already propagated, comes back from
-    pickle, copy and deepcopy equal, with the same hash and repr; the network
-    propagates to the same distribution."""
+    pickle, copy and deepcopy equal, with the same hash and repr; a space
+    keeps its kind and bases, and the network propagates to the same
+    distribution."""
     single = build_space(ContextNetwork((Layer("P", Knowability.DECIDED, (1.0, 2.0)),),
                                         (0.6 + 0j, 0.8 + 0j), ()))
     spaces = [single, joint_space(), build_space(interference_net()),
@@ -903,5 +915,25 @@ def test_records_survive_pickle_and_copy():
             assert clone == record
             assert hash(clone) == hash(record)
             assert repr(clone) == repr(record)
+            if isinstance(record, ContextSpace):  # equality reads only the inputs
+                assert (clone.kind, clone.bases) == (record.kind, record.bases)
             if isinstance(record, ContextNetwork):
                 assert propagate(clone) == propagate(record)
+
+
+def test_a_space_is_built_from_its_context_alone():
+    """`build_space` is `ContextSpace`, and a space keeps an input only where
+    its kind reads it: a table and a flag that an interference network does
+    not read, or a table beside a true flag, leave the space as it was."""
+    assert build_space is ContextSpace
+    net, seq = interference_net(), sequential_net()
+    for plain, spaces in (
+            (build_space(net), [build_space(net, quarter_volumes()),
+                                build_space(net, simultaneous=True),
+                                build_space(net, quarter_volumes(), True)]),
+            (build_space(seq, simultaneous=True), [build_space(seq, quarter_volumes(), True)])):
+        for space in spaces:
+            assert space == plain and hash(space) == hash(plain) and repr(space) == repr(plain)
+            assert (space.kind, space.bases) == (plain.kind, plain.bases)
+    assert repr(build_space(net)).endswith(", joint_volumes=None, simultaneous=False)")
+    assert build_space(seq, quarter_volumes()).joint_volumes == quarter_volumes()

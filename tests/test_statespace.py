@@ -154,6 +154,14 @@ class TestExactStateCode:
         with pytest.raises(ValueError, match="illegal value"):
             ExactState(registry, ([1], "up"))
 
+    def test_unhashable_value_equal_to_a_legal_one_keeps_its_type_error(self, registry):
+        """Such a value is not illegal, so the lookup's TypeError comes through."""
+        class UnhashableStr(str):
+            __hash__ = None
+
+        with pytest.raises(TypeError, match="unhashable type: 'UnhashableStr'"):
+            ExactState(registry, (2, UnhashableStr("down")))
+
     @pytest.mark.parametrize("value", [9, "sideways", [1]], ids=["illegal", "other", "unhashable"])
     def test_slice_on_an_impossible_value_is_void(self, whole, value):
         with pytest.raises(VoidStateError, match="no member has particle.position"):
